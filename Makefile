@@ -1,7 +1,7 @@
 # Development entry points. `make check` is the PR gate: everything
 # builds, every test passes, and formatting is clean.
 
-.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke solver-smoke check bench clean
+.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke perfbench-smoke check bench clean
 
 all: build
 
@@ -60,36 +60,13 @@ trace-smoke:
 	  --summary-json /tmp/eywa-trace-smoke/summary.json > /dev/null
 	dune exec bin/eywa_cli.exe -- trace --json /tmp/eywa-trace-smoke/summary.json
 
-# PR5 smoke: the counterexample cache must not change behaviour — the
-# emitted tests and the wall-clock-stripped trace of a run are
-# byte-identical with the cache on vs `--no-cex-cache` — and the bench
-# solver stage must show it halving (or better) executed solver
-# decisions across the model suite
-solver-smoke:
-	rm -rf /tmp/eywa-solver-smoke && mkdir -p /tmp/eywa-solver-smoke
-	dune exec bin/eywa_cli.exe -- run CNAME -k 3 --timeout 5 \
-	  --trace-out /tmp/eywa-solver-smoke/t-on.jsonl \
-	  | grep -v '^wrote trace' > /tmp/eywa-solver-smoke/tests-on.txt
-	dune exec bin/eywa_cli.exe -- run CNAME -k 3 --timeout 5 --no-cex-cache \
-	  --trace-out /tmp/eywa-solver-smoke/t-off.jsonl \
-	  | grep -v '^wrote trace' > /tmp/eywa-solver-smoke/tests-off.txt
-	@cmp /tmp/eywa-solver-smoke/tests-on.txt /tmp/eywa-solver-smoke/tests-off.txt \
-	  || { echo "solver-smoke: tests differ with cache on vs off"; exit 1; }
-	dune exec bin/eywa_cli.exe -- trace /tmp/eywa-solver-smoke/t-on.jsonl \
-	  --strip-wall --out /tmp/eywa-solver-smoke/s-on.jsonl
-	dune exec bin/eywa_cli.exe -- trace /tmp/eywa-solver-smoke/t-off.jsonl \
-	  --strip-wall --out /tmp/eywa-solver-smoke/s-off.jsonl
-	@cmp /tmp/eywa-solver-smoke/s-on.jsonl /tmp/eywa-solver-smoke/s-off.jsonl \
-	  || { echo "solver-smoke: stripped traces differ with cache on vs off"; exit 1; }
-	@echo "solver-smoke: tests and stripped traces byte-identical on vs off"
-	dune exec bench/main.exe -- fast solver \
-	  --solver-json /tmp/eywa-solver-smoke/solver.json > /dev/null
-	@grep -q '"decision_reduction_ok": true' /tmp/eywa-solver-smoke/solver.json \
-	  || { echo "solver-smoke: cache saves less than 2x decisions"; exit 1; }
-	@grep -q '"tests_identical": true' /tmp/eywa-solver-smoke/solver.json \
-	  || { echo "solver-smoke: bench tests differ on vs off"; exit 1; }
+# the tracked pipeline benchmark's self-test: builds it from source,
+# runs every workload at a tiny size and checks BENCHMARK.json against
+# its spec
+perfbench-smoke:
+	bash perfbench/run.sh --smoke
 
-check: build test fuzz-smoke trace-smoke solver-smoke fmt
+check: build test fuzz-smoke trace-smoke perfbench-smoke fmt
 
 bench:
 	dune exec bench/main.exe -- fast

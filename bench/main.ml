@@ -15,10 +15,6 @@
                 wall-clock-stripped trace and env-stripped metrics of a
                 full CNAME run must be byte-identical at jobs=1 vs
                 jobs=N and warm vs cold cache (writes BENCH_PR4.json)
-     solver   — PR5: counterexample cache off vs on across the model
-                suite — generated tests must be byte-identical and
-                total executed solver decisions must drop by >= 2x
-                (writes BENCH_PR5.json)
 
    Run with no argument to execute everything in order. Pass [fast] as
    a final argument for a quick smoke-scale run; [--jobs N] sizes the
@@ -26,8 +22,8 @@
    measurements as JSON, [--cache-dir DIR] persists the synthesis
    cache on disk, [--summary-json PATH] writes per-stage
    instrumentation totals (ticks, cache hits/misses) after the run,
-   and [--fuzz-json PATH] / [--obs-json PATH] / [--solver-json PATH]
-   redirect the fuzz, obs and solver stages' JSON.
+   and [--fuzz-json PATH] / [--obs-json PATH] redirect the fuzz and
+   obs stages' JSON.
    Counts reproduce the
    paper's *shape* (relative sizes, who hits the timeout, diminishing
    returns around k = 10), not its absolute numbers: the substrate here
@@ -39,7 +35,6 @@ module All = Eywa_models.All_models
 module Dns_adapter = Eywa_models.Dns_adapter
 module Bgp_adapter = Eywa_models.Bgp_adapter
 module Smtp_adapter = Eywa_models.Smtp_adapter
-module Synthesis = Eywa_core.Synthesis
 module Pipeline = Eywa_core.Pipeline
 module Cache = Eywa_core.Cache
 module Instrument = Eywa_core.Instrument
@@ -70,7 +65,6 @@ let cache_dir : string option ref = ref None
 let summary_json : string option ref = ref None
 let fuzz_json : string ref = ref "BENCH_PR3.json"
 let obs_json : string ref = ref "BENCH_PR4.json"
-let solver_json : string ref = ref "BENCH_PR5.json"
 
 (* ----- shared synthesis cache + instrumentation ----- *)
 
@@ -252,7 +246,7 @@ let fig10 scale =
                 with
                 | Ok s ->
                     let per_model =
-                      List.map (fun (r : Synthesis.model_result) -> r.tests) s.results
+                      List.map (fun (r : Pipeline.model_result) -> r.tests) s.results
                     in
                     List.init scale.fig10_max_k (fun j ->
                         let upto = List.filteri (fun i _ -> i <= j) per_model in
@@ -290,17 +284,17 @@ let timing scale =
     (fun (m : Model_def.t) ->
       let s = synthesize scale m in
       let gen =
-        List.fold_left (fun acc (r : Synthesis.model_result) -> acc +. r.gen_seconds)
+        List.fold_left (fun acc (r : Pipeline.model_result) -> acc +. r.gen_seconds)
           0.0 s.results
       in
       let sym =
         List.fold_left
-          (fun acc (r : Synthesis.model_result) -> acc +. r.symex_seconds)
+          (fun acc (r : Pipeline.model_result) -> acc +. r.symex_seconds)
           0.0 s.results
       in
       let paths, ticks, timed_out =
         List.fold_left
-          (fun (p, k, t) (r : Synthesis.model_result) ->
+          (fun (p, k, t) (r : Pipeline.model_result) ->
             match r.stats with
             | Some st -> (p + st.Eywa_symex.Exec.paths_completed,
                           k + st.Eywa_symex.Exec.ticks_used,
@@ -475,7 +469,7 @@ let ablate scale =
     | Ok s -> s
     | Error e -> failwith e
   in
-  let bug_count (s : Synthesis.t) =
+  let bug_count (s : Pipeline.t) =
     List.length
       (Dns_adapter.quirks_triggered ?jobs:!jobs ~version:Eywa_dns.Impls.Old
          [ ("DNAME", s.unique_tests) ])
@@ -531,13 +525,13 @@ let ablate scale =
 
 (* Everything observable about a synthesis except wall-clock timings;
    two runs are "byte-identical" iff these strings are equal. *)
-let fingerprint (s : Synthesis.t) =
+let fingerprint (s : Pipeline.t) =
   String.concat "\n"
     (Printf.sprintf "loc=%d/%d programs=%d" s.loc_min s.loc_max
        (List.length s.programs)
      :: List.map Testcase.to_string s.unique_tests
     @ List.concat_map
-        (fun (r : Synthesis.model_result) ->
+        (fun (r : Pipeline.model_result) ->
           Printf.sprintf "model %d loc=%d err=%s" r.index r.c_loc
             (Option.value ~default:"-" r.compile_error)
           :: List.map Testcase.to_string r.tests)
@@ -889,115 +883,6 @@ let obs_stage scale =
     not (trace_identical && metrics_identical && roundtrip_ok && chrome_valid)
   then failwith "obs: determinism check failed"
 
-(* ----- solver stage (PR5) ----- *)
-
-(* Counterexample cache off vs on across the full model suite. The
-   cache's bookkeeping runs in both modes, so the two legs must emit
-   byte-identical tests; what the cache changes is how many search
-   decisions actually execute, and the stage fails unless that total
-   drops by at least 2x. No shared synthesis cache here: the point is
-   to measure executed work, not replay stored artifacts. *)
-let solver_stage scale =
-  let module Json = Eywa_core.Serialize.Json in
-  Printf.printf
-    "\n%s\nSolver: counterexample cache off vs on (%d-model suite)\n%s\n" line
-    (List.length All.all) line;
-  Printf.printf "%-11s %12s %12s %7s %9s %9s %s\n" "Model" "dec(off)"
-    "dec(on)" "ratio" "cex hits" "reuses" "identical";
-  let leg ~cex_cache (m : Model_def.t) =
-    let c = Instrument.Collector.create () in
-    let s =
-      match
-        Model_def.synthesize
-          ~sink:(Instrument.tee (Instrument.Collector.sink c) sink)
-          ~k:scale.k
-          ~timeout:(Float.max 1.0 (m.timeout *. scale.timeout_scale))
-          ?jobs:!jobs ~cex_cache ~oracle m
-      with
-      | Ok s -> s
-      | Error e -> failwith (m.id ^ ": " ^ e)
-    in
-    (s, Instrument.Collector.summary c)
-  in
-  let rows =
-    List.map
-      (fun (m : Model_def.t) ->
-        let s_off, sum_off = leg ~cex_cache:false m in
-        let s_on, sum_on = leg ~cex_cache:true m in
-        let identical = fingerprint s_off = fingerprint s_on in
-        let open Instrument.Collector in
-        let ratio =
-          if sum_on.solver_decisions > 0 then
-            float_of_int sum_off.solver_decisions
-            /. float_of_int sum_on.solver_decisions
-          else 1.0
-        in
-        Printf.printf "%-11s %12d %12d %6.2fx %9d %9d %s\n" m.id
-          sum_off.solver_decisions sum_on.solver_decisions ratio
-          sum_on.cex_hits sum_on.model_reuses
-          (if identical then "yes" else "NO");
-        (m.id, sum_off, sum_on, identical))
-      All.all
-  in
-  let total sel =
-    List.fold_left (fun acc (_, off, on, _) -> acc + sel off on) 0 rows
-  in
-  let open Instrument.Collector in
-  let dec_off = total (fun off _ -> off.solver_decisions) in
-  let dec_on = total (fun _ on -> on.solver_decisions) in
-  let hits = total (fun _ on -> on.cex_hits) in
-  let reuses = total (fun _ on -> on.model_reuses) in
-  let all_identical = List.for_all (fun (_, _, _, same) -> same) rows in
-  let ratio =
-    if dec_on > 0 then float_of_int dec_off /. float_of_int dec_on else 1.0
-  in
-  let reduction_ok = ratio >= 2.0 in
-  Printf.printf "%s\n%-11s %12d %12d %6.2fx %9d %9d %s\n" line "total" dec_off
-    dec_on ratio hits reuses
-    (if all_identical then "yes" else "NO");
-  Printf.printf "decision reduction >= 2x        : %s\n"
-    (if reduction_ok then "yes" else "NO");
-  Printf.printf "tests byte-identical off vs on  : %s\n"
-    (if all_identical then "yes" else "NO");
-  let path = !solver_json in
-  let row_obj (id, off, on, identical) =
-    Json.Obj
-      [
-        ("model", Json.Str id);
-        ("decisions_off", Json.Int off.solver_decisions);
-        ("decisions_on", Json.Int on.solver_decisions);
-        ("cex_hits", Json.Int on.cex_hits);
-        ("model_reuses", Json.Int on.model_reuses);
-        ("solver_calls", Json.Int on.solver_calls);
-        ("tests_identical", Json.Bool identical);
-      ]
-  in
-  let doc =
-    Json.Obj
-      [
-        ("bench", Json.Str "eywa-solver");
-        ("k", Json.Int scale.k);
-        ("models", Json.List (List.map row_obj rows));
-        ("decisions_off_total", Json.Int dec_off);
-        ("decisions_on_total", Json.Int dec_on);
-        ("decision_ratio", Json.Float ratio);
-        ("cex_hits_total", Json.Int hits);
-        ("model_reuses_total", Json.Int reuses);
-        ("tests_identical", Json.Bool all_identical);
-        ("decision_reduction_ok", Json.Bool reduction_ok);
-      ]
-  in
-  (try
-     let oc = open_out path in
-     output_string oc (Json.to_string_pretty doc);
-     close_out oc;
-     Printf.printf "wrote %s\n" path
-   with Sys_error e -> Printf.eprintf "error: cannot write solver JSON: %s\n" e);
-  if not all_identical then
-    failwith "solver: tests differ between cache off and on";
-  if not reduction_ok then
-    failwith "solver: counterexample cache saves less than 2x decisions"
-
 (* ----- driver ----- *)
 
 (* Per-stage instrumentation: (name, wall seconds, collector summary
@@ -1032,8 +917,8 @@ let write_summary_json path ~fast ~total_seconds =
         ("symex_ticks", Json.Int (a.symex_ticks - b.symex_ticks));
         ("paths_completed", Json.Int (a.paths_completed - b.paths_completed));
         ("solver_calls", Json.Int (a.solver_calls - b.solver_calls));
+        ("paths_unknown", Json.Int (a.paths_unknown - b.paths_unknown));
         ("solver_decisions", Json.Int (a.solver_decisions - b.solver_decisions));
-        ("cex_hits", Json.Int (a.cex_hits - b.cex_hits));
         ("model_reuses", Json.Int (a.model_reuses - b.model_reuses));
         ("cache_hits", Json.Int (a.cache_hits - b.cache_hits));
         ("cache_misses", Json.Int (a.cache_misses - b.cache_misses));
@@ -1089,9 +974,6 @@ let () =
     | "--obs-json" :: p :: rest ->
         obs_json := p;
         parse_flags rest
-    | "--solver-json" :: p :: rest ->
-        solver_json := p;
-        parse_flags rest
     | a :: rest -> a :: parse_flags rest
   in
   let args = parse_flags (Array.to_list Sys.argv |> List.tl) in
@@ -1110,7 +992,6 @@ let () =
   if wants "parallel" then staged "parallel" (fun () -> parallel scale);
   if wants "fuzz" then staged "fuzz" (fun () -> fuzz_stage scale);
   if wants "obs" then staged "obs" (fun () -> obs_stage scale);
-  if wants "solver" then staged "solver" (fun () -> solver_stage scale);
   if wants "micro" then staged "micro" micro;
   let total_seconds = Unix.gettimeofday () -. t0 in
   Printf.printf "\n%s\ntotal bench time: %.1f s%s\n" line total_seconds

@@ -10,7 +10,7 @@
    eywa metrics MODEL          synthesize + difftest, print metrics exposition
    eywa bugs                   print the known-bug catalog (Table 3 rows)
 
-   Synthesis commands accept --cache-dir DIR: draw artifacts are
+   Synthesizing commands accept --cache-dir DIR: draw artifacts are
    content-addressed there and reused by any later invocation with
    the same inputs (output is byte-identical either way).
    run/fuzz/difftest accept --trace-out FILE (JSONL span trace) and
@@ -82,15 +82,6 @@ let cache_of = function
 let limit_arg =
   let doc = "Print at most this many tests." in
   Arg.(value & opt int 50 & info [ "limit" ] ~docv:"N" ~doc)
-
-let no_cex_cache_arg =
-  let doc =
-    "Disable the symex counterexample cache, executing every branch \
-     feasibility probe as a full solve. Generated tests are byte-identical \
-     either way; only the executed solver work differs (compare with \
-     'eywa stats --json' solver_decisions)."
-  in
-  Arg.(value & flag & info [ "no-cex-cache" ] ~doc)
 
 let trace_out_arg =
   let doc =
@@ -204,14 +195,14 @@ let prompt_cmd =
 
 let run_cmd =
   let run id k temperature seed timeout jobs limit save cache_dir trace_out
-      metrics_out no_cex_cache =
+      metrics_out =
     match find_model id with
     | Error e -> `Error (false, e)
     | Ok m -> (
         let obs = obs_for ~label:m.id trace_out metrics_out in
         match
           Model_def.synthesize ?cache:(cache_of cache_dir) ?obs ~k ~temperature
-            ~seed ?timeout ~cex_cache:(not no_cex_cache) ?jobs ~oracle m
+            ~seed ?timeout ?jobs ~oracle m
         with
         | Error e -> `Error (false, e)
         | Ok s ->
@@ -241,7 +232,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Synthesize a model and print its generated tests.")
     Term.(ret (const run $ model_arg $ k_arg $ temperature_arg $ seed_arg
                $ timeout_arg $ jobs_arg $ limit_arg $ save_arg $ cache_dir_arg
-               $ trace_out_arg $ metrics_out_arg $ no_cex_cache_arg))
+               $ trace_out_arg $ metrics_out_arg))
 
 let fuzz_cmd =
   let run id k temperature seed timeout jobs fuzz_seed budget max_new_tests

@@ -30,7 +30,7 @@ let () =
       let code =
         match
           List.find_opt
-            (fun (r : Eywa_core.Synthesis.model_result) -> r.compile_error = None)
+            (fun (r : Eywa_core.Pipeline.model_result) -> r.compile_error = None)
             synth.results
         with
         | Some r -> r.c_source

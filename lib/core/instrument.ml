@@ -7,17 +7,7 @@ type event =
       symex_seconds : float;
     }
   | Compile_rejected of { index : int; stage : string; message : string }
-  | Symex_done of {
-      index : int;
-      ticks : int;
-      paths_completed : int;
-      paths_pruned : int;
-      solver_calls : int;
-      solver_decisions : int;
-      cex_hits : int;
-      model_reuses : int;
-      timed_out : bool;
-    }
+  | Symex_done of { index : int; stats : Eywa_symex.Exec.stats }
   | Cache_hit of { stage : string; key : string }
   | Cache_miss of { stage : string; key : string }
   | Suite_aggregated of { draws : int; unique_tests : int }
@@ -62,9 +52,9 @@ module Collector = struct
     symex_ticks : int;
     paths_completed : int;
     paths_pruned : int;
+    paths_unknown : int;
     solver_calls : int;
     solver_decisions : int;
-    cex_hits : int;
     model_reuses : int;
     timeouts : int;
     cache_hits : int;
@@ -104,8 +94,8 @@ module Collector = struct
     {
       draws = 0; rejected = 0; tests = 0; gen_seconds = 0.0;
       symex_seconds = 0.0; symex_ticks = 0; paths_completed = 0;
-      paths_pruned = 0; solver_calls = 0; solver_decisions = 0; cex_hits = 0;
-      model_reuses = 0; timeouts = 0; cache_hits = 0;
+      paths_pruned = 0; paths_unknown = 0; solver_calls = 0;
+      solver_decisions = 0; model_reuses = 0; timeouts = 0; cache_hits = 0;
       cache_misses = 0; unique_tests = 0; fuzz_draws = 0; fuzz_execs = 0;
       fuzz_new_tests = 0; fuzz_edges_gained = 0; difftests = 0;
       difftest_execs = 0; disagreeing_tests = 0; pool_batches = 0;
@@ -121,18 +111,15 @@ module Collector = struct
               gen_seconds = s.gen_seconds +. gen_seconds;
               symex_seconds = s.symex_seconds +. symex_seconds }
         | Compile_rejected _ -> { s with rejected = s.rejected + 1 }
-        | Symex_done
-            { ticks; paths_completed; paths_pruned; solver_calls;
-              solver_decisions; cex_hits; model_reuses; timed_out; _ }
-          ->
-            { s with symex_ticks = s.symex_ticks + ticks;
-              paths_completed = s.paths_completed + paths_completed;
-              paths_pruned = s.paths_pruned + paths_pruned;
-              solver_calls = s.solver_calls + solver_calls;
-              solver_decisions = s.solver_decisions + solver_decisions;
-              cex_hits = s.cex_hits + cex_hits;
-              model_reuses = s.model_reuses + model_reuses;
-              timeouts = (s.timeouts + if timed_out then 1 else 0) }
+        | Symex_done { stats = st; _ } ->
+            { s with symex_ticks = s.symex_ticks + st.ticks_used;
+              paths_completed = s.paths_completed + st.paths_completed;
+              paths_pruned = s.paths_pruned + st.paths_pruned;
+              paths_unknown = s.paths_unknown + st.paths_unknown;
+              solver_calls = s.solver_calls + st.solver_calls;
+              solver_decisions = s.solver_decisions + st.solver_decisions;
+              model_reuses = s.model_reuses + st.model_reuses;
+              timeouts = (s.timeouts + if st.timed_out then 1 else 0) }
         | Cache_hit _ -> { s with cache_hits = s.cache_hits + 1 }
         | Cache_miss _ -> { s with cache_misses = s.cache_misses + 1 }
         | Suite_aggregated { unique_tests; _ } ->
@@ -158,8 +145,8 @@ module Collector = struct
       "draws        %d finished, %d rejected, %d raw tests@\n\
        generation   %.2f s wall@\n\
        symex        %.2f s wall, %d ticks (deterministic), %d paths (+%d \
-       pruned), %d solver calls, %d timeouts@\n\
-       solver       %d decisions executed, %d cex hits, %d model reuses@\n\
+       pruned, +%d unknown), %d solver calls, %d timeouts@\n\
+       solver       %d decisions executed, %d model reuses@\n\
        cache        %d hits, %d misses@\n\
        aggregation  %d unique tests@\n\
        fuzz         %d draws, %d execs (deterministic ticks), %d new tests, \
@@ -167,8 +154,8 @@ module Collector = struct
        difftest     %d runs, %d executions, %d disagreeing tests@\n\
        pool         %d batches, %d tasks"
       s.draws s.rejected s.tests s.gen_seconds s.symex_seconds s.symex_ticks
-      s.paths_completed s.paths_pruned s.solver_calls s.timeouts
-      s.solver_decisions s.cex_hits s.model_reuses s.cache_hits
+      s.paths_completed s.paths_pruned s.paths_unknown s.solver_calls
+      s.timeouts s.solver_decisions s.model_reuses s.cache_hits
       s.cache_misses s.unique_tests s.fuzz_draws s.fuzz_execs s.fuzz_new_tests
       s.fuzz_edges_gained s.difftests s.difftest_execs s.disagreeing_tests
       s.pool_batches s.pool_tasks

@@ -30,20 +30,9 @@ type event =
       stage : string;  (** ["oracle"] or ["typecheck"] *)
       message : string;
     }
-  | Symex_done of {
-      index : int;
-      ticks : int;  (** deterministic budget ticks; machine-independent *)
-      paths_completed : int;
-      paths_pruned : int;
-      solver_calls : int;
-      solver_decisions : int;
-          (** search decisions actually executed — the one field that
-              depends on the counterexample-cache toggle (environment
-              data, like cache traffic) *)
-      cex_hits : int;  (** deterministic, identical cache on or off *)
-      model_reuses : int;  (** deterministic, identical cache on or off *)
-      timed_out : bool;
-    }
+  | Symex_done of { index : int; stats : Eywa_symex.Exec.stats }
+      (** every field is deterministic: [stats] is a function of the
+          draw's inputs alone, and a cache hit replays it *)
   | Cache_hit of { stage : string; key : string  (** hex digest *) }
   | Cache_miss of { stage : string; key : string }
   | Suite_aggregated of { draws : int; unique_tests : int }
@@ -106,9 +95,9 @@ module Collector : sig
     symex_ticks : int;
     paths_completed : int;
     paths_pruned : int;
+    paths_unknown : int;  (** solves that hit the decision budget *)
     solver_calls : int;
-    solver_decisions : int;  (** decisions executed (cex-cache-dependent) *)
-    cex_hits : int;  (** feasibility probes answered by the sat/unsat memo *)
+    solver_decisions : int;  (** search decisions executed *)
     model_reuses : int;  (** probes answered by the parent path's model *)
     timeouts : int;  (** draws that exhausted the tick budget *)
     cache_hits : int;

@@ -17,7 +17,6 @@ type config = {
   alphabet : char list;
   base_seed : int;
   samples_per_path : int;
-  cex_cache : bool;
 }
 
 let default_config =
@@ -31,7 +30,6 @@ let default_config =
     alphabet = [ 'a'; 'b'; '.'; '*' ];
     base_seed = 42;
     samples_per_path = 4;
-    cex_cache = true;
   }
 
 type model_result = {
@@ -162,7 +160,6 @@ let symex ~config g ~main program =
       timeout = config.timeout;
       max_solver_decisions = config.max_solver_decisions;
       string_bound = 8;
-      cex_cache = config.cex_cache;
     }
   in
   let paths, stats =
@@ -294,10 +291,6 @@ let draw_key_parts ~oracle_name ~config ~prompts ~index =
         ("alphabet", String.init (List.length config.alphabet)
                        (List.nth config.alphabet));
       ("samples_per_path", string_of_int config.samples_per_path);
-      (* tests are byte-identical either way, but the stored
-         [solver_decisions] stat measures executed work and so depends
-         on the toggle *)
-      ("cex_cache", (if config.cex_cache then "1" else "0"));
     ]
 
 let draw_key ~oracle_name ~config ~prompts ~index =
@@ -314,7 +307,7 @@ let artifact_to_string ((r : model_result), program) =
         Buffer.add_char buf '\n')
       fmt
   in
-  line "eywa-draw 2";
+  line "eywa-draw 3";
   line "index %d" r.index;
   line "gen %h" r.gen_seconds;
   line "sym %h" r.symex_seconds;
@@ -326,7 +319,7 @@ let artifact_to_string ((r : model_result), program) =
   | None -> line "stats -"
   | Some (st : Exec.stats) ->
       line "stats %d %d %d %d %d %d %d %d" st.paths_completed st.paths_pruned
-        st.solver_calls st.solver_decisions st.cex_hits st.model_reuses
+        st.paths_unknown st.solver_calls st.solver_decisions st.model_reuses
         (if st.timed_out then 1 else 0)
         st.ticks_used);
   line "src %s" (Serialize.quote r.c_source);
@@ -375,10 +368,10 @@ let artifact_of_string g ~main s =
       Ok (Some decoded)
   in
   let* header = next () in
-  (* version-bumped when the stats line grew solver fields: a v1 entry
-     fails to parse and is recomputed, which is the intended
+  (* version-bumped whenever the stats line changes shape: an older
+     entry fails to parse and is recomputed, which is the intended
      invalidation path *)
-  if header <> "eywa-draw 2" then Error "not a draw artifact"
+  if header <> "eywa-draw 3" then Error "not a draw artifact"
   else
     let* index = int_field "index" in
     let* gen_seconds = float_field "gen" in
@@ -395,9 +388,9 @@ let artifact_of_string g ~main s =
         | [
             Some completed;
             Some pruned;
+            Some unknown;
             Some calls;
             Some decisions;
-            Some cex_hits;
             Some model_reuses;
             Some timed;
             Some ticks;
@@ -407,9 +400,9 @@ let artifact_of_string g ~main s =
                  {
                    Exec.paths_completed = completed;
                    paths_pruned = pruned;
+                   paths_unknown = unknown;
                    solver_calls = calls;
                    solver_decisions = decisions;
-                   cex_hits;
                    model_reuses;
                    timed_out = timed <> 0;
                    ticks_used = ticks;
@@ -470,22 +463,9 @@ let emit_draw_events sink (r : model_result) =
       in
       sink (Instrument.Compile_rejected { index = r.index; stage; message })
   | None -> ());
-  (match r.stats with
-  | Some (st : Exec.stats) ->
-      sink
-        (Instrument.Symex_done
-           {
-             index = r.index;
-             ticks = st.ticks_used;
-             paths_completed = st.paths_completed;
-             paths_pruned = st.paths_pruned;
-             solver_calls = st.solver_calls;
-             solver_decisions = st.solver_decisions;
-             cex_hits = st.cex_hits;
-             model_reuses = st.model_reuses;
-             timed_out = st.timed_out;
-           })
-  | None -> ());
+  Option.iter
+    (fun stats -> sink (Instrument.Symex_done { index = r.index; stats }))
+    r.stats;
   sink
     (Instrument.Draw_finished
        {

@@ -1,10 +1,14 @@
-(** The staged pipeline engine.
+(** The staged pipeline engine: end-to-end model synthesis and test
+    generation (§3.1, §4.1).
 
-    Eywa's pipeline — prompt generation, k LLM draws, compilation,
-    symbolic execution, unique-test aggregation — used to exist only
-    implicitly inside [Synthesis.run], with every driver (bench, CLI,
-    examples) re-wiring the stages ad hoc. This module makes each
-    stage a pure function between explicit artifacts:
+    For each of [k] model indices, Eywa prompts the oracle once per
+    module (callees first), parses and typechecks the completions —
+    skipping the model on any compilation error, as the paper does —
+    assembles the harness, runs symbolic execution, and converts every
+    completed path into a test case. Results are aggregated into the
+    union of unique tests, with the min/max generated-code LoC that
+    Table 2 reports. Each stage is a pure function between explicit
+    artifacts:
 
     {v
     prompt_parts   : graph/main        -> canonical prompt texts
@@ -31,17 +35,15 @@
       bench's k-sweep stops recomputing shared prefixes.
     - {b Instrumentation}: stage events are replayed to the
       {!Instrument.sink} at the merge point in index order (workers
-      stay pure), so the event log is deterministic too.
-
-    [Synthesis] re-exports the result types and wraps {!run}; drivers
-    that want caching or instrumentation call this module directly. *)
+      stay pure), so the event log is deterministic too. *)
 
 type config = {
   k : int;  (** number of model implementations to draw (paper: 10) *)
   temperature : float;  (** tau (paper: 0.6) *)
   timeout : float;
       (** per-model symbolic execution budget in "budget seconds" — a
-          deterministic tick budget (see {!Eywa_symex.Exec.config}) *)
+          deterministic tick budget (see {!Eywa_symex.Exec.config}),
+          so a cut-off model's tests don't depend on machine speed *)
   max_paths : int;
   max_steps : int;
   max_solver_decisions : int;
@@ -49,14 +51,12 @@ type config = {
   base_seed : int;
   samples_per_path : int;
       (** concrete tests drawn per symbolic path (distinct solver value
-          rotations) *)
-  cex_cache : bool;
-      (** let symex feasibility probes short-circuit through the
-          per-draw counterexample cache (see {!Eywa_symex.Exec.config};
-          tests are byte-identical either way) *)
+          rotations); Klee-style dense coverage of bounded inputs *)
 }
 
 val default_config : config
+(** k = 10, temperature = 0.6, timeout = 5 s, alphabet [a b . *],
+    4 samples per path. *)
 
 type model_result = {
   index : int;
@@ -64,7 +64,10 @@ type model_result = {
   c_loc : int;
   compile_error : string option;
       (** set when this model was skipped; prefixed with the failing
-          stage (["oracle: "], ["typecheck: "]) *)
+          stage (["oracle: "] for completions that do not parse or do
+          not define the requested function, ["typecheck: "] for
+          assembled programs the checker rejects) so parallel failure
+          logs are attributable *)
   tests : Testcase.t list;
   stats : Eywa_symex.Exec.stats option;
   gen_seconds : float;
@@ -205,6 +208,12 @@ val run :
   (t, string) result
 (** [Error _] only for structural problems (cyclic call edges, main
     not a Func module); per-draw failures are recorded in [results].
+
+    [jobs] is the number of pool domains the [k] independent draws fan
+    out over (default {!Pool.default_jobs}, i.e. [EYWA_JOBS] or the
+    core count). Results are merged by model index, so the returned
+    {!t} is bit-for-bit independent of [jobs] — provided the oracle is
+    a pure function of its request, which the simulated LLM is.
 
     With a [cache], draw results are looked up before computing and
     stored after; hits decode to byte-identical results (and emit

@@ -1,7 +1,7 @@
 (** Fixed-size domain work-pool for the synthesis pipeline.
 
     The three hot loops of the pipeline — the per-model-index loop in
-    {!Synthesis.run}, the per-test loop of differential testing, and
+    {!Pipeline.run}, the per-test loop of differential testing, and
     the per-model loop of the benchmark harness — are embarrassingly
     parallel. This pool runs them across OCaml domains while keeping
     the pipeline's determinism invariant: {!map} merges results by

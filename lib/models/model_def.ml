@@ -9,7 +9,7 @@ type t = {
 }
 
 let pipeline_config ?(k = 10) ?(temperature = 0.6) ?(seed = 42) ?timeout
-    ?max_paths ?(cex_cache = true) t =
+    ?max_paths t =
   let config =
     {
       Eywa_core.Pipeline.default_config with
@@ -18,7 +18,6 @@ let pipeline_config ?(k = 10) ?(temperature = 0.6) ?(seed = 42) ?timeout
       timeout = (match timeout with Some s -> s | None -> t.timeout);
       alphabet = t.alphabet;
       base_seed = seed;
-      cex_cache;
     }
   in
   match max_paths with Some n -> { config with max_paths = n } | None -> config
@@ -32,19 +31,15 @@ let combine_sink ?sink ?obs () =
   | Some ctx, Some s -> Some (Eywa_core.Instrument.tee (Eywa_obs.Obs.sink ctx) s)
 
 let synthesize ?cache ?sink ?obs ?k ?temperature ?seed ?timeout ?max_paths
-    ?cex_cache ?jobs ~oracle t =
+    ?jobs ~oracle t =
   let sink = combine_sink ?sink ?obs () in
-  let config =
-    pipeline_config ?k ?temperature ?seed ?timeout ?max_paths ?cex_cache t
-  in
+  let config = pipeline_config ?k ?temperature ?seed ?timeout ?max_paths t in
   Eywa_core.Pipeline.run ?cache ?sink ~config ?jobs ~oracle t.graph
     ~main:t.main
 
 let fuzz ?cache ?sink ?obs ?fuzz_config ?k ?temperature ?seed ?timeout
-    ?max_paths ?cex_cache ?jobs ~oracle t suite =
+    ?max_paths ?jobs ~oracle t suite =
   let sink = combine_sink ?sink ?obs () in
-  let pipeline =
-    pipeline_config ?k ?temperature ?seed ?timeout ?max_paths ?cex_cache t
-  in
+  let pipeline = pipeline_config ?k ?temperature ?seed ?timeout ?max_paths t in
   Eywa_fuzz.Fuzz.fuzz_of_seeds ?cache ?sink ?config:fuzz_config ?jobs
     ~oracle_name:oracle.Eywa_core.Oracle.name ~pipeline t.graph suite

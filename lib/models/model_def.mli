@@ -17,7 +17,6 @@ val pipeline_config :
   ?seed:int ->
   ?timeout:float ->
   ?max_paths:int ->
-  ?cex_cache:bool ->
   t ->
   Eywa_core.Pipeline.config
 (** The exact config {!synthesize} runs with — exposed so stages
@@ -33,11 +32,10 @@ val synthesize :
   ?seed:int ->
   ?timeout:float ->
   ?max_paths:int ->
-  ?cex_cache:bool ->
   ?jobs:int ->
   oracle:Eywa_core.Oracle.t ->
   t ->
-  (Eywa_core.Synthesis.t, string) result
+  (Eywa_core.Pipeline.t, string) result
 (** Run the full pipeline with this model's alphabet; [timeout] and
     [max_paths] override the model's defaults (tests and sweeps use
     small budgets). [jobs] fans the [k] draws out over a domain pool
@@ -57,7 +55,6 @@ val fuzz :
   ?seed:int ->
   ?timeout:float ->
   ?max_paths:int ->
-  ?cex_cache:bool ->
   ?jobs:int ->
   oracle:Eywa_core.Oracle.t ->
   t ->

@@ -3,10 +3,10 @@ module Difftest = Eywa_difftest.Difftest
 module Testcase = Eywa_core.Testcase
 module Stategraph = Eywa_stategraph.Stategraph
 
-let state_graph_for (synth : Eywa_core.Synthesis.t) =
+let state_graph_for (synth : Eywa_core.Pipeline.t) =
   match
     List.find_opt
-      (fun (r : Eywa_core.Synthesis.model_result) -> r.compile_error = None)
+      (fun (r : Eywa_core.Pipeline.model_result) -> r.compile_error = None)
       synth.results
   with
   | None -> Error "no compiled model to extract a state graph from"

@@ -8,7 +8,7 @@
     probed input. *)
 
 val state_graph_for :
-  Eywa_core.Synthesis.t -> (Eywa_stategraph.Stategraph.t, string) result
+  Eywa_core.Pipeline.t -> (Eywa_stategraph.Stategraph.t, string) result
 (** Ask the (simulated) LLM for the state graph of the first compiled
     model's generated code (Fig. 8), then parse its dict response. *)
 

@@ -3,7 +3,7 @@
     as the paper's §6 anticipates. *)
 
 val state_graph_for :
-  Eywa_core.Synthesis.t -> (Eywa_stategraph.Stategraph.t, string) result
+  Eywa_core.Pipeline.t -> (Eywa_stategraph.Stategraph.t, string) result
 
 val observations_for :
   graph:Eywa_stategraph.Stategraph.t ->

@@ -201,9 +201,9 @@ let summary_totals (s : Eywa_core.Instrument.Collector.summary) =
       ("symex_ticks", Json.Int s.symex_ticks);
       ("paths_completed", Json.Int s.paths_completed);
       ("paths_pruned", Json.Int s.paths_pruned);
+      ("paths_unknown", Json.Int s.paths_unknown);
       ("solver_calls", Json.Int s.solver_calls);
       ("solver_decisions", Json.Int s.solver_decisions);
-      ("cex_hits", Json.Int s.cex_hits);
       ("model_reuses", Json.Int s.model_reuses);
       ("timeouts", Json.Int s.timeouts);
       ("cache_hits", Json.Int s.cache_hits);

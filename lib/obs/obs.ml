@@ -12,8 +12,9 @@ type instruments = {
   symex_ticks : Metrics.counter;
   paths_completed : Metrics.counter;
   paths_pruned : Metrics.counter;
+  paths_unknown : Metrics.counter;
   solver_calls : Metrics.counter;
-  cex_hits : Metrics.counter;
+  solver_decisions : Metrics.counter;
   model_reuses : Metrics.counter;
   timeouts : Metrics.counter;
   unique_tests : Metrics.counter;
@@ -35,7 +36,6 @@ type instruments = {
   symex_seconds : Metrics.gauge;
   cache_hits : Metrics.counter;
   cache_misses : Metrics.counter;
-  solver_decisions : Metrics.counter;
   pool_computed : Metrics.counter;
   pool_queue_wait : Metrics.counter;
   pool_jobs : Metrics.gauge;
@@ -61,8 +61,11 @@ let make_instruments reg =
     symex_ticks = c "eywa_symex_ticks_total" ~help:"deterministic symex ticks";
     paths_completed = c "eywa_symex_paths_completed_total";
     paths_pruned = c "eywa_symex_paths_pruned_total";
+    paths_unknown =
+      c "eywa_symex_paths_unknown_total" ~help:"solves that hit the decision budget";
     solver_calls = c "eywa_symex_solver_calls_total";
-    cex_hits = c "eywa_symex_cex_hits_total" ~help:"probes answered by the sat/unsat memo";
+    solver_decisions =
+      c "eywa_symex_solver_decisions_total" ~help:"search decisions executed";
     model_reuses = c "eywa_symex_model_reuses_total" ~help:"probes answered by the parent model";
     timeouts = c "eywa_symex_timeouts_total" ~help:"draws that hit the tick budget";
     unique_tests = c "eywa_unique_tests_total" ~help:"tests after suite dedup";
@@ -91,9 +94,6 @@ let make_instruments reg =
     symex_seconds = Metrics.gauge reg ~cls:Env "eywa_symex_seconds" ~help:"wall clock";
     cache_hits = c ~cls:Env "eywa_cache_hits_total";
     cache_misses = c ~cls:Env "eywa_cache_misses_total";
-    solver_decisions =
-      c ~cls:Env "eywa_symex_solver_decisions_total"
-        ~help:"search decisions executed (depends on the cex-cache toggle)";
     pool_computed = c ~cls:Env "eywa_pool_computed_total" ~help:"units executed (cache misses)";
     pool_queue_wait = c ~cls:Env "eywa_pool_queue_wait_ticks_total";
     pool_jobs = Metrics.gauge reg ~cls:Env "eywa_pool_jobs" ~help:"last batch's pool size";
@@ -125,17 +125,16 @@ let feed_metrics t (ev : Instrument.event) =
       Metrics.set_gauge i.gen_seconds t.gen_seconds_total;
       Metrics.set_gauge i.symex_seconds t.symex_seconds_total
   | Compile_rejected _ -> Metrics.inc i.rejected 1
-  | Symex_done { ticks; paths_completed; paths_pruned; solver_calls;
-                 solver_decisions; cex_hits; model_reuses; timed_out; _ } ->
-      Metrics.inc i.symex_ticks ticks;
-      Metrics.observe i.h_symex_ticks (float_of_int ticks);
-      Metrics.inc i.paths_completed paths_completed;
-      Metrics.inc i.paths_pruned paths_pruned;
-      Metrics.inc i.solver_calls solver_calls;
-      Metrics.inc i.cex_hits cex_hits;
-      Metrics.inc i.model_reuses model_reuses;
-      Metrics.inc i.solver_decisions solver_decisions;
-      if timed_out then Metrics.inc i.timeouts 1
+  | Symex_done { stats = st; _ } ->
+      Metrics.inc i.symex_ticks st.ticks_used;
+      Metrics.observe i.h_symex_ticks (float_of_int st.ticks_used);
+      Metrics.inc i.paths_completed st.paths_completed;
+      Metrics.inc i.paths_pruned st.paths_pruned;
+      Metrics.inc i.paths_unknown st.paths_unknown;
+      Metrics.inc i.solver_calls st.solver_calls;
+      Metrics.inc i.solver_decisions st.solver_decisions;
+      Metrics.inc i.model_reuses st.model_reuses;
+      if st.timed_out then Metrics.inc i.timeouts 1
   | Cache_hit _ -> Metrics.inc i.cache_hits 1
   | Cache_miss _ -> Metrics.inc i.cache_misses 1
   | Suite_aggregated { unique_tests; _ } ->

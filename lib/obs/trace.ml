@@ -108,8 +108,7 @@ let feed b (ev : Instrument.event) =
              det = [ ("stage", Json.Str stage); ("message", Json.Str message) ];
              env = [];
            })
-  | Symex_done { index; ticks; paths_completed; paths_pruned; solver_calls;
-                 solver_decisions; cex_hits; model_reuses; timed_out } ->
+  | Symex_done { index; stats = st } ->
       push b
         (Span
            {
@@ -121,18 +120,16 @@ let feed b (ev : Instrument.event) =
              cls = Det;
              det =
                [
-                 ("ticks", Json.Int ticks);
-                 ("paths_completed", Json.Int paths_completed);
-                 ("paths_pruned", Json.Int paths_pruned);
-                 ("solver_calls", Json.Int solver_calls);
-                 ("cex_hits", Json.Int cex_hits);
-                 ("model_reuses", Json.Int model_reuses);
-                 ("timed_out", Json.Bool timed_out);
+                 ("ticks", Json.Int st.ticks_used);
+                 ("paths_completed", Json.Int st.paths_completed);
+                 ("paths_pruned", Json.Int st.paths_pruned);
+                 ("paths_unknown", Json.Int st.paths_unknown);
+                 ("solver_calls", Json.Int st.solver_calls);
+                 ("solver_decisions", Json.Int st.solver_decisions);
+                 ("model_reuses", Json.Int st.model_reuses);
+                 ("timed_out", Json.Bool st.timed_out);
                ];
-             env =
-               (* executed work depends on the cex-cache toggle, so it
-                  must strip away like cache traffic does *)
-               [ ("solver_decisions", Json.Int solver_decisions) ];
+             env = [];
            })
   | Cache_hit { stage; key } | Cache_miss { stage; key } ->
       let hit = match ev with Instrument.Cache_hit _ -> true | _ -> false in

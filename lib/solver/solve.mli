@@ -44,9 +44,9 @@ val solve_with_stats :
     following in the usual rotated order. The search stays complete,
     so the verdict is that of the hint-free search; only the decision
     count and (for Sat) the first model found may differ. The symbolic
-    executor hints feasibility probes with the parent path's cached
-    counterexample — never the model-producing solve, whose value
-    order is what diversifies emitted tests. *)
+    executor hints feasibility probes with the model the parent path
+    carries — never the model-producing solve, whose value order is
+    what diversifies emitted tests. *)
 
 val solve_naive_with_stats :
   ?max_decisions:int -> ?rotate:int -> Term.t list -> outcome * stats

@@ -29,9 +29,9 @@ let counter () = Domain.DLS.get counter_key
 (* Hash-consing state, a sibling of [counter_key]: the intern table
    assigns every structurally distinct term a dense id, and the other
    tables memoize by that id. All of it is keyed on vids, so it must
-   live and die with the id allocator — [with_fresh_ids]/[reset_ids]
-   swap in a fresh state along with the fresh counter, or a recycled
-   vid would alias a stale entry. *)
+   live and die with the id allocator — [with_fresh_ids] swaps in a
+   fresh state along with the fresh counter, or a recycled vid would
+   alias a stale entry. *)
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
@@ -46,18 +46,10 @@ type intern_state = {
   ids : int Tbl.t;  (* term -> dense intern id *)
   mutable next_id : int;
   fvs : (int, var list) Hashtbl.t;  (* intern id -> free vars *)
-  conses : (int * int, int) Hashtbl.t;  (* (head id, tail key) -> list key *)
-  mutable next_key : int;  (* list keys; 0 is reserved for [] *)
 }
 
 let fresh_intern () =
-  {
-    ids = Tbl.create 512;
-    next_id = 0;
-    fvs = Hashtbl.create 512;
-    conses = Hashtbl.create 512;
-    next_key = 1;
-  }
+  { ids = Tbl.create 512; next_id = 0; fvs = Hashtbl.create 512 }
 
 let intern_key = Domain.DLS.new_key fresh_intern
 
@@ -71,10 +63,6 @@ let fresh_var ?(name = "v") sort domain =
   { vid; vname = name; sort; domain }
 
 let var_count () = !(counter ())
-
-let reset_ids () =
-  counter () := 0;
-  Domain.DLS.set intern_key (fresh_intern ())
 
 let with_fresh_ids f =
   let saved = Domain.DLS.get counter_key in
@@ -233,27 +221,6 @@ let vars t =
       let vs = compute_vars t in
       Hashtbl.add s.fvs id vs;
       vs
-
-(* Canonical constraint-list keys: the empty list is 0 and every
-   distinct (head term, tail key) pair gets a dense id, so two
-   structurally equal constraint lists built in the same id epoch get
-   the same key. Path conditions grow by consing, so re-keying a pc
-   after one more conjunct costs a single table lookup per element,
-   all O(1). *)
-let pc_key_cons c tail_key =
-  let s = intern_state () in
-  let pair = (intern_id c, tail_key) in
-  match Hashtbl.find_opt s.conses pair with
-  | Some k -> k
-  | None ->
-      let k = s.next_key in
-      s.next_key <- k + 1;
-      Hashtbl.add s.conses pair k;
-      k
-
-let rec pc_key = function
-  | [] -> 0
-  | c :: rest -> pc_key_cons c (pc_key rest)
 
 let rec eval env = function
   | Const n -> n

@@ -57,34 +57,17 @@ val with_fresh_ids : (unit -> 'a) -> 'a
     call it in the middle of building or solving a constraint
     system. *)
 
-val reset_ids : unit -> unit
-(** Restart the calling domain's id counter. Compatibility shim for
-    sequential (jobs = 1) callers and tests; new code should prefer
-    {!with_fresh_ids}, which scopes and restores the allocator. *)
-
 (** Per-domain hash-consing. An intern table (a [Domain.DLS] sibling of
-    the id allocator, scoped and restored by {!with_fresh_ids} /
-    {!reset_ids} along with it) assigns every structurally distinct
-    term a dense id, giving O(1) equality and hashing on terms that
-    have been seen before; {!vars} is memoized through it, and
-    {!pc_key} derives a canonical key for any constraint list. All of
-    this state is domain-local and epoch-local: ids from different
-    {!with_fresh_ids} scopes are unrelated and must never be mixed. *)
+    the id allocator, scoped and restored by {!with_fresh_ids} along
+    with it) assigns every structurally distinct term a dense id,
+    giving O(1) equality and hashing on terms that have been seen
+    before; {!vars} is memoized through it. All of this state is
+    domain-local and epoch-local: ids from different {!with_fresh_ids}
+    scopes are unrelated and must never be mixed. *)
 
 val intern_id : t -> int
 (** Dense id of [t] in the calling domain's current intern epoch; equal
     terms get equal ids, distinct terms distinct ids. *)
-
-val pc_key : t list -> int
-(** Canonical key of a constraint list: [0] for [[]], and a dense id
-    per distinct (head, tail-key) pair otherwise. Within one intern
-    epoch, two lists get the same key iff they are structurally
-    equal. *)
-
-val pc_key_cons : t -> int -> int
-(** [pc_key_cons c k] is [pc_key (c :: rest)] where [k = pc_key rest] —
-    the O(1) incremental step the symbolic executor uses as the path
-    condition grows. *)
 
 (** Default domains per sort: [0;1] for booleans, the full enum index
     range for enums, [0 .. 2^width-1] for ints (width capped at 16 to

@@ -9,7 +9,6 @@ type config = {
   timeout : float;
   max_solver_decisions : int;
   string_bound : int;
-  cex_cache : bool;
 }
 
 let default_config =
@@ -19,7 +18,6 @@ let default_config =
     timeout = 30.0;
     max_solver_decisions = 200_000;
     string_bound = 8;
-    cex_cache = true;
   }
 
 type path = {
@@ -32,9 +30,9 @@ type path = {
 type stats = {
   paths_completed : int;
   paths_pruned : int;
+  paths_unknown : int;
   solver_calls : int;
   solver_decisions : int;
-  cex_hits : int;
   model_reuses : int;
   timed_out : bool;
   ticks_used : int;
@@ -48,18 +46,19 @@ type ctx = {
   mutable results : path list;
   mutable completed : int;
   mutable pruned : int;
+  mutable unknown : int;
   mutable solver_calls : int;
   mutable solver_decisions : int;
-  mutable cex_hits : int;
   mutable model_reuses : int;
-  cex_memo : (int, bool) Hashtbl.t;
-  cex_models : (int, Solve.assignment) Hashtbl.t;
   mutable stop : bool;
   mutable timed_out : bool;
 }
 
 type st = {
   pc : Term.t list;
+  model : Solve.assignment option;
+      (* a model of [pc], from the probe that proved it sat; [None]
+         only at the root *)
   scopes : (string * Sv.t) list list;
   steps : int;
 }
@@ -133,10 +132,10 @@ let slice_for head parent =
 (* A slice model extended with the parent model's values for the
    variables outside the slice satisfies the whole pc: slice conjuncts
    see only slice variables (all assigned by the slice solve), the rest
-   see only variables the parent model already satisfied them on. The
-   stored invariant — every [cex_models] entry, with [domain.(0)]
-   defaults for missing variables, satisfies its key's pc — is
-   maintained, which is what the reuse check below leans on. *)
+   see only variables the parent model already satisfied them on. So
+   the model a path carries, with [domain.(0)] defaults for missing
+   variables, always satisfies its pc, which is what the reuse check
+   below leans on. *)
 let combine_models slice_model parent_model =
   match parent_model with
   | None -> slice_model
@@ -145,103 +144,49 @@ let combine_models slice_model parent_model =
       Hashtbl.iter (fun vid v -> Hashtbl.replace t vid v) slice_model;
       t
 
-(* Branch-feasibility probe with a KLEE-style per-run counterexample
-   cache. The path condition only ever grows by one conjunct, so before
-   solving [head :: parent] we (1) consult a sat/unsat memo keyed by
-   {!Term.pc_key}, (2) re-check the parent path's cached model against
-   just [head] — the usual case: of a branch's two probes (c and not c),
-   the parent model decides at least one — and only then (3) solve.
-   Step (3) leans on the cache twice more: the memo's record that
-   [parent] is sat licenses solving only the head-connected slice
-   ({!slice_for} — the rest of the pc is a sub-conjunction of the sat
-   parent and shares no variable with the slice), and the parent model
-   warm-starts the search as a value-order hint (it already satisfies
-   every conjunct but [head], so the hinted walk lands almost
-   immediately; the search stays complete, so the verdict is
-   unchanged). Multi-way forks are why step (3) dominates: their
-   guards are mutually exclusive, so the parent model decides exactly
-   one of N probes and the other N-1 — most proving the guard
-   infeasible — all miss step (2).
+(* Branch-feasibility probe of [head :: parent]; [known] is the model
+   the path carries for [parent]. Depth-first search extends a path
+   only from a pc that a probe proved sat, so [parent] is sat whenever
+   it is empty or has a model, and the probe is the parent-model
+   probe: (1) reuse [known] if it also satisfies [head] — the usual
+   case: of a branch's two probes (c and not c), the parent model
+   decides at least one; otherwise (2) solve only the head-connected
+   slice ({!slice_for} — the rest of the pc is a sub-conjunction of
+   the sat parent and shares no variable with the slice), hinted by
+   [known] (it already satisfies every conjunct but [head], so the
+   hinted walk lands almost immediately; the search stays complete,
+   so the verdict is unchanged), and (3) combine the slice model with
+   [known]. Multi-way forks are why step (2) dominates: their guards
+   are mutually exclusive, so the parent model decides exactly one of
+   N probes. The first probe of a multi-conjunct [assumes] has no
+   parent model and solves the whole pc.
 
-   The bookkeeping (memo/model lookups, hit counters, the sliced solve
-   on a miss, tick charges) runs unconditionally; [config.cex_cache]
-   only decides whether the additional hint-free whole-pc solve — the
-   work a cache-free run would execute for the probe — runs too.
-   Verdicts, cached models and tick charges always come from the
-   cache-assisted path in both modes, which keeps ticks — and with
-   them timeout cut-offs, path sets and emitted tests — byte-identical
-   with the cache on or off, while [solver_decisions] counts one
-   hint-free whole-pc solve per probe with the cache off versus only
-   the cheap sliced misses with it on: the real solver work the cache
-   saves. A cache hit is charged one tick-decision; a miss is charged
-   the sliced solve's actual decision count. *)
-let is_sat ctx pc =
+   Returns the new pc's model, or [None] when the probe is [Unsat] or
+   [Unknown] (the latter counted in [unknown]). A reuse is charged one
+   tick-decision, a solve its actual decision count. *)
+let is_sat ctx ~known head parent =
   ctx.solver_calls <- ctx.solver_calls + 1;
-  match pc with
-  | [] -> true
-  | head :: parent ->
-      let kparent = Term.pc_key parent in
-      let key = Term.pc_key_cons head kparent in
-      let count_unhinted () =
-        let _, stats =
-          Solve.solve_with_stats ~max_decisions:ctx.config.max_solver_decisions
-            pc
-        in
-        ctx.solver_decisions <- ctx.solver_decisions + stats.Solve.decisions
+  let pc = head :: parent in
+  match known with
+  | Some m when Solve.check m [ head ] ->
+      ctx.model_reuses <- ctx.model_reuses + 1;
+      charge_solver ctx { Solve.decisions = 1; conflicts = 0 } pc;
+      known
+  | _ -> (
+      let parent_sat = parent = [] || Option.is_some known in
+      let target = if parent_sat then slice_for head parent else pc in
+      let outcome, stats =
+        Solve.solve_with_stats ?hint:known
+          ~max_decisions:ctx.config.max_solver_decisions target
       in
-      let hit sat =
-        charge_solver ctx { Solve.decisions = 1; conflicts = 0 } pc;
-        if not ctx.config.cex_cache then count_unhinted ();
-        sat
-      in
-      (match Hashtbl.find_opt ctx.cex_memo key with
-      | Some sat ->
-          ctx.cex_hits <- ctx.cex_hits + 1;
-          hit sat
-      | None -> (
-          let parent_model = Hashtbl.find_opt ctx.cex_models kparent in
-          let reused =
-            match parent_model with
-            | Some m when Solve.check m [ head ] -> Some m
-            | _ -> None
-          in
-          match reused with
-          | Some m ->
-              ctx.model_reuses <- ctx.model_reuses + 1;
-              Hashtbl.replace ctx.cex_memo key true;
-              Hashtbl.replace ctx.cex_models key m;
-              hit true
-          | None ->
-              let parent_sat =
-                match parent with
-                | [] -> true
-                | _ -> Hashtbl.find_opt ctx.cex_memo kparent = Some true
-              in
-              let target = if parent_sat then slice_for head parent else pc in
-              let outcome, stats =
-                Solve.solve_with_stats ?hint:parent_model
-                  ~max_decisions:ctx.config.max_solver_decisions target
-              in
-              charge_solver ctx stats target;
-              if ctx.config.cex_cache then
-                ctx.solver_decisions <-
-                  ctx.solver_decisions + stats.Solve.decisions
-              else
-                (* cache off: count the hint-free whole-pc solve this
-                   probe would have cost instead, so off-vs-on compares
-                   the cache-free world's work against the cache's *)
-                count_unhinted ();
-              (match outcome with
-              | Solve.Sat m ->
-                  let m_full =
-                    if parent_sat then combine_models m parent_model else m
-                  in
-                  Hashtbl.replace ctx.cex_memo key true;
-                  Hashtbl.replace ctx.cex_models key m_full;
-                  true
-              | Solve.Unsat | Solve.Unknown ->
-                  Hashtbl.replace ctx.cex_memo key false;
-                  false)))
+      charge_solver ctx stats target;
+      ctx.solver_decisions <- ctx.solver_decisions + stats.Solve.decisions;
+      match outcome with
+      | Solve.Sat m -> Some (if parent_sat then combine_models m known else m)
+      | Solve.Unsat -> None
+      | Solve.Unknown ->
+          ctx.unknown <- ctx.unknown + 1;
+          None)
 
 (* ----- environment (persistent) ----- *)
 
@@ -279,11 +224,10 @@ let pop_scope st =
 
 (* ----- path completion ----- *)
 
-(* The model-producing solve. Never consults the counterexample cache:
-   the [~rotate:ctx.completed] value-order rotation is what diversifies
-   the emitted tests, and a cached probe model would short-circuit it —
-   reusing one here would change the tests the cache exists to leave
-   untouched. *)
+(* The model-producing solve. Never starts from the path's probe
+   model: the [~rotate:ctx.completed] value-order rotation is what
+   diversifies the emitted tests, and reusing the probe model would
+   short-circuit it. *)
 let complete ctx st ~ret ~error =
   if not (check_budget ctx) then begin
     ctx.solver_calls <- ctx.solver_calls + 1;
@@ -297,7 +241,8 @@ let complete ctx st ~ret ~error =
     | Solve.Sat model ->
         ctx.completed <- ctx.completed + 1;
         ctx.results <- { model; pc = st.pc; ret; error } :: ctx.results
-    | Solve.Unsat | Solve.Unknown -> ctx.pruned <- ctx.pruned + 1
+    | Solve.Unsat -> ctx.pruned <- ctx.pruned + 1
+    | Solve.Unknown -> ctx.unknown <- ctx.unknown + 1
   end
 
 exception Path_error of string
@@ -312,26 +257,30 @@ let protect ctx st f =
 
 (* ----- forking ----- *)
 
+(* A path is extended only by a sat probe, which carries the new pc's
+   model into the child state. With a sat parent, one of [c] and
+   [not c] is always sat, so both probes fail only when the solver
+   gave up ([Unknown]), which [is_sat] has already counted. *)
 let branch ctx st cond kt kf =
   if not (check_budget ctx) then begin
     match cond with
     | Term.Const n -> if n <> 0 then kt st else kf st
     | c ->
-        let pc_t = c :: st.pc in
-        let pc_f = Term.not_ c :: st.pc in
-        let sat_t = is_sat ctx pc_t in
-        let sat_f = is_sat ctx pc_f in
-        (match (sat_t, sat_f) with
-        | true, true ->
-            let st_t = { st with pc = pc_t } in
+        let child g model = { st with pc = g :: st.pc; model } in
+        let not_c = Term.not_ c in
+        let sat_t = is_sat ctx ~known:st.model c st.pc in
+        let sat_f = is_sat ctx ~known:st.model not_c st.pc in
+        match (sat_t, sat_f) with
+        | Some _, Some _ ->
+            let st_t = child c sat_t in
             protect ctx st_t (fun () -> kt st_t);
             if not ctx.stop then begin
-              let st_f = { st with pc = pc_f } in
+              let st_f = child not_c sat_f in
               protect ctx st_f (fun () -> kf st_f)
             end
-        | true, false -> kt { st with pc = pc_t }
-        | false, true -> kf { st with pc = pc_f }
-        | false, false -> ctx.pruned <- ctx.pruned + 1)
+        | Some _, None -> kt (child c sat_t)
+        | None, Some _ -> kf (child not_c sat_f)
+        | None, None -> ()
   end
 
 (* Multi-way fork: explore every case whose guard is feasible. *)
@@ -342,12 +291,12 @@ let fork_cases ctx st cases k =
         match guard with
         | Term.Const 0 -> ()
         | Term.Const _ -> protect ctx st (fun () -> k st payload)
-        | g ->
-            let pc = g :: st.pc in
-            if is_sat ctx pc then begin
-              let st' = { st with pc } in
-              protect ctx st' (fun () -> k st' payload)
-            end
+        | g -> (
+            match is_sat ctx ~known:st.model g st.pc with
+            | Some _ as model ->
+                let st' = { st with pc = g :: st.pc; model } in
+                protect ctx st' (fun () -> k st' payload)
+            | None -> ())
       end)
     cases
 
@@ -768,29 +717,24 @@ let run ?(config = default_config) ?(natives = []) program ~entry ~args ~assumes
       results = [];
       completed = 0;
       pruned = 0;
+      unknown = 0;
       solver_calls = 0;
       solver_decisions = 0;
-      cex_hits = 0;
       model_reuses = 0;
-      cex_memo = Hashtbl.create 256;
-      cex_models = Hashtbl.create 256;
       stop = false;
       timed_out = false;
     }
   in
   (match Ast.find_func program entry with
   | None -> invalid_arg (Printf.sprintf "Exec.run: no function %S" entry)
-  | Some f ->
+  | Some f -> (
       if List.length f.params <> List.length args then
         invalid_arg (Printf.sprintf "Exec.run: %s arity mismatch" entry);
       let init_scope =
         List.fold_left2 (fun acc (_, pname) v -> (pname, v) :: acc) [] f.params args
       in
-      let st = { pc = assumes; scopes = [ init_scope ]; steps = 0 } in
-      let feasible =
-        match assumes with [] -> true | _ -> is_sat ctx assumes
-      in
-      if feasible then
+      let start model =
+        let st = { pc = assumes; model; scopes = [ init_scope ]; steps = 0 } in
         protect ctx st (fun () ->
             exec_block ctx st f.body
               ~knorm:(fun st ->
@@ -800,14 +744,21 @@ let run ?(config = default_config) ?(natives = []) program ~entry ~args ~assumes
                     ~error:(Some "fell off the end without returning"))
               ~kret:(fun st v -> complete ctx st ~ret:v ~error:None)
               ~kbrk:(fun _ -> ())
-              ~kcont:(fun _ -> ())));
+              ~kcont:(fun _ -> ()))
+      in
+      match assumes with
+      | [] -> start None
+      | head :: parent -> (
+          match is_sat ctx ~known:None head parent with
+          | Some _ as model -> start model
+          | None -> ())));
   ( List.rev ctx.results,
     {
       paths_completed = ctx.completed;
       paths_pruned = ctx.pruned;
+      paths_unknown = ctx.unknown;
       solver_calls = ctx.solver_calls;
       solver_decisions = ctx.solver_decisions;
-      cex_hits = ctx.cex_hits;
       model_reuses = ctx.model_reuses;
       timed_out = ctx.timed_out;
       ticks_used = ctx.checks;

@@ -27,14 +27,6 @@ type config = {
           independent of machine speed or pool contention *)
   max_solver_decisions : int;
   string_bound : int;  (** buffer size for locally declared strings *)
-  cex_cache : bool;
-      (** short-circuit branch-feasibility probes through the per-run
-          counterexample cache (default [true]). The cache's
-          bookkeeping — hit detection, counters, tick charges — runs
-          either way, so paths, ticks and emitted tests are
-          byte-identical on or off; only the executed solver work
-          ([solver_decisions]) differs. Model-producing solves never
-          consult the cache. *)
 }
 
 val default_config : config
@@ -48,21 +40,19 @@ type path = {
 
 type stats = {
   paths_completed : int;
-  paths_pruned : int;  (** infeasible or unsolvable branches *)
+  paths_pruned : int;  (** completion solves the solver proved unsat *)
+  paths_unknown : int;
+      (** feasibility probes and completion solves on which the solver
+          hit [max_solver_decisions] ([Solve.Unknown]); such a path is
+          dropped like an infeasible one, but counted here, not in
+          [paths_pruned] *)
   solver_calls : int;
   solver_decisions : int;
-      (** the work measure the counterexample cache reduces; the only
-          stats field that depends on [config.cex_cache]. With the
-          cache on: decisions of the (parent-model-hinted) solves that
-          actually ran. With the cache off: decisions of one hint-free
-          solve per feasibility probe — what a cache-free run executes
-          — so off-vs-on is an apples-to-apples work comparison *)
-  cex_hits : int;
-      (** feasibility probes answered by the sat/unsat memo;
-          deterministic and identical whether the cache is on or off *)
+      (** search decisions of the solves that ran: sliced, hinted
+          feasibility probes plus completion solves *)
   model_reuses : int;
-      (** probes answered by re-checking the parent path's cached model
-          against the new conjunct; deterministic, cache on or off *)
+      (** probes answered by re-checking the parent path's model
+          against the new conjunct, with no solve *)
   timed_out : bool;
   ticks_used : int;
       (** exploration ticks consumed against the deterministic budget —

@@ -149,8 +149,8 @@ let test_harness_func_guard_gates_main () =
           "bool guard_fn(char* s) { return strlen(s) > 1; }"
         else "bool target_fn(char* s) { return s[0] == 'a'; }")
   in
-  let config = { Synthesis.default_config with k = 1; alphabet = [ 'a'; 'b' ] } in
-  match Synthesis.run ~config ~oracle g ~main with
+  let config = { Pipeline.default_config with k = 1; alphabet = [ 'a'; 'b' ] } in
+  match Pipeline.run ~config ~oracle g ~main with
   | Error e -> Alcotest.fail e
   | Ok result ->
       (* every short input must be flagged bad_input by the func guard *)

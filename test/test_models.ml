@@ -10,7 +10,7 @@ module Dns_adapter = Eywa_models.Dns_adapter
 module Bgp_adapter = Eywa_models.Bgp_adapter
 module Smtp_adapter = Eywa_models.Smtp_adapter
 module Testcase = Eywa_core.Testcase
-module Synthesis = Eywa_core.Synthesis
+module Pipeline = Eywa_core.Pipeline
 module Difftest = Eywa_difftest.Difftest
 
 let check = Alcotest.(check bool)
@@ -28,6 +28,10 @@ let test_roster () =
   check "find by id" true (All.find "RMAP-PL" <> None);
   check "unknown id" true (All.find "QUIC" = None)
 
+(* Also the standing symbolic/concrete agreement check: every emitted
+   test of every compiled draw must replay through the interpreter to
+   the result symex recorded, which is what keeps the sliced, hinted
+   feasibility probe honest on real models. *)
 let test_every_model_synthesizes () =
   List.iter
     (fun (m : Model_def.t) ->
@@ -36,7 +40,12 @@ let test_every_model_synthesizes () =
       | Ok result ->
           check (m.id ^ " produced tests") true (List.length result.unique_tests > 0);
           check (m.id ^ " compiled at least one model") true (result.programs <> []);
-          check (m.id ^ " loc bounds") true (0 < result.loc_min && result.loc_min <= result.loc_max))
+          check (m.id ^ " loc bounds") true (0 < result.loc_min && result.loc_min <= result.loc_max);
+          let checked, bad = Replay_check.disagreements m.graph result in
+          check (m.id ^ " tests replayed") true (checked > 0);
+          Alcotest.(check string)
+            (m.id ^ " symex agrees with concrete replay")
+            "" (String.concat "\n" bad))
     All.all
 
 let test_unique_tests_are_unique () =
@@ -68,7 +77,7 @@ let test_temperature_zero_no_diversity () =
      single model's tests *)
   let per_model =
     List.map
-      (fun (r : Synthesis.model_result) -> List.length (Testcase.dedup r.tests))
+      (fun (r : Pipeline.model_result) -> List.length (Testcase.dedup r.tests))
       cold.results
   in
   check "tau=0 collapses" true

@@ -277,14 +277,17 @@ let qcheck_collector_cross_domain =
                      (Instrument.Symex_done
                         {
                           index = x;
-                          ticks = x;
-                          paths_completed = 1;
-                          paths_pruned = 0;
-                          solver_calls = 0;
-                          solver_decisions = 0;
-                          cex_hits = 0;
-                          model_reuses = 0;
-                          timed_out = false;
+                          stats =
+                            {
+                              Eywa_symex.Exec.ticks_used = x;
+                              paths_completed = 1;
+                              paths_pruned = 0;
+                              paths_unknown = 0;
+                              solver_calls = 0;
+                              solver_decisions = 0;
+                              model_reuses = 0;
+                              timed_out = false;
+                            };
                         });
                    x)
                  xs)

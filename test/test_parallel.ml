@@ -1,7 +1,7 @@
 (* The PR-1 determinism contract: the domain pool is an implementation
-   detail. Synthesis, difftest, and quirk attribution must produce
-   bit-for-bit the same answer at jobs=1 and jobs=4; Pool.map itself
-   must preserve input order and surface the sequentially-first
+   detail. The synthesis pipeline, difftest, and quirk attribution must
+   produce bit-for-bit the same answer at jobs=1 and jobs=4; Pool.map
+   itself must preserve input order and surface the sequentially-first
    exception.
 
    The symex budget is a deterministic tick count, so even a model
@@ -9,12 +9,12 @@
    here just keeps these models on their fast, complete paths. *)
 
 module Pool = Eywa_core.Pool
+module Pipeline = Eywa_core.Pipeline
 module Term = Eywa_solver.Term
 module Model_def = Eywa_models.Model_def
 module Dns_models = Eywa_models.Dns_models
 module Bgp_models = Eywa_models.Bgp_models
 module Smtp_models = Eywa_models.Smtp_models
-module Synthesis = Eywa_core.Synthesis
 module Testcase = Eywa_core.Testcase
 
 let check = Alcotest.(check bool)
@@ -23,13 +23,13 @@ let check_int = Alcotest.(check int)
 let oracle = Eywa_llm.Gpt.oracle ()
 
 (* Everything observable about a synthesis except wall-clock fields. *)
-let fingerprint (s : Synthesis.t) =
+let fingerprint (s : Pipeline.t) =
   String.concat "\n"
     (Printf.sprintf "loc=%d/%d programs=%d" s.loc_min s.loc_max
        (List.length s.programs)
      :: List.map Testcase.to_string s.unique_tests
     @ List.concat_map
-        (fun (r : Synthesis.model_result) ->
+        (fun (r : Pipeline.model_result) ->
           Printf.sprintf "model %d loc=%d err=%s" r.index r.c_loc
             (Option.value ~default:"-" r.compile_error)
           :: List.map Testcase.to_string r.tests)
@@ -120,7 +120,7 @@ let test_pool_default_jobs_positive () =
 (* ----- per-domain term ids ----- *)
 
 let test_with_fresh_ids_isolates () =
-  Term.reset_ids ();
+  Term.with_fresh_ids @@ fun () ->
   let v0 = Term.fresh_var (Term.Sint 2) [| 0; 1 |] in
   let inner =
     Term.with_fresh_ids (fun () ->

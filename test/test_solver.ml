@@ -3,7 +3,6 @@ module Solve = Eywa_solver.Solve
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let check_string = Alcotest.(check string)
 
 let bvar name = Term.fresh_var ~name Term.Sbool [| 0; 1 |]
 let ivar ?(domain = Array.init 8 (fun i -> i)) name =
@@ -205,18 +204,7 @@ let test_hash_consing () =
       check "distinct terms intern to distinct ids" true
         (Term.intern_id a <> Term.intern_id c);
       check "memoized vars = structural vars" true
-        (Term.vars a = Term.vars b && List.length (Term.vars a) = 2);
-      check_int "pc_key [] is 0" 0 (Term.pc_key []);
-      check_int "equal lists, equal keys"
-        (Term.pc_key [ a; c ])
-        (Term.pc_key [ b; c ]);
-      check "different lists, different keys" true
-        (Term.pc_key [ a; c ] <> Term.pc_key [ c; a ]);
-      check "prefix differs from whole" true
-        (Term.pc_key [ c ] <> Term.pc_key [ a; c ]);
-      check_int "pc_key_cons is the incremental step"
-        (Term.pc_key [ a; c ])
-        (Term.pc_key_cons a (Term.pc_key [ c ])))
+        (Term.vars a = Term.vars b && List.length (Term.vars a) = 2))
 
 (* ----- order_vars determinism (PR-5 satellite regression) ----- *)
 
@@ -304,67 +292,6 @@ let prop_hinted_solve_sound =
       | Solve.Unsat, Solve.Unsat | Solve.Unknown, Solve.Unknown -> true
       | _ -> false)
 
-(* ----- counterexample cache: byte-identity on vs off ----- *)
-
-module Pipeline = Eywa_core.Pipeline
-module Model_def = Eywa_models.Model_def
-module Obs = Eywa_obs.Obs
-module Trace = Eywa_obs.Trace
-module Export = Eywa_obs.Export
-module Metrics = Eywa_obs.Metrics
-
-let oracle = Eywa_llm.Gpt.oracle ()
-
-let observed_synthesis ~cex_cache (m : Model_def.t) =
-  let ctx = Obs.create ~label:m.id () in
-  match
-    Model_def.synthesize ~obs:ctx ~k:3 ~timeout:2.0 ~jobs:2 ~cex_cache ~oracle
-      m
-  with
-  | Ok s -> (s, ctx)
-  | Error e -> Alcotest.fail e
-
-let test_cex_cache_byte_identity () =
-  let m = Eywa_models.Bgp_models.rr in
-  let s_on, ctx_on = observed_synthesis ~cex_cache:true m in
-  let s_off, ctx_off = observed_synthesis ~cex_cache:false m in
-  let tests (s : Pipeline.t) =
-    String.concat "\n"
-      (List.map Eywa_core.Testcase.to_string s.unique_tests
-      @ List.concat_map
-          (fun (r : Pipeline.model_result) ->
-            List.map Eywa_core.Testcase.to_string r.tests)
-          s.results)
-  in
-  check_string "generated tests byte-identical cache on vs off" (tests s_on)
-    (tests s_off);
-  let stripped ctx = Export.to_jsonl (Trace.strip (Obs.finish ctx)) in
-  check_string "stripped traces byte-identical cache on vs off"
-    (stripped ctx_on) (stripped ctx_off);
-  check_string "env-stripped metrics byte-identical cache on vs off"
-    (Metrics.expose ~strip_env:true (Obs.metrics ctx_on))
-    (Metrics.expose ~strip_env:true (Obs.metrics ctx_off));
-  (* the bookkeeping is identical; only executed solver work shrinks *)
-  let totals (s : Pipeline.t) =
-    List.fold_left
-      (fun (d, h, r, t) (res : Pipeline.model_result) ->
-        match res.stats with
-        | None -> (d, h, r, t)
-        | Some st ->
-            ( d + st.Eywa_symex.Exec.solver_decisions,
-              h + st.Eywa_symex.Exec.cex_hits,
-              r + st.Eywa_symex.Exec.model_reuses,
-              t + st.Eywa_symex.Exec.ticks_used ))
-      (0, 0, 0, 0) s.results
-  in
-  let d_on, h_on, r_on, t_on = totals s_on in
-  let d_off, h_off, r_off, t_off = totals s_off in
-  check_int "cex_hits identical on vs off" h_off h_on;
-  check_int "model_reuses identical on vs off" r_off r_on;
-  check_int "ticks identical on vs off" t_off t_on;
-  check "the cache is actually exercised" true (h_on + r_on > 0);
-  check "cache on executes fewer decisions" true (d_on < d_off)
-
 let suite =
   [
     Alcotest.test_case "constant folding" `Quick test_const_folding;
@@ -381,12 +308,10 @@ let suite =
     Alcotest.test_case "empty constraint set is sat" `Quick test_empty_constraints;
     Alcotest.test_case "constant false is unsat" `Quick test_constant_false;
     Alcotest.test_case "div/mod constraints solve" `Quick test_div_constraint;
-    Alcotest.test_case "hash-consing: intern ids and pc keys" `Quick
+    Alcotest.test_case "hash-consing: interned ids and vars" `Quick
       test_hash_consing;
     Alcotest.test_case "order_vars breaks ties by vid" `Quick
       test_order_vars_vid_tiebreak;
-    Alcotest.test_case "cex cache on/off byte-identity" `Quick
-      test_cex_cache_byte_identity;
     QCheck_alcotest.to_alcotest prop_solve_sound;
     QCheck_alcotest.to_alcotest prop_peval_agrees_with_eval;
     QCheck_alcotest.to_alcotest prop_unsat_means_no_assignment;

@@ -256,6 +256,19 @@ let test_exec_budget_max_paths () =
   check "stopped at cap" true (List.length paths <= 2);
   check "completed count matches" true (stats.Exec.paths_completed <= 2)
 
+(* A solver that gives up is not a proof of infeasibility: with no
+   decisions allowed every probe comes back [Unknown], and the executor
+   must count those rather than report the branches pruned. *)
+let test_exec_unknown_not_pruned () =
+  let config = { Exec.default_config with max_solver_decisions = 0 } in
+  let paths, stats =
+    run_paths ~config "int f(uint8_t x) { if (x > 7) { return 1; } return 0; }"
+      "f" [ sym_int "x" ] []
+  in
+  check_int "no path survives" 0 (List.length paths);
+  check "unknown solves counted" true (stats.Exec.paths_unknown > 0);
+  check_int "nothing counted as pruned" 0 stats.Exec.paths_pruned
+
 let test_exec_step_budget () =
   let config = { Exec.default_config with max_steps = 50 } in
   let paths, _ =
@@ -338,6 +351,8 @@ let suite =
     Alcotest.test_case "exec: symbolic index concretized" `Quick test_exec_symbolic_index;
     Alcotest.test_case "exec: max-paths budget" `Quick test_exec_budget_max_paths;
     Alcotest.test_case "exec: step budget" `Quick test_exec_step_budget;
+    Alcotest.test_case "exec: solver Unknown is not pruned" `Quick
+      test_exec_unknown_not_pruned;
     Alcotest.test_case "exec: calls fork and return" `Quick test_exec_call_and_return;
     Alcotest.test_case "exec: native hooks" `Quick test_exec_native;
     Alcotest.test_case "exec: symbolic agrees with concrete replay" `Quick
