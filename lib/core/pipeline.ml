@@ -291,6 +291,11 @@ let draw_key_parts ~oracle_name ~config ~prompts ~index =
         ("alphabet", String.init (List.length config.alphabet)
                        (List.nth config.alphabet));
       ("samples_per_path", string_of_int config.samples_per_path);
+      (* the symbolic executor's version: bumped whenever it explores
+         differently for the same inputs (2 = implied branches taken
+         without a probe), so an on-disk cache written by an older
+         engine misses instead of replaying its suites *)
+      ("symex", "2");
     ]
 
 let draw_key ~oracle_name ~config ~prompts ~index =

@@ -68,16 +68,19 @@ type report = {
 let create () =
   { total = 0; disagreeing = 0; observations = 0; counts = Hashtbl.create 64 }
 
-let record acc observations =
-  let ds = compare_all observations in
+let tally acc ~observations ds =
   acc.total <- acc.total + 1;
-  acc.observations <- acc.observations + List.length observations;
+  acc.observations <- acc.observations + observations;
   if ds <> [] then acc.disagreeing <- acc.disagreeing + 1;
   List.iter
     (fun d ->
       let n = try Hashtbl.find acc.counts d with Not_found -> 0 in
       Hashtbl.replace acc.counts d (n + 1))
-    ds;
+    ds
+
+let record acc observations =
+  let ds = compare_all observations in
+  tally acc ~observations:(List.length observations) ds;
   ds
 
 let report acc =
@@ -109,9 +112,15 @@ let run ?jobs ?(sink = Eywa_core.Instrument.null) ?(label = "suite") ~observe
   let jobs =
     match jobs with Some j -> max 1 j | None -> Eywa_core.Pool.default_jobs ()
   in
+  (* [compare_all] is pure, so it runs in the worker too: the merge
+     then holds only each test's disagreements, not every rendered
+     observation of the suite *)
+  let judge t =
+    Option.map (fun obs -> (List.length obs, compare_all obs)) (observe t)
+  in
   let results, stats =
     Eywa_core.Pool.with_pool ~jobs (fun pool ->
-        Eywa_core.Pool.map_stats pool observe tests)
+        Eywa_core.Pool.map_stats pool judge tests)
   in
   (* like the pipeline, events fire only at the merge point, on the
      orchestrating domain, after the deterministic index-ordered merge *)
@@ -126,7 +135,10 @@ let run ?jobs ?(sink = Eywa_core.Instrument.null) ?(label = "suite") ~observe
          queue_wait_ticks = stats.Eywa_core.Pool.queue_wait_ticks;
        });
   let acc = create () in
-  List.iter (function None -> () | Some obs -> ignore (record acc obs)) results;
+  List.iter
+    (function
+      | None -> () | Some (observations, ds) -> tally acc ~observations ds)
+    results;
   let r = report acc in
   sink
     (Eywa_core.Instrument.Difftest_done

@@ -62,11 +62,13 @@ val run :
   observe:('a -> observation list option) ->
   'a list ->
   report
-(** [run ~observe tests] computes every test's observations in
-    parallel ([observe] returning [None] skips the test), then records
-    them {e sequentially in input order} into one accumulator — so the
-    report is identical at any [jobs]. [observe] must be safe to call
-    from concurrent domains.
+(** [run ~observe tests] computes every test's observations and their
+    disagreements ({!compare_all}) in parallel ([observe] returning
+    [None] skips the test), keeping only the observation count and the
+    disagreements of each test, then tallies them {e sequentially in
+    input order} into one accumulator — so the report is identical at
+    any [jobs], and equal to {!record}ing every observation list in
+    order. [observe] must be safe to call from concurrent domains.
 
     After the merge, emits [Pool_merged] (labelled
     ["difftest:" ^ label]) and [Difftest_done] on [sink] from the

@@ -125,17 +125,49 @@ let artifact_of_string s =
 
 (* ----- one draw's fuzz loop ----- *)
 
-type entry = { inputs : (string * Eywa_minic.Value.t) list; energy : int }
+(* The corpus in insertion order: an append-only growable array with
+   running energy prefix sums ([sums.(i)] = energy of entries [0..i]),
+   so scheduling a parent is a binary search, not a pass over the
+   corpus (which grows to tens of thousands of seeds on zone models). *)
+type corpus = {
+  mutable inputs : (string * Eywa_minic.Value.t) list array;
+  mutable sums : int array;
+  mutable size : int;
+}
+
+let corpus_add c inputs energy =
+  if c.size = Array.length c.inputs then begin
+    let grow a fill =
+      let b = Array.make (max 64 (2 * c.size)) fill in
+      Array.blit a 0 b 0 c.size;
+      b
+    in
+    c.inputs <- grow c.inputs [];
+    c.sums <- grow c.sums 0
+  end;
+  let before = if c.size = 0 then 0 else c.sums.(c.size - 1) in
+  c.inputs.(c.size) <- inputs;
+  c.sums.(c.size) <- before + max 1 energy;
+  c.size <- c.size + 1
+
+(* Entry [i] with probability energy_i / total: the first entry whose
+   prefix sum exceeds a uniform draw below the total. *)
+let pick_parent rng c =
+  let target = Rng.int rng c.sums.(c.size - 1) in
+  let rec search lo hi =
+    if lo = hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if c.sums.(mid) > target then search lo mid else search (mid + 1) hi
+  in
+  c.inputs.(search 0 (c.size - 1))
 
 let fuzz_draw ~natives ~main ~config ~alphabet ~index program seeds =
   let rng = Rng.create (config.fuzz_seed + index) in
   let global = Interp.coverage_create () in
   (* seed the corpus from the symex suite: replay each seed test,
      energy = its coverage novelty at arrival (first tests earn more) *)
-  let corpus = ref [] in
-  let add_entry inputs energy =
-    corpus := { inputs; energy = max 1 energy } :: !corpus
-  in
+  let corpus = { inputs = [||]; sums = [||]; size = 0 } in
   List.iter
     (fun (t : Testcase.t) ->
       let local = Interp.coverage_create () in
@@ -144,7 +176,7 @@ let fuzz_draw ~natives ~main ~config ~alphabet ~index program seeds =
            program t.Testcase.inputs);
       let fresh = Coverage.news ~global local in
       Coverage.absorb ~into:global local;
-      add_entry t.Testcase.inputs fresh)
+      corpus_add corpus t.Testcase.inputs fresh)
     seeds;
   let edges_seed = Coverage.count global in
   let mutators = if config.mutators = [] then Mutate.all else config.mutators in
@@ -154,18 +186,14 @@ let fuzz_draw ~natives ~main ~config ~alphabet ~index program seeds =
   (* the budget counts candidate executions — a deterministic tick
      budget in the sense of Exec.check_budget, never wall clock *)
   while !execs < config.budget && !n_new < config.max_new_tests do
-    (* corpus is newest-first; schedule by energy over insertion order *)
-    let ordered = List.rev !corpus in
-    let parent = Rng.pick_weighted rng (List.map (fun e -> (e, e.energy)) ordered) in
+    let parent = pick_parent rng corpus in
     let kind = Rng.pick rng mutators in
     let other =
       match kind with
-      | Mutate.Splice -> Some (Rng.pick rng ordered).inputs
+      | Mutate.Splice -> Some corpus.inputs.(Rng.int rng corpus.size)
       | _ -> None
     in
-    let candidate =
-      Mutate.apply ~program ~alphabet ~rng kind ~other parent.inputs
-    in
+    let candidate = Mutate.apply ~program ~alphabet ~rng kind ~other parent in
     let local = Interp.coverage_create () in
     let test =
       Coverage.execute ~fuel:config.fuel ~natives ~main ~coverage:local program
@@ -175,7 +203,7 @@ let fuzz_draw ~natives ~main ~config ~alphabet ~index program seeds =
     let fresh = Coverage.news ~global local in
     if fresh > 0 then begin
       Coverage.absorb ~into:global local;
-      add_entry test.Testcase.inputs fresh;
+      corpus_add corpus test.Testcase.inputs fresh;
       new_tests := test :: !new_tests;
       incr n_new
     end

@@ -32,15 +32,3 @@ let pick t xs =
   match xs with
   | [] -> invalid_arg "Rng.pick: empty list"
   | _ -> List.nth xs (int t (List.length xs))
-
-let pick_weighted t xs =
-  let total = List.fold_left (fun acc (_, w) -> acc + max 0 w) 0 xs in
-  if total <= 0 then invalid_arg "Rng.pick_weighted: no positive weight";
-  let target = int t total in
-  let rec go acc = function
-    | [] -> invalid_arg "Rng.pick_weighted: no positive weight"
-    | (x, w) :: rest ->
-        let acc = acc + max 0 w in
-        if target < acc then x else go acc rest
-  in
-  go 0 xs

@@ -22,9 +22,3 @@ val bool : t -> bool
 
 val pick : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
-
-val pick_weighted : t -> ('a * int) list -> 'a
-(** Element chosen with probability proportional to its (positive)
-    weight, walking the list in order — deterministic for a given
-    stream position. The list must be non-empty with positive total
-    weight. *)

@@ -54,8 +54,11 @@ type ctx = {
   mutable timed_out : bool;
 }
 
+module Ids = Set.Make (Int)
+
 type st = {
   pc : Term.t list;
+  ids : Ids.t;  (* {!Term.intern_id}s of the conjuncts of [pc] *)
   model : Solve.assignment option;
       (* a model of [pc], from the probe that proved it sat; [None]
          only at the root *)
@@ -257,6 +260,23 @@ let protect ctx st f =
 
 (* ----- forking ----- *)
 
+(* Implied branches. A guard that is already a conjunct of the pc
+   holds on every model of it, and one whose negation is a conjunct
+   fails on every model; either way [pc ∧ ¬g] (resp. [pc ∧ g]) is
+   unsat, so taking the implied side without a probe is exactly the
+   solver's own verdict. The path keeps its state: no conjunct is
+   consed twice, so a loop re-testing one guard pays for one probe
+   pair, not a growing solve per iteration (Klee's constraint-set
+   simplification, reduced to its syntactic core). [Term.not_] does not fold [Not (Var _)], so
+   a guard [Not d] is refuted by [d] directly. *)
+let holds st g = Ids.mem (Term.intern_id g) st.ids
+
+let refuted st g =
+  holds st (Term.not_ g) || match g with Term.Not d -> holds st d | _ -> false
+
+let child st g model =
+  { st with pc = g :: st.pc; ids = Ids.add (Term.intern_id g) st.ids; model }
+
 (* A path is extended only by a sat probe, which carries the new pc's
    model into the child state. With a sat parent, one of [c] and
    [not c] is always sat, so both probes fail only when the solver
@@ -265,25 +285,28 @@ let branch ctx st cond kt kf =
   if not (check_budget ctx) then begin
     match cond with
     | Term.Const n -> if n <> 0 then kt st else kf st
+    | c when holds st c -> kt st
+    | c when refuted st c -> kf st
     | c ->
-        let child g model = { st with pc = g :: st.pc; model } in
         let not_c = Term.not_ c in
         let sat_t = is_sat ctx ~known:st.model c st.pc in
         let sat_f = is_sat ctx ~known:st.model not_c st.pc in
         match (sat_t, sat_f) with
         | Some _, Some _ ->
-            let st_t = child c sat_t in
+            let st_t = child st c sat_t in
             protect ctx st_t (fun () -> kt st_t);
             if not ctx.stop then begin
-              let st_f = child not_c sat_f in
+              let st_f = child st not_c sat_f in
               protect ctx st_f (fun () -> kf st_f)
             end
-        | Some _, None -> kt (child c sat_t)
-        | None, Some _ -> kf (child not_c sat_f)
+        | Some _, None -> kt (child st c sat_t)
+        | None, Some _ -> kf (child st not_c sat_f)
         | None, None -> ()
   end
 
-(* Multi-way fork: explore every case whose guard is feasible. *)
+(* Multi-way fork: explore every case whose guard is feasible. A guard
+   the pc already holds is taken without a probe; the others still
+   probe (they are usually exclusive with it and come back unsat). *)
 let fork_cases ctx st cases k =
   List.iter
     (fun (guard, payload) ->
@@ -291,10 +314,11 @@ let fork_cases ctx st cases k =
         match guard with
         | Term.Const 0 -> ()
         | Term.Const _ -> protect ctx st (fun () -> k st payload)
+        | g when holds st g -> protect ctx st (fun () -> k st payload)
         | g -> (
             match is_sat ctx ~known:st.model g st.pc with
             | Some _ as model ->
-                let st' = { st with pc = g :: st.pc; model } in
+                let st' = child st g model in
                 protect ctx st' (fun () -> k st' payload)
             | None -> ())
       end)
@@ -734,7 +758,8 @@ let run ?(config = default_config) ?(natives = []) program ~entry ~args ~assumes
         List.fold_left2 (fun acc (_, pname) v -> (pname, v) :: acc) [] f.params args
       in
       let start model =
-        let st = { pc = assumes; model; scopes = [ init_scope ]; steps = 0 } in
+        let ids = Ids.of_list (List.map Term.intern_id assumes) in
+        let st = { pc = assumes; ids; model; scopes = [ init_scope ]; steps = 0 } in
         protect ctx st (fun () ->
             exec_block ctx st f.body
               ~knorm:(fun st ->

@@ -2,7 +2,10 @@
 
     Explores the program path-by-path in depth-first order. Every
     branch on a symbolic condition forks; both sides are kept when the
-    solver proves them feasible under the current path condition.
+    solver proves them feasible under the current path condition. A
+    condition that is already a conjunct of the path condition, or
+    whose negation is, takes the implied side with no solver call, so
+    a path condition never holds the same conjunct twice.
     String builtins fork the way Klee's uclibc models effectively do
     ([strlen] forks per possible length, [strcmp] per distinguishing
     position), which is what produces the paper's "same length"

@@ -5,8 +5,9 @@
      wall-clock fields, which are stored in the artifact as hexfloats
      and replayed on a hit — at jobs=1 and jobs=4.
    - Cache keys cover every input a draw depends on: changing the
-     seed, temperature, any budget, the sampling count, the alphabet
-     or any prompt text changes the key; changing nothing doesn't.
+     seed, temperature, any budget, the sampling count, the alphabet,
+     any prompt text or the symex engine version changes the key;
+     changing nothing doesn't.
    - Draw artifacts round-trip exactly through the textual codec, and
      through a cache directory on disk picked up by a fresh process
      (modelled here as a fresh Cache on the same dir).
@@ -146,7 +147,21 @@ let test_key_sensitivity () =
   (* index and base_seed fold into one effective seed *)
   check_string "seed+1/index+0 = seed+0/index+1"
     (key { cfg with base_seed = cfg.base_seed + 1 })
-    (key ~index:1 cfg)
+    (key ~index:1 cfg);
+  (* the engine version: an artifact stored by an executor that
+     explored differently must miss, not replay its suite *)
+  let parts =
+    Pipeline.draw_key_parts ~oracle_name:"gpt" ~config:cfg
+      ~prompts:base_prompts ~index:0
+  in
+  check "symex engine version in the key" true
+    (List.assoc_opt "symex" parts = Some "2");
+  differs "symex engine version"
+    (Cache.Key.digest
+       (Cache.Key.v ~stage:"draw"
+          (List.map
+             (fun (n, v) -> if n = "symex" then (n, "1") else (n, v))
+             parts)))
 
 let key_seed_injective =
   QCheck_alcotest.to_alcotest

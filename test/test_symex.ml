@@ -328,6 +328,129 @@ let test_exec_concolic_agreement () =
       | Error e -> Alcotest.failf "concrete replay failed: %s" (Interp.error_to_string e))
     paths
 
+(* ----- implied branches: a guard the pc already holds ----- *)
+
+(* conjunct ids of a pc have no repeats *)
+let distinct_conjuncts pc =
+  let ids = List.map Term.intern_id pc in
+  List.length (List.sort_uniq compare ids) = List.length ids
+
+let test_exec_loop_guard_once () =
+  let run n =
+    run_paths
+      (Printf.sprintf
+         "int f(uint8_t x) {\n\
+         \  int c = 0;\n\
+         \  for (int i = 0; i < %d; i++) { if (x > 7) { c += 1; } }\n\
+         \  return c;\n\
+          }"
+         n)
+      "f" [ sym_int "x" ] []
+  in
+  let calls =
+    List.map
+      (fun n ->
+        let paths, stats = run n in
+        check_int (Printf.sprintf "N=%d: taken and skipped" n) 2
+          (List.length paths);
+        List.iter
+          (fun (p : Exec.path) ->
+            check_int (Printf.sprintf "N=%d: the guard is in the pc once" n) 1
+              (List.length p.pc);
+            check "model satisfies pc" true (Solve.check p.model p.pc))
+          paths;
+        let rets =
+          List.map
+            (fun (p : Exec.path) -> Value.to_int (Sv.concretize p.model p.ret))
+            paths
+          |> List.sort compare
+        in
+        check (Printf.sprintf "N=%d: 0 or N iterations counted" n) true
+          (rets = [ 0; n ]);
+        stats.Exec.solver_calls)
+      [ 1; 4; 16 ]
+  in
+  (* two probes at the first test, one completion solve per path *)
+  check "solver calls do not grow with N" true (calls = [ 4; 4; 4 ])
+
+let test_exec_implied_negation () =
+  let run src arg =
+    let paths, stats = run_paths src "f" [ arg ] [] in
+    List.iter
+      (fun (p : Exec.path) ->
+        check "pc without repeats" true (distinct_conjuncts p.pc))
+      paths;
+    ( List.map
+        (fun (p : Exec.path) -> Value.to_int (Sv.concretize p.model p.ret))
+        paths
+      |> List.sort compare,
+      stats.Exec.solver_calls )
+  in
+  (* [!(x > 7)] is [Term.not_] of the guard [x > 7] *)
+  let rets, calls =
+    run
+      "int f(uint8_t x) {\n\
+      \  if (x > 7) { if (!(x > 7)) { return 1; } return 2; }\n\
+      \  if (!(x > 7)) { if (x > 7) { return 3; } return 4; }\n\
+      \  return 5;\n\
+       }"
+      (sym_int "x")
+  in
+  check "negated guard takes the implied side" true (rets = [ 2; 4 ]);
+  check_int "only the first test probes" 4 calls;
+  (* [!b] is [Not (Var b)], which [Term.not_] does not fold back to [b] *)
+  let b =
+    Sv.fresh_scalar ~name:"b" Eywa_minic.Ast.Tbool ~domain:[| 0; 1 |]
+  in
+  let rets, calls =
+    run
+      "int f(bool b) {\n\
+      \  if (b) { if (!b) { return 1; } return 2; }\n\
+      \  if (!b) { if (b) { return 3; } return 4; }\n\
+      \  return 5;\n\
+       }"
+      b
+  in
+  check "Not (Var _) guard takes the implied side" true (rets = [ 2; 4 ]);
+  check_int "only the first test probes (bool)" 4 calls
+
+(* The implied branch is the solver's own verdict: for any pc drawn
+   from a small guard pool (negations, [Not (Var _)] included), a guard
+   the pc holds cannot fail on it, and a guard whose negation it holds
+   cannot pass. *)
+let prop_implied_branch_is_solver_verdict =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"implied branches agree with the solver"
+       QCheck2.Gen.(
+         pair (list_size (int_range 1 6) (int_range 0 11)) (int_range 0 11))
+       (fun (picks, gi) ->
+         Term.with_fresh_ids (fun () ->
+             let int3 name =
+               Term.var (Term.fresh_var ~name (Term.Sint 3) (Array.init 8 Fun.id))
+             in
+             let x = int3 "x" and y = int3 "y" in
+             let b = Term.var (Term.fresh_var ~name:"b" Term.Sbool [| 0; 1 |]) in
+             let base =
+               [|
+                 Term.gt x (Term.const 3);
+                 Term.eq x y;
+                 Term.lt y (Term.const 6);
+                 b;
+                 Term.and_ b (Term.le x y);
+                 Term.or_ (Term.eq y (Term.const 2)) b;
+               |]
+             in
+             let pool = Array.append base (Array.map Term.not_ base) in
+             let pc = List.map (fun i -> pool.(i)) picks in
+             let unsat pc = Solve.solve pc = Solve.Unsat in
+             let g = pool.(gi) in
+             let refuted =
+               List.mem (Term.not_ g) pc
+               || match g with Term.Not d -> List.mem d pc | _ -> false
+             in
+             List.for_all (fun c -> unsat (Term.not_ c :: pc)) pc
+             && ((not refuted) || unsat (g :: pc)))))
+
 let suite =
   [
     Alcotest.test_case "regex: literals" `Quick test_regex_literals;
@@ -357,4 +480,9 @@ let suite =
     Alcotest.test_case "exec: native hooks" `Quick test_exec_native;
     Alcotest.test_case "exec: symbolic agrees with concrete replay" `Quick
       test_exec_concolic_agreement;
+    Alcotest.test_case "exec: a re-tested loop guard is in the pc once" `Quick
+      test_exec_loop_guard_once;
+    Alcotest.test_case "exec: negated guards take the implied branch" `Quick
+      test_exec_implied_negation;
+    prop_implied_branch_is_solver_verdict;
   ]
