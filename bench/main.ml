@@ -398,6 +398,32 @@ let micro () =
     List.map Eywa_smtp.Machine.command_of_letter
       [ "H"; "M"; "R"; "R"; "D"; "x"; "."; "Q" ]
   in
+  (* one synthesized DNAME draw: its harness, regex natives and the
+     seed input that covers the most edges *)
+  let dname_run =
+    let m = Option.get (All.find "DNAME") in
+    match Model_def.synthesize ~k:1 ~jobs:1 ~oracle m with
+    | Error e -> failwith e
+    | Ok s ->
+        let program = List.hd s.Pipeline.programs in
+        let natives = Eywa_core.Harness.natives_concrete m.Model_def.graph s.main in
+        let edges (t : Testcase.t) =
+          let cov = Eywa_minic.Interp.coverage_create () in
+          ignore
+            (Eywa_fuzz.Coverage.execute ~natives ~main:s.main ~coverage:cov program
+               t.Testcase.inputs);
+          Eywa_fuzz.Coverage.count cov
+        in
+        let best =
+          List.fold_left
+            (fun (b : Testcase.t) t -> if edges t > edges b then t else b)
+            (List.hd s.unique_tests) s.unique_tests
+        in
+        fun () ->
+          Eywa_fuzz.Coverage.execute ~natives ~main:s.main
+            ~coverage:(Eywa_minic.Interp.coverage_create ())
+            program best.Testcase.inputs
+  in
   let tests =
     [
       Test.make ~name:"solver: 6-var sum constraint"
@@ -415,6 +441,8 @@ let micro () =
              Eywa_bgp.Policy.apply_route_map ~prefix_lists:[ pl ] rm route));
       Test.make ~name:"smtp: 8-command session"
         (Staged.stage (fun () -> Eywa_smtp.Machine.run_session smtp_session));
+      Test.make ~name:"minic: run the DNAME harness with coverage"
+        (Staged.stage dname_run);
     ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

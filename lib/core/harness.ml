@@ -162,10 +162,10 @@ let natives_symbolic g main =
 let natives_concrete g main =
   List.map
     (fun (r : Emodule.regex) ->
-      let re = Regex.parse r.pattern in
+      let matches = Regex.matcher (Regex.parse r.pattern) in
       ( r.rname,
         fun (args : Value.t list) ->
           match args with
-          | [ (Value.Vstring _ as s) ] -> Value.Vbool (Regex.matches re (Value.cstring s))
+          | [ (Value.Vstring _ as s) ] -> Value.Vbool (matches (Value.cstring s))
           | _ -> invalid_arg (r.rname ^ ": expected one string argument") ))
     (regex_guards g main)

@@ -46,4 +46,5 @@ val natives_concrete :
   Graph.t ->
   Emodule.func ->
   (string * (Eywa_minic.Value.t list -> Eywa_minic.Value.t)) list
-(** The same guards for concrete replay with {!Eywa_minic.Interp}. *)
+(** The same guards for concrete replay with {!Eywa_minic.Interp}.
+    Each guard's automaton is compiled once, when the list is built. *)

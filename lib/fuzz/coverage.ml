@@ -32,15 +32,9 @@ let execute ?fuel ~natives ~main ~coverage program inputs =
   | Ok v ->
       { Testcase.inputs; result = Some v; bad_input = false; error = None }
 
-let news ~global local =
-  Hashtbl.fold
-    (fun edge () acc -> if Hashtbl.mem global edge then acc else acc + 1)
-    local 0
-
-let absorb ~into local =
-  Hashtbl.iter (fun edge () -> Hashtbl.replace into edge ()) local
-
-let count = Hashtbl.length
+let news = Interp.coverage_news
+let absorb = Interp.coverage_absorb
+let count = Interp.coverage_count
 
 let of_suite ~graph ~main programs tests =
   let natives = Harness.natives_concrete graph main in

@@ -22,12 +22,14 @@ val execute :
     runtime error (or fuel exhaustion) lands in [error]. *)
 
 val news : global:Interp.coverage -> Interp.coverage -> int
-(** Number of edges in the local map that the global map lacks. *)
+(** Number of edges in the local map that the global map lacks: a byte
+    scan, {!Interp.coverage_news}. *)
 
 val absorb : into:Interp.coverage -> Interp.coverage -> unit
-(** Union the local map into the global one. *)
+(** Union the local map into the global one ({!Interp.coverage_absorb}). *)
 
 val count : Interp.coverage -> int
+(** Distinct edges hit ({!Interp.coverage_count}). *)
 
 val of_suite :
   graph:Eywa_core.Graph.t ->

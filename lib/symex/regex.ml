@@ -183,7 +183,10 @@ let label_matches lab c =
   | Lclass rs -> List.exists (fun (lo, hi) -> lo <= c && c <= hi) rs
   | Lany -> c <> '\000'
 
-let matches re s =
+(* Compiles the NFA and its epsilon closure once; the returned closure
+   only simulates, so a guard called once per execution pays for the
+   construction once per harness. *)
+let matcher re =
   let nfa = compile re in
   let closure = eps_closure_matrix nfa in
   let close set =
@@ -194,16 +197,20 @@ let matches re s =
       done) set;
     out
   in
-  let cur = ref (close (Array.init nfa.states (fun q -> q = nfa.start))) in
-  String.iter
-    (fun c ->
-      let next = Array.make nfa.states false in
-      List.iter
-        (fun (a, lab, b) -> if !cur.(a) && label_matches lab c then next.(b) <- true)
-        nfa.trans;
-      cur := close next)
-    s;
-  !cur.(nfa.accept)
+  let init = close (Array.init nfa.states (fun q -> q = nfa.start)) in
+  fun s ->
+    let cur = ref init in
+    String.iter
+      (fun c ->
+        let next = Array.make nfa.states false in
+        List.iter
+          (fun (a, lab, b) -> if !cur.(a) && label_matches lab c then next.(b) <- true)
+          nfa.trans;
+        cur := close next)
+      s;
+    !cur.(nfa.accept)
+
+let matches re s = matcher re s
 
 let matches_pattern pat s = matches (parse pat) s
 

@@ -25,8 +25,13 @@ val parse : string -> t
     (ranges and single chars), [( )] grouping, [*], [+], [?], [|], and
     [\ ] escapes. @raise Parse_error on malformed patterns. *)
 
+val matcher : t -> string -> bool
+(** [matcher re] compiles [re] once and returns its concrete matcher:
+    [matcher re s] is true when the whole of [s] (anchored both ends)
+    matches. Partially apply it to reuse the compiled automaton. *)
+
 val matches : t -> string -> bool
-(** Concrete match of the whole string (anchored both ends). *)
+(** [matches re s] is [matcher re s]: a one-off concrete match. *)
 
 val matches_pattern : string -> string -> bool
 (** [matches_pattern pat s] parses and matches in one step. *)

@@ -8,7 +8,9 @@
      key, excludes k.
    - Fuzz artifacts round-trip the codec exactly; truncated or
      malformed payloads decode to [Error], never an exception.
-   - Dynamic edge coverage is a subset of the static edge universe.
+   - Dynamic edge coverage is a subset of the static edge universe,
+     and edge labels are pinned for a fixed program; a coverage map is
+     bound to one program.
    - Mutants preserve the shape of the input vector (same constructor
      tree, string lengths, array sizes, struct fields).
    - Regression: a runtime error escaping a nested call must surface
@@ -168,13 +170,78 @@ let test_dynamic_subset_static () =
                program t.Testcase.inputs))
         s.Pipeline.unique_tests;
       check "executions hit some edges" true (Coverage.count cov > 0);
-      Hashtbl.iter
-        (fun edge () ->
+      List.iter
+        (fun edge ->
           check
             (Printf.sprintf "dynamic edge %S is statically enumerated" edge)
             true (List.mem edge static))
-        cov)
+        (Interp.covered cov))
     s.Pipeline.programs
+
+(* ----- edge labels and coverage maps ----- *)
+
+let edges_src =
+  {|
+    int f(int x) {
+      int y = 0;
+      if (x > 0) {
+        while (y < x) { y = y + 1; }
+      } else {
+        for (int i = 0; i < 2; i++) { if (i == 1) { y = 7; } }
+      }
+      return y;
+    }
+    int g(int a) { if (a) { return 1; } return 0; }
+  |}
+
+let parse src =
+  match Parser.parse_result src with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "parse failed: %s" e
+
+let check_labels = Alcotest.(check (list string))
+
+let test_edge_labels () =
+  let p = parse edges_src in
+  check_labels "static edges, in edge-id order"
+    [
+      "f.1#if:t"; "f.1#if:f"; "f.1t.0#wh:t"; "f.1t.0#wh:f"; "f.1e.0#for:t";
+      "f.1e.0#for:f"; "f.1e.0b.0#if:t"; "f.1e.0b.0#if:f"; "g.0#if:t"; "g.0#if:f";
+    ]
+    (Interp.static_edges p);
+  let covered x =
+    let cov = Interp.coverage_create () in
+    ignore (Interp.run ~coverage:cov p "f" [ Value.Vint x ]);
+    Interp.covered cov
+  in
+  check_labels "then side" [ "f.1#if:t"; "f.1t.0#wh:t"; "f.1t.0#wh:f" ] (covered 2);
+  check_labels "else side"
+    [ "f.1#if:f"; "f.1e.0#for:t"; "f.1e.0#for:f"; "f.1e.0b.0#if:t"; "f.1e.0b.0#if:f" ]
+    (covered 0)
+
+let test_coverage_one_program () =
+  let p = parse edges_src and q = parse edges_src in
+  let cov = Interp.coverage_create () in
+  ignore (Interp.run ~coverage:cov p "f" [ Value.Vint 1 ]);
+  ignore (Interp.run ~coverage:cov p "f" [ Value.Vint 0 ]);
+  check_int "one map accumulates over runs" 8 (Coverage.count cov);
+  (* q is equal to p but is another program: its edge ids are its own *)
+  check "reuse for another program is refused" true
+    (match Interp.run ~coverage:cov q "f" [ Value.Vint 1 ] with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  let other = Interp.coverage_create () in
+  ignore (Interp.run ~coverage:other q "g" [ Value.Vint 1 ]);
+  check "maps of different programs do not mix" true
+    (match Coverage.news ~global:cov other with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  let fresh = Interp.coverage_create () in
+  check_int "everything in a bound map is new to a fresh one" 8
+    (Coverage.news ~global:fresh cov);
+  Coverage.absorb ~into:fresh cov;
+  check_labels "absorb into a fresh map copies it" (Interp.covered cov)
+    (Interp.covered fresh)
 
 (* ----- mutants preserve input shape ----- *)
 
@@ -338,6 +405,9 @@ let suite =
       test_key_sensitivity;
     Alcotest.test_case "dynamic coverage is a subset of static edges" `Slow
       test_dynamic_subset_static;
+    Alcotest.test_case "edge labels of a fixed program" `Quick test_edge_labels;
+    Alcotest.test_case "a coverage map belongs to one program" `Quick
+      test_coverage_one_program;
     prop_mutants_preserve_shape;
     prop_rng_deterministic;
     prop_fuzz_draw_pure;

@@ -277,6 +277,88 @@ let test_interp_ternary () =
   check_int "true side" 1 (Value.to_int (run p "f" [ Value.Vint 9 ]));
   check_int "false side" 0 (Value.to_int (run p "f" [ Value.Vint 1 ]))
 
+(* ----- the scoping and tick rules the compiled interpreter keeps ----- *)
+
+let test_interp_block_shadowing () =
+  let p = parse_ok
+    "int f() { int x = 1; int y = 0;\n\
+    \  if (true) { int x = 5; x = x + 1; y = x; }\n\
+    \  return x * 10 + y; }"
+  in
+  (* the inner x is 6 inside its block; the outer x is still 1 after it *)
+  check_int "inner x shadows, outer x survives" 16 (Value.to_int (run p "f" []))
+
+let test_interp_loop_decl_reset () =
+  let p = parse_ok
+    "int f() { int total = 0;\n\
+    \  for (int i = 0; i < 3; i++) { int acc; acc = acc + i; total = total + acc; }\n\
+    \  return total; }"
+  in
+  (* acc restarts at 0 every iteration: 0 + 1 + 2; a carried-over acc
+     would give 0 + 1 + 3 *)
+  check_int "uninitialised loop local is reset" 3 (Value.to_int (run p "f" []))
+
+let test_interp_decl_reads_outer () =
+  let p = parse_ok "int f(int x) { if (true) { int x = x + 1; return x; } return 0; }" in
+  check_int "int x = x + 1 reads the enclosing x" 5
+    (Value.to_int (run p "f" [ Value.Vint 4 ]))
+
+let test_interp_fresh_frames () =
+  let p = parse_ok
+    "int g(int n) { int a = n * 100; return a; }\n\
+     int f(int n) { int a = n; int b = 0;\n\
+    \  if (n > 0) { b = f(n - 1); a = a + g(n) + b; }\n\
+    \  return a; }"
+  in
+  (* f(n) = n + 100n + f(n-1): the callee's a and b never clobber the
+     caller's *)
+  check_int "recursion and same-named callee locals" 606
+    (Value.to_int (run p "f" [ Value.Vint 3 ]))
+
+let test_interp_use_before_decl () =
+  let p = parse_ok
+    "typedef enum { RED, GREEN } Color;\n\
+     int f() { int r = GREEN; int GREEN = 7; return r + GREEN; }\n\
+     int g() { int r = y; int y = 2; return r; }"
+  in
+  (* before its declaration GREEN is the enum member (index 1), after
+     it the local *)
+  check_int "enum member, then the local" 8 (Value.to_int (run p "f" []));
+  check "no enum member: unbound" true
+    (Interp.run p "g" [] = Error (Interp.Runtime "unbound variable \"y\""))
+
+let test_interp_for_step_decl () =
+  let p = parse_ok
+    "int f() { int j = 100; int s = 0;\n\
+    \  for (int i = 0; i < 3; int j = i) { s = s + j; i = i + 1; }\n\
+    \  return s * 1000 + j; }"
+  in
+  (* the step's j is in scope from the second iteration on: 100 + 1 + 2;
+     the outer j is untouched *)
+  check_int "step declaration seen after the first step" 103100
+    (Value.to_int (run p "f" []))
+
+let test_interp_fuel_exact () =
+  let p = parse_ok "int f(int n) { int i = 0; while (i < n) { i = i + 1; } return i; }" in
+  (* call 1 + decl 1 + while 1 + (n+1) tests + n body statements +
+     return 1 = 2n + 5 *)
+  let t = (2 * 10) + 5 in
+  check "succeeds at exactly 2n+5" true
+    (Interp.run ~fuel:t p "f" [ Value.Vint 10 ] = Ok (Value.Vint 10));
+  check "out of fuel one below" true
+    (Interp.run ~fuel:(t - 1) p "f" [ Value.Vint 10 ] = Error Interp.Out_of_fuel);
+  let q = parse_ok
+    "int g(int v) { return v; }\n\
+     int f(int n) { int s = 0; for (int i = 0; i < n; i++) { s = s + g(i); } return s; }"
+  in
+  (* call 1 + decl 1 + for 1 + init 1 + (n+1) tests + n body statements
+     + n calls of 2 ticks (call + return) + n steps + return 1 = 5n + 6 *)
+  let t = (5 * 4) + 6 in
+  check "calls tick after their arguments: 5n+6" true
+    (Interp.run ~fuel:t q "f" [ Value.Vint 4 ] = Ok (Value.Vint 6));
+  check "out of fuel one below" true
+    (Interp.run ~fuel:(t - 1) q "f" [ Value.Vint 4 ] = Error Interp.Out_of_fuel)
+
 (* property: pretty/parse round trip on random straight-line programs *)
 let gen_expr_src =
   let open QCheck2.Gen in
@@ -340,6 +422,15 @@ let suite =
     Alcotest.test_case "interp: native hooks" `Quick test_interp_natives;
     Alcotest.test_case "interp: break and continue" `Quick test_interp_break_continue;
     Alcotest.test_case "interp: ternary" `Quick test_interp_ternary;
+    Alcotest.test_case "interp: block shadowing" `Quick test_interp_block_shadowing;
+    Alcotest.test_case "interp: loop locals reset per iteration" `Quick
+      test_interp_loop_decl_reset;
+    Alcotest.test_case "interp: initialiser reads the outer name" `Quick
+      test_interp_decl_reads_outer;
+    Alcotest.test_case "interp: fresh frame per call" `Quick test_interp_fresh_frames;
+    Alcotest.test_case "interp: use before declaration" `Quick test_interp_use_before_decl;
+    Alcotest.test_case "interp: for-step declaration" `Quick test_interp_for_step_decl;
+    Alcotest.test_case "interp: fuel is exact" `Quick test_interp_fuel_exact;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_interp_deterministic;
   ]
