@@ -96,22 +96,13 @@ let report acc =
     tuples;
   }
 
-(* Parallel fan-out for the observation loop: computing one test's
-   observations means running every implementation on it, which is the
-   expensive, embarrassingly parallel part. Merging stays sequential
-   and in input order, so reports are identical at any [jobs]. *)
-
-let parallel_map ?jobs f xs =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Eywa_core.Pool.default_jobs ()
-  in
-  Eywa_core.Pool.with_pool ~jobs (fun pool -> Eywa_core.Pool.map pool f xs)
+let resolve_jobs = function
+  | Some j -> max 1 j
+  | None -> Eywa_core.Pool.default_jobs ()
 
 let run ?jobs ?(sink = Eywa_core.Instrument.null) ?(label = "suite") ~observe
     tests =
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Eywa_core.Pool.default_jobs ()
-  in
+  let jobs = resolve_jobs jobs in
   (* [compare_all] is pure, so it runs in the worker too: the merge
      then holds only each test's disagreements, not every rendered
      observation of the suite *)
@@ -150,6 +141,60 @@ let run ?jobs ?(sink = Eywa_core.Instrument.null) ?(label = "suite") ~observe
          execs = r.observations;
        });
   r
+
+(* Root-cause attribution (§4.2). A test tries only the pairs that no
+   earlier chunk confirmed. Whether a test confirms a pair does not
+   depend on that snapshot, and a pair is skipped only after the chunk
+   holding its first confirming test, so the merge sees every pair first
+   at the same index as when every test tries every pair: the result is
+   the same for any chunk size and pool. *)
+
+let attribute_chunk = 256
+
+let attribute ?jobs ~suspects ~quirks ~prepare tests =
+  let confirmed known t =
+    match prepare t with
+    | None -> []
+    | Some (observations, serve) -> (
+        match compare_all observations with
+        | [] -> []
+        | ds ->
+            List.concat_map
+              (fun impl ->
+                let active = quirks impl in
+                match
+                  List.filter (fun q -> not (List.mem (impl, q) known)) active
+                with
+                | [] -> []
+                | untried ->
+                    let with_all = serve active in
+                    List.filter_map
+                      (fun q ->
+                        let without = List.filter (fun x -> x <> q) active in
+                        if serve without <> with_all then Some (impl, q)
+                        else None)
+                      untried)
+              (suspects ds))
+  in
+  let note known pair = if List.mem pair known then known else pair :: known in
+  Eywa_core.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+      let rec go known chunk n = function
+        | t :: rest when n < attribute_chunk ->
+            go known (t :: chunk) (n + 1) rest
+        | rest ->
+            let known =
+              List.fold_left (List.fold_left note) known
+                (Eywa_core.Pool.map pool (confirmed known) (List.rev chunk))
+            in
+            match rest with [] -> List.rev known | _ -> go known [] 0 rest
+      in
+      go [] [] 0 tests)
+
+let dissenters ds =
+  List.rev
+    (List.fold_left
+       (fun acc d -> if List.mem d.d_impl acc then acc else d.d_impl :: acc)
+       [] ds)
 
 let impls_in_report r =
   List.sort_uniq compare (List.map (fun (d, _) -> d.d_impl) r.tuples)

@@ -49,12 +49,6 @@ val create : unit -> accum
 val record : accum -> observation list -> disagreement list
 val report : accum -> report
 
-val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving fan-out over a fresh {!Eywa_core.Pool} of [jobs]
-    domains (default {!Eywa_core.Pool.default_jobs}). Shared by the
-    protocol adapters for their per-test loops, whose per-element work
-    is "run every implementation on this test". *)
-
 val run :
   ?jobs:int ->
   ?sink:Eywa_core.Instrument.sink ->
@@ -74,6 +68,38 @@ val run :
     ["difftest:" ^ label]) and [Difftest_done] on [sink] from the
     orchestrating domain, following the {!Eywa_core.Instrument}
     replay-at-merge-point contract. [label] defaults to ["suite"]. *)
+
+val dissenters : disagreement list -> string list
+(** The distinct implementations named by the disagreements, in
+    first-occurrence order — the {!attribute} suspects of a protocol
+    whose bugs majority voting can single out. *)
+
+val attribute_chunk : int
+(** How many tests {!attribute} judges per pool batch. *)
+
+val attribute :
+  ?jobs:int ->
+  suspects:(disagreement list -> string list) ->
+  quirks:(string -> 'q list) ->
+  prepare:('a -> (observation list * ('q list -> 'r)) option) ->
+  'a list ->
+  (string * 'q) list
+(** Root-cause attribution by quirk removal (§4.2), shared by every
+    protocol adapter. [prepare t] gives a test's observations and
+    [serve], which replays the test on the reference engine under a
+    quirk set ([None] skips the test). On a test whose observations
+    disagree ({!compare_all}), every implementation [suspects] names is
+    served under all its [quirks] and again with each quirk removed in
+    turn; a quirk whose removal changes the reply is confirmed for that
+    implementation.
+
+    Returns the distinct confirmed (implementation, quirk) pairs in
+    first-occurrence order: by test index, then suspect order, then
+    quirk order. Tests are judged on a [jobs]-domain pool in
+    index-ordered chunks of {!attribute_chunk}, each skipping the pairs
+    that earlier chunks confirmed, so the result is the same at any
+    [jobs]. [prepare], [serve] and [quirks] must be safe to call from
+    concurrent domains. *)
 
 val impls_in_report : report -> string list
 val tuples_for : report -> string -> (disagreement * int) list

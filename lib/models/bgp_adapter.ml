@@ -184,7 +184,7 @@ let scenario ~model_id test quirks =
    view as an observation means a bug shared by all three tested
    implementations (the confederation sub-AS collision affects FRR,
    GoBGP and Batfish alike) still surfaces as a disagreement. *)
-let observations_for ~model_id (test : Testcase.t) =
+let prepare ~model_id (test : Testcase.t) =
   if test.bad_input || test.error <> None then None
   else begin
     let viewpoints =
@@ -200,43 +200,27 @@ let observations_for ~model_id (test : Testcase.t) =
           | Some fields -> Some { Difftest.impl = name; fields })
         viewpoints
     in
-    match obs with [] -> None | _ -> Some obs
+    match obs with [] -> None | _ -> Some (obs, scenario ~model_id test)
   end
+
+let observations_for ~model_id test = Option.map fst (prepare ~model_id test)
 
 let run ?jobs ?sink ~model_id tests =
   Difftest.run ?jobs ?sink ~label:model_id
     ~observe:(observations_for ~model_id)
     tests
 
-(* Quirk attribution for one test (pure, pool-safe): a disagreement
-   anywhere prompts attribution for every implementation — majority
-   voting alone cannot name the culprit when the bug is shared. *)
-let quirks_for_test ~model_id (test : Testcase.t) =
-  match observations_for ~model_id test with
-  | None -> []
-  | Some obs ->
-      if Difftest.compare_all obs = [] then []
-      else
-        List.concat_map
-          (fun impl ->
-            let active = Bgp.Impls.quirks impl in
-            let with_all = scenario ~model_id test active in
-            List.filter_map
-              (fun q ->
-                let without =
-                  scenario ~model_id test (List.filter (fun x -> x <> q) active)
-                in
-                if without <> with_all then Some (impl.Bgp.Impls.name, q)
-                else None)
-              active)
-          Bgp.Impls.all
-
+(* A disagreement anywhere prompts attribution for every implementation:
+   majority voting alone cannot name the culprit when the bug is shared. *)
 let quirks_triggered ?jobs model_ids_and_tests =
-  let found = ref [] in
-  let note pair = if not (List.mem pair !found) then found := !found @ [ pair ] in
-  List.iter
-    (fun (model_id, tests) ->
-      List.iter (List.iter note)
-        (Difftest.parallel_map ?jobs (quirks_for_test ~model_id) tests))
-    model_ids_and_tests;
-  !found
+  Difftest.attribute ?jobs
+    ~suspects:(fun _ ->
+      List.map (fun impl -> impl.Bgp.Impls.name) Bgp.Impls.all)
+    ~quirks:(fun name ->
+      match Bgp.Impls.find name with
+      | Some impl -> Bgp.Impls.quirks impl
+      | None -> [])
+    ~prepare:(fun (model_id, test) -> prepare ~model_id test)
+    (List.concat_map
+       (fun (model_id, tests) -> List.map (fun t -> (model_id, t)) tests)
+       model_ids_and_tests)

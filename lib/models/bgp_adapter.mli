@@ -7,6 +7,17 @@
     the observation renders the session outcome and both routing
     tables. *)
 
+val prepare :
+  model_id:string ->
+  Eywa_core.Testcase.t ->
+  (Eywa_difftest.Difftest.observation list
+  * (Eywa_bgp.Quirks.t list -> Eywa_difftest.Difftest.fields option))
+  option
+(** A test's observations (ExaBGP's and each implementation's), and
+    the function that replays its scenario under a given quirk set;
+    [None] for bad-input or crash-path tests and tests the model has no
+    scenario for. *)
+
 val observations_for :
   model_id:string -> Eywa_core.Testcase.t -> Eywa_difftest.Difftest.observation list option
 
@@ -24,5 +35,8 @@ val quirks_triggered :
   ?jobs:int ->
   (string * Eywa_core.Testcase.t list) list ->
   (string * Eywa_bgp.Quirks.t) list
-(** Root-cause attribution by quirk removal, as in
-    {!Dns_adapter.quirks_triggered}. *)
+(** {!Eywa_difftest.Difftest.attribute} over the models' tests in
+    order. Every implementation is a suspect on a disagreeing test,
+    since a bug FRR, GoBGP and Batfish share outvotes ExaBGP; a quirk is
+    confirmed when removing it changes the test's rendered session and
+    routing tables. *)

@@ -52,63 +52,37 @@ let artifacts_for ~model_id (test : Testcase.t) =
     end
   end
 
-let observations_for ~model_id ~version test =
+(* One serving path for difftest and attribution: every implementation
+   is the reference engine under its own quirk set. *)
+let prepare ~model_id ~version test =
   match artifacts_for ~model_id test with
   | None -> None
   | Some (zone, query) ->
+      let serve quirks = Dns.Lookup.lookup ~quirks zone query in
       Some
-        (List.map
-           (fun impl ->
-             let outcome = Dns.Impls.serve impl version zone query in
-             { Difftest.impl = impl.Dns.Impls.name;
-               fields = fields_of_outcome outcome })
-           Dns.Impls.all)
+        ( List.map
+            (fun impl ->
+              let outcome = serve (Dns.Impls.quirks impl version) in
+              { Difftest.impl = impl.Dns.Impls.name;
+                fields = fields_of_outcome outcome })
+            Dns.Impls.all,
+          serve )
+
+let observations_for ~model_id ~version test =
+  Option.map fst (prepare ~model_id ~version test)
 
 let run ?jobs ?sink ~model_id ~version tests =
   Difftest.run ?jobs ?sink ~label:model_id
     ~observe:(observations_for ~model_id ~version)
     tests
 
-(* Quirk attribution for one test: which (impl, quirk) pairs change
-   behaviour on it. Pure, so the per-test loop fans out on the pool;
-   the dedup into first-occurrence order stays sequential. *)
-let quirks_for_test ~version ~model_id test =
-  match artifacts_for ~model_id test with
-  | None -> []
-  | Some (zone, query) ->
-      let fieldss =
-        List.map
-          (fun impl ->
-            { Difftest.impl = impl.Dns.Impls.name;
-              fields = fields_of_outcome (Dns.Impls.serve impl version zone query) })
-          Dns.Impls.all
-      in
-      let disagreements = Difftest.compare_all fieldss in
-      List.concat_map
-        (fun (d : Difftest.disagreement) ->
-          match Dns.Impls.find d.d_impl with
-          | None -> []
-          | Some impl ->
-              let active = Dns.Impls.quirks impl version in
-              let with_all = Dns.Lookup.lookup ~quirks:active zone query in
-              List.filter_map
-                (fun q ->
-                  let without =
-                    Dns.Lookup.lookup
-                      ~quirks:(List.filter (fun x -> x <> q) active)
-                      zone query
-                  in
-                  if without <> with_all then Some (impl.Dns.Impls.name, q)
-                  else None)
-                active)
-        disagreements
-
 let quirks_triggered ?jobs ~version model_ids_and_tests =
-  let found = ref [] in
-  let note pair = if not (List.mem pair !found) then found := !found @ [ pair ] in
-  List.iter
-    (fun (model_id, tests) ->
-      List.iter (List.iter note)
-        (Difftest.parallel_map ?jobs (quirks_for_test ~version ~model_id) tests))
-    model_ids_and_tests;
-  !found
+  Difftest.attribute ?jobs ~suspects:Difftest.dissenters
+    ~quirks:(fun name ->
+      match Dns.Impls.find name with
+      | Some impl -> Dns.Impls.quirks impl version
+      | None -> [])
+    ~prepare:(fun (model_id, test) -> prepare ~model_id ~version test)
+    (List.concat_map
+       (fun (model_id, tests) -> List.map (fun t -> (model_id, t)) tests)
+       model_ids_and_tests)

@@ -17,6 +17,17 @@ val artifacts_for :
 (** The zone and query a test turns into; [None] for bad-input or
     crash-path tests, which are not replayed against servers. *)
 
+val prepare :
+  model_id:string ->
+  version:Eywa_dns.Impls.version ->
+  Eywa_core.Testcase.t ->
+  (Eywa_difftest.Difftest.observation list
+  * (Eywa_dns.Lookup.quirk list -> Eywa_dns.Message.outcome))
+  option
+(** A test's observations, and the function that serves its query
+    under a given quirk set — the one serving path difftest and
+    attribution share; [None] as for {!artifacts_for}. *)
+
 val observations_for :
   model_id:string ->
   version:Eywa_dns.Impls.version ->
@@ -41,8 +52,11 @@ val quirks_triggered :
   version:Eywa_dns.Impls.version ->
   (string * Eywa_core.Testcase.t list) list ->
   (string * Eywa_dns.Lookup.quirk) list
-(** Root-cause attribution: for every disagreeing (implementation,
+(** Root-cause attribution by {!Eywa_difftest.Difftest.attribute} over
+    the models' tests in order: for every disagreeing (implementation,
     test), re-serve the query with each of the implementation's quirks
-    removed in turn; a quirk whose removal repairs the response is the
-    root cause. Returns the distinct (implementation, quirk) pairs
-    confirmed by at least one test — the "bugs found" of Table 3. *)
+    removed in turn; a quirk whose removal changes the response is the
+    root cause. Only the dissenters of the majority vote are suspects.
+    Returns the distinct (implementation, quirk) pairs confirmed by at
+    least one test, in first-occurrence order — the "bugs found" of
+    Table 3. *)

@@ -21,60 +21,41 @@ let probe impl graph state input =
   | Ok reply -> [ ("reply", reply); ("drive", "ok") ]
   | Error m -> [ ("reply", ""); ("drive", m) ]
 
-let observations_for ~graph (test : Testcase.t) =
+(* Attribution compares the whole session's replies, not only the
+   probed one. *)
+let prepare ~graph (test : Testcase.t) =
   if test.bad_input || test.error <> None then None
   else begin
     let state = Smtp_models.test_state test in
     let input = Smtp_models.test_input test in
     if input = "" then None
     else
+      let serve quirks =
+        Option.map
+          (fun prefix ->
+            Smtp.Machine.run_session ~quirks
+              (List.map Smtp.Machine.command_of_letter (prefix @ [ input ])))
+          (Stategraph.path_to graph ~start:"INITIAL" ~goal:state)
+      in
       Some
-        (List.map
-           (fun impl ->
-             { Difftest.impl = impl.Smtp.Impls.name;
-               fields = probe impl graph state input })
-           Smtp.Impls.all)
+        ( List.map
+            (fun impl ->
+              { Difftest.impl = impl.Smtp.Impls.name;
+                fields = probe impl graph state input })
+            Smtp.Impls.all,
+          serve )
   end
+
+let observations_for ~graph test = Option.map fst (prepare ~graph test)
 
 let run ?jobs ?sink ~graph tests =
   Difftest.run ?jobs ?sink ~label:"SERVER" ~observe:(observations_for ~graph)
     tests
 
-(* Quirk attribution for one test (pure, pool-safe). *)
-let quirks_for_test ~graph (test : Testcase.t) =
-  match observations_for ~graph test with
-  | None -> []
-  | Some obs ->
-      let disagreements = Difftest.compare_all obs in
-      List.concat_map
-        (fun (d : Difftest.disagreement) ->
-          match Smtp.Impls.find d.d_impl with
-          | None -> []
-          | Some impl ->
-              let state = Smtp_models.test_state test in
-              let input = Smtp_models.test_input test in
-              let active = Smtp.Impls.quirks impl in
-              let reply_with quirks =
-                match Stategraph.path_to graph ~start:"INITIAL" ~goal:state with
-                | None -> None
-                | Some prefix ->
-                    let commands =
-                      List.map Smtp.Machine.command_of_letter (prefix @ [ input ])
-                    in
-                    Some (Smtp.Machine.run_session ~quirks commands)
-              in
-              let with_all = reply_with active in
-              List.filter_map
-                (fun q ->
-                  let without = reply_with (List.filter (fun x -> x <> q) active) in
-                  if without <> with_all then Some (impl.Smtp.Impls.name, q)
-                  else None)
-                active)
-        disagreements
-
 let quirks_triggered ?jobs ~graph tests =
-  let found = ref [] in
-  let note pair = if not (List.mem pair !found) then found := !found @ [ pair ] in
-  List.iter (List.iter note)
-    (Difftest.parallel_map ?jobs (quirks_for_test ~graph) tests);
-  !found
+  Difftest.attribute ?jobs ~suspects:Difftest.dissenters
+    ~quirks:(fun name ->
+      match Smtp.Impls.find name with
+      | Some impl -> Smtp.Impls.quirks impl
+      | None -> [])
+    ~prepare:(prepare ~graph) tests

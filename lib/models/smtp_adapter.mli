@@ -12,6 +12,17 @@ val state_graph_for :
 (** Ask the (simulated) LLM for the state graph of the first compiled
     model's generated code (Fig. 8), then parse its dict response. *)
 
+val prepare :
+  graph:Eywa_stategraph.Stategraph.t ->
+  Eywa_core.Testcase.t ->
+  (Eywa_difftest.Difftest.observation list
+  * (Eywa_smtp.Machine.quirk list -> string list option))
+  option
+(** A test's observations, and the function that replays the whole
+    session to the test's state and its input under a given quirk set
+    ([None] when the graph cannot reach the state); [None] for
+    bad-input or crash-path tests and tests without an input. *)
+
 val observations_for :
   graph:Eywa_stategraph.Stategraph.t ->
   Eywa_core.Testcase.t ->
@@ -32,3 +43,7 @@ val quirks_triggered :
   graph:Eywa_stategraph.Stategraph.t ->
   Eywa_core.Testcase.t list ->
   (string * Eywa_smtp.Machine.quirk) list
+(** {!Eywa_difftest.Difftest.attribute} with the dissenting servers as
+    suspects; a quirk is confirmed when removing it changes the replies
+    of the whole session that drives the server to the test's state and
+    sends its input, not only the probed reply. *)

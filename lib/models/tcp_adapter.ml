@@ -21,62 +21,45 @@ let probe impl graph state input =
   | Ok reply -> [ ("reply", reply); ("drive", "ok") ]
   | Error m -> [ ("reply", ""); ("drive", m) ]
 
-let observations_for ~graph (test : Testcase.t) =
+(* Attribution compares the whole session's replies, not only the
+   probed one. *)
+let prepare ~graph (test : Testcase.t) =
   if test.bad_input || test.error <> None then None
   else begin
     let state = Tcp_models.test_state test in
     let input = Tcp_models.test_segment test in
     if input = "" then None
     else
+      let serve quirks =
+        Option.map
+          (fun prefix ->
+            Tcp.Machine.run_connection ~quirks
+              (List.map Tcp.Machine.segment_of_letter (prefix @ [ input ])))
+          (Stategraph.path_to graph ~start:"LISTEN" ~goal:state)
+      in
       Some
-        (List.map
-           (fun impl ->
-             { Difftest.impl = impl.Tcp.Impls.name;
-               fields = probe impl graph state input })
-           Tcp.Impls.all)
+        ( List.map
+            (fun impl ->
+              { Difftest.impl = impl.Tcp.Impls.name;
+                fields = probe impl graph state input })
+            Tcp.Impls.all,
+          serve )
   end
 
-let run ~graph tests =
-  let acc = Difftest.create () in
-  List.iter
-    (fun test ->
-      match observations_for ~graph test with
-      | None -> ()
-      | Some obs -> ignore (Difftest.record acc obs))
-    tests;
-  Difftest.report acc
+let observations_for ~graph test = Option.map fst (prepare ~graph test)
 
-let quirks_triggered ~graph tests =
-  let found = ref [] in
-  let note impl quirk =
-    if not (List.mem (impl, quirk) !found) then found := !found @ [ (impl, quirk) ]
-  in
-  List.iter
-    (fun (test : Testcase.t) ->
-      match observations_for ~graph test with
-      | None -> ()
-      | Some obs ->
-          if Difftest.compare_all obs <> [] then
-            List.iter
-              (fun impl ->
-                let state = Tcp_models.test_state test in
-                let input = Tcp_models.test_segment test in
-                let active = Tcp.Impls.quirks impl in
-                let reply_with quirks =
-                  match Stategraph.path_to graph ~start:"LISTEN" ~goal:state with
-                  | None -> None
-                  | Some prefix ->
-                      Some
-                        (Tcp.Machine.run_connection ~quirks
-                           (List.map Tcp.Machine.segment_of_letter
-                              (prefix @ [ input ])))
-                in
-                let with_all = reply_with active in
-                List.iter
-                  (fun q ->
-                    if reply_with (List.filter (fun x -> x <> q) active) <> with_all
-                    then note impl.Tcp.Impls.name q)
-                  active)
-              Tcp.Impls.all)
-    tests;
-  !found
+let run ?jobs ?sink ~graph tests =
+  Difftest.run ?jobs ?sink ~label:"TCP" ~observe:(observations_for ~graph)
+    tests
+
+(* Every stack is a suspect: with three stacks a three-way split is a
+   tie, which the majority breaks by value, not by blame. *)
+let quirks_triggered ?jobs ~graph tests =
+  Difftest.attribute ?jobs
+    ~suspects:(fun _ ->
+      List.map (fun impl -> impl.Tcp.Impls.name) Tcp.Impls.all)
+    ~quirks:(fun name ->
+      match Tcp.Impls.find name with
+      | Some impl -> Tcp.Impls.quirks impl
+      | None -> [])
+    ~prepare:(prepare ~graph) tests

@@ -56,22 +56,148 @@ let test_dns_jobs_invariant () = assert_jobs_invariant Dns_models.cname
 let test_bgp_jobs_invariant () = assert_jobs_invariant Bgp_models.rr
 let test_smtp_jobs_invariant () = assert_jobs_invariant Smtp_models.server
 
+let cname_suite = lazy (synth ~jobs:4 Dns_models.cname).unique_tests
+
 let test_difftest_jobs_invariant () =
-  let s = synth ~jobs:4 Dns_models.cname in
   let run jobs =
     Format.asprintf "%a" Eywa_difftest.Difftest.pp_report
       (Eywa_models.Dns_adapter.run ~jobs ~model_id:"CNAME"
-         ~version:Eywa_dns.Impls.Old s.unique_tests)
+         ~version:Eywa_dns.Impls.Old (Lazy.force cname_suite))
   in
   Alcotest.(check string) "difftest report jobs=1 = jobs=4" (run 1) (run 4)
 
+(* ----- quirk attribution against the naive triage ----- *)
+
+module Difftest = Eywa_difftest.Difftest
+module Dns_adapter = Eywa_models.Dns_adapter
+module Bgp_adapter = Eywa_models.Bgp_adapter
+module Smtp_adapter = Eywa_models.Smtp_adapter
+module Tcp_adapter = Eywa_models.Tcp_adapter
+
+(* Every suspect, every quirk, on every disagreeing test, deduplicated
+   in first-occurrence order: what the driver must return however it
+   skips pairs it already confirmed. *)
+let naive_attribution ~suspects ~quirks ~prepare tests =
+  let found = ref [] in
+  List.iter
+    (fun t ->
+      match prepare t with
+      | None -> ()
+      | Some (obs, serve) -> (
+          match Difftest.compare_all obs with
+          | [] -> ()
+          | ds ->
+              List.iter
+                (fun impl ->
+                  let active = quirks impl in
+                  let with_all = serve active in
+                  List.iter
+                    (fun q ->
+                      let without = List.filter (fun x -> x <> q) active in
+                      if
+                        serve without <> with_all
+                        && not (List.mem (impl, q) !found)
+                      then found := (impl, q) :: !found)
+                    active)
+                (suspects ds)))
+    tests;
+  List.rev !found
+
+let dissenters ds = List.map (fun (d : Difftest.disagreement) -> d.d_impl) ds
+
+let quirks_of find quirks name =
+  match find name with Some impl -> quirks impl | None -> []
+
+let tagged models_and_tests =
+  List.concat_map
+    (fun (id, tests) -> List.map (fun t -> (id, t)) tests)
+    models_and_tests
+
+let dns_reference ~version models_and_tests =
+  naive_attribution ~suspects:dissenters
+    ~quirks:
+      (quirks_of Eywa_dns.Impls.find (fun i -> Eywa_dns.Impls.quirks i version))
+    ~prepare:(fun (model_id, t) -> Dns_adapter.prepare ~model_id ~version t)
+    (tagged models_and_tests)
+
+let state_graph = function Ok g -> g | Error m -> Alcotest.fail m
+
 let test_quirks_jobs_invariant () =
-  let s = synth ~jobs:4 Dns_models.cname in
-  let quirks jobs =
-    Eywa_models.Dns_adapter.quirks_triggered ~jobs ~version:Eywa_dns.Impls.Old
-      [ ("CNAME", s.unique_tests) ]
+  let old = Eywa_dns.Impls.Old in
+  (* the CNAME suite twice: its second copy is a run of chunks that
+     confirm nothing new, and DNAME still confirms pairs after it *)
+  let dns =
+    ("CNAME", Lazy.force cname_suite)
+    :: ("CNAME", Lazy.force cname_suite)
+    :: List.map
+         (fun (m : Model_def.t) -> (m.id, (synth ~jobs:1 m).unique_tests))
+         [ Dns_models.dname; Dns_models.wildcard ]
   in
-  check "quirk attribution jobs=1 = jobs=4" true (quirks 1 = quirks 4)
+  check "the DNS list spans more than one chunk" true
+    (List.length (List.concat_map snd dns) > 2 * Difftest.attribute_chunk);
+  let dns_ref = dns_reference ~version:old dns in
+  let bgp =
+    List.map
+      (fun (m : Model_def.t) -> (m.id, (synth ~jobs:1 m).unique_tests))
+      [ Bgp_models.confed; Bgp_models.rr; Bgp_models.rmap_pl ]
+  in
+  let bgp_ref =
+    naive_attribution
+      ~suspects:(fun _ ->
+        List.map (fun i -> i.Eywa_bgp.Impls.name) Eywa_bgp.Impls.all)
+      ~quirks:(quirks_of Eywa_bgp.Impls.find Eywa_bgp.Impls.quirks)
+      ~prepare:(fun (model_id, t) -> Bgp_adapter.prepare ~model_id t)
+      (tagged bgp)
+  in
+  let smtp = synth ~jobs:1 Smtp_models.server in
+  let smtp_graph = state_graph (Smtp_adapter.state_graph_for smtp) in
+  let smtp_ref =
+    naive_attribution ~suspects:dissenters
+      ~quirks:(quirks_of Eywa_smtp.Impls.find Eywa_smtp.Impls.quirks)
+      ~prepare:(Smtp_adapter.prepare ~graph:smtp_graph)
+      smtp.unique_tests
+  in
+  let tcp = synth ~jobs:1 Eywa_models.Tcp_models.server in
+  let tcp_graph = state_graph (Tcp_adapter.state_graph_for tcp) in
+  let tcp_ref =
+    naive_attribution
+      ~suspects:(fun _ ->
+        List.map (fun i -> i.Eywa_tcp.Impls.name) Eywa_tcp.Impls.all)
+      ~quirks:(quirks_of Eywa_tcp.Impls.find Eywa_tcp.Impls.quirks)
+      ~prepare:(Tcp_adapter.prepare ~graph:tcp_graph)
+      tcp.unique_tests
+  in
+  check "every reference confirms some pair" true
+    (dns_ref <> [] && bgp_ref <> [] && smtp_ref <> [] && tcp_ref <> []);
+  List.iter
+    (fun jobs ->
+      let name proto =
+        Printf.sprintf "%s attribution jobs=%d = naive" proto jobs
+      in
+      check (name "DNS") true
+        (Dns_adapter.quirks_triggered ~jobs ~version:old dns = dns_ref);
+      check (name "BGP") true
+        (Bgp_adapter.quirks_triggered ~jobs bgp = bgp_ref);
+      check (name "SMTP") true
+        (Smtp_adapter.quirks_triggered ~jobs ~graph:smtp_graph smtp.unique_tests
+        = smtp_ref);
+      check (name "TCP") true
+        (Tcp_adapter.quirks_triggered ~jobs ~graph:tcp_graph tcp.unique_tests
+        = tcp_ref))
+    [ 1; 4 ]
+
+let quirks_any_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:4
+       ~name:"DNS attribution of a shuffled suite = naive, for jobs in 1..4"
+       QCheck2.Gen.(
+         pair (int_range 1 4)
+           (delay (fun () -> shuffle_l (Lazy.force cname_suite))))
+       (fun (jobs, tests) ->
+         let version = Eywa_dns.Impls.Old in
+         List.length tests > 2 * Difftest.attribute_chunk
+         && Dns_adapter.quirks_triggered ~jobs ~version [ ("CNAME", tests) ]
+            = dns_reference ~version [ ("CNAME", tests) ]))
 
 (* ----- Pool.map semantics ----- *)
 
@@ -157,6 +283,7 @@ let suite =
       test_difftest_jobs_invariant;
     Alcotest.test_case "quirk attribution: jobs=1 = jobs=4" `Slow
       test_quirks_jobs_invariant;
+    quirks_any_order;
     pool_map_preserves_order;
     pool_map_first_exception;
     Alcotest.test_case "nested Pool.map runs inline" `Quick

@@ -87,27 +87,68 @@ let test_probe_distinguishes_fastopend () =
   check_str "refstack resets" "R" (probe "refstack");
   check_str "fastopend acknowledges" "A" (probe "fastopend")
 
+let tcp_synth =
+  lazy
+    (let oracle = Eywa_llm.Gpt.oracle () in
+     match
+       Eywa_models.Model_def.synthesize ~k:3 ~timeout:2.0 ~oracle
+         Eywa_models.Tcp_models.server
+     with
+     | Error e -> Alcotest.fail e
+     | Ok synth -> synth)
+
+let tcp_graph synth =
+  match Eywa_models.Tcp_adapter.state_graph_for synth with
+  | Error m -> Alcotest.fail m
+  | Ok graph -> graph
+
 let test_pipeline_end_to_end () =
-  let oracle = Eywa_llm.Gpt.oracle () in
+  let synth = Lazy.force tcp_synth in
+  check "tests produced" true (synth.unique_tests <> []);
+  let graph = tcp_graph synth in
+  check "all six states in the graph" true
+    (List.length (Stategraph.states graph) >= 6);
+  let found =
+    Eywa_models.Tcp_adapter.quirks_triggered ~graph synth.unique_tests
+  in
+  check "handshake-bypass bug found" true
+    (List.mem ("fastopend", Machine.Data_before_established) found);
+  check "missing-RST bug found" true
+    (List.mem ("quietstack", Machine.No_rst_on_bad_segment) found)
+
+(* TCP difftest runs on the pool and reports to the sink like the other
+   protocols; the reference is the sequential record fold. *)
+let test_difftest_pool_and_sink () =
+  let module Difftest = Eywa_difftest.Difftest in
+  let synth = Lazy.force tcp_synth in
+  let graph = tcp_graph synth in
+  let events = ref [] in
+  let report =
+    Eywa_models.Tcp_adapter.run ~jobs:4
+      ~sink:(fun e -> events := e :: !events)
+      ~graph synth.unique_tests
+  in
+  let acc = Difftest.create () in
+  List.iter
+    (fun t ->
+      match Eywa_models.Tcp_adapter.observations_for ~graph t with
+      | None -> ()
+      | Some obs -> ignore (Difftest.record acc obs))
+    synth.unique_tests;
+  check "jobs=4 report = sequential fold" true (report = Difftest.report acc);
+  check "the suite disagrees somewhere" true (report.disagreeing_tests > 0);
   match
-    Eywa_models.Model_def.synthesize ~k:3 ~timeout:2.0 ~oracle
-      Eywa_models.Tcp_models.server
+    List.filter_map
+      (function
+        | Eywa_core.Instrument.Difftest_done { label; execs; _ } ->
+            Some (label, execs)
+        | _ -> None)
+      !events
   with
-  | Error e -> Alcotest.fail e
-  | Ok synth -> (
-      check "tests produced" true (synth.unique_tests <> []);
-      match Eywa_models.Tcp_adapter.state_graph_for synth with
-      | Error m -> Alcotest.fail m
-      | Ok graph ->
-          check "all six states in the graph" true
-            (List.length (Stategraph.states graph) >= 6);
-          let found =
-            Eywa_models.Tcp_adapter.quirks_triggered ~graph synth.unique_tests
-          in
-          check "handshake-bypass bug found" true
-            (List.mem ("fastopend", Machine.Data_before_established) found);
-          check "missing-RST bug found" true
-            (List.mem ("quietstack", Machine.No_rst_on_bad_segment) found))
+  | [ (label, execs) ] ->
+      check_str "Difftest_done label" "TCP" label;
+      Alcotest.(check int) "Difftest_done execs" report.observations execs
+  | _ -> Alcotest.fail "expected exactly one Difftest_done"
 
 let prop_connections_agree_without_quirks =
   QCheck_alcotest.to_alcotest
@@ -140,5 +181,7 @@ let suite =
     Alcotest.test_case "impls: probe distinguishes fastopend" `Quick
       test_probe_distinguishes_fastopend;
     Alcotest.test_case "pipeline: TCP end to end" `Slow test_pipeline_end_to_end;
+    Alcotest.test_case "difftest: pool run = sequential fold, on the sink"
+      `Slow test_difftest_pool_and_sink;
     prop_connections_agree_without_quirks;
   ]
