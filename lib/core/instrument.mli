@@ -60,8 +60,11 @@ type event =
           (** logical units of the stage (e.g. [k] draws) —
               deterministic, cache- and jobs-invariant *)
       computed : int;
-          (** units actually executed this run (cache misses);
-              cache-state-dependent, like [Cache_hit]/[Cache_miss] *)
+          (** units actually executed this run: cache misses, and for
+              the ["draw"] batch the distinct compiled programs
+              explored among them (duplicate draws share one
+              exploration); cache-state-dependent, like
+              [Cache_hit]/[Cache_miss] *)
       jobs : int;  (** pool size — environment data *)
       per_worker : int list;  (** scheduling-dependent — environment *)
       queue_wait_ticks : int;  (** pool-size-dependent — environment *)

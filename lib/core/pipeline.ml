@@ -214,24 +214,20 @@ let path_to_tests config (path : Exec.path) inputs : Testcase.t list =
 let tests_of_paths ~config ~inputs paths =
   Testcase.dedup (List.concat_map (fun p -> path_to_tests config p inputs) paths)
 
-(* ----- stages 1-4 composed: one draw ----- *)
+(* ----- stages 1-2 composed: a draw's front ----- *)
 
-let run_draw ~oracle ~config g ~main ~order index :
-    model_result * Ast.program option =
-  (* fresh atom ids per run — scoped to this job, so parallel draws on
-     a pool never share a counter and identical generated code yields
-     identical paths, rotations and tests (tau = 0 determinism) *)
-  Eywa_solver.Term.with_fresh_ids @@ fun () ->
+let front ~oracle ~config g ~main ~order index : model_result * Ast.program option =
   let gen_start = now () in
+  let draw ?(c_source = "") ?(c_loc = 0) ?compile_error gen_seconds =
+    { index; c_source; c_loc; compile_error; tests = []; stats = None; gen_seconds;
+      symex_seconds = 0.0 }
+  in
   match generate ~oracle ~config g ~order ~index with
   | Error e ->
       (* stage-tagged so parallel failure logs are attributable: this
          branch covers oracle completions that do not parse or do not
          define the requested function *)
-      ( { index; c_source = ""; c_loc = 0; compile_error = Some ("oracle: " ^ e);
-          tests = []; stats = None; gen_seconds = now () -. gen_start;
-          symex_seconds = 0.0 },
-        None )
+      (draw ~compile_error:("oracle: " ^ e) (now () -. gen_start), None)
   | Ok gen -> (
       let gen_seconds = now () -. gen_start in
       let c_loc =
@@ -239,18 +235,31 @@ let run_draw ~oracle ~config g ~main ~order index :
       in
       match compile g ~main gen with
       | Error e ->
-          ( { index; c_source = gen.source; c_loc;
-              compile_error = Some ("typecheck: " ^ e); tests = []; stats = None;
-              gen_seconds; symex_seconds = 0.0 },
+          ( draw ~c_source:gen.source ~c_loc ~compile_error:("typecheck: " ^ e)
+              gen_seconds,
             None )
-      | Ok program ->
-          let sym_start = now () in
-          let inputs, paths, stats = symex ~config g ~main program in
-          let symex_seconds = now () -. sym_start in
-          let tests = tests_of_paths ~config ~inputs paths in
-          ( { index; c_source = gen.source; c_loc; compile_error = None; tests;
-              stats = Some stats; gen_seconds; symex_seconds },
-            Some program ))
+      | Ok program -> (draw ~c_source:gen.source ~c_loc gen_seconds, Some program))
+
+(* ----- stages 3-4 composed: a program's exploration ----- *)
+
+let explore ~config g ~main program =
+  (* fresh atom ids per exploration — scoped to this job, so parallel
+     draws on a pool never share a counter and identical programs yield
+     identical paths, rotations and tests (tau = 0 determinism) *)
+  Eywa_solver.Term.with_fresh_ids @@ fun () ->
+  let sym_start = now () in
+  let inputs, paths, stats = symex ~config g ~main program in
+  let symex_seconds = now () -. sym_start in
+  (tests_of_paths ~config ~inputs paths, stats, symex_seconds)
+
+let with_exploration (r : model_result) (tests, stats, symex_seconds) =
+  { r with tests; stats = Some stats; symex_seconds }
+
+let run_draw ~oracle ~config g ~main ~order index =
+  match front ~oracle ~config g ~main ~order index with
+  | r, None -> (r, None)
+  | r, Some program ->
+      (with_exploration r (explore ~config g ~main program), Some program)
 
 (* ----- stage 5: aggregation ----- *)
 
@@ -480,6 +489,47 @@ let emit_draw_events sink (r : model_result) =
          symex_seconds = r.symex_seconds;
        })
 
+(* Sampled drafts repeat, and an exploration is a pure function of the
+   compiled program (it runs under a fresh term-id scope), so [run]
+   explores each distinct program once. [slots.(i)] is the position in
+   [programs] (first-occurrence order) of front [i]'s program, -1 for a
+   rejected draw. The key is the program itself: a digest of its
+   unshared marshalled form buckets it, structural equality decides. *)
+let distinct_programs fronts =
+  let buckets = Hashtbl.create 64 in
+  let programs = ref [] and n = ref 0 in
+  let slot_of program =
+    let digest = Digest.string (Marshal.to_string program [ Marshal.No_sharing ]) in
+    match List.assoc_opt program (Hashtbl.find_all buckets digest) with
+    | Some slot -> slot
+    | None ->
+        let slot = !n in
+        Hashtbl.add buckets digest (program, slot);
+        programs := program :: !programs;
+        incr n;
+        slot
+  in
+  let slots = Array.make (Array.length fronts) (-1) in
+  Array.iteri
+    (fun i (_, program) -> Option.iter (fun p -> slots.(i) <- slot_of p) program)
+    fronts;
+  (slots, List.rev !programs)
+
+(* Give every front its program's exploration. The first draw of a
+   program keeps the measured symex wall time; its duplicates report
+   0.0, since this process spent no time exploring them. *)
+let share_explorations fronts slots explorations =
+  let claimed = Array.make (Array.length explorations) false in
+  Array.init (Array.length fronts) (fun i ->
+      let r, program = fronts.(i) in
+      let slot = slots.(i) in
+      if slot < 0 then (r, program)
+      else
+        let tests, stats, symex_seconds = explorations.(slot) in
+        let symex_seconds = if claimed.(slot) then 0.0 else symex_seconds in
+        claimed.(slot) <- true;
+        (with_exploration r (tests, stats, symex_seconds), program))
+
 let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
     ~oracle g ~main =
   match main with
@@ -497,33 +547,37 @@ let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
             draw_key ~oracle_name:oracle.Oracle.name ~config ~prompts ~index
           in
           (* probe the cache sequentially, in index order *)
-          let cached =
-            List.init config.k (fun index ->
+          let draws =
+            Array.init config.k (fun index ->
                 match cache with
-                | None -> (index, None)
+                | None -> None
                 | Some c -> (
-                    let key = key_of index in
-                    match Cache.find ~sink c key with
-                    | None -> (index, None)
+                    match Cache.find ~sink c (key_of index) with
+                    | None -> None
                     | Some payload -> (
                         match artifact_of_string g ~main:main_f payload with
-                        | Ok draw -> (index, Some draw)
+                        | Ok draw -> Some draw
                         | Error _ ->
                             (* corrupt entry: fall back to computing *)
-                            (index, None))))
+                            None)))
           in
           let missing =
-            List.filter_map
-              (fun (i, d) -> if d = None then Some i else None)
-              cached
+            List.filter (fun i -> Option.is_none draws.(i)) (List.init config.k Fun.id)
           in
           (* the misses are independent; fan them out and merge by
              model index, so the result is identical at any [jobs] *)
           let computed, pool_stats =
             Pool.with_pool ~jobs (fun pool ->
-                Pool.map_stats pool
-                  (fun i -> (i, run_draw ~oracle ~config g ~main:main_f ~order i))
-                  missing)
+                let fronts =
+                  Pool.map pool (front ~oracle ~config g ~main:main_f ~order) missing
+                  |> Array.of_list
+                in
+                let slots, programs = distinct_programs fronts in
+                let explorations, pool_stats =
+                  Pool.map_stats pool (explore ~config g ~main:main_f) programs
+                in
+                ( share_explorations fronts slots (Array.of_list explorations),
+                  pool_stats ))
           in
           sink
             (Instrument.Pool_merged
@@ -535,20 +589,15 @@ let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
                  per_worker = pool_stats.Pool.per_worker;
                  queue_wait_ticks = pool_stats.Pool.queue_wait_ticks;
                });
-          (match cache with
-          | None -> ()
-          | Some c ->
-              List.iter
-                (fun (i, draw) -> Cache.store c (key_of i) (artifact_to_string draw))
-                computed);
-          let draws =
-            List.map
-              (fun (i, d) ->
-                match d with
-                | Some draw -> draw
-                | None -> List.assoc i computed)
-              cached
-          in
+          List.iteri
+            (fun pos i ->
+              let draw = computed.(pos) in
+              draws.(i) <- Some draw;
+              Option.iter
+                (fun c -> Cache.store c (key_of i) (artifact_to_string draw))
+                cache)
+            missing;
+          let draws = List.map Option.get (Array.to_list draws) in
           List.iter (fun (r, _) -> emit_draw_events sink r) draws;
           let result = aggregate ~main:main_f draws in
           sink

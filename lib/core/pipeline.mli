@@ -16,14 +16,20 @@
     compile        : generated         -> Ast.program (or tagged rejection)
     symex          : program           -> paths + stats
     tests_of_paths : paths             -> Testcase.t list
-    run_draw       : index             -> model_result (stages 2-5 composed)
+    front          : index             -> unexplored draw + program (1-2)
+    explore        : program           -> tests + stats (3-4, fresh ids)
+    run_draw       : index             -> model_result (front, then explore)
     aggregate      : model_result list -> t            (the unique suite)
     v}
 
-    {!run} composes them with three cross-cutting services:
+    {!run} composes {!front} and {!explore} exactly as {!run_draw}
+    does, but explores each distinct compiled program of a draw set
+    once: sampled drafts repeat, and an exploration is a pure function
+    of the program. It adds three cross-cutting services:
 
-    - {b Parallelism}: the k draws fan out over {!Pool} and merge by
-      index, so results are bit-for-bit independent of [jobs].
+    - {b Parallelism}: the fronts, then the distinct programs'
+      explorations, fan out over {!Pool} and merge by index, so
+      results are bit-for-bit independent of [jobs].
     - {b Caching}: each draw result is content-addressed in a
       {!Cache} under a key covering {e everything} the draw depends
       on — oracle name, exact prompt texts, pipe structure, effective
@@ -137,6 +143,32 @@ val tests_of_paths :
   Testcase.t list
 (** Solve each path into [samples_per_path] concrete tests and dedup. *)
 
+val front :
+  oracle:Oracle.t ->
+  config:config ->
+  Graph.t ->
+  main:Emodule.func ->
+  order:Emodule.t list ->
+  int ->
+  model_result * Eywa_minic.Ast.program option
+(** Stages 1-2 for one index: {!generate} then {!compile}, with the
+    rejection stage-tagged and [gen_seconds] measured. The result has
+    no tests, no stats and [symex_seconds = 0.0]; the program is
+    [None] iff [compile_error] is set. Allocates no term ids, so it
+    needs no term-id scope of its own. *)
+
+val explore :
+  config:config ->
+  Graph.t ->
+  main:Emodule.func ->
+  Eywa_minic.Ast.program ->
+  Testcase.t list * Eywa_symex.Exec.stats * float
+(** Stages 3-4 for one compiled program, under a fresh term-id scope:
+    {!symex} then {!tests_of_paths}. Returns the tests, the symex stats
+    and the measured symex wall seconds. Everything but the wall time
+    is a pure function of (config, graph, main, program), so
+    structurally equal programs explore identically on any worker. *)
+
 val run_draw :
   oracle:Oracle.t ->
   config:config ->
@@ -145,8 +177,9 @@ val run_draw :
   order:Emodule.t list ->
   int ->
   model_result * Eywa_minic.Ast.program option
-(** Stages 2-5 for one index, under a fresh term-id scope — the pure
-    parallel unit {!run} fans out. *)
+(** {!front} then {!explore} for one index — the per-index reference
+    {!run} must agree with (bar the wall-clock fields of duplicate
+    draws). *)
 
 val aggregate :
   main:Emodule.func ->
@@ -214,6 +247,17 @@ val run :
     core count). Results are merged by model index, so the returned
     {!t} is bit-for-bit independent of [jobs] — provided the oracle is
     a pure function of its request, which the simulated LLM is.
+
+    The cache misses first run {!front}; then {!explore} runs once per
+    distinct compiled program among them, keyed on the
+    {!Eywa_minic.Ast.program} itself (a digest buckets, structural
+    equality decides — never the source text), and each exploration
+    goes to every draw that produced its program. Per-draw results,
+    [Symex_done] stats and cache artifacts are therefore exactly those
+    of {!run_draw}, except that a duplicate draw reports
+    [symex_seconds = 0.0]: only the first draw of a program keeps the
+    time this process measured. [Pool_merged {label = "draw"}] counts
+    the distinct programs explored in [computed].
 
     With a [cache], draw results are looked up before computing and
     stored after; hits decode to byte-identical results (and emit

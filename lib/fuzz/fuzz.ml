@@ -56,6 +56,10 @@ let fuzz_key ~oracle_name ~pipeline ~config ~prompts ~index =
         ( "fuzz_mutators",
           String.concat "," (List.map Mutate.kind_to_string config.mutators) );
         ("fuzz_fuel", string_of_int config.fuel);
+        (* the fuzz engine's version: bumped whenever a draw's artifact
+           changes for the same inputs (2 = stop once every static edge
+           is covered), so an older on-disk artifact misses *)
+        ("fuzz", "2");
       ])
 
 (* ----- the artifact codec ----- *)
@@ -179,13 +183,20 @@ let fuzz_draw ~natives ~main ~config ~alphabet ~index program seeds =
       corpus_add corpus t.Testcase.inputs fresh)
     seeds;
   let edges_seed = Coverage.count global in
+  let edges_static = List.length (Interp.static_edges program) in
   let mutators = if config.mutators = [] then Mutate.all else config.mutators in
   let new_tests = ref [] in
   let n_new = ref 0 in
   let execs = ref 0 in
   (* the budget counts candidate executions — a deterministic tick
-     budget in the sense of Exec.check_budget, never wall clock *)
-  while !execs < config.budget && !n_new < config.max_new_tests do
+     budget in the sense of Exec.check_budget, never wall clock. A run
+     only ever covers static edges, so once every one is covered no
+     candidate can be kept: stopping there changes [execs] alone. *)
+  while
+    !execs < config.budget
+    && !n_new < config.max_new_tests
+    && Coverage.count global < edges_static
+  do
     let parent = pick_parent rng corpus in
     let kind = Rng.pick rng mutators in
     let other =
@@ -213,7 +224,7 @@ let fuzz_draw ~natives ~main ~config ~alphabet ~index program seeds =
     execs = !execs;
     edges_seed;
     edges_after = Coverage.count global;
-    edges_static = List.length (Interp.static_edges program);
+    edges_static;
     new_tests = List.rev !new_tests;
   }
 

@@ -63,8 +63,8 @@ val fuzz_key :
     input the underlying draw (and hence the seed suite) depends on —
     with the fuzz stage's own inputs: effective fuzz seed
     ([fuzz_seed + index]), execution budget, keeper cap, mutator set,
-    and interpreter fuel. Like the draw key it excludes [k], wall
-    time, machine, and pool size. *)
+    interpreter fuel, and the fuzz engine version. Like the draw key
+    it excludes [k], wall time, machine, and pool size. *)
 
 val artifact_to_string : draw_fuzz -> string
 (** No wall-clock fields: a decoded artifact is structurally equal to
@@ -86,8 +86,10 @@ val fuzz_draw :
   Testcase.t list ->
   draw_fuzz
 (** One draw's fuzz loop — the pure parallel unit {!fuzz_of_seeds}
-    fans out. [alphabet] is the model's character domain (the same one
-    symbolic strings range over). *)
+    fans out. It stops at the execution budget, at [max_new_tests]
+    keepers, or once every static edge is covered (nothing more can
+    be kept), whichever comes first. [alphabet] is the model's
+    character domain (the same one symbolic strings range over). *)
 
 val fuzz_of_seeds :
   ?cache:Cache.t ->

@@ -4,8 +4,9 @@
      cache vs a cold one — the budget is a deterministic tick count and
      the artifact stores no wall-clock fields.
    - The fuzz cache key extends the draw key with every fuzz input
-     (seed, budget, keeper cap, mutator set, fuel) and, like the draw
-     key, excludes k.
+     (seed, budget, keeper cap, mutator set, fuel, engine version)
+     and, like the draw key, excludes k.
+   - A draw stops fuzzing once it covers every static edge.
    - Fuzz artifacts round-trip the codec exactly; truncated or
      malformed payloads decode to [Error], never an exception.
    - Dynamic edge coverage is a subset of the static edge universe,
@@ -150,7 +151,28 @@ let test_key_sensitivity () =
      NOT equivalent to index+1: index also shifts the underlying
      draw's effective seed inside [draw_key_parts].) *)
   check_string "k does not change the key" base
-    (key ~pipeline:{ pipeline with k = 12 } ())
+    (key ~pipeline:{ pipeline with k = 12 } ());
+  (* the engine version: an artifact stored by a fuzz loop that stopped
+     elsewhere must miss, not replay its exec count *)
+  let parts =
+    Pipeline.draw_key_parts ~oracle_name:"gpt" ~config:pipeline
+      ~prompts:base_prompts ~index:0
+  in
+  check "fuzz engine version in the key" true
+    (Cache.Key.equal
+       (Fuzz.fuzz_key ~oracle_name:"gpt" ~pipeline ~config:cfg
+          ~prompts:base_prompts ~index:0)
+       (Cache.Key.v ~stage:"fuzz"
+           (parts
+           @ [
+               ("fuzz_seed", string_of_int cfg.fuzz_seed);
+               ("fuzz_budget", string_of_int cfg.budget);
+               ("fuzz_max_new_tests", string_of_int cfg.max_new_tests);
+               ( "fuzz_mutators",
+                 String.concat "," (List.map Mutate.kind_to_string cfg.mutators) );
+               ("fuzz_fuel", string_of_int cfg.fuel);
+               ("fuzz", "2");
+             ])))
 
 (* ----- dynamic coverage is a subset of the static universe ----- *)
 
@@ -177,6 +199,50 @@ let test_dynamic_subset_static () =
             true (List.mem edge static))
         (Interp.covered cov))
     s.Pipeline.programs
+
+(* ----- a draw stops once every static edge is covered ----- *)
+
+(* Dynamic edges are static edges, so a draw that has covered every
+   static edge can keep nothing more: it must stop there. Any draw that
+   spent less than its budget did so because it saturated the static
+   universe or reached its keeper cap. *)
+let test_stops_at_static_edges () =
+  let check_draws what (config : Fuzz.config) (f : Fuzz.t) =
+    List.iter
+      (fun (d : Fuzz.draw_fuzz) ->
+        let what = Printf.sprintf "%s draw %d" what d.f_index in
+        check (what ^ ": execs within budget") true (d.execs <= config.budget);
+        if d.execs < config.budget then
+          check (what ^ ": stopped early for a reason") true
+            (d.edges_after = d.edges_static
+            || List.length d.new_tests = config.max_new_tests))
+      f.per_draw
+  in
+  (* CNAME's symex seeds cover every static edge of each draw *)
+  let cname = Dns_models.cname in
+  let s = synth cname in
+  let f =
+    match
+      Model_def.fuzz ~k ~timeout:(timeout cname) ~jobs:1 ~oracle cname s
+    with
+    | Ok f -> f
+    | Error e -> Alcotest.fail e
+  in
+  let saturated =
+    List.filter
+      (fun (d : Fuzz.draw_fuzz) -> d.edges_seed = d.edges_static)
+      f.per_draw
+  in
+  check "some CNAME draw's seeds saturate" true (saturated <> []);
+  List.iter
+    (fun (d : Fuzz.draw_fuzz) ->
+      check_int (Printf.sprintf "saturated draw %d spends no execs" d.f_index) 0
+        d.execs;
+      check_int (Printf.sprintf "saturated draw %d keeps nothing" d.f_index) 0
+        (List.length d.new_tests))
+    saturated;
+  check_draws "CNAME" Fuzz.default_config f;
+  check_draws "LOOP" fuzz_config (fuzz model (Lazy.force seed_suite))
 
 (* ----- edge labels and coverage maps ----- *)
 
@@ -405,6 +471,8 @@ let suite =
       test_key_sensitivity;
     Alcotest.test_case "dynamic coverage is a subset of static edges" `Slow
       test_dynamic_subset_static;
+    Alcotest.test_case "a draw stops once every static edge is covered" `Slow
+      test_stops_at_static_edges;
     Alcotest.test_case "edge labels of a fixed program" `Quick test_edge_labels;
     Alcotest.test_case "a coverage map belongs to one program" `Quick
       test_coverage_one_program;

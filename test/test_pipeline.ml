@@ -13,7 +13,10 @@
      (modelled here as a fresh Cache on the same dir).
    - jobs=1 and jobs=4 populate byte-identical cache contents.
    - The collecting sink sees the same deterministic event stream
-     either way, except for Cache_hit/Cache_miss themselves. *)
+     either way, except for Cache_hit/Cache_miss themselves.
+   - [run] explores each distinct compiled program once, yet every
+     draw equals the per-index [run_draw] reference; only a duplicate's
+     symex wall time differs (0.0). *)
 
 module Pipeline = Eywa_core.Pipeline
 module Cache = Eywa_core.Cache
@@ -382,6 +385,127 @@ let test_collector_summary () =
   check_int "tee reaches the first sink" 1 !a;
   check_int "tee reaches the second sink" 1 !b
 
+(* ----- each distinct program is explored once ----- *)
+
+let order_of (m : Model_def.t) =
+  match Graph.synthesis_order m.graph ~main:m.main with
+  | Ok o -> o
+  | Error e -> Alcotest.fail e
+
+let main_of (m : Model_def.t) =
+  match m.main with Emodule.Func f -> f | _ -> Alcotest.fail "main not Func"
+
+(* Pair each result with its program: [programs] holds the programs of
+   the results without a compile error, in index order. *)
+let draws_of (s : Pipeline.t) =
+  let programs = ref s.programs in
+  List.map
+    (fun (r : Pipeline.model_result) ->
+      match (r.compile_error, !programs) with
+      | None, p :: rest ->
+          programs := rest;
+          (r, Some p)
+      | _ -> (r, None))
+    s.results
+
+(* A draw artifact minus its wall-clock fields. *)
+let det_artifact ((r : Pipeline.model_result), program) =
+  Pipeline.artifact_to_string
+    ({ r with gen_seconds = 0.0; symex_seconds = 0.0 }, program)
+
+(* RR and SERVER at k=10 repeat programs (first duplicate at index 3
+   and 2): 6 distinct compiled programs each. *)
+let dedup_models = [ Bgp_models.rr; Eywa_models.Smtp_models.server ]
+let dedup_config m = { (config m) with k = 10 }
+
+let reference (m : Model_def.t) =
+  List.init 10
+    (Pipeline.run_draw ~oracle ~config:(dedup_config m) m.graph ~main:(main_of m)
+       ~order:(order_of m))
+
+(* For each draw, the index of the first draw with an equal program. *)
+let first_of draws =
+  let arr = Array.of_list (List.map snd draws) in
+  Array.mapi
+    (fun i p ->
+      match p with
+      | None -> i
+      | Some _ ->
+          let rec find j = if arr.(j) = p then j else find (j + 1) in
+          find 0)
+    arr
+
+let test_dedup_equals_run_draw () =
+  List.iter
+    (fun (m : Model_def.t) ->
+      let ref_draws = reference m in
+      let firsts = first_of ref_draws in
+      check_int (m.id ^ ": 6 distinct programs in 10 draws") 6
+        (List.length (List.sort_uniq compare (List.filter_map snd ref_draws)));
+      let expected = List.map det_artifact ref_draws in
+      List.iter
+        (fun jobs ->
+          let cache = Cache.create () in
+          List.iter
+            (fun (label, want_computed) ->
+              let c = Instrument.Collector.create () in
+              let s =
+                match
+                  Pipeline.run ~cache ~sink:(Instrument.Collector.sink c)
+                    ~config:(dedup_config m) ~jobs ~oracle m.graph ~main:m.main
+                with
+                | Ok s -> s
+                | Error e -> Alcotest.fail e
+              in
+              let what = Printf.sprintf "%s jobs=%d %s" m.id jobs label in
+              check (what ^ ": run = per-index run_draw") true
+                (List.map det_artifact (draws_of s) = expected);
+              let events = Instrument.Collector.events c in
+              check (what ^ ": distinct programs explored") true
+                (List.filter_map
+                   (function
+                     | Instrument.Pool_merged { label = "draw"; computed; _ } ->
+                         Some computed
+                     | _ -> None)
+                   events
+                = [ want_computed ]);
+              let symex_seconds = Array.make 10 nan in
+              let stats = Array.make 10 None in
+              List.iter
+                (function
+                  | Instrument.Draw_finished { index; symex_seconds = t; _ } ->
+                      symex_seconds.(index) <- t
+                  | Instrument.Symex_done { index; stats = st } ->
+                      stats.(index) <- Some st
+                  | _ -> ())
+                events;
+              Array.iteri
+                (fun i f ->
+                  if f <> i then begin
+                    check
+                      (Printf.sprintf "%s: duplicate %d reports 0 symex s" what i)
+                      true (symex_seconds.(i) = 0.0);
+                    check
+                      (Printf.sprintf "%s: duplicate %d has draw %d's stats" what i f)
+                      true
+                      (stats.(i) <> None && stats.(i) = stats.(f))
+                  end)
+                firsts)
+            [ ("cold", 6); ("warm", 0) ])
+        [ 1; 4 ])
+    dedup_models
+
+let test_front_allocates_no_ids () =
+  let m = Bgp_models.rr in
+  let allocated =
+    Eywa_solver.Term.with_fresh_ids (fun () ->
+        ignore
+          (Pipeline.front ~oracle ~config:(config m) m.graph ~main:(main_of m)
+             ~order:(order_of m) 0);
+        Eywa_solver.Term.var_count ())
+  in
+  check_int "front allocates no term ids" 0 allocated
+
 let suite =
   [
     Alcotest.test_case "warm cache = cold run (jobs 1 and 4)" `Slow
@@ -401,4 +525,8 @@ let suite =
       test_event_stream_deterministic;
     Alcotest.test_case "collector summary counts stages" `Slow
       test_collector_summary;
+    Alcotest.test_case "run explores each distinct program once" `Slow
+      test_dedup_equals_run_draw;
+    Alcotest.test_case "a draw's front allocates no term ids" `Quick
+      test_front_allocates_no_ids;
   ]
