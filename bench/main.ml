@@ -934,29 +934,12 @@ let staged name f =
    so both validate with [eywa trace --json PATH]. *)
 let write_summary_json path ~fast ~total_seconds =
   let module Json = Eywa_core.Serialize.Json in
-  let stage_json (name, dt, b, a) =
-    let open Instrument.Collector in
+  let stage_json (name, dt, before, after) =
     Json.Obj
-      [
-        ("stage", Json.Str name);
-        ("wall_seconds", Json.Float dt);
-        ("draws", Json.Int (a.draws - b.draws));
-        ("rejected", Json.Int (a.rejected - b.rejected));
-        ("symex_ticks", Json.Int (a.symex_ticks - b.symex_ticks));
-        ("paths_completed", Json.Int (a.paths_completed - b.paths_completed));
-        ("solver_calls", Json.Int (a.solver_calls - b.solver_calls));
-        ("paths_unknown", Json.Int (a.paths_unknown - b.paths_unknown));
-        ("solver_decisions", Json.Int (a.solver_decisions - b.solver_decisions));
-        ("model_reuses", Json.Int (a.model_reuses - b.model_reuses));
-        ("cache_hits", Json.Int (a.cache_hits - b.cache_hits));
-        ("cache_misses", Json.Int (a.cache_misses - b.cache_misses));
-        ("unique_tests", Json.Int (a.unique_tests - b.unique_tests));
-        ("difftests", Json.Int (a.difftests - b.difftests));
-        ( "fuzz_edges_gained",
-          Json.Int (a.fuzz_edges_gained - b.fuzz_edges_gained) );
-        ("difftest_execs", Json.Int (a.difftest_execs - b.difftest_execs));
-        ("pool_tasks", Json.Int (a.pool_tasks - b.pool_tasks));
-      ]
+      (("stage", Json.Str name)
+      :: ("wall_seconds", Json.Float dt)
+      :: Eywa_obs.Export.summary_fields
+           (Instrument.Collector.delta ~before after))
   in
   let s = Instrument.Collector.summary collector in
   let doc =

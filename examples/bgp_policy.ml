@@ -28,11 +28,12 @@ let () =
   in
   let rmap = run Bgp_models.rmap_pl in
   let confed = run Bgp_models.confed in
-  let s = Eywa_core.Instrument.Collector.summary collector in
+  let open Eywa_core.Instrument in
+  let s = Collector.summary collector in
   Printf.printf "pipeline: %d draws, %d symex ticks, %d paths\n"
-    s.Eywa_core.Instrument.Collector.draws
-    s.Eywa_core.Instrument.Collector.symex_ticks
-    s.Eywa_core.Instrument.Collector.paths_completed;
+    (Collector.get s Stat.draws)
+    (Collector.get s Stat.symex_ticks)
+    (Collector.get s Stat.paths_completed);
 
   print_endline "\n=== differential testing on the R1 -> R2 -> R3 chain ===";
   List.iter

@@ -61,7 +61,8 @@ let () =
                 | Eywa_tcp.Machine.No_rst_on_bad_segment ->
                     "no RST for unacceptable segments"))
             (Tcp_adapter.quirks_triggered ~graph synth.unique_tests);
-          let s = Eywa_core.Instrument.Collector.summary collector in
+          let open Eywa_core.Instrument in
+          let s = Collector.summary collector in
           Printf.printf "\npipeline: %d draws, %d symex ticks (deterministic)\n"
-            s.Eywa_core.Instrument.Collector.draws
-            s.Eywa_core.Instrument.Collector.symex_ticks)
+            (Collector.get s Stat.draws)
+            (Collector.get s Stat.symex_ticks))

@@ -40,36 +40,156 @@ type sink = event -> unit
 let null : sink = fun _ -> ()
 let tee a b : sink = fun e -> a e; b e
 
+type cls = Det | Env
+
+module Stat = struct
+  type _ kind = Int : int kind | Float : float kind
+
+  type 'a t = {
+    key : string;
+    metric : string;
+    help : string;
+    cls : cls;
+    kind : 'a kind;
+    slot : int;
+    of_event : event -> 'a;
+  }
+
+  type row = Row : 'a t -> row
+
+  (* filled in declaration order while the rows below are defined *)
+  let rev_rows = ref []
+  let n_ints = ref 0
+  let n_floats = ref 0
+
+  let make kind count key metric ?(help = "") cls of_event =
+    let st = { key; metric; help; cls; kind; slot = !count; of_event } in
+    incr count;
+    rev_rows := Row st :: !rev_rows;
+    st
+
+  let int = make Int n_ints
+  let float = make Float n_floats
+  let symex f = function Symex_done { stats; _ } -> f stats | _ -> 0
+
+  let draws =
+    int "draws" "eywa_draws_total" ~help:"finished model draws" Det (function
+      | Draw_finished _ -> 1 | _ -> 0)
+
+  let rejected =
+    int "rejected" "eywa_draws_rejected_total" ~help:"compile-rejected draws"
+      Det (function Compile_rejected _ -> 1 | _ -> 0)
+
+  let tests =
+    int "tests" "eywa_tests_total" ~help:"tests before suite dedup" Det
+      (function Draw_finished { tests; _ } -> tests | _ -> 0)
+
+  let gen_seconds =
+    float "gen_seconds" "eywa_gen_seconds" ~help:"wall clock" Env (function
+      | Draw_finished { gen_seconds; _ } -> gen_seconds | _ -> 0.0)
+
+  let symex_seconds =
+    float "symex_seconds" "eywa_symex_seconds" ~help:"wall clock" Env (function
+      | Draw_finished { symex_seconds; _ } -> symex_seconds | _ -> 0.0)
+
+  let symex_ticks =
+    int "symex_ticks" "eywa_symex_ticks_total" ~help:"deterministic symex ticks"
+      Det (symex (fun st -> st.ticks_used))
+
+  let paths_completed =
+    int "paths_completed" "eywa_symex_paths_completed_total" Det
+      (symex (fun st -> st.paths_completed))
+
+  let paths_pruned =
+    int "paths_pruned" "eywa_symex_paths_pruned_total" Det
+      (symex (fun st -> st.paths_pruned))
+
+  let paths_unknown =
+    int "paths_unknown" "eywa_symex_paths_unknown_total"
+      ~help:"solves that hit the decision budget" Det
+      (symex (fun st -> st.paths_unknown))
+
+  let solver_calls =
+    int "solver_calls" "eywa_symex_solver_calls_total" Det
+      (symex (fun st -> st.solver_calls))
+
+  let solver_decisions =
+    int "solver_decisions" "eywa_symex_solver_decisions_total"
+      ~help:"search decisions executed" Det
+      (symex (fun st -> st.solver_decisions))
+
+  let model_reuses =
+    int "model_reuses" "eywa_symex_model_reuses_total"
+      ~help:"probes answered by the parent model" Det
+      (symex (fun st -> st.model_reuses))
+
+  let timeouts =
+    int "timeouts" "eywa_symex_timeouts_total"
+      ~help:"draws that hit the tick budget" Det
+      (symex (fun st -> Bool.to_int st.timed_out))
+
+  let cache_hits =
+    int "cache_hits" "eywa_cache_hits_total" Env (function
+      | Cache_hit _ -> 1 | _ -> 0)
+
+  let cache_misses =
+    int "cache_misses" "eywa_cache_misses_total" Env (function
+      | Cache_miss _ -> 1 | _ -> 0)
+
+  let unique_tests =
+    int "unique_tests" "eywa_unique_tests_total" ~help:"tests after suite dedup"
+      Det (function Suite_aggregated { unique_tests = n; _ } -> n | _ -> 0)
+
+  let fuzz_draws =
+    int "fuzz_draws" "eywa_fuzz_draws_total" Det (function
+      | Fuzz_done _ -> 1 | _ -> 0)
+
+  let fuzz_execs =
+    int "fuzz_execs" "eywa_fuzz_execs_total"
+      ~help:"candidate executions (deterministic)" Det (function
+      | Fuzz_done { execs; _ } -> execs | _ -> 0)
+
+  let fuzz_new_tests =
+    int "fuzz_new_tests" "eywa_fuzz_new_tests_total" Det (function
+      | Fuzz_done { new_tests; _ } -> new_tests | _ -> 0)
+
+  let fuzz_edges_gained =
+    int "fuzz_edges_gained" "eywa_fuzz_edges_gained_total"
+      ~help:"edges beyond the symex seeds" Det (function
+      | Fuzz_done { edges_seed; edges_after; _ } ->
+          max 0 (edges_after - edges_seed)
+      | _ -> 0)
+
+  let difftests =
+    int "difftests" "eywa_difftest_runs_total" Det (function
+      | Difftest_done _ -> 1 | _ -> 0)
+
+  let difftest_execs =
+    int "difftest_execs" "eywa_difftest_execs_total"
+      ~help:"implementation executions" Det (function
+      | Difftest_done { execs; _ } -> execs | _ -> 0)
+
+  let disagreeing_tests =
+    int "disagreeing_tests" "eywa_difftest_disagreeing_tests_total" Det
+      (function Difftest_done { disagreeing_tests = n; _ } -> n | _ -> 0)
+
+  let pool_batches =
+    int "pool_batches" "eywa_pool_batches_total"
+      ~help:"pool map batches merged" Det (function
+      | Pool_merged _ -> 1 | _ -> 0)
+
+  let pool_tasks =
+    int "pool_tasks" "eywa_pool_tasks_total"
+      ~help:"logical units across batches" Det (function
+      | Pool_merged { tasks; _ } -> tasks | _ -> 0)
+
+  let rows = List.rev !rev_rows
+end
+
 module Collector = struct
   type t = { mutex : Mutex.t; mutable events : event list (* newest first *) }
 
-  type summary = {
-    draws : int;
-    rejected : int;
-    tests : int;
-    gen_seconds : float;
-    symex_seconds : float;
-    symex_ticks : int;
-    paths_completed : int;
-    paths_pruned : int;
-    paths_unknown : int;
-    solver_calls : int;
-    solver_decisions : int;
-    model_reuses : int;
-    timeouts : int;
-    cache_hits : int;
-    cache_misses : int;
-    unique_tests : int;
-    fuzz_draws : int;
-    fuzz_execs : int;
-    fuzz_new_tests : int;
-    fuzz_edges_gained : int;
-    difftests : int;
-    difftest_execs : int;
-    disagreeing_tests : int;
-    pool_batches : int;
-    pool_tasks : int;
-  }
+  type summary = { ints : int array; floats : float array }
 
   let create () = { mutex = Mutex.create (); events = [] }
 
@@ -90,57 +210,32 @@ module Collector = struct
     t.events <- [];
     Mutex.unlock t.mutex
 
-  let empty_summary =
-    {
-      draws = 0; rejected = 0; tests = 0; gen_seconds = 0.0;
-      symex_seconds = 0.0; symex_ticks = 0; paths_completed = 0;
-      paths_pruned = 0; paths_unknown = 0; solver_calls = 0;
-      solver_decisions = 0; model_reuses = 0; timeouts = 0; cache_hits = 0;
-      cache_misses = 0; unique_tests = 0; fuzz_draws = 0; fuzz_execs = 0;
-      fuzz_new_tests = 0; fuzz_edges_gained = 0; difftests = 0;
-      difftest_execs = 0; disagreeing_tests = 0; pool_batches = 0;
-      pool_tasks = 0;
-    }
+  let get : type a. summary -> a Stat.t -> a =
+   fun s st ->
+    match st.kind with Int -> s.ints.(st.slot) | Float -> s.floats.(st.slot)
+
+  let add : type a. summary -> a Stat.t -> event -> unit =
+   fun s st ev ->
+    match st.kind with
+    | Int -> s.ints.(st.slot) <- s.ints.(st.slot) + st.of_event ev
+    | Float -> s.floats.(st.slot) <- s.floats.(st.slot) +. st.of_event ev
 
   let summary t =
-    List.fold_left
-      (fun s -> function
-        | Draw_started _ -> s
-        | Draw_finished { tests; gen_seconds; symex_seconds; _ } ->
-            { s with draws = s.draws + 1; tests = s.tests + tests;
-              gen_seconds = s.gen_seconds +. gen_seconds;
-              symex_seconds = s.symex_seconds +. symex_seconds }
-        | Compile_rejected _ -> { s with rejected = s.rejected + 1 }
-        | Symex_done { stats = st; _ } ->
-            { s with symex_ticks = s.symex_ticks + st.ticks_used;
-              paths_completed = s.paths_completed + st.paths_completed;
-              paths_pruned = s.paths_pruned + st.paths_pruned;
-              paths_unknown = s.paths_unknown + st.paths_unknown;
-              solver_calls = s.solver_calls + st.solver_calls;
-              solver_decisions = s.solver_decisions + st.solver_decisions;
-              model_reuses = s.model_reuses + st.model_reuses;
-              timeouts = (s.timeouts + if st.timed_out then 1 else 0) }
-        | Cache_hit _ -> { s with cache_hits = s.cache_hits + 1 }
-        | Cache_miss _ -> { s with cache_misses = s.cache_misses + 1 }
-        | Suite_aggregated { unique_tests; _ } ->
-            { s with unique_tests = s.unique_tests + unique_tests }
-        | Fuzz_done { execs; new_tests; edges_seed; edges_after; _ } ->
-            { s with fuzz_draws = s.fuzz_draws + 1;
-              fuzz_execs = s.fuzz_execs + execs;
-              fuzz_new_tests = s.fuzz_new_tests + new_tests;
-              fuzz_edges_gained =
-                s.fuzz_edges_gained + max 0 (edges_after - edges_seed) }
-        | Fuzz_aggregated _ -> s
-        | Difftest_done { total_tests = _; disagreeing_tests; execs; _ } ->
-            { s with difftests = s.difftests + 1;
-              difftest_execs = s.difftest_execs + execs;
-              disagreeing_tests = s.disagreeing_tests + disagreeing_tests }
-        | Pool_merged { tasks; _ } ->
-            { s with pool_batches = s.pool_batches + 1;
-              pool_tasks = s.pool_tasks + tasks })
-      empty_summary (events t)
+    let s =
+      { ints = Array.make !Stat.n_ints 0;
+        floats = Array.make !Stat.n_floats 0.0 }
+    in
+    List.iter
+      (fun ev -> List.iter (fun (Stat.Row st) -> add s st ev) Stat.rows)
+      (events t);
+    s
 
-  let pp_summary ppf (s : summary) =
+  let delta ~before s =
+    { ints = Array.map2 ( - ) s.ints before.ints;
+      floats = Array.map2 ( -. ) s.floats before.floats }
+
+  let pp_summary ppf s =
+    let g st = get s st in
     Format.fprintf ppf
       "draws        %d finished, %d rejected, %d raw tests@\n\
        generation   %.2f s wall@\n\
@@ -153,10 +248,12 @@ module Collector = struct
        +%d edges@\n\
        difftest     %d runs, %d executions, %d disagreeing tests@\n\
        pool         %d batches, %d tasks"
-      s.draws s.rejected s.tests s.gen_seconds s.symex_seconds s.symex_ticks
-      s.paths_completed s.paths_pruned s.paths_unknown s.solver_calls
-      s.timeouts s.solver_decisions s.model_reuses s.cache_hits
-      s.cache_misses s.unique_tests s.fuzz_draws s.fuzz_execs s.fuzz_new_tests
-      s.fuzz_edges_gained s.difftests s.difftest_execs s.disagreeing_tests
-      s.pool_batches s.pool_tasks
+      (g Stat.draws) (g Stat.rejected) (g Stat.tests) (g Stat.gen_seconds)
+      (g Stat.symex_seconds) (g Stat.symex_ticks) (g Stat.paths_completed)
+      (g Stat.paths_pruned) (g Stat.paths_unknown) (g Stat.solver_calls)
+      (g Stat.timeouts) (g Stat.solver_decisions) (g Stat.model_reuses)
+      (g Stat.cache_hits) (g Stat.cache_misses) (g Stat.unique_tests)
+      (g Stat.fuzz_draws) (g Stat.fuzz_execs) (g Stat.fuzz_new_tests)
+      (g Stat.fuzz_edges_gained) (g Stat.difftests) (g Stat.difftest_execs)
+      (g Stat.disagreeing_tests) (g Stat.pool_batches) (g Stat.pool_tasks)
 end

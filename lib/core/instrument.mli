@@ -82,42 +82,117 @@ val null : sink
 
 val tee : sink -> sink -> sink
 
+(** Whether a value is a function of the run's inputs alone ([Det]:
+    identical across pool sizes, cache states and machines) or
+    describes the environment the run happened in ([Env]: wall clock,
+    cache traffic, pool utilization). Traces, metrics and summaries
+    class every field with it, and strip the [Env] half to compare
+    runs. *)
+type cls = Det | Env
+
+(** The stats table: every summed pipeline statistic, declared once.
+
+    A row names a total (its [key] in the summary JSON), the metric
+    that exposes it, its {!cls}, and what each event contributes to it.
+    Every summed view is derived from {!rows}: {!Collector.summary},
+    the [Eywa_obs] counters and gauges, the summary-totals JSON and the
+    bench's per-stage deltas. To add a stat, add one row here (and, if
+    it is a per-draw symex count, one {!Eywa_symex.Exec.stats} field
+    and column). *)
+module Stat : sig
+  type _ kind = Int : int kind | Float : float kind
+
+  type 'a t = private {
+    key : string;  (** summary-totals JSON key *)
+    metric : string;  (** Prometheus name *)
+    help : string;  (** [""] for none *)
+    cls : cls;
+    kind : 'a kind;
+        (** [Int] rows expose as counters, [Float] rows as gauges
+            holding the running total *)
+    slot : int;  (** position among the rows of its kind *)
+    of_event : event -> 'a;  (** contribution; zero for other events *)
+  }
+
+  type row = Row : 'a t -> row
+
+  val rows : row list
+  (** Every stat, in summary-totals order. *)
+
+  val draws : int t
+  (** [Draw_finished] events *)
+
+  val rejected : int t
+  (** [Compile_rejected] events *)
+
+  val tests : int t
+  (** tests over finished draws, before suite dedup *)
+
+  val gen_seconds : float t
+  (** wall clock *)
+
+  val symex_seconds : float t
+  (** wall clock *)
+
+  val symex_ticks : int t
+  val paths_completed : int t
+  val paths_pruned : int t
+
+  val paths_unknown : int t
+  (** solves that hit the decision budget *)
+
+  val solver_calls : int t
+
+  val solver_decisions : int t
+  (** search decisions executed *)
+
+  val model_reuses : int t
+  (** probes answered by the parent path's model *)
+
+  val timeouts : int t
+  (** draws that exhausted the tick budget *)
+
+  val cache_hits : int t
+  val cache_misses : int t
+
+  val unique_tests : int t
+  (** summed over [Suite_aggregated] events *)
+
+  val fuzz_draws : int t
+  (** [Fuzz_done] events *)
+
+  val fuzz_execs : int t
+  (** candidate executions, a deterministic counter *)
+
+  val fuzz_new_tests : int t
+
+  val fuzz_edges_gained : int t
+  (** coverage gain summed over draws: [max 0 (edges_after - edges_seed)] *)
+
+  val difftests : int t
+  (** [Difftest_done] events *)
+
+  val difftest_execs : int t
+  (** implementation executions over all suites *)
+
+  val disagreeing_tests : int t
+
+  val pool_batches : int t
+  (** [Pool_merged] events *)
+
+  val pool_tasks : int t
+  (** logical units summed over batches *)
+end
+
 (** Collecting sink: remembers events in emission order and folds them
-    into summary counters. Safe to share across domains (the adapters
+    into the {!Stat} totals. Safe to share across domains (the adapters
     emit difftest events from the orchestrating domain, the pipeline
     from its merge point; a mutex guards the buffer regardless). *)
 module Collector : sig
   type t
 
-  type summary = {
-    draws : int;  (** [Draw_finished] events *)
-    rejected : int;  (** [Compile_rejected] events *)
-    tests : int;  (** tests over finished draws, before suite dedup *)
-    gen_seconds : float;
-    symex_seconds : float;
-    symex_ticks : int;
-    paths_completed : int;
-    paths_pruned : int;
-    paths_unknown : int;  (** solves that hit the decision budget *)
-    solver_calls : int;
-    solver_decisions : int;  (** search decisions executed *)
-    model_reuses : int;  (** probes answered by the parent path's model *)
-    timeouts : int;  (** draws that exhausted the tick budget *)
-    cache_hits : int;
-    cache_misses : int;
-    unique_tests : int;  (** summed over [Suite_aggregated] events *)
-    fuzz_draws : int;  (** [Fuzz_done] events *)
-    fuzz_execs : int;  (** candidate executions, a deterministic counter *)
-    fuzz_new_tests : int;
-    fuzz_edges_gained : int;
-        (** coverage gain summed over draws:
-            [max 0 (edges_after - edges_seed)] *)
-    difftests : int;
-    difftest_execs : int;  (** implementation executions over all suites *)
-    disagreeing_tests : int;
-    pool_batches : int;  (** [Pool_merged] events *)
-    pool_tasks : int;  (** logical units summed over batches *)
-  }
+  type summary
+  (** Every {!Stat} row's total. *)
 
   val create : unit -> t
   val sink : t -> sink
@@ -126,6 +201,12 @@ module Collector : sig
 
   val summary : t -> summary
   val clear : t -> unit
+
+  val get : summary -> 'a Stat.t -> 'a
+  (** [get s Stat.symex_ticks] is that row's total. *)
+
+  val delta : before:summary -> summary -> summary
+  (** Row-wise difference: what happened between two summaries. *)
 
   val pp_summary : Format.formatter -> summary -> unit
   (** Human-readable multi-line rendering, one stage per line. *)

@@ -331,11 +331,9 @@ let artifact_to_string ((r : model_result), program) =
   | Some e -> line "err %s" (Serialize.quote e));
   (match r.stats with
   | None -> line "stats -"
-  | Some (st : Exec.stats) ->
-      line "stats %d %d %d %d %d %d %d %d" st.paths_completed st.paths_pruned
-        st.paths_unknown st.solver_calls st.solver_decisions st.model_reuses
-        (if st.timed_out then 1 else 0)
-        st.ticks_used);
+  | Some st ->
+      let column (_, get) = string_of_int (get st) in
+      line "stats %s" (String.concat " " (List.map column Exec.stats_columns)));
   line "src %s" (Serialize.quote r.c_source);
   (match program with
   | None -> line "prog -"
@@ -397,31 +395,12 @@ let artifact_of_string g ~main s =
       if stats_line = "-" then Ok None
       else
         match
-          String.split_on_char ' ' stats_line |> List.map int_of_string_opt
+          Exec.stats_of_columns
+            (List.map int_of_string (String.split_on_char ' ' stats_line))
         with
-        | [
-            Some completed;
-            Some pruned;
-            Some unknown;
-            Some calls;
-            Some decisions;
-            Some model_reuses;
-            Some timed;
-            Some ticks;
-          ] ->
-            Ok
-              (Some
-                 {
-                   Exec.paths_completed = completed;
-                   paths_pruned = pruned;
-                   paths_unknown = unknown;
-                   solver_calls = calls;
-                   solver_decisions = decisions;
-                   model_reuses;
-                   timed_out = timed <> 0;
-                   ticks_used = ticks;
-                 })
-        | _ -> Error (Printf.sprintf "bad stats line %S" stats_line)
+        | Some st -> Ok (Some st)
+        | None | (exception Failure _) ->
+            Error (Printf.sprintf "bad stats line %S" stats_line)
     in
     let* src_quoted = field "src" in
     let* c_source = Serialize.unquote src_quoted in

@@ -190,32 +190,14 @@ let chrome_trace (t : Trace.t) =
 
 (* ----- shared summary-totals schema ----- *)
 
-let summary_totals (s : Eywa_core.Instrument.Collector.summary) =
-  Json.Obj
-    [
-      ("draws", Json.Int s.draws);
-      ("rejected", Json.Int s.rejected);
-      ("tests", Json.Int s.tests);
-      ("gen_seconds", Json.Float s.gen_seconds);
-      ("symex_seconds", Json.Float s.symex_seconds);
-      ("symex_ticks", Json.Int s.symex_ticks);
-      ("paths_completed", Json.Int s.paths_completed);
-      ("paths_pruned", Json.Int s.paths_pruned);
-      ("paths_unknown", Json.Int s.paths_unknown);
-      ("solver_calls", Json.Int s.solver_calls);
-      ("solver_decisions", Json.Int s.solver_decisions);
-      ("model_reuses", Json.Int s.model_reuses);
-      ("timeouts", Json.Int s.timeouts);
-      ("cache_hits", Json.Int s.cache_hits);
-      ("cache_misses", Json.Int s.cache_misses);
-      ("unique_tests", Json.Int s.unique_tests);
-      ("fuzz_draws", Json.Int s.fuzz_draws);
-      ("fuzz_execs", Json.Int s.fuzz_execs);
-      ("fuzz_new_tests", Json.Int s.fuzz_new_tests);
-      ("fuzz_edges_gained", Json.Int s.fuzz_edges_gained);
-      ("difftests", Json.Int s.difftests);
-      ("difftest_execs", Json.Int s.difftest_execs);
-      ("disagreeing_tests", Json.Int s.disagreeing_tests);
-      ("pool_batches", Json.Int s.pool_batches);
-      ("pool_tasks", Json.Int s.pool_tasks);
-    ]
+module Instrument = Eywa_core.Instrument
+
+let summary_fields s =
+  List.map
+    (fun (Instrument.Stat.Row st) ->
+      let v = Instrument.Collector.get s st in
+      ( st.key,
+        match st.kind with Int -> Json.Int v | Float -> Json.Float v ))
+    Instrument.Stat.rows
+
+let summary_totals s = Json.Obj (summary_fields s)

@@ -27,8 +27,13 @@ val chrome_trace : Trace.t -> string
     attributes appear under [args.det], environment attributes under
     [args.env]. *)
 
+val summary_fields :
+  Eywa_core.Instrument.Collector.summary ->
+  (string * Eywa_core.Serialize.Json.t) list
+(** One [(key, total)] field per {!Eywa_core.Instrument.Stat.rows} row,
+    in table order: integers for [Int] rows, floats for the wall-clock
+    [*_seconds] rows, so consumers can strip those by name. *)
+
 val summary_totals : Eywa_core.Instrument.Collector.summary -> Eywa_core.Serialize.Json.t
-(** Every summary counter as a flat JSON object — the ["totals"]
-    schema shared by bench [--summary-json] and [stats --json].
-    Wall-clock fields keep their [*_seconds] names so consumers can
-    strip them. *)
+(** [summary_fields] as one flat JSON object — the ["totals"] schema
+    shared by bench [--summary-json] and [stats --json]. *)

@@ -1,6 +1,6 @@
 module Json = Eywa_core.Serialize.Json
 
-type cls = Trace.cls = Det | Env
+type cls = Eywa_core.Instrument.cls = Det | Env
 
 type counter_state = { mutable count : int }
 

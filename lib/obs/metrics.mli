@@ -11,7 +11,7 @@
     {!expose} can leave them out so the remainder is comparable across
     runs. *)
 
-type cls = Trace.cls = Det | Env
+type cls = Eywa_core.Instrument.cls = Det | Env
 
 type t
 (** A registry. Instrument updates and {!expose} are serialized by an

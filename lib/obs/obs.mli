@@ -10,12 +10,15 @@
 
 type t
 
-val create : ?metrics:Metrics.t -> label:string -> unit -> t
-(** A fresh context whose root span id is [label]. The registry
-    (default: a fresh one) is populated with the standard pipeline
-    instruments — counters and fixed-bucket histograms for draws,
-    symex ticks, fuzz coverage, difftest executions ([Det]); wall
-    clock, cache traffic and pool utilization ([Env]). *)
+val create : label:string -> unit -> t
+(** A fresh context whose root span id is [label], with a fresh
+    registry holding the standard pipeline instruments: one counter
+    per [Int] row of {!Eywa_core.Instrument.Stat.rows} and one
+    running-total gauge per [Float] row, each classed as its row is;
+    fixed-bucket histograms of tests and symex ticks per draw, fuzz
+    edge gain per round and difftest executions per suite ([Det]); and
+    the pool's computed units, queue-wait ticks, size and per-worker
+    tasks ([Env]). *)
 
 val sink : t -> Eywa_core.Instrument.sink
 

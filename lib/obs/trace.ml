@@ -1,7 +1,7 @@
 module Instrument = Eywa_core.Instrument
 module Json = Eywa_core.Serialize.Json
 
-type cls = Det | Env
+type cls = Instrument.cls = Det | Env
 
 type attrs = (string * Json.t) list
 
@@ -119,16 +119,9 @@ let feed b (ev : Instrument.event) =
              end_at = at;
              cls = Det;
              det =
-               [
-                 ("ticks", Json.Int st.ticks_used);
-                 ("paths_completed", Json.Int st.paths_completed);
-                 ("paths_pruned", Json.Int st.paths_pruned);
-                 ("paths_unknown", Json.Int st.paths_unknown);
-                 ("solver_calls", Json.Int st.solver_calls);
-                 ("solver_decisions", Json.Int st.solver_decisions);
-                 ("model_reuses", Json.Int st.model_reuses);
-                 ("timed_out", Json.Bool st.timed_out);
-               ];
+               List.map
+                 (fun (name, get) -> (name, Json.Int (get st)))
+                 Eywa_symex.Exec.stats_columns;
              env = [];
            })
   | Cache_hit { stage; key } | Cache_miss { stage; key } ->

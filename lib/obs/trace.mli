@@ -16,7 +16,7 @@
     paths, edges and test counts are [Det] and must stay identical
     across pool sizes and cache states. *)
 
-type cls = Det | Env
+type cls = Eywa_core.Instrument.cls = Det | Env
 
 type attrs = (string * Eywa_core.Serialize.Json.t) list
 

@@ -38,6 +38,27 @@ type stats = {
   ticks_used : int;
 }
 
+let stats_columns =
+  [
+    ("paths_completed", fun s -> s.paths_completed);
+    ("paths_pruned", fun s -> s.paths_pruned);
+    ("paths_unknown", fun s -> s.paths_unknown);
+    ("solver_calls", fun s -> s.solver_calls);
+    ("solver_decisions", fun s -> s.solver_decisions);
+    ("model_reuses", fun s -> s.model_reuses);
+    ("timed_out", fun s -> Bool.to_int s.timed_out);
+    ("ticks_used", fun s -> s.ticks_used);
+  ]
+
+let stats_of_columns = function
+  | [ paths_completed; paths_pruned; paths_unknown; solver_calls;
+      solver_decisions; model_reuses; timed_out; ticks_used ] ->
+      Some
+        { paths_completed; paths_pruned; paths_unknown; solver_calls;
+          solver_decisions; model_reuses; timed_out = timed_out <> 0;
+          ticks_used }
+  | _ -> None
+
 type ctx = {
   program : Ast.program;
   config : config;

@@ -63,6 +63,18 @@ type stats = {
           across hosts (unlike wall seconds) *)
 }
 
+val stats_columns : (string * (stats -> int)) list
+(** Every [stats] field as a named integer column ([timed_out] as 0/1),
+    in the slot order of the draw artifact's [stats] line, which the
+    on-disk synthesis cache stores. The trace's symex span lists the
+    same columns. A new field appends a column and bumps the artifact
+    header in [Pipeline]; reordering columns would misread every cache
+    written before. *)
+
+val stats_of_columns : int list -> stats option
+(** Inverse of {!stats_columns}: [None] unless the list has exactly one
+    value per column. *)
+
 val run :
   ?config:config ->
   ?natives:(string * (Sv.t list -> Sv.t)) list ->

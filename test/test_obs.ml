@@ -3,7 +3,8 @@
    - The wall-clock-stripped trace of a full run (synthesis + fuzz +
      difftest through one Obs context) is byte-identical at jobs=1 vs
      jobs=4 and warm vs cold cache, as is the env-stripped metrics
-     exposition.
+     exposition, whose sample for every Det stat equals that stat's
+     summary total.
    - Every trace is well-formed: one root, every span closed, parents
      open before children, ids collision-free — across all 13 models.
    - Serialize.Json and the JSONL trace format round-trip exactly;
@@ -36,35 +37,39 @@ let model = Dns_models.cname
 let fuzz_config = { Eywa_fuzz.Fuzz.default_config with budget = 120 }
 
 (* One full observed run: synthesis, fuzz, difftest, all through the
-   same context. *)
-let observed_run ~jobs ~cache =
+   same context; [sink] sees the same events after the context. *)
+let observed_run ?(sink = Instrument.null) ~jobs ~cache () =
   let ctx = Obs.create ~label:model.Model_def.id () in
   let s =
     match
-      Model_def.synthesize ~cache ~obs:ctx ~k:3 ~timeout:2.0 ~jobs ~oracle
-        model
+      Model_def.synthesize ~cache ~obs:ctx ~sink ~k:3 ~timeout:2.0 ~jobs
+        ~oracle model
     with
     | Ok s -> s
     | Error e -> failwith e
   in
   (match
-     Model_def.fuzz ~cache ~obs:ctx ~fuzz_config ~k:3 ~timeout:2.0 ~jobs
+     Model_def.fuzz ~cache ~obs:ctx ~sink ~fuzz_config ~k:3 ~timeout:2.0 ~jobs
        ~oracle model s
    with
   | Ok _ -> ()
   | Error e -> failwith e);
   ignore
-    (Dns_adapter.run ~jobs ~sink:(Obs.sink ctx) ~model_id:model.Model_def.id
-       ~version:Eywa_dns.Impls.Old s.Eywa_core.Pipeline.unique_tests);
+    (Dns_adapter.run ~jobs ~sink:(Instrument.tee (Obs.sink ctx) sink)
+       ~model_id:model.Model_def.id ~version:Eywa_dns.Impls.Old
+       s.Eywa_core.Pipeline.unique_tests);
   ctx
 
 let test_stripped_trace_identical () =
   (* run order matters: the second run must find the first one's cache
      warm, the third must start cold again *)
   let cache = Cache.create () in
-  let ctx1 = observed_run ~jobs:1 ~cache in
-  let ctx2 = observed_run ~jobs:4 ~cache in
-  let ctx3 = observed_run ~jobs:4 ~cache:(Cache.create ()) in
+  let collector = Instrument.Collector.create () in
+  let ctx1 =
+    observed_run ~sink:(Instrument.Collector.sink collector) ~jobs:1 ~cache ()
+  in
+  let ctx2 = observed_run ~jobs:4 ~cache () in
+  let ctx3 = observed_run ~jobs:4 ~cache:(Cache.create ()) () in
   let stripped ctx = Export.to_jsonl (Trace.strip (Obs.finish ctx)) in
   let s1 = stripped ctx1 and s2 = stripped ctx2 and s3 = stripped ctx3 in
   check_string "jobs=1 cold = jobs=4 warm" s1 s2;
@@ -77,7 +82,37 @@ let test_stripped_trace_identical () =
   (* the unstripped traces DO differ (cache events, pool env), so the
      strip is doing real work *)
   check "unstripped warm trace differs from cold" true
-    (Export.to_jsonl (Obs.finish ctx1) <> Export.to_jsonl (Obs.finish ctx2))
+    (Export.to_jsonl (Obs.finish ctx1) <> Export.to_jsonl (Obs.finish ctx2));
+  (* the summary totals and the metrics are two views of one stats
+     table: every Det row reads the same in both *)
+  let totals =
+    Export.summary_totals (Instrument.Collector.summary collector)
+  in
+  let samples =
+    String.split_on_char '\n' (metrics ctx1)
+    |> List.filter_map (fun l ->
+           match String.split_on_char ' ' l with
+           | [ name; v ] when l.[0] <> '#' -> Some (name, v)
+           | _ -> None)
+  in
+  let rows = Instrument.Stat.rows in
+  List.iter
+    (fun (Instrument.Stat.Row st) ->
+      if st.cls = Det then
+        match (Json.member st.key totals, List.assoc_opt st.metric samples) with
+        | Some v, Some sample ->
+            check_string (st.key ^ " total = " ^ st.metric) (Json.to_string v)
+              sample
+        | None, _ -> Alcotest.failf "no %S in the summary totals" st.key
+        | _, None -> Alcotest.failf "no %S in the stripped metrics" st.metric)
+    rows;
+  let unique names =
+    List.length (List.sort_uniq compare names) = List.length names
+  in
+  check "stat keys are unique" true
+    (unique (List.map (fun (Instrument.Stat.Row st) -> st.key) rows));
+  check "stat metric names are unique" true
+    (unique (List.map (fun (Instrument.Stat.Row st) -> st.metric) rows))
 
 let test_well_formed_all_models () =
   let traces =
@@ -107,7 +142,7 @@ let test_well_formed_all_models () =
     (List.length (List.sort_uniq compare all_ids))
 
 let test_trace_roundtrip_and_strip () =
-  let t = Obs.finish (observed_run ~jobs:2 ~cache:(Cache.create ())) in
+  let t = Obs.finish (observed_run ~jobs:2 ~cache:(Cache.create ()) ()) in
   (match Export.of_jsonl (Export.to_jsonl t) with
   | Ok t' -> check "JSONL round-trips the trace" true (t' = t)
   | Error e -> Alcotest.failf "of_jsonl: %s" e);
@@ -294,7 +329,7 @@ let qcheck_collector_cross_domain =
          in
          ys = xs
          && List.length (Instrument.Collector.events c) = 2 * List.length xs
-         && (Instrument.Collector.summary c).Instrument.Collector.symex_ticks
+         && Instrument.(Collector.get (Collector.summary c) Stat.symex_ticks)
             = List.fold_left ( + ) 0 xs))
 
 (* ----- difftest + fuzz counters ----- *)
@@ -314,7 +349,8 @@ let test_difftest_execs () =
   check "difftest recorded executions" true (r.Difftest.observations > 0);
   let summary = Instrument.Collector.summary c in
   check_int "Difftest_done.execs = report.observations"
-    r.Difftest.observations summary.Instrument.Collector.difftest_execs;
+    r.Difftest.observations
+    (Instrument.Collector.get summary Instrument.Stat.difftest_execs);
   let execs_evt =
     List.filter_map
       (function
@@ -354,11 +390,11 @@ let test_summary_fuzz_edges_gained () =
       0 f.Eywa_fuzz.Fuzz.per_draw
   in
   check_int "summary.fuzz_edges_gained sums per-draw gains" expected
-    (Instrument.Collector.summary c).Instrument.Collector.fuzz_edges_gained;
+    Instrument.(Collector.get (Collector.summary c) Stat.fuzz_edges_gained);
   (* only the fuzz stage ran under this sink: one pool batch, one
      logical unit per draw *)
   check_int "summary counts the pool batches" 1
-    (Instrument.Collector.summary c).Instrument.Collector.pool_batches;
+    Instrument.(Collector.get (Collector.summary c) Stat.pool_batches);
   check "the batch is the fuzz stage's" true
     (List.exists
        (function
