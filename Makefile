@@ -1,7 +1,7 @@
 # Development entry points. `make check` is the PR gate: everything
 # builds, every test passes, and formatting is clean.
 
-.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke perfbench-smoke check bench clean
+.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke examples-smoke perfbench-smoke check bench clean
 
 all: build
 
@@ -60,13 +60,34 @@ trace-smoke:
 	  --summary-json /tmp/eywa-trace-smoke/summary.json > /dev/null
 	dune exec bin/eywa_cli.exe -- trace --json /tmp/eywa-trace-smoke/summary.json
 
+# every example runs to completion, and the stateful ones still find
+# their seeded bugs: SMTP's aiosmtpd bug, and a root cause in each of
+# the two quirky TCP stacks
+examples-smoke:
+	@for ex in quickstart dns_bughunt bgp_policy; do \
+	  dune exec examples/$$ex.exe > /dev/null \
+	    || { echo "examples-smoke: $$ex exited non-zero"; exit 1; }; \
+	done
+	@out=$$(dune exec examples/smtp_stateful.exe) \
+	  || { echo "examples-smoke: smtp_stateful exited non-zero"; exit 1; }; \
+	echo "$$out" | grep -q "Found the Table 3 aiosmtpd bug" \
+	  || { echo "examples-smoke: smtp_stateful missed the aiosmtpd bug"; exit 1; }
+	@out=$$(dune exec examples/tcp_extension.exe) \
+	  || { echo "examples-smoke: tcp_extension exited non-zero"; exit 1; }; \
+	causes=$$(echo "$$out" | sed -n '/^root causes:/,/^$$/p'); \
+	for stack in fastopend quietstack; do \
+	  echo "$$causes" | grep -q "^  $$stack " \
+	    || { echo "examples-smoke: tcp_extension found no root cause in $$stack"; exit 1; }; \
+	done
+	@echo "examples-smoke: all five examples ran and found their bugs"
+
 # the tracked pipeline benchmark's self-test: builds it from source,
 # runs every workload at a tiny size and checks BENCHMARK.json against
 # its spec
 perfbench-smoke:
 	bash perfbench/run.sh --smoke
 
-check: build test fuzz-smoke trace-smoke perfbench-smoke fmt
+check: build test fuzz-smoke trace-smoke examples-smoke perfbench-smoke fmt
 
 bench:
 	dune exec bench/main.exe -- fast

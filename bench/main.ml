@@ -33,8 +33,7 @@
 module Model_def = Eywa_models.Model_def
 module All = Eywa_models.All_models
 module Dns_adapter = Eywa_models.Dns_adapter
-module Bgp_adapter = Eywa_models.Bgp_adapter
-module Smtp_adapter = Eywa_models.Smtp_adapter
+module Protocol = Eywa_models.Protocol
 module Pipeline = Eywa_core.Pipeline
 module Cache = Eywa_core.Cache
 module Instrument = Eywa_core.Instrument
@@ -150,72 +149,47 @@ let mark found = if found then "yes" else "MISSED"
 
 let table3 scale =
   Printf.printf "\n%s\nTable 3: bugs found by differential testing\n%s\n" line line;
-  (* DNS: run every model's tests against the Old versions (as the
-     paper does, to compare against SCALE's bug set) *)
-  let dns_tests =
-    List.map (fun (m : Model_def.t) -> (m.id, (synthesize scale m).unique_tests))
-      All.dns
-  in
-  let dns_found =
-    Dns_adapter.quirks_triggered ?jobs:!jobs ~version:Eywa_dns.Impls.Old
-      dns_tests
-  in
-  Printf.printf "%-6s %-12s %-55s %-18s %-5s %s\n" "Proto" "Impl" "Description"
-    "Bug type" "New?" "Found";
-  List.iter
-    (fun (impl, (b : Eywa_dns.Impls.bug)) ->
-      Printf.printf "%-6s %-12s %-55s %-18s %-5s %s\n" "DNS" impl b.description
-        b.bug_type
-        (if b.new_bug then "new" else "known")
-        (mark (List.mem (impl, b.quirk) dns_found)))
-    Eywa_dns.Impls.bug_catalog;
-  let bgp_tests =
-    List.map (fun (m : Model_def.t) -> (m.id, (synthesize scale m).unique_tests))
-      All.bgp
-  in
-  let bgp_found = Bgp_adapter.quirks_triggered ?jobs:!jobs bgp_tests in
-  List.iter
-    (fun (impl, (b : Eywa_bgp.Impls.bug)) ->
-      Printf.printf "%-6s %-12s %-55s %-18s %-5s %s\n" "BGP" impl b.description
-        b.bug_type
-        (if b.new_bug then "new" else "known")
-        (mark (List.mem (impl, b.quirk) bgp_found)))
-    Eywa_bgp.Impls.bug_catalog;
-  let smtp_synth = synthesize scale (List.hd All.smtp) in
-  let smtp_found =
-    match Smtp_adapter.state_graph_for smtp_synth with
-    | Ok graph ->
-        Smtp_adapter.quirks_triggered ?jobs:!jobs ~graph smtp_synth.unique_tests
+  (* one attribution call per protocol over all its models; DNS runs
+     against the Old versions (as the paper does, to compare against
+     SCALE's bug set) *)
+  let found models =
+    match
+      Protocol.root_causes ?jobs:!jobs ~version:Eywa_dns.Impls.Old
+        (List.map (fun m -> (m, synthesize scale m)) models)
+    with
+    | Ok found -> found
     | Error _ -> []
   in
+  let dns_found = found All.dns in
+  let bgp_found = found All.bgp in
+  let smtp_found = found All.smtp in
+  Printf.printf "%-6s %-12s %-55s %-18s %-5s %s\n" "Proto" "Impl" "Description"
+    "Bug type" "New?" "Found";
+  (* implementation names are unique across protocols *)
+  let all_found = dns_found @ bgp_found @ smtp_found in
   List.iter
-    (fun (impl, (b : Eywa_smtp.Impls.bug)) ->
-      Printf.printf "%-6s %-12s %-55s %-18s %-5s %s\n" "SMTP" impl b.description
-        b.bug_type
+    (fun (b : Protocol.bug) ->
+      Printf.printf "%-6s %-12s %-55s %-18s %-5s %s\n" b.protocol b.impl
+        b.description b.bug_type
         (if b.new_bug then "new" else "known")
-        (mark (List.mem (impl, b.quirk) smtp_found)))
-    Eywa_smtp.Impls.bug_catalog;
+        (mark (List.mem (b.impl, b.quirk) all_found)))
+    Protocol.catalog;
   (* summary in the paper's accounting: unique root causes *)
-  let dns_unique =
-    List.sort_uniq compare (List.map (fun (_, q) -> q) dns_found)
-  in
-  let bgp_unique =
-    List.sort_uniq compare (List.map (fun (_, q) -> q) bgp_found)
-  in
+  let unique found = List.length (List.sort_uniq compare (List.map snd found)) in
   let new_dns =
     List.filter
       (fun (impl, q) ->
         List.exists
-          (fun (i, (b : Eywa_dns.Impls.bug)) -> i = impl && b.quirk = q && b.new_bug)
-          Eywa_dns.Impls.bug_catalog)
+          (fun (b : Protocol.bug) -> b.impl = impl && b.quirk = q && b.new_bug)
+          Protocol.catalog)
       dns_found
   in
   Printf.printf "%s\n" line;
   Printf.printf
     "Summary: DNS %d impl-bugs (%d unique root causes), BGP %d impl-bugs (%d \
      unique), SMTP %d; new impl-bugs (DNS) %d\n"
-    (List.length dns_found) (List.length dns_unique) (List.length bgp_found)
-    (List.length bgp_unique) (List.length smtp_found) (List.length new_dns);
+    (List.length dns_found) (unique dns_found) (List.length bgp_found)
+    (unique bgp_found) (List.length smtp_found) (List.length new_dns);
   Printf.printf
     "(paper: 38 DNS bugs / 26 unique / 11 new; 7 BGP rows / 5 unique / 3 new; 1 \
      SMTP)\n"

@@ -22,8 +22,11 @@ open Cmdliner
 module Model_def = Eywa_models.Model_def
 module All = Eywa_models.All_models
 module Difftest = Eywa_difftest.Difftest
+module Protocol = Eywa_models.Protocol
 
 let oracle = Eywa_llm.Gpt.oracle ()
+
+let ( let* ) = Result.bind
 
 let find_model id =
   match All.find (String.uppercase_ascii id) with
@@ -310,23 +313,16 @@ let replay_cmd =
     match find_model id with
     | Error e -> `Error (false, e)
     | Ok m -> (
-        match Eywa_core.Serialize.load suite with
+        match Protocol.replay ?jobs ~version m with
         | Error e -> `Error (false, e)
-        | Ok tests ->
-            Printf.printf "loaded %d tests from %s\n" (List.length tests) suite;
-            (match m.protocol with
-            | "DNS" ->
-                let report =
-                  Eywa_models.Dns_adapter.run ?jobs ~model_id:m.id ~version tests
-                in
-                Format.printf "%a" Difftest.pp_report report
-            | "BGP" ->
-                let report =
-                  Eywa_models.Bgp_adapter.run ?jobs ~model_id:m.id tests
-                in
-                Format.printf "%a" Difftest.pp_report report
-            | _ -> print_endline "replay currently supports DNS and BGP models");
-            `Ok ())
+        | Ok replay -> (
+            match Eywa_core.Serialize.load suite with
+            | Error e -> `Error (false, e)
+            | Ok tests ->
+                Printf.printf "loaded %d tests from %s\n" (List.length tests)
+                  suite;
+                Format.printf "%a" Difftest.pp_report (replay tests);
+                `Ok ()))
   in
   Cmd.v
     (Cmd.info "replay"
@@ -348,41 +344,20 @@ let difftest_cmd =
         | Error e -> `Error (false, e)
         | Ok s ->
             Printf.printf "%s: %d unique tests\n" m.id (List.length s.unique_tests);
-            let report, causes =
-              match m.protocol with
-              | "DNS" ->
-                  ( Eywa_models.Dns_adapter.run ?jobs ?sink:osink ~model_id:m.id
-                      ~version s.unique_tests,
-                    List.map
-                      (fun (impl, q) ->
-                        (impl, Eywa_dns.Lookup.quirk_to_string q))
-                      (Eywa_models.Dns_adapter.quirks_triggered ?jobs ~version
-                         [ (m.id, s.unique_tests) ]) )
-              | "BGP" ->
-                  ( Eywa_models.Bgp_adapter.run ?jobs ?sink:osink ~model_id:m.id
-                      s.unique_tests,
-                    List.map
-                      (fun (impl, q) -> (impl, Eywa_bgp.Quirks.to_string q))
-                      (Eywa_models.Bgp_adapter.quirks_triggered ?jobs
-                         [ (m.id, s.unique_tests) ]) )
-              | _ -> (
-                  match Eywa_models.Smtp_adapter.state_graph_for s with
-                  | Error e -> failwith e
-                  | Ok graph ->
-                      ( Eywa_models.Smtp_adapter.run ?jobs ?sink:osink ~graph
-                          s.unique_tests,
-                        List.map
-                          (fun (impl, _) -> (impl, "accept-mail-without-helo"))
-                          (Eywa_models.Smtp_adapter.quirks_triggered ?jobs ~graph
-                             s.unique_tests) ))
-            in
-            Format.printf "%a" Difftest.pp_report report;
-            print_endline "root causes:";
-            List.iter
-              (fun (impl, q) -> Printf.printf "  %-12s %s\n" impl q)
-              causes;
-            finish_obs obs trace_out metrics_out;
-            `Ok ())
+            match
+              let* report = Protocol.report ?jobs ?sink:osink ~version m s in
+              let* causes = Protocol.root_causes ?jobs ~version [ (m, s) ] in
+              Ok (report, causes)
+            with
+            | Error e -> `Error (false, e)
+            | Ok (report, causes) ->
+                Format.printf "%a" Difftest.pp_report report;
+                print_endline "root causes:";
+                List.iter
+                  (fun (impl, q) -> Printf.printf "  %-12s %s\n" impl q)
+                  causes;
+                finish_obs obs trace_out metrics_out;
+                `Ok ())
   in
   Cmd.v
     (Cmd.info "difftest"
@@ -433,22 +408,16 @@ let stats_cmd =
         let collector = Eywa_core.Instrument.Collector.create () in
         let sink = Eywa_core.Instrument.Collector.sink collector in
         match
-          Model_def.synthesize ?cache:(cache_of cache_dir) ~sink ~k
-            ~temperature ~seed ?timeout ?jobs ~oracle m
+          let* s =
+            Model_def.synthesize ?cache:(cache_of cache_dir) ~sink ~k
+              ~temperature ~seed ?timeout ?jobs ~oracle m
+          in
+          (* drive the difftest stage too, so its events show up *)
+          let* _ = Protocol.report ?jobs ~sink ~version m s in
+          Ok s
         with
         | Error e -> `Error (false, e)
         | Ok s ->
-            (* drive the difftest stage too, so its events show up *)
-            (match m.protocol with
-            | "DNS" ->
-                ignore
-                  (Eywa_models.Report.dns ~sink ~model_id:m.id ~version
-                     s.unique_tests)
-            | "BGP" ->
-                ignore
-                  (Eywa_models.Bgp_adapter.run ?jobs ~sink ~model_id:m.id
-                     s.unique_tests)
-            | _ -> ());
             let summary = Eywa_core.Instrument.Collector.summary collector in
             let hit, total = suite_coverage s m s.unique_tests in
             if as_json then
@@ -619,21 +588,14 @@ let metrics_cmd =
         let ctx = Eywa_obs.Obs.create ~label:m.id () in
         let sink = Eywa_obs.Obs.sink ctx in
         match
-          Model_def.synthesize ?cache:(cache_of cache_dir) ~sink ~k
-            ~temperature ~seed ?timeout ?jobs ~oracle m
+          let* s =
+            Model_def.synthesize ?cache:(cache_of cache_dir) ~sink ~k
+              ~temperature ~seed ?timeout ?jobs ~oracle m
+          in
+          Protocol.report ?jobs ~sink ~version m s
         with
         | Error e -> `Error (false, e)
-        | Ok s ->
-            (match m.protocol with
-            | "DNS" ->
-                ignore
-                  (Eywa_models.Dns_adapter.run ?jobs ~sink ~model_id:m.id
-                     ~version s.unique_tests)
-            | "BGP" ->
-                ignore
-                  (Eywa_models.Bgp_adapter.run ?jobs ~sink ~model_id:m.id
-                     s.unique_tests)
-            | _ -> ());
+        | Ok _ ->
             print_string
               (Eywa_obs.Metrics.expose ~strip_env (Eywa_obs.Obs.metrics ctx));
             `Ok ())
@@ -652,20 +614,10 @@ let metrics_cmd =
 let bugs_cmd =
   let run () =
     List.iter
-      (fun (impl, (b : Eywa_dns.Impls.bug)) ->
-        Printf.printf "DNS   %-12s %-55s %s\n" impl b.description
+      (fun (b : Protocol.bug) ->
+        Printf.printf "%-5s %-12s %-55s %s\n" b.protocol b.impl b.description
           (if b.new_bug then "new" else "known"))
-      Eywa_dns.Impls.bug_catalog;
-    List.iter
-      (fun (impl, (b : Eywa_bgp.Impls.bug)) ->
-        Printf.printf "BGP   %-12s %-55s %s\n" impl b.description
-          (if b.new_bug then "new" else "known"))
-      Eywa_bgp.Impls.bug_catalog;
-    List.iter
-      (fun (impl, (b : Eywa_smtp.Impls.bug)) ->
-        Printf.printf "SMTP  %-12s %-55s %s\n" impl b.description
-          (if b.new_bug then "new" else "known"))
-      Eywa_smtp.Impls.bug_catalog;
+      Protocol.catalog;
     `Ok ()
   in
   Cmd.v (Cmd.info "bugs" ~doc:"Print the Table 3 bug catalog.")

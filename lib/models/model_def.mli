@@ -3,7 +3,9 @@
 
 type t = {
   id : string;  (** Table 2 name, e.g. "CNAME" *)
-  protocol : string;  (** "DNS" | "BGP" | "SMTP" *)
+  protocol : string;
+      (** "DNS" | "BGP" | "SMTP" | "TCP"; {!Protocol} picks the adapter
+          by it *)
   graph : Eywa_core.Graph.t;
   main : Eywa_core.Emodule.t;
   spec_loc : int;  (** lines of the defining model code (Table 2 "LOC") *)

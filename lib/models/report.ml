@@ -39,14 +39,8 @@ let dns_witness ~model_id ~version impl tests =
             (Difftest.compare_all obs))
     tests
 
-let dns ?(sink = Eywa_core.Instrument.null) ?obs ?coverage ~model_id ~version
-    tests =
-  let sink =
-    match obs with
-    | None -> sink
-    | Some ctx -> Eywa_core.Instrument.tee (Eywa_obs.Obs.sink ctx) sink
-  in
-  let report = Dns_adapter.run ~sink ~model_id ~version tests in
+let dns ?coverage ~model_id ~version tests =
+  let report = Dns_adapter.run ~model_id ~version tests in
   let base = render_generic ~title:(Printf.sprintf "Eywa findings: DNS %s model" model_id) report in
   let buf = Buffer.create (String.length base + 1024) in
   Buffer.add_string buf base;

@@ -7,17 +7,12 @@
     the §2.3-style zone file and query of a witness test. *)
 
 val dns :
-  ?sink:Eywa_core.Instrument.sink ->
-  ?obs:Eywa_obs.Obs.t ->
   ?coverage:int * int ->
   model_id:string ->
   version:Eywa_dns.Impls.version ->
   Eywa_core.Testcase.t list ->
   string
 (** Run differential testing over the tests and render the findings.
-    [sink] receives the [Pool_merged]/[Difftest_done] events the
-    difftest merge emits (default: none); [obs] additionally feeds an
-    observability context (its sink is teed in front of [sink]).
     [coverage] is the suite's [(edges hit, edges total)] over the
     compiled models (see {!Eywa_fuzz.Coverage.of_suite}); when given,
     the report carries a model-coverage line. *)

@@ -1,61 +1,27 @@
 module Smtp = Eywa_smtp
-module Difftest = Eywa_difftest.Difftest
-module Testcase = Eywa_core.Testcase
-module Stategraph = Eywa_stategraph.Stategraph
+module Stateful = Stateful_adapter
 
-let state_graph_for (synth : Eywa_core.Pipeline.t) =
-  match
-    List.find_opt
-      (fun (r : Eywa_core.Pipeline.model_result) -> r.compile_error = None)
-      synth.results
-  with
-  | None -> Error "no compiled model to extract a state graph from"
-  | Some r ->
-      let response = Eywa_llm.Gpt.complete_stategraph r.c_source in
-      (match Eywa_llm.Extract.parse_pydict response with
-      | Error m -> Error m
-      | Ok transitions -> Ok (Stategraph.of_list transitions))
+let machine =
+  {
+    Stateful.start = "INITIAL";
+    states = Smtp_models.states;
+    input_field = "input";
+    run =
+      (fun quirks letters ->
+        Smtp.Machine.run_session ~quirks
+          (List.map Smtp.Machine.command_of_letter letters));
+    impls =
+      List.map
+        (fun impl -> (impl.Smtp.Impls.name, Smtp.Impls.quirks impl))
+        Smtp.Impls.all;
+    label = "SERVER";
+    suspects = Eywa_difftest.Difftest.dissenters;
+  }
 
-let probe impl graph state input =
-  match Smtp.Impls.drive_and_probe impl graph ~state ~input with
-  | Ok reply -> [ ("reply", reply); ("drive", "ok") ]
-  | Error m -> [ ("reply", ""); ("drive", m) ]
-
-(* Attribution compares the whole session's replies, not only the
-   probed one. *)
-let prepare ~graph (test : Testcase.t) =
-  if test.bad_input || test.error <> None then None
-  else begin
-    let state = Smtp_models.test_state test in
-    let input = Smtp_models.test_input test in
-    if input = "" then None
-    else
-      let serve quirks =
-        Option.map
-          (fun prefix ->
-            Smtp.Machine.run_session ~quirks
-              (List.map Smtp.Machine.command_of_letter (prefix @ [ input ])))
-          (Stategraph.path_to graph ~start:"INITIAL" ~goal:state)
-      in
-      Some
-        ( List.map
-            (fun impl ->
-              { Difftest.impl = impl.Smtp.Impls.name;
-                fields = probe impl graph state input })
-            Smtp.Impls.all,
-          serve )
-  end
-
-let observations_for ~graph test = Option.map fst (prepare ~graph test)
-
-let run ?jobs ?sink ~graph tests =
-  Difftest.run ?jobs ?sink ~label:"SERVER" ~observe:(observations_for ~graph)
-    tests
+let state_graph_for = Stateful.state_graph_for
+let prepare ~graph = Stateful.prepare machine ~graph
+let observations_for ~graph = Stateful.observations_for machine ~graph
+let run ?jobs ?sink ~graph tests = Stateful.run machine ?jobs ?sink ~graph tests
 
 let quirks_triggered ?jobs ~graph tests =
-  Difftest.attribute ?jobs ~suspects:Difftest.dissenters
-    ~quirks:(fun name ->
-      match Smtp.Impls.find name with
-      | Some impl -> Smtp.Impls.quirks impl
-      | None -> [])
-    ~prepare:(prepare ~graph) tests
+  Stateful.attribute machine ?jobs [ (graph, tests) ]

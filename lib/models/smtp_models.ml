@@ -1,5 +1,4 @@
 open Eywa_core
-module Value = Eywa_minic.Value
 
 (* The SMTP SERVER model (paper Fig. 6): a function from the server
    state and an input command to the reply. Commands use the
@@ -7,12 +6,13 @@ module Value = Eywa_minic.Value
    strings can reach the strcmp branches; the adapter expands them to
    wire commands when driving implementations. *)
 
-let state_type =
-  Etype.enum "State"
-    [
-      "INITIAL"; "HELO_SENT"; "EHLO_SENT"; "MAIL_FROM_RECEIVED";
-      "RCPT_TO_RECEIVED"; "DATA_RECEIVED"; "QUITTED";
-    ]
+let states =
+  [
+    "INITIAL"; "HELO_SENT"; "EHLO_SENT"; "MAIL_FROM_RECEIVED";
+    "RCPT_TO_RECEIVED"; "DATA_RECEIVED"; "QUITTED";
+  ]
+
+let state_type = Etype.enum "State" states
 
 let smtp_alphabet = [ 'H'; 'E'; 'M'; 'R'; 'D'; '.'; 'Q'; 'x' ]
 
@@ -39,20 +39,3 @@ let server =
   }
 
 let all = [ server ]
-
-let test_state (t : Testcase.t) =
-  match List.assoc_opt "state" t.inputs with
-  | Some (Value.Venum (_, i)) -> (
-      let names =
-        [
-          "INITIAL"; "HELO_SENT"; "EHLO_SENT"; "MAIL_FROM_RECEIVED";
-          "RCPT_TO_RECEIVED"; "DATA_RECEIVED"; "QUITTED";
-        ]
-      in
-      match List.nth_opt names i with Some s -> s | None -> "INITIAL")
-  | Some _ | None -> "INITIAL"
-
-let test_input (t : Testcase.t) =
-  match List.assoc_opt "input" t.inputs with
-  | Some v -> Value.cstring v
-  | None -> ""

@@ -1,13 +1,10 @@
 (** The SMTP SERVER model of Table 2 (paper Fig. 6). *)
 
+val states : string list
+(** The server states, in the order of [state_type]'s enum members. *)
+
 val state_type : Eywa_core.Etype.t
 val smtp_alphabet : char list
 
 val server : Model_def.t
 val all : Model_def.t list
-
-val test_state : Eywa_core.Testcase.t -> string
-(** The state input of a test, as the enum member name. *)
-
-val test_input : Eywa_core.Testcase.t -> string
-(** The (single-letter) input command of a test. *)

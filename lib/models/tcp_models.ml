@@ -1,5 +1,4 @@
 open Eywa_core
-module Value = Eywa_minic.Value
 
 (* The TCP extension model (the paper's §6 future work): same shape as
    the SMTP SERVER model — a function from connection state and an
@@ -7,9 +6,10 @@ module Value = Eywa_minic.Value
    (model synthesis, state-graph extraction, BFS driving) is reused
    unchanged on a deeper state machine. *)
 
-let state_type =
-  Etype.enum "TcpState"
-    [ "CLOSED"; "LISTEN"; "SYN_RCVD"; "ESTABLISHED"; "CLOSE_WAIT"; "LAST_ACK" ]
+let states =
+  [ "CLOSED"; "LISTEN"; "SYN_RCVD"; "ESTABLISHED"; "CLOSE_WAIT"; "LAST_ACK" ]
+
+let state_type = Etype.enum "TcpState" states
 
 let tcp_alphabet = [ 'S'; 'A'; 'F'; 'R'; 'D'; 'x' ]
 
@@ -41,17 +41,3 @@ let server =
     alphabet = tcp_alphabet;
     timeout = 5.0;
   }
-
-let test_state (t : Testcase.t) =
-  match List.assoc_opt "state" t.inputs with
-  | Some (Value.Venum (_, i)) -> (
-      let names =
-        [ "CLOSED"; "LISTEN"; "SYN_RCVD"; "ESTABLISHED"; "CLOSE_WAIT"; "LAST_ACK" ]
-      in
-      match List.nth_opt names i with Some s -> s | None -> "LISTEN")
-  | Some _ | None -> "LISTEN"
-
-let test_segment (t : Testcase.t) =
-  match List.assoc_opt "segment" t.inputs with
-  | Some v -> Value.cstring v
-  | None -> ""

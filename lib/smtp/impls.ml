@@ -1,5 +1,3 @@
-module Stategraph = Eywa_stategraph.Stategraph
-
 type bug = {
   quirk : Machine.quirk;
   description : string;
@@ -31,23 +29,7 @@ let find name = List.find_opt (fun impl -> impl.name = name) all
 
 let quirks impl = List.map (fun b -> b.quirk) impl.bugs
 
-let handle impl state command = Machine.handle ~quirks:(quirks impl) state command
-
 let run_session impl commands = Machine.run_session ~quirks:(quirks impl) commands
-
-let drive_and_probe impl graph ~state ~input =
-  match Stategraph.path_to graph ~start:"INITIAL" ~goal:state with
-  | None -> Error (Printf.sprintf "state %s unreachable in the extracted graph" state)
-  | Some prefix ->
-      let commands =
-        List.map Machine.command_of_letter prefix
-        @ [ Machine.command_of_letter input ]
-      in
-      let replies = run_session impl commands in
-      (* the reply to the probe is the last one *)
-      (match List.rev replies with
-      | last :: _ -> Ok last
-      | [] -> Error "empty session")
 
 let bug_catalog =
   List.concat_map (fun impl -> List.map (fun b -> (impl.name, b)) impl.bugs) all

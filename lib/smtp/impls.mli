@@ -13,19 +13,6 @@ val all : t list
 val find : string -> t option
 val quirks : t -> Machine.quirk list
 
-val handle : t -> Machine.state -> Machine.command -> string * Machine.state
 val run_session : t -> Machine.command list -> string list
-
-val drive_and_probe :
-  t ->
-  Eywa_stategraph.Stategraph.t ->
-  state:string ->
-  input:string ->
-  (string, string) result
-(** The §4.2 stateful-test procedure: BFS the state graph for an input
-    sequence reaching [state] from INITIAL, prepend it to [input], run
-    the whole session on a fresh server, and return the reply to the
-    final (probed) input. [Error _] when the graph cannot reach the
-    state. *)
 
 val bug_catalog : (string * bug) list

@@ -19,6 +19,9 @@ type command =
 
 type quirk = Accept_mail_without_helo
 
+let quirk_to_string = function
+  | Accept_mail_without_helo -> "accept-mail-without-helo"
+
 let state_to_string = function
   | Initial -> "INITIAL"
   | Helo_sent -> "HELO_SENT"

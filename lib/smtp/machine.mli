@@ -27,6 +27,9 @@ type quirk =
   | Accept_mail_without_helo
       (** aiosmtpd (Table 3): accepts MAIL FROM before any HELO/EHLO *)
 
+val quirk_to_string : quirk -> string
+(** Kebab-case name, as root causes are printed. *)
+
 val state_to_string : state -> string
 (** Uppercase, matching the model's enum member names. *)
 

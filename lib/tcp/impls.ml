@@ -1,5 +1,3 @@
-module Stategraph = Eywa_stategraph.Stategraph
-
 type bug = { quirk : Machine.quirk; description : string; bug_type : string }
 
 type t = { name : string; bugs : bug list }
@@ -34,20 +32,6 @@ let all =
 let find name = List.find_opt (fun impl -> impl.name = name) all
 
 let quirks impl = List.map (fun b -> b.quirk) impl.bugs
-
-let handle impl state segment = Machine.handle ~quirks:(quirks impl) state segment
-
-let drive_and_probe impl graph ~state ~input =
-  match Stategraph.path_to graph ~start:"LISTEN" ~goal:state with
-  | None -> Error (Printf.sprintf "state %s unreachable in the extracted graph" state)
-  | Some prefix ->
-      let segments =
-        List.map Machine.segment_of_letter (prefix @ [ input ])
-      in
-      let replies = Machine.run_connection ~quirks:(quirks impl) segments in
-      (match List.rev replies with
-      | last :: _ -> Ok last
-      | [] -> Error "empty connection")
 
 let bug_catalog =
   List.concat_map (fun impl -> List.map (fun b -> (impl.name, b)) impl.bugs) all

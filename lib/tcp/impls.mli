@@ -15,14 +15,4 @@ val all : t list
 val find : string -> t option
 val quirks : t -> Machine.quirk list
 
-val handle : t -> Machine.state -> Machine.segment -> string * Machine.state
-
-val drive_and_probe :
-  t ->
-  Eywa_stategraph.Stategraph.t ->
-  state:string ->
-  input:string ->
-  (string, string) result
-(** BFS-drive a fresh connection (from LISTEN) to [state], then probe. *)
-
 val bug_catalog : (string * bug) list

@@ -4,6 +4,10 @@ type segment = Syn | Ack | Fin | Rst | Data | Other of string
 
 type quirk = Data_before_established | No_rst_on_bad_segment
 
+let quirk_to_string = function
+  | Data_before_established -> "data-before-established"
+  | No_rst_on_bad_segment -> "no-rst-on-bad-segment"
+
 let state_to_string = function
   | Closed -> "CLOSED"
   | Listen -> "LISTEN"

@@ -23,6 +23,9 @@ type quirk =
   | No_rst_on_bad_segment
       (** silently drops unacceptable segments instead of answering RST *)
 
+val quirk_to_string : quirk -> string
+(** Kebab-case name, as root causes are printed. *)
+
 val state_to_string : state -> string
 val state_of_string : string -> state option
 

@@ -197,6 +197,73 @@ let test_smtp_end_to_end () =
           check "aiosmtpd bug found" true
             (List.mem ("aiosmtpd", Eywa_smtp.Machine.Accept_mail_without_helo) found))
 
+(* ----- the protocol dispatch ----- *)
+
+(* One model per protocol: the dispatch's report is the adapter's run,
+   on the sink; its root causes are the adapter's attribution through
+   the protocol's quirk_to_string; replay needs a stateless protocol. *)
+let test_protocol_dispatch () =
+  let module Protocol = Eywa_models.Protocol in
+  let version = Eywa_dns.Impls.Old in
+  let named to_string = List.map (fun (impl, q) -> (impl, to_string q)) in
+  let graph_of s =
+    match Eywa_models.Stateful_adapter.state_graph_for s with
+    | Ok graph -> graph
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun ((m : Model_def.t), adapter_run, adapter_causes) ->
+      match synth ~k:3 m with
+      | Error e -> Alcotest.failf "%s: %s" m.id e
+      | Ok s -> (
+          let tests = s.unique_tests in
+          let dones = ref 0 in
+          let sink = function
+            | Eywa_core.Instrument.Difftest_done _ -> incr dones
+            | _ -> ()
+          in
+          (match Protocol.report ~jobs:2 ~sink ~version m s with
+          | Error e -> Alcotest.failf "%s: %s" m.id e
+          | Ok report ->
+              check (m.id ^ ": report = adapter run") true
+                (report = adapter_run s tests);
+              check_int (m.id ^ ": one Difftest_done on the sink") 1 !dones);
+          (match Protocol.root_causes ~jobs:2 ~version [ (m, s) ] with
+          | Error e -> Alcotest.failf "%s: %s" m.id e
+          | Ok causes ->
+              Alcotest.(check (list (pair string string)))
+                (m.id ^ ": root causes = adapter attribution")
+                (adapter_causes s tests) causes;
+              check (m.id ^ ": some root cause") true (causes <> []));
+          match (m.protocol, Protocol.replay ~version m) with
+          | ("DNS" | "BGP"), Ok replay ->
+              check (m.id ^ ": replay = adapter run") true
+                (replay tests = adapter_run s tests)
+          | ("SMTP" | "TCP"), Error _ -> ()
+          | _ -> Alcotest.failf "%s: replay support" m.id))
+    [
+      ( Dns_models.cname,
+        (fun _ tests -> Dns_adapter.run ~model_id:"CNAME" ~version tests),
+        fun _ tests ->
+          named Eywa_dns.Lookup.quirk_to_string
+            (Dns_adapter.quirks_triggered ~version [ ("CNAME", tests) ]) );
+      ( Bgp_models.rr,
+        (fun _ tests -> Bgp_adapter.run ~model_id:"RR" tests),
+        fun _ tests ->
+          named Eywa_bgp.Quirks.to_string
+            (Bgp_adapter.quirks_triggered [ ("RR", tests) ]) );
+      ( Smtp_models.server,
+        (fun s tests -> Smtp_adapter.run ~graph:(graph_of s) tests),
+        fun s tests ->
+          named Eywa_smtp.Machine.quirk_to_string
+            (Smtp_adapter.quirks_triggered ~graph:(graph_of s) tests) );
+      ( Eywa_models.Tcp_models.server,
+        (fun s tests -> Eywa_models.Tcp_adapter.run ~graph:(graph_of s) tests),
+        fun s tests ->
+          named Eywa_tcp.Machine.quirk_to_string
+            (Eywa_models.Tcp_adapter.quirks_triggered ~graph:(graph_of s) tests) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "roster of Table 2" `Quick test_roster;
@@ -214,4 +281,6 @@ let suite =
     Alcotest.test_case "bgp: prefix-list bug found" `Slow test_bgp_rmap_pl_difftest;
     Alcotest.test_case "bgp: RR surfaces only local-pref" `Quick test_bgp_rr_only_local_pref;
     Alcotest.test_case "smtp: stateful end to end" `Slow test_smtp_end_to_end;
+    Alcotest.test_case "protocol: dispatch = adapters, one model each" `Slow
+      test_protocol_dispatch;
   ]

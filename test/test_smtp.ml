@@ -99,6 +99,13 @@ let test_quirk_accepts_mail_without_helo () =
 
 let reference_graph = Stategraph.of_list Machine.reference_transitions
 
+(* the reply to [input] after driving [impl] to [state] *)
+let drive_and_probe impl graph ~state ~input =
+  Result.map
+    (fun replies -> List.hd (List.rev replies))
+    (Eywa_models.Stateful_adapter.drive Eywa_models.Smtp_adapter.machine graph
+       ~state ~input (Impls.quirks impl))
+
 let test_impls_roster () =
   check_int "three servers" 3 (List.length Impls.all);
   check "aiosmtpd has the bug" true
@@ -115,7 +122,7 @@ let test_drive_and_probe () =
   | None -> Alcotest.fail "smtpd missing"
   | Some impl -> (
       match
-        Impls.drive_and_probe impl reference_graph ~state:"RCPT_TO_RECEIVED"
+        drive_and_probe impl reference_graph ~state:"RCPT_TO_RECEIVED"
           ~input:"D"
       with
       | Ok reply -> check_str "DATA from RCPT state" "354" reply
@@ -128,7 +135,7 @@ let test_drive_unreachable () =
   | Some impl ->
       check "unreachable state reported" true
         (Result.is_error
-           (Impls.drive_and_probe impl tiny ~state:"DATA_RECEIVED" ~input:"."))
+           (drive_and_probe impl tiny ~state:"DATA_RECEIVED" ~input:"."))
 
 let test_drive_difference_between_impls () =
   (* the (INITIAL, M) probe distinguishes aiosmtpd from the others *)
@@ -136,7 +143,7 @@ let test_drive_difference_between_impls () =
     match Impls.find impl_name with
     | None -> Alcotest.fail "missing impl"
     | Some impl -> (
-        match Impls.drive_and_probe impl reference_graph ~state:"INITIAL" ~input:"M" with
+        match drive_and_probe impl reference_graph ~state:"INITIAL" ~input:"M" with
         | Ok r -> r
         | Error m -> Alcotest.fail m)
   in

@@ -63,15 +63,32 @@ let test_letters_roundtrip () =
 
 let reference_graph = Stategraph.of_list Machine.reference_transitions
 
+(* the reply to [input] after driving [impl] to [state] *)
+let drive_and_probe impl graph ~state ~input =
+  Result.map
+    (fun replies -> List.hd (List.rev replies))
+    (Eywa_models.Stateful_adapter.drive Eywa_models.Tcp_adapter.machine graph
+       ~state ~input (Impls.quirks impl))
+
 let test_drive_and_probe () =
   match Impls.find "refstack" with
   | None -> Alcotest.fail "refstack missing"
   | Some impl -> (
       match
-        Impls.drive_and_probe impl reference_graph ~state:"ESTABLISHED" ~input:"D"
+        drive_and_probe impl reference_graph ~state:"ESTABLISHED" ~input:"D"
       with
       | Ok reply -> check_str "data ACKed when established" "A" reply
       | Error m -> Alcotest.fail m)
+
+let test_drive_unreachable () =
+  let tiny = Stategraph.of_list [ (("LISTEN", "S"), "SYN_RCVD") ] in
+  match Impls.find "refstack" with
+  | None -> Alcotest.fail "refstack missing"
+  | Some impl ->
+      Alcotest.(check (result string string))
+        "unreachable state reported"
+        (Error "state LAST_ACK unreachable in the extracted graph")
+        (drive_and_probe impl tiny ~state:"LAST_ACK" ~input:"A")
 
 let test_probe_distinguishes_fastopend () =
   let probe name =
@@ -79,7 +96,7 @@ let test_probe_distinguishes_fastopend () =
     | None -> Alcotest.fail "missing impl"
     | Some impl -> (
         match
-          Impls.drive_and_probe impl reference_graph ~state:"SYN_RCVD" ~input:"D"
+          drive_and_probe impl reference_graph ~state:"SYN_RCVD" ~input:"D"
         with
         | Ok r -> r
         | Error m -> Alcotest.fail m)
@@ -178,6 +195,7 @@ let suite =
     Alcotest.test_case "machine: segment letters round trip" `Quick
       test_letters_roundtrip;
     Alcotest.test_case "impls: drive and probe" `Quick test_drive_and_probe;
+    Alcotest.test_case "impls: unreachable state" `Quick test_drive_unreachable;
     Alcotest.test_case "impls: probe distinguishes fastopend" `Quick
       test_probe_distinguishes_fastopend;
     Alcotest.test_case "pipeline: TCP end to end" `Slow test_pipeline_end_to_end;
