@@ -1,7 +1,7 @@
 # Development entry points. `make check` is the PR gate: everything
 # builds, every test passes, and formatting is clean.
 
-.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke examples-smoke perfbench-smoke check bench clean
+.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke examples-smoke suite-identity perfbench-smoke check bench clean
 
 all: build
 
@@ -81,13 +81,32 @@ examples-smoke:
 	done
 	@echo "examples-smoke: all five examples ran and found their bugs"
 
+# every model's k=3 suite is byte-identical to the one recorded in
+# test/golden/suites-k3.md5 (one "md5  MODEL" line per model): a change
+# that must not move any generated test keeps this passing. Regenerate
+# the file only for a change that means to alter suites, and say why.
+suite-identity:
+	rm -rf /tmp/eywa-suite-identity && mkdir -p /tmp/eywa-suite-identity
+	@status=0; \
+	while read sum model; do \
+	  dune exec bin/eywa_cli.exe -- run $$model -k 3 --jobs 2 \
+	    --save /tmp/eywa-suite-identity/$$model.suite > /dev/null || exit 1; \
+	  got=$$(md5sum < /tmp/eywa-suite-identity/$$model.suite | cut -d' ' -f1); \
+	  if [ "$$got" != "$$sum" ]; then \
+	    echo "suite-identity: $$model suite differs from test/golden/suites-k3.md5"; \
+	    status=1; \
+	  fi; \
+	done < test/golden/suites-k3.md5; \
+	[ $$status -eq 0 ] && echo "suite-identity: all $$(wc -l < test/golden/suites-k3.md5) suites byte-identical"; \
+	exit $$status
+
 # the tracked pipeline benchmark's self-test: builds it from source,
 # runs every workload at a tiny size and checks BENCHMARK.json against
 # its spec
 perfbench-smoke:
 	bash perfbench/run.sh --smoke
 
-check: build test fuzz-smoke trace-smoke examples-smoke perfbench-smoke fmt
+check: build test fuzz-smoke trace-smoke examples-smoke suite-identity perfbench-smoke fmt
 
 bench:
 	dune exec bench/main.exe -- fast

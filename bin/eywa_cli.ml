@@ -34,12 +34,13 @@ let find_model id =
   | None ->
       Error
         (Printf.sprintf "unknown model %S; available: %s" id
-           (String.concat ", " (List.map (fun (m : Model_def.t) -> m.id) All.all)))
+           (String.concat ", "
+              (List.map (fun (m : Model_def.t) -> m.id) (All.all @ All.extensions))))
 
 (* ----- arguments ----- *)
 
 let model_arg =
-  let doc = "Model name from Table 2 (e.g. DNAME, RMAP-PL, SERVER)." in
+  let doc = "Model name from Table 2 (e.g. DNAME, RMAP-PL, SERVER), or TCP for the extension model." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MODEL" ~doc)
 
 let k_arg =
@@ -382,7 +383,7 @@ let report_cmd =
           | Ok s ->
               let coverage = suite_coverage s m s.unique_tests in
               print_string
-                (Eywa_models.Report.dns ~coverage ~model_id:m.id ~version
+                (Eywa_models.Report.dns ?jobs ~coverage ~model_id:m.id ~version
                    s.unique_tests);
               `Ok ())
   in

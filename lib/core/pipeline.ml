@@ -195,19 +195,27 @@ let path_to_test ~rotate ~model inputs (path : Exec.path) : Testcase.t =
 (* One test per (path, sample): re-solving the path condition under
    different value rotations yields several concrete witnesses of the
    same path, the way Klee's test generation covers bounded input
-   spaces far more densely than one-per-path (cf. the Table 2 counts). *)
+   spaces far more densely than one-per-path (cf. the Table 2 counts).
+   Only the value order depends on the rotation, so the path is
+   prepared once, from the variables its conjuncts carry, for all its
+   sample solves. *)
 let path_to_tests config (path : Exec.path) inputs : Testcase.t list =
+  let module Solve = Eywa_solver.Solve in
   let samples = max 1 config.samples_per_path in
+  let prepared =
+    lazy (Solve.prepare (List.combine path.Exec.pc path.Exec.pc_vars))
+  in
   List.init samples (fun s ->
       let model =
         if s = 0 then path.Exec.model
         else
           match
-            Eywa_solver.Solve.solve ~max_decisions:config.max_solver_decisions
-              ~rotate:s path.Exec.pc
+            fst
+              (Solve.search ~max_decisions:config.max_solver_decisions
+                 ~rotate:s (Lazy.force prepared))
           with
-          | Eywa_solver.Solve.Sat m -> m
-          | Eywa_solver.Solve.Unsat | Eywa_solver.Solve.Unknown -> path.Exec.model
+          | Solve.Sat m -> m
+          | Solve.Unsat | Solve.Unknown -> path.Exec.model
       in
       path_to_test ~rotate:s ~model inputs path)
 

@@ -100,8 +100,8 @@ let resolve_jobs = function
   | Some j -> max 1 j
   | None -> Eywa_core.Pool.default_jobs ()
 
-let run ?jobs ?(sink = Eywa_core.Instrument.null) ?(label = "suite") ~observe
-    tests =
+let run ?jobs ?(sink = Eywa_core.Instrument.null) ?(label = "suite")
+    ?(on_test = fun _ _ -> ()) ~observe tests =
   let jobs = resolve_jobs jobs in
   (* [compare_all] is pure, so it runs in the worker too: the merge
      then holds only each test's disagreements, not every rendered
@@ -126,10 +126,13 @@ let run ?jobs ?(sink = Eywa_core.Instrument.null) ?(label = "suite") ~observe
          queue_wait_ticks = stats.Eywa_core.Pool.queue_wait_ticks;
        });
   let acc = create () in
-  List.iter
-    (function
-      | None -> () | Some (observations, ds) -> tally acc ~observations ds)
-    results;
+  List.iter2
+    (fun t -> function
+      | None -> ()
+      | Some (observations, ds) ->
+          tally acc ~observations ds;
+          on_test t ds)
+    tests results;
   let r = report acc in
   sink
     (Eywa_core.Instrument.Difftest_done

@@ -53,6 +53,7 @@ val run :
   ?jobs:int ->
   ?sink:Eywa_core.Instrument.sink ->
   ?label:string ->
+  ?on_test:('a -> disagreement list -> unit) ->
   observe:('a -> observation list option) ->
   'a list ->
   report
@@ -67,7 +68,11 @@ val run :
     After the merge, emits [Pool_merged] (labelled
     ["difftest:" ^ label]) and [Difftest_done] on [sink] from the
     orchestrating domain, following the {!Eywa_core.Instrument}
-    replay-at-merge-point contract. [label] defaults to ["suite"]. *)
+    replay-at-merge-point contract. [label] defaults to ["suite"].
+    [on_test] sees every observed test with its disagreements during
+    the merge, on the orchestrating domain and in input order — how a
+    caller picks per-test facts (a witness per dissenter) out of the
+    same pass. *)
 
 val dissenters : disagreement list -> string list
 (** The distinct implementations named by the disagreements, in

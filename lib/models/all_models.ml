@@ -6,4 +6,7 @@ let smtp = Smtp_models.all
 
 let all = dns @ bgp @ smtp
 
-let find id = List.find_opt (fun (m : Model_def.t) -> m.Model_def.id = id) all
+let extensions = [ Tcp_models.server ]
+
+let find id =
+  List.find_opt (fun (m : Model_def.t) -> m.Model_def.id = id) (all @ extensions)

@@ -71,8 +71,8 @@ let prepare ~model_id ~version test =
 let observations_for ~model_id ~version test =
   Option.map fst (prepare ~model_id ~version test)
 
-let run ?jobs ?sink ~model_id ~version tests =
-  Difftest.run ?jobs ?sink ~label:model_id
+let run ?jobs ?sink ?on_test ~model_id ~version tests =
+  Difftest.run ?jobs ?sink ?on_test ~label:model_id
     ~observe:(observations_for ~model_id ~version)
     tests
 

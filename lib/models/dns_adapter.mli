@@ -37,6 +37,7 @@ val observations_for :
 val run :
   ?jobs:int ->
   ?sink:Eywa_core.Instrument.sink ->
+  ?on_test:(Eywa_core.Testcase.t -> Eywa_difftest.Difftest.disagreement list -> unit) ->
   model_id:string ->
   version:Eywa_dns.Impls.version ->
   Eywa_core.Testcase.t list ->
@@ -45,7 +46,8 @@ val run :
     (default {!Eywa_core.Pool.default_jobs}) and merged in input
     order, so the report is identical at any [jobs]. [sink] receives
     the [Pool_merged]/[Difftest_done] events {!Eywa_difftest.Difftest.run}
-    emits at the merge point, labelled with [model_id]. *)
+    emits at the merge point, labelled with [model_id]; [on_test] is
+    passed to it unchanged. *)
 
 val quirks_triggered :
   ?jobs:int ->

@@ -27,20 +27,16 @@ let render_generic ~title (report : Difftest.report) =
     (Difftest.impls_in_report report);
   Buffer.contents buf
 
-(* The first test whose observations make this implementation dissent. *)
-let dns_witness ~model_id ~version impl tests =
-  List.find_opt
-    (fun t ->
-      match Dns_adapter.observations_for ~model_id ~version t with
-      | None -> false
-      | Some obs ->
-          List.exists
-            (fun (d : Difftest.disagreement) -> d.d_impl = impl)
-            (Difftest.compare_all obs))
-    tests
-
-let dns ?coverage ~model_id ~version tests =
-  let report = Dns_adapter.run ~model_id ~version tests in
+let dns ?jobs ?coverage ~model_id ~version tests =
+  (* each dissenter's witness is the first test, in suite order, whose
+     observations make it dissent — read off difftest's own merge *)
+  let witnesses = Hashtbl.create 16 in
+  let on_test t =
+    List.iter (fun (d : Difftest.disagreement) ->
+        if not (Hashtbl.mem witnesses d.d_impl) then
+          Hashtbl.add witnesses d.d_impl t)
+  in
+  let report = Dns_adapter.run ?jobs ~on_test ~model_id ~version tests in
   let base = render_generic ~title:(Printf.sprintf "Eywa findings: DNS %s model" model_id) report in
   let buf = Buffer.create (String.length base + 1024) in
   Buffer.add_string buf base;
@@ -55,7 +51,7 @@ let dns ?coverage ~model_id ~version tests =
          else ""));
   List.iter
     (fun impl ->
-      match dns_witness ~model_id ~version impl tests with
+      match Hashtbl.find_opt witnesses impl with
       | None -> ()
       | Some t -> (
           match Dns_adapter.artifacts_for ~model_id t with

@@ -3,10 +3,11 @@
     The solver assigns variables in most-constrained-first order and
     prunes with partial evaluation: after each assignment the branch is
     abandoned as soon as some constraint is determined false under the
-    partial model. The production search ({!solve_with_stats}) indexes
-    constraints by the variables they mention, so each assignment only
-    re-evaluates the constraints watching that variable, and values
-    ruled out by unary constraints are pre-screened once per solve; a
+    partial model. The production search ({!solve_with_stats}, or
+    {!prepare} then {!search}) indexes constraints by the variables
+    they mention, so each assignment only re-evaluates the constraints
+    watching that variable, and values ruled out by unary constraints
+    are pre-screened once per prepared set; a
     naive reference that re-evaluates everything is kept as
     {!solve_naive_with_stats} and the two are held bit-for-bit
     equivalent (outcome, model, decision and conflict counts) by the
@@ -47,6 +48,32 @@ val solve_with_stats :
     executor hints feasibility probes with the model the parent path
     carries — never the model-producing solve, whose value order is
     what diversifies emitted tests. *)
+
+type prepared
+(** A constraint set with its per-set search set-up done: the variable
+    order, the watcher lists and the unary admissible masks. Searching
+    it at any rotation or hint gives exactly what {!solve_with_stats}
+    gives on the same constraints. *)
+
+val prepare : (Term.t * Term.var list) list -> prepared
+(** [prepare cs] sets up the search over the conjunction of [cs], each
+    constraint paired with its free variables — which must be
+    [Term.vars c] (any order of the same variables gives the same
+    search). Taking them from the caller is the point: the symbolic
+    executor lists a conjunct's variables once, when it adds the
+    conjunct to a path, instead of on every solve. *)
+
+val search :
+  ?max_decisions:int ->
+  ?rotate:int ->
+  ?hint:assignment ->
+  prepared ->
+  outcome * stats
+(** Runs the watched search on a prepared set; the optional arguments
+    mean what they mean for {!solve_with_stats}, which is [prepare]
+    followed by [search]. Only the value order depends on [rotate] and
+    [hint], so preparing once and searching at several rotations costs
+    one set-up. *)
 
 val solve_naive_with_stats :
   ?max_decisions:int -> ?rotate:int -> Term.t list -> outcome * stats

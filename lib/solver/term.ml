@@ -222,21 +222,23 @@ let vars t =
       Hashtbl.add s.fvs id vs;
       vs
 
-let rec eval env = function
+let rec eval_var env = function
   | Const n -> n
-  | Var v -> env v.vid
-  | Not a -> if eval env a = 0 then 1 else 0
-  | And (a, b) -> if eval env a <> 0 && eval env b <> 0 then 1 else 0
-  | Or (a, b) -> if eval env a <> 0 || eval env b <> 0 then 1 else 0
-  | Eq (a, b) -> if eval env a = eval env b then 1 else 0
-  | Lt (a, b) -> if eval env a < eval env b then 1 else 0
-  | Le (a, b) -> if eval env a <= eval env b then 1 else 0
-  | Add (a, b) -> eval env a + eval env b
-  | Sub (a, b) -> eval env a - eval env b
-  | Mul (a, b) -> eval env a * eval env b
-  | Div (a, b) -> safe_div (eval env a) (eval env b)
-  | Mod (a, b) -> safe_mod (eval env a) (eval env b)
-  | Ite (c, a, b) -> if eval env c <> 0 then eval env a else eval env b
+  | Var v -> env v
+  | Not a -> if eval_var env a = 0 then 1 else 0
+  | And (a, b) -> if eval_var env a <> 0 && eval_var env b <> 0 then 1 else 0
+  | Or (a, b) -> if eval_var env a <> 0 || eval_var env b <> 0 then 1 else 0
+  | Eq (a, b) -> if eval_var env a = eval_var env b then 1 else 0
+  | Lt (a, b) -> if eval_var env a < eval_var env b then 1 else 0
+  | Le (a, b) -> if eval_var env a <= eval_var env b then 1 else 0
+  | Add (a, b) -> eval_var env a + eval_var env b
+  | Sub (a, b) -> eval_var env a - eval_var env b
+  | Mul (a, b) -> eval_var env a * eval_var env b
+  | Div (a, b) -> safe_div (eval_var env a) (eval_var env b)
+  | Mod (a, b) -> safe_mod (eval_var env a) (eval_var env b)
+  | Ite (c, a, b) -> if eval_var env c <> 0 then eval_var env a else eval_var env b
+
+let eval env t = eval_var (fun v -> env v.vid) t
 
 let rec peval env = function
   | Const n -> Some n

@@ -57,11 +57,14 @@ val with_fresh_ids : (unit -> 'a) -> 'a
     call it in the middle of building or solving a constraint
     system. *)
 
-(** Per-domain hash-consing. An intern table (a [Domain.DLS] sibling of
+(** Per-domain interning. An intern table (a [Domain.DLS] sibling of
     the id allocator, scoped and restored by {!with_fresh_ids} along
-    with it) assigns every structurally distinct term a dense id,
-    giving O(1) equality and hashing on terms that have been seen
-    before; {!vars} is memoized through it. All of this state is
+    with it) assigns every structurally distinct term a dense id, which
+    compares and hashes as an [int]; {!vars} is memoized through it.
+    Terms stay plain trees, so getting the id itself hashes the term
+    and compares it structurally against its bucket — O(size), not
+    O(1): a hot loop should keep an id or a variable list it needs
+    again rather than ask for it twice. All of this state is
     domain-local and epoch-local: ids from different {!with_fresh_ids}
     scopes are unrelated and must never be mixed. *)
 
@@ -105,6 +108,11 @@ val vars : t -> var list
 (** [eval env t] fully evaluates [t]; [env vid] must return the value of
     every variable that occurs. Division-free, so total. *)
 val eval : (int -> int) -> t -> int
+
+(** [eval_var env t] is {!eval} with [env] given the variable itself
+    rather than its id, so a caller can default a variable the model
+    leaves out from its domain without first listing {!vars}. *)
+val eval_var : (var -> int) -> t -> int
 
 (** [peval env t] partially evaluates [t] under a partial assignment
     ([env vid = None] when unassigned). Short-circuits [And]/[Or]/[Ite]

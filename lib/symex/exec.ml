@@ -23,6 +23,7 @@ let default_config =
 type path = {
   model : Solve.assignment;
   pc : Term.t list;
+  pc_vars : Term.var list list;
   ret : Sv.t;
   error : string option;
 }
@@ -77,8 +78,15 @@ type ctx = {
 
 module Ids = Set.Make (Int)
 
+(* A path-condition conjunct with its free variables ({!Term.vars}),
+   listed once when the conjunct is consed onto a path, so slicing and
+   solving never walk a conjunct for its variables again. *)
+type conjunct = Term.t * Term.var list
+
+let conjunct c : conjunct = (c, Term.vars c)
+
 type st = {
-  pc : Term.t list;
+  pc : conjunct list;
   ids : Ids.t;  (* {!Term.intern_id}s of the conjuncts of [pc] *)
   model : Solve.assignment option;
       (* a model of [pc], from the probe that proved it sat; [None]
@@ -124,16 +132,13 @@ let charge_solver ctx (stats : Solve.stats) pc =
    slice are satisfied or refuted independently — and the ones outside
    are a sub-conjunction of the sat parent, hence sat. Slice order is a
    pure function of the pc list (fixpoint over it in list order), never
-   of hash order; {!Term.vars} is memoized so the walk is cheap. *)
-let slice_for head parent =
+   of hash order; each conjunct carries its variables, so the walk
+   never re-lists them. *)
+let slice_for ((_, head_vars) as head) parent =
   let vs = Hashtbl.create 16 in
-  let add_vars t =
-    List.iter (fun v -> Hashtbl.replace vs v.Term.vid ()) (Term.vars t)
-  in
-  add_vars head;
-  let touches c =
-    List.exists (fun v -> Hashtbl.mem vs v.Term.vid) (Term.vars c)
-  in
+  let add_vars = List.iter (fun v -> Hashtbl.replace vs v.Term.vid ()) in
+  add_vars head_vars;
+  let touches (_, cvs) = List.exists (fun v -> Hashtbl.mem vs v.Term.vid) cvs in
   let picked = ref [] in
   let remaining = ref parent in
   let changed = ref true in
@@ -144,7 +149,7 @@ let slice_for head parent =
         (fun c ->
           if touches c then begin
             picked := c :: !picked;
-            add_vars c;
+            add_vars (snd c);
             changed := true;
             false
           end
@@ -192,7 +197,7 @@ let is_sat ctx ~known head parent =
   ctx.solver_calls <- ctx.solver_calls + 1;
   let pc = head :: parent in
   match known with
-  | Some m when Solve.check m [ head ] ->
+  | Some m when Solve.check m [ fst head ] ->
       ctx.model_reuses <- ctx.model_reuses + 1;
       charge_solver ctx { Solve.decisions = 1; conflicts = 0 } pc;
       known
@@ -200,8 +205,8 @@ let is_sat ctx ~known head parent =
       let parent_sat = parent = [] || Option.is_some known in
       let target = if parent_sat then slice_for head parent else pc in
       let outcome, stats =
-        Solve.solve_with_stats ?hint:known
-          ~max_decisions:ctx.config.max_solver_decisions target
+        Solve.search ?hint:known ~max_decisions:ctx.config.max_solver_decisions
+          (Solve.prepare target)
       in
       charge_solver ctx stats target;
       ctx.solver_decisions <- ctx.solver_decisions + stats.Solve.decisions;
@@ -256,15 +261,16 @@ let complete ctx st ~ret ~error =
   if not (check_budget ctx) then begin
     ctx.solver_calls <- ctx.solver_calls + 1;
     let outcome, stats =
-      Solve.solve_with_stats ~max_decisions:ctx.config.max_solver_decisions
-        ~rotate:ctx.completed st.pc
+      Solve.search ~max_decisions:ctx.config.max_solver_decisions
+        ~rotate:ctx.completed (Solve.prepare st.pc)
     in
     ctx.solver_decisions <- ctx.solver_decisions + stats.Solve.decisions;
     charge_solver ctx stats st.pc;
     match outcome with
     | Solve.Sat model ->
         ctx.completed <- ctx.completed + 1;
-        ctx.results <- { model; pc = st.pc; ret; error } :: ctx.results
+        let pc, pc_vars = List.split st.pc in
+        ctx.results <- { model; pc; pc_vars; ret; error } :: ctx.results
     | Solve.Unsat -> ctx.pruned <- ctx.pruned + 1
     | Solve.Unknown -> ctx.unknown <- ctx.unknown + 1
   end
@@ -295,13 +301,15 @@ let holds st g = Ids.mem (Term.intern_id g) st.ids
 let refuted st g =
   holds st (Term.not_ g) || match g with Term.Not d -> holds st d | _ -> false
 
-let child st g model =
-  { st with pc = g :: st.pc; ids = Ids.add (Term.intern_id g) st.ids; model }
+let child st ((g, _) as c) model =
+  { st with pc = c :: st.pc; ids = Ids.add (Term.intern_id g) st.ids; model }
 
 (* A path is extended only by a sat probe, which carries the new pc's
    model into the child state. With a sat parent, one of [c] and
    [not c] is always sat, so both probes fail only when the solver
-   gave up ([Unknown]), which [is_sat] has already counted. *)
+   gave up ([Unknown]), which [is_sat] has already counted. [Term.not_]
+   only adds or strips one [Not], so [not c] has the variables of [c],
+   in the same order. *)
 let branch ctx st cond kt kf =
   if not (check_budget ctx) then begin
     match cond with
@@ -309,7 +317,8 @@ let branch ctx st cond kt kf =
     | c when holds st c -> kt st
     | c when refuted st c -> kf st
     | c ->
-        let not_c = Term.not_ c in
+        let vs = Term.vars c in
+        let c = (c, vs) and not_c = (Term.not_ c, vs) in
         let sat_t = is_sat ctx ~known:st.model c st.pc in
         let sat_f = is_sat ctx ~known:st.model not_c st.pc in
         match (sat_t, sat_f) with
@@ -337,6 +346,7 @@ let fork_cases ctx st cases k =
         | Term.Const _ -> protect ctx st (fun () -> k st payload)
         | g when holds st g -> protect ctx st (fun () -> k st payload)
         | g -> (
+            let g = conjunct g in
             match is_sat ctx ~known:st.model g st.pc with
             | Some _ as model ->
                 let st' = child st g model in
@@ -778,8 +788,9 @@ let run ?(config = default_config) ?(natives = []) program ~entry ~args ~assumes
       let init_scope =
         List.fold_left2 (fun acc (_, pname) v -> (pname, v) :: acc) [] f.params args
       in
+      let assumes = List.map conjunct assumes in
       let start model =
-        let ids = Ids.of_list (List.map Term.intern_id assumes) in
+        let ids = Ids.of_list (List.map (fun (c, _) -> Term.intern_id c) assumes) in
         let st = { pc = assumes; ids; model; scopes = [ init_scope ]; steps = 0 } in
         protect ctx st (fun () ->
             exec_block ctx st f.body

@@ -37,6 +37,10 @@ val default_config : config
 type path = {
   model : Solve.assignment;
   pc : Term.t list;  (** path condition, most recent first *)
+  pc_vars : Term.var list list;
+      (** [Term.vars] of each conjunct of [pc], in the same order —
+          listed once, when the conjunct joined the path, so a caller
+          can {!Solve.prepare} the path without walking it again *)
   ret : Sv.t;
   error : string option;
 }

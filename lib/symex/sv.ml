@@ -73,18 +73,12 @@ let rec concretize ?(rotate = 0) model = function
   | Sarray vs -> Value.Varray (Array.map (concretize ~rotate model) vs)
 
 and eval_term ~rotate model t =
-  let vars = Term.vars t in
-  let tbl = Hashtbl.create 8 in
-  List.iter
+  Term.eval_var
     (fun v ->
-      let value =
-        match Hashtbl.find_opt model v.Term.vid with
-        | Some x -> x
-        | None -> default_value ~rotate v
-      in
-      Hashtbl.replace tbl v.Term.vid value)
-    vars;
-  Term.eval (fun vid -> Hashtbl.find tbl vid) t
+      match Hashtbl.find_opt model v.Term.vid with
+      | Some x -> x
+      | None -> default_value ~rotate v)
+    t
 
 let atoms v =
   let seen = Hashtbl.create 16 in

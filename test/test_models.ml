@@ -28,6 +28,16 @@ let test_roster () =
   check "find by id" true (All.find "RMAP-PL" <> None);
   check "unknown id" true (All.find "QUIC" = None)
 
+(* The TCP extension model is reachable by id, which is how the CLI
+   resolves a model, but stays out of the thirteen-model roster that
+   the Table 2 and Table 3 loops walk. *)
+let test_find_tcp_extension () =
+  (match All.find "TCP" with
+  | Some m -> check "find TCP = Tcp_models.server" true (m == Eywa_models.Tcp_models.server)
+  | None -> Alcotest.fail "TCP not found");
+  check "TCP not in the roster" false
+    (List.exists (fun (m : Model_def.t) -> m.id = "TCP") All.all)
+
 (* Also the standing symbolic/concrete agreement check: every emitted
    test of every compiled draw must replay through the interpreter to
    the result symex recorded, which is what keeps the sliced, hinted
@@ -267,6 +277,8 @@ let test_protocol_dispatch () =
 let suite =
   [
     Alcotest.test_case "roster of Table 2" `Quick test_roster;
+    Alcotest.test_case "find resolves the TCP extension model" `Quick
+      test_find_tcp_extension;
     Alcotest.test_case "every model synthesizes" `Slow test_every_model_synthesizes;
     Alcotest.test_case "unique tests have unique keys" `Quick test_unique_tests_are_unique;
     Alcotest.test_case "k diversity grows the union" `Slow test_k_diversity_increases_tests;

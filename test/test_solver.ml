@@ -267,6 +267,27 @@ let prop_watched_equals_naive =
       && s1.Solve.decisions = s2.Solve.decisions
       && s1.Solve.conflicts = s2.Solve.conflicts)
 
+(* Preparing is the per-set half of the search: one prepared set
+   searched at each rotation must give exactly what a fresh
+   [solve_with_stats] gives there. Concretization leans on this to
+   prepare each path once for all its sample solves. *)
+let prop_prepared_equals_fresh =
+  QCheck2.Test.make ~count:300
+    ~name:"prepare once, search at rotations 0-3 = fresh solve at each"
+    QCheck2.Gen.(
+      pair (list_size (int_range 1 5) (gen_term shared_vars)) (int_range 1 2))
+    (fun (cs, budget_sel) ->
+      let max_decisions = if budget_sel = 1 then 25 else 100_000 in
+      let prepared = Solve.prepare (List.map (fun c -> (c, Term.vars c)) cs) in
+      List.for_all
+        (fun rotate ->
+          let o1, s1 = Solve.search ~max_decisions ~rotate prepared in
+          let o2, s2 = Solve.solve_with_stats ~max_decisions ~rotate cs in
+          outcomes_equal o1 o2
+          && s1.Solve.decisions = s2.Solve.decisions
+          && s1.Solve.conflicts = s2.Solve.conflicts)
+        [ 0; 1; 2; 3 ])
+
 (* A hint only reorders the values the complete search visits, so it
    may change which model comes out first but never the verdict, and a
    hinted Sat model still satisfies the constraints. The executor's
@@ -317,4 +338,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_unsat_means_no_assignment;
     QCheck_alcotest.to_alcotest prop_watched_equals_naive;
     QCheck_alcotest.to_alcotest prop_hinted_solve_sound;
+    QCheck_alcotest.to_alcotest prop_prepared_equals_fresh;
   ]

@@ -414,6 +414,43 @@ let test_exec_implied_negation () =
   check "Not (Var _) guard takes the implied side" true (rets = [ 2; 4 ]);
   check_int "only the first test probes (bool)" 4 calls
 
+(* ----- carried conjunct variables ----- *)
+
+(* Every conjunct lists its free variables once, when it joins the
+   path, and slicing and solving read that list instead of
+   [Term.vars]. On real draws of models from three protocols, each
+   completed path's carried lists must be exactly [Term.vars] of its
+   conjuncts. *)
+let test_carried_vars_on_models () =
+  let module Model_def = Eywa_models.Model_def in
+  let module Pipeline = Eywa_core.Pipeline in
+  let oracle = Eywa_llm.Gpt.oracle () in
+  List.iter
+    (fun (m : Model_def.t) ->
+      let config = Model_def.pipeline_config ~k:2 ~timeout:2.0 ~max_paths:600 m in
+      let main =
+        match m.main with
+        | Eywa_core.Emodule.Func f -> f
+        | _ -> Alcotest.fail "main not Func"
+      in
+      match Model_def.synthesize ~k:2 ~timeout:2.0 ~max_paths:600 ~oracle m with
+      | Error e -> Alcotest.failf "%s: %s" m.id e
+      | Ok s ->
+          check (m.id ^ ": some compiled draw") true (s.programs <> []);
+          List.iter
+            (fun program ->
+              Term.with_fresh_ids (fun () ->
+                  let _, paths, _ = Pipeline.symex ~config m.graph ~main program in
+                  check (m.id ^ ": some path") true (paths <> []);
+                  List.iter
+                    (fun (p : Exec.path) ->
+                      check (m.id ^ ": carried vars = Term.vars") true
+                        (p.pc_vars = List.map Term.vars p.pc))
+                    paths))
+            s.programs)
+    Eywa_models.
+      [ Dns_models.cname; Dns_models.wildcard; Bgp_models.rr; Smtp_models.server ]
+
 (* The implied branch is the solver's own verdict: for any pc drawn
    from a small guard pool (negations, [Not (Var _)] included), a guard
    the pc holds cannot fail on it, and a guard whose negation it holds
@@ -485,4 +522,6 @@ let suite =
     Alcotest.test_case "exec: negated guards take the implied branch" `Quick
       test_exec_implied_negation;
     prop_implied_branch_is_solver_verdict;
+    Alcotest.test_case "exec: carried conjunct vars = Term.vars (4 models)" `Slow
+      test_carried_vars_on_models;
   ]
