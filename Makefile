@@ -1,7 +1,7 @@
 # Development entry points. `make check` is the PR gate: everything
 # builds, every test passes, and formatting is clean.
 
-.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke examples-smoke suite-identity perfbench-smoke check bench clean
+.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke examples-smoke suite-identity difftest-identity perfbench-smoke check bench clean
 
 all: build
 
@@ -100,13 +100,36 @@ suite-identity:
 	[ $$status -eq 0 ] && echo "suite-identity: all $$(wc -l < test/golden/suites-k3.md5) suites byte-identical"; \
 	exit $$status
 
+# differential testing and attribution print byte-identical output to
+# the MD5s in test/golden/difftest-k3.md5 (one "md5  COMMAND MODEL" line
+# each): `eywa difftest M -k 3` for the 13 models and TCP, and `eywa
+# report M -k 3` for the DNS models, at --jobs 1 and --jobs 4. A change
+# to how tests are served or attributed must keep this passing.
+difftest-identity:
+	rm -rf /tmp/eywa-difftest-identity && mkdir -p /tmp/eywa-difftest-identity
+	@status=0; \
+	for jobs in 1 4; do \
+	  while read sum cmd model; do \
+	    out=/tmp/eywa-difftest-identity/$$cmd-$$model-j$$jobs.txt; \
+	    dune exec bin/eywa_cli.exe -- $$cmd $$model -k 3 --jobs $$jobs \
+	      > $$out || exit 1; \
+	    got=$$(md5sum < $$out | cut -d' ' -f1); \
+	    if [ "$$got" != "$$sum" ]; then \
+	      echo "difftest-identity: $$cmd $$model --jobs $$jobs differs from test/golden/difftest-k3.md5"; \
+	      status=1; \
+	    fi; \
+	  done < test/golden/difftest-k3.md5; \
+	done; \
+	[ $$status -eq 0 ] && echo "difftest-identity: all $$(wc -l < test/golden/difftest-k3.md5) outputs byte-identical at --jobs 1 and 4"; \
+	exit $$status
+
 # the tracked pipeline benchmark's self-test: builds it from source,
 # runs every workload at a tiny size and checks BENCHMARK.json against
 # its spec
 perfbench-smoke:
 	bash perfbench/run.sh --smoke
 
-check: build test fuzz-smoke trace-smoke examples-smoke suite-identity perfbench-smoke fmt
+check: build test fuzz-smoke trace-smoke examples-smoke suite-identity difftest-identity perfbench-smoke fmt
 
 bench:
 	dune exec bench/main.exe -- fast

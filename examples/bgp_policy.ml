@@ -65,8 +65,8 @@ let () =
     Some { Eywa_bgp.Confed.confed_id = 100; sub_as = 65001; members = [ 65001 ] }
   in
   let session quirks =
-    Eywa_bgp.Confed.agree ~quirks config ~local_as:65001 ~peer_as:65001
-      ~peer_in_confed:false
+    Eywa_bgp.Confed.agree ~quirks:(Eywa_quirkset.Quirkset.of_list quirks) config
+      ~local_as:65001 ~peer_as:65001 ~peer_in_confed:false
   in
   Printf.printf "reference session: %s\n"
     (Eywa_bgp.Confed.session_to_string (session []));

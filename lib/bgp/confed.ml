@@ -1,3 +1,5 @@
+module Quirkset = Eywa_quirkset.Quirkset
+
 type config = { confed_id : int; sub_as : int; members : int list }
 
 type session = Ibgp | Ebgp_confed | Ebgp | Session_mismatch
@@ -8,20 +10,21 @@ let session_to_string = function
   | Ebgp -> "ebgp"
   | Session_mismatch -> "session-mismatch"
 
-let classify ?(quirks = []) config ~local_as ~peer_as ~peer_in_confed =
-  let has q = List.mem q quirks in
+let classify ?(quirks = Quirkset.of_list []) config ~local_as ~peer_as
+    ~peer_in_confed =
   match config with
   | None -> if peer_as = local_as then Ibgp else Ebgp
   | Some c ->
       if peer_in_confed then
         if peer_as = c.sub_as then Ibgp else Ebgp_confed
-      else if has Quirks.Confed_sub_as_eq_peer && peer_as = c.sub_as then
+      else if peer_as = c.sub_as && Quirkset.has quirks Quirks.Confed_sub_as_eq_peer
+      then
         (* the bug: an external peer whose AS collides with our sub-AS
            is taken for an intra-confederation iBGP neighbour *)
         Ibgp
       else Ebgp
 
-let agree ?(quirks = []) config ~local_as ~peer_as ~peer_in_confed =
+let agree ?(quirks = Quirkset.of_list []) config ~local_as ~peer_as ~peer_in_confed =
   let ours = classify ~quirks config ~local_as ~peer_as ~peer_in_confed in
   (* the peer's view of the session, computed without our quirks: for a
      peer outside the confederation the session is plain eBGP against
@@ -36,14 +39,15 @@ let agree ?(quirks = []) config ~local_as ~peer_as ~peer_in_confed =
   in
   if ours = theirs then ours else Session_mismatch
 
-let export_path ?(quirks = []) config session ~local_as ?replace_as path =
-  let has q = List.mem q quirks in
+let export_path ?(quirks = Quirkset.of_list []) config session ~local_as ?replace_as
+    path =
   (* [local-as N replace-as]: the AS this router just prepended (its
      confederation id, or its own AS) is presented as N instead. *)
   let apply_replace ~presented path =
     match replace_as with
     | Some (new_as, true) ->
-        if config <> None && has Quirks.Replace_as_confed_broken then path
+        if config <> None && Quirkset.has quirks Quirks.Replace_as_confed_broken
+        then path
         else Aspath.replace_as ~old_as:presented ~new_as path
     | Some (_, false) | None -> path
   in

@@ -22,7 +22,7 @@ type session =
 val session_to_string : session -> string
 
 val classify :
-  ?quirks:Quirks.t list ->
+  ?quirks:Quirks.t Eywa_quirkset.Quirkset.t ->
   config option ->
   local_as:int ->
   peer_as:int ->
@@ -31,7 +31,7 @@ val classify :
 (** The session type this router believes it has with the peer. *)
 
 val agree :
-  ?quirks:Quirks.t list ->
+  ?quirks:Quirks.t Eywa_quirkset.Quirkset.t ->
   config option ->
   local_as:int ->
   peer_as:int ->
@@ -41,7 +41,7 @@ val agree :
     view and the (quirk-free) peer's view coincide. *)
 
 val export_path :
-  ?quirks:Quirks.t list ->
+  ?quirks:Quirks.t Eywa_quirkset.Quirkset.t ->
   config option ->
   session ->
   local_as:int ->

@@ -1,3 +1,5 @@
+module Quirkset = Eywa_quirkset.Quirkset
+
 type neighbor = {
   peer_as : int;
   peer_in_confed : bool;
@@ -38,11 +40,10 @@ let session ?quirks router (n : neighbor) =
   Confed.agree ?quirks router.confed ~local_as:router.asn ~peer_as:n.peer_as
     ~peer_in_confed:n.peer_in_confed
 
-let receive ?(quirks = []) router ~from_ routes =
+let receive ?(quirks = Quirkset.of_list []) router ~from_ routes =
   match session ~quirks router from_ with
   | Confed.Session_mismatch -> []
   | sess ->
-      let has q = List.mem q quirks in
       routes
       (* AS-path loop detection: drop routes already carrying our AS
          (or confederation id) *)
@@ -57,11 +58,11 @@ let receive ?(quirks = []) router ~from_ routes =
       |> List.map (fun (r : Route.t) ->
              match sess with
              | Confed.Ebgp ->
-                 if has Quirks.Local_pref_not_reset_ebgp then r
+                 if Quirkset.has quirks Quirks.Local_pref_not_reset_ebgp then r
                  else { r with Route.local_pref = 100 }
              | Confed.Ibgp | Confed.Ebgp_confed | Confed.Session_mismatch -> r)
 
-let advertise ?(quirks = []) router ~to_ ~learned_from routes =
+let advertise ?(quirks = Quirkset.of_list []) router ~to_ ~learned_from routes =
   match session ~quirks router to_ with
   | Confed.Session_mismatch -> []
   | sess ->
@@ -91,7 +92,8 @@ let best_rib routes =
   |> List.sort (fun (a : Route.t) (b : Route.t) ->
          Prefix.compare a.Route.prefix b.Route.prefix)
 
-let run_chain ?(quirks = []) ~r2 ~r2_in ~r2_out ~r3 ~r3_in ~injected () =
+let run_chain ?(quirks = Quirkset.of_list []) ~r2 ~r2_in ~r2_out ~r3 ~r3_in
+    ~injected () =
   let imported = receive ~quirks r2 ~from_:r2_in injected in
   let r2_rib = best_rib imported in
   let exported =

@@ -25,7 +25,7 @@ type rib = Route.t list
 (** Best route per prefix, sorted by prefix. *)
 
 val receive :
-  ?quirks:Quirks.t list ->
+  ?quirks:Quirks.t Eywa_quirkset.Quirkset.t ->
   router ->
   from_:neighbor ->
   Route.t list ->
@@ -35,7 +35,7 @@ val receive :
     per-neighbor import route map, eBGP local-pref reset. *)
 
 val advertise :
-  ?quirks:Quirks.t list ->
+  ?quirks:Quirks.t Eywa_quirkset.Quirkset.t ->
   router ->
   to_:neighbor ->
   learned_from:Reflect.peer_type ->
@@ -47,7 +47,7 @@ val advertise :
 val best_rib : Route.t list -> rib
 
 val run_chain :
-  ?quirks:Quirks.t list ->
+  ?quirks:Quirks.t Eywa_quirkset.Quirkset.t ->
   r2:router ->
   r2_in:neighbor ->
   r2_out:neighbor ->

@@ -1,3 +1,5 @@
+module Quirkset = Eywa_quirkset.Quirkset
+
 type prefix_list_entry = {
   seq : int;
   permit : bool;
@@ -28,20 +30,20 @@ type stanza = {
 
 type route_map = { rm_name : string; stanzas : stanza list }
 
-let entry_matches ?(quirks = []) entry (p : Prefix.t) =
-  let has q = List.mem q quirks in
+let entry_matches ?(quirks = Quirkset.of_list []) entry (p : Prefix.t) =
+  let has = Quirkset.has quirks in
   let plen = p.Prefix.len in
   if
-    has Quirks.Prefix_set_zero_masklength
-    && entry.prefix.Prefix.len = 0
+    entry.prefix.Prefix.len = 0
     && (entry.ge <> None || entry.le <> None)
+    && has Quirks.Prefix_set_zero_masklength
   then true
   else if not (Prefix.contains entry.prefix p) then false
   else begin
     match (entry.ge, entry.le) with
     | None, None ->
-        if has Quirks.Prefix_list_ge_match then plen >= entry.prefix.Prefix.len
-        else plen = entry.prefix.Prefix.len
+        plen = entry.prefix.Prefix.len
+        || (plen > entry.prefix.Prefix.len && has Quirks.Prefix_list_ge_match)
     | Some ge, None -> plen >= ge
     | None, Some le -> plen >= entry.prefix.Prefix.len && plen <= le
     | Some ge, Some le -> plen >= ge && plen <= le

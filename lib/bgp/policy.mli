@@ -31,18 +31,18 @@ type stanza = {
 type route_map = { rm_name : string; stanzas : stanza list }
 
 val entry_matches :
-  ?quirks:Quirks.t list -> prefix_list_entry -> Prefix.t -> bool
+  ?quirks:Quirks.t Eywa_quirkset.Quirkset.t -> prefix_list_entry -> Prefix.t -> bool
 (** One entry against a route's prefix: the entry's prefix must contain
     it and the mask length must satisfy ge/le (or equal the entry's
     length when neither is given). Quirks inject the FRR >= behaviour
     and the GoBGP zero-masklength behaviour. *)
 
 val prefix_list_permits :
-  ?quirks:Quirks.t list -> prefix_list -> Prefix.t -> bool
+  ?quirks:Quirks.t Eywa_quirkset.Quirkset.t -> prefix_list -> Prefix.t -> bool
 (** First matching entry decides; no match means deny (BGP default). *)
 
 val apply_route_map :
-  ?quirks:Quirks.t list ->
+  ?quirks:Quirks.t Eywa_quirkset.Quirkset.t ->
   prefix_lists:prefix_list list ->
   route_map ->
   Route.t ->

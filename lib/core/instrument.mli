@@ -50,7 +50,8 @@ type event =
       disagreeing_tests : int;
       tuples : int;  (** unique root-cause tuples *)
       execs : int;
-          (** implementation executions recorded over the suite — a
+          (** observations recorded over the suite (one per
+              implementation per test), not engine runs — a
               deterministic counter, so difftest has per-stage
               attribution like symex ticks and fuzz execs *)
     }
@@ -173,7 +174,7 @@ module Stat : sig
   (** [Difftest_done] events *)
 
   val difftest_execs : int t
-  (** implementation executions over all suites *)
+  (** observations over all suites (not engine runs) *)
 
   val disagreeing_tests : int t
 

@@ -1,3 +1,5 @@
+module Quirkset = Eywa_quirkset.Quirkset
+
 type fields = (string * string) list
 
 type observation = { impl : string; fields : fields }
@@ -9,47 +11,133 @@ type disagreement = {
   d_majority : string;
 }
 
-let field_majority values =
-  let counts = Hashtbl.create 8 in
-  List.iter
-    (fun (_, v) ->
-      let n = try Hashtbl.find counts v with Not_found -> 0 in
-      Hashtbl.replace counts v (n + 1))
-    values;
+(* The value with the largest total weight, ties to the smallest. *)
+let weighted_majority weighted =
+  let totals =
+    List.fold_left
+      (fun totals (v, n) ->
+        match List.assoc_opt v totals with
+        | Some m -> (v, m + n) :: List.remove_assoc v totals
+        | None -> (v, n) :: totals)
+      [] weighted
+  in
   let best =
-    Hashtbl.fold
-      (fun v n acc ->
+    List.fold_left
+      (fun acc (v, n) ->
         match acc with
-        | None -> Some (v, n)
-        | Some (bv, bn) ->
-            if n > bn || (n = bn && v < bv) then Some (v, n) else acc)
-      counts None
+        | Some (bv, bn) when n < bn || (n = bn && v >= bv) -> acc
+        | Some _ | None -> Some (v, n))
+      None totals
   in
   match best with Some (v, _) -> v | None -> ""
 
+let field_majority values =
+  weighted_majority (List.map (fun (_, v) -> (v, 1)) values)
+
+(* One vote per distinct field list, weighted by the implementations
+   that share it; each observation then keeps its place in the order of
+   disagreements. Observations rendered from one outcome share their
+   field list physically, so grouping them costs a pointer test. *)
 let compare_all observations =
   match observations with
   | [] | [ _ ] -> []
   | first :: _ ->
-      let field_names = List.map fst first.fields in
+      let groups = ref [] in
+      let grouped =
+        List.map
+          (fun o ->
+            match
+              List.find_opt (fun (fs, _) -> fs == o.fields || fs = o.fields) !groups
+            with
+            | Some (fs, n) ->
+                incr n;
+                (o.impl, fs)
+            | None ->
+                groups := (o.fields, ref 1) :: !groups;
+                (o.impl, o.fields))
+          observations
+      in
       List.concat_map
-        (fun field ->
-          let values =
-            List.filter_map
-              (fun o ->
-                match List.assoc_opt field o.fields with
-                | Some v -> Some (o.impl, v)
-                | None -> None)
-              observations
+        (fun (field, _) ->
+          let majority =
+            weighted_majority
+              (List.filter_map
+                 (fun (fs, n) ->
+                   Option.map (fun v -> (v, !n)) (List.assoc_opt field fs))
+                 !groups)
           in
-          let majority = field_majority values in
           List.filter_map
-            (fun (impl, v) ->
-              if v = majority then None
-              else
-                Some { d_impl = impl; d_field = field; d_got = v; d_majority = majority })
-            values)
-        field_names
+            (fun (impl, fs) ->
+              match List.assoc_opt field fs with
+              | Some v when v <> majority ->
+                  Some
+                    { d_impl = impl; d_field = field; d_got = v; d_majority = majority }
+              | Some _ | None -> None)
+            grouped)
+        first.fields
+
+(* ----- serving a test: one engine run per quirk set that can differ ----- *)
+
+(* A run under [quirks] that consulted only [consulted]. Every quirk
+   set that agrees with [quirks] on [consulted] takes the same path
+   through the engine, so it shares [outcome] without a run of its own. *)
+type ('q, 'r) engine_run = { quirks : 'q list; consulted : 'q list; outcome : 'r }
+
+(* One test's engine runs so far. *)
+type ('q, 'r) memo = {
+  serve : 'q Quirkset.t -> 'r;
+  mutable runs : ('q, 'r) engine_run list;
+}
+
+let agrees set r =
+  List.for_all (fun q -> List.mem q set = List.mem q r.quirks) r.consulted
+
+let run_under memo quirks =
+  match List.find_opt (agrees quirks) memo.runs with
+  | Some r -> r
+  | None ->
+      let set = Quirkset.of_list quirks in
+      let outcome = memo.serve set in
+      let r = { quirks; consulted = Quirkset.consulted set; outcome } in
+      memo.runs <- memo.runs @ [ r ];
+      r
+
+(* The reference runs first: most implementations share its outcome. *)
+let memo_of serve =
+  let memo = { serve; runs = [] } in
+  ignore (run_under memo []);
+  memo
+
+(* Structurally equal outcomes are rendered once and share the field
+   list. *)
+let observe_runs ~render runs =
+  let rendered = ref [] in
+  List.map
+    (fun (impl, r) ->
+      let fields =
+        match
+          List.find_opt (fun (o, _) -> o == r.outcome || o = r.outcome) !rendered
+        with
+        | Some (_, fields) -> fields
+        | None ->
+            let fields = render r.outcome in
+            rendered := (r.outcome, fields) :: !rendered;
+            fields
+      in
+      { impl; fields })
+    runs
+
+let impl_runs memo impls =
+  List.map (fun (impl, quirks) -> (impl, run_under memo quirks)) impls
+
+let observe ~impls ~render serve =
+  observe_runs ~render (impl_runs (memo_of serve) impls)
+
+let observe_naive ~impls ~render serve =
+  List.map
+    (fun (impl, quirks) ->
+      { impl; fields = render (serve (Quirkset.of_list quirks)) })
+    impls
 
 type accum = {
   mutable total : int;
@@ -101,13 +189,17 @@ let resolve_jobs = function
   | None -> Eywa_core.Pool.default_jobs ()
 
 let run ?jobs ?(sink = Eywa_core.Instrument.null) ?(label = "suite")
-    ?(on_test = fun _ _ -> ()) ~observe tests =
+    ?(on_test = fun _ _ -> ()) ~impls ~render ~prepare tests =
   let jobs = resolve_jobs jobs in
   (* [compare_all] is pure, so it runs in the worker too: the merge
      then holds only each test's disagreements, not every rendered
      observation of the suite *)
   let judge t =
-    Option.map (fun obs -> (List.length obs, compare_all obs)) (observe t)
+    Option.map
+      (fun serve ->
+        let obs = observe ~impls ~render serve in
+        (List.length obs, compare_all obs))
+      (prepare t)
   in
   let results, stats =
     Eywa_core.Pool.with_pool ~jobs (fun pool ->
@@ -150,34 +242,57 @@ let run ?jobs ?(sink = Eywa_core.Instrument.null) ?(label = "suite")
    depend on that snapshot, and a pair is skipped only after the chunk
    holding its first confirming test, so the merge sees every pair first
    at the same index as when every test tries every pair: the result is
-   the same for any chunk size and pool. *)
+   the same for any chunk size and pool.
+
+   Of those pairs a test tries only the quirks the implementation's own
+   run consulted: removing any other quirk replays the same run, so it
+   cannot confirm. A test where no such pair is left is skipped before
+   its observations are rendered or voted on. *)
 
 let attribute_chunk = 256
 
-let attribute ?jobs ~suspects ~quirks ~prepare tests =
-  let confirmed known t =
+let untried_pairs impls known =
+  List.filter_map
+    (fun (impl, quirks) ->
+      match List.filter (fun q -> not (List.mem (impl, q) known)) quirks with
+      | [] -> None
+      | untried -> Some (impl, untried))
+    impls
+
+let attribute ?jobs ~suspects ~impls ~render ~prepare tests =
+  let confirmed untried t =
     match prepare t with
     | None -> []
-    | Some (observations, serve) -> (
-        match compare_all observations with
-        | [] -> []
-        | ds ->
-            List.concat_map
-              (fun impl ->
-                let active = quirks impl in
-                match
-                  List.filter (fun q -> not (List.mem (impl, q) known)) active
-                with
-                | [] -> []
-                | untried ->
-                    let with_all = serve active in
-                    List.filter_map
-                      (fun q ->
-                        let without = List.filter (fun x -> x <> q) active in
-                        if serve without <> with_all then Some (impl, q)
-                        else None)
-                      untried)
-              (suspects ds))
+    | Some serve -> (
+        let memo = memo_of serve in
+        let runs = impl_runs memo impls in
+        let candidates =
+          List.filter_map
+            (fun (impl, qs) ->
+              let r = List.assoc impl runs in
+              match List.filter (fun q -> List.mem q r.consulted) qs with
+              | [] -> None
+              | qs -> Some (impl, (r, qs)))
+            untried
+        in
+        if candidates = [] then []
+        else
+          match compare_all (observe_runs ~render runs) with
+          | [] -> []
+          | ds ->
+              List.concat_map
+                (fun impl ->
+                  match List.assoc_opt impl candidates with
+                  | None -> []
+                  | Some (r, qs) ->
+                      List.filter_map
+                        (fun q ->
+                          let without = List.filter (fun x -> x <> q) r.quirks in
+                          if (run_under memo without).outcome <> r.outcome then
+                            Some (impl, q)
+                          else None)
+                        qs)
+                (suspects ds))
   in
   let note known pair = if List.mem pair known then known else pair :: known in
   Eywa_core.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
@@ -187,11 +302,42 @@ let attribute ?jobs ~suspects ~quirks ~prepare tests =
         | rest ->
             let known =
               List.fold_left (List.fold_left note) known
-                (Eywa_core.Pool.map pool (confirmed known) (List.rev chunk))
+                (Eywa_core.Pool.map pool
+                   (confirmed (untried_pairs impls known))
+                   (List.rev chunk))
             in
             match rest with [] -> List.rev known | _ -> go known [] 0 rest
       in
       go [] [] 0 tests)
+
+let attribute_naive ~suspects ~impls ~render ~prepare tests =
+  let found = ref [] in
+  List.iter
+    (fun t ->
+      match prepare t with
+      | None -> ()
+      | Some serve -> (
+          let observations = observe_naive ~impls ~render serve in
+          let serve quirks = serve (Quirkset.of_list quirks) in
+          match compare_all observations with
+          | [] -> ()
+          | ds ->
+              List.iter
+                (fun impl ->
+                  let active =
+                    Option.value (List.assoc_opt impl impls) ~default:[]
+                  in
+                  let with_all = serve active in
+                  List.iter
+                    (fun q ->
+                      if
+                        serve (List.filter (fun x -> x <> q) active) <> with_all
+                        && not (List.mem (impl, q) !found)
+                      then found := (impl, q) :: !found)
+                    active)
+                (suspects ds)))
+    tests;
+  List.rev !found
 
 let dissenters ds =
   List.rev

@@ -7,7 +7,16 @@
     implementations that differ produce a disagreement tuple
     [(impl, field, got, majority)]. Because many tests trigger the same
     bug, tuples are deduplicated into unique root causes, exactly as
-    the paper triages its results. *)
+    the paper triages its results.
+
+    Every implementation is the reference engine under its own quirk
+    set, and the engine gates each quirk through
+    {!Eywa_quirkset.Quirkset.has}. A run that consulted the quirks L
+    under quirk set Q therefore has the outcome of every quirk set that
+    agrees with Q on L. A test serves the reference (no quirks) first
+    and runs the engine again only for a quirk set that no earlier run
+    covers this way; each structurally distinct outcome is rendered
+    once. *)
 
 type fields = (string * string) list
 (** field name -> rendered value; all observations of one test must use
@@ -28,7 +37,32 @@ val field_majority : (string * string) list -> string
     deterministic. *)
 
 val compare_all : observation list -> disagreement list
-(** Disagreements of a single test across implementations. *)
+(** Disagreements of a single test across implementations: for each
+    field (in the first observation's order), every observation whose
+    value differs from the field's majority, in observation order.
+    The vote is taken once per distinct field list, weighted by how
+    many observations share it, so it is the {!field_majority} of the
+    observations' values. *)
+
+val observe :
+  impls:(string * 'q list) list ->
+  render:('r -> fields) ->
+  ('q Eywa_quirkset.Quirkset.t -> 'r) ->
+  observation list
+(** [observe ~impls ~render serve]: each implementation's observation
+    of one test, in [impls] order — [render] of what [serve] returns
+    under the implementation's quirk set — with one engine run per quirk
+    set whose outcome could differ (see above). [serve] must gate every
+    quirk through {!Eywa_quirkset.Quirkset.has}, and may be called with
+    any quirk set. Equal to {!observe_naive}. *)
+
+val observe_naive :
+  impls:(string * 'q list) list ->
+  render:('r -> fields) ->
+  ('q Eywa_quirkset.Quirkset.t -> 'r) ->
+  observation list
+(** The reference {!observe}: every implementation served and rendered
+    on its own. Kept for tests. *)
 
 (** Accumulation across a whole test suite. *)
 
@@ -38,9 +72,9 @@ type report = {
   total_tests : int;
   disagreeing_tests : int;
   observations : int;
-      (** implementation executions recorded over the suite — a
-          deterministic counter (sum of observation-list lengths), the
-          difftest analogue of symex ticks *)
+      (** observations recorded over the suite (the sum of the
+          observation-list lengths), not engine runs: a deterministic
+          counter, the difftest analogue of symex ticks *)
   tuples : (disagreement * int) list;
       (** unique tuples with occurrence counts, most frequent first *)
 }
@@ -54,16 +88,20 @@ val run :
   ?sink:Eywa_core.Instrument.sink ->
   ?label:string ->
   ?on_test:('a -> disagreement list -> unit) ->
-  observe:('a -> observation list option) ->
+  impls:(string * 'q list) list ->
+  render:('r -> fields) ->
+  prepare:('a -> ('q Eywa_quirkset.Quirkset.t -> 'r) option) ->
   'a list ->
   report
-(** [run ~observe tests] computes every test's observations and their
-    disagreements ({!compare_all}) in parallel ([observe] returning
-    [None] skips the test), keeping only the observation count and the
-    disagreements of each test, then tallies them {e sequentially in
-    input order} into one accumulator — so the report is identical at
-    any [jobs], and equal to {!record}ing every observation list in
-    order. [observe] must be safe to call from concurrent domains.
+(** [run ~impls ~render ~prepare tests] computes every test's
+    observations ({!observe} of the serve function [prepare] gives it;
+    [None] skips the test) and their disagreements ({!compare_all}) in
+    parallel, keeping only the observation count and the disagreements
+    of each test, then tallies them {e sequentially in input order} into
+    one accumulator — so the report is identical at any [jobs], and
+    equal to {!record}ing every test's {!observe_naive} in order.
+    [prepare] and the serve functions must be safe to call from
+    concurrent domains.
 
     After the merge, emits [Pool_merged] (labelled
     ["difftest:" ^ label]) and [Difftest_done] on [sink] from the
@@ -85,26 +123,40 @@ val attribute_chunk : int
 val attribute :
   ?jobs:int ->
   suspects:(disagreement list -> string list) ->
-  quirks:(string -> 'q list) ->
-  prepare:('a -> (observation list * ('q list -> 'r)) option) ->
+  impls:(string * 'q list) list ->
+  render:('r -> fields) ->
+  prepare:('a -> ('q Eywa_quirkset.Quirkset.t -> 'r) option) ->
   'a list ->
   (string * 'q) list
 (** Root-cause attribution by quirk removal (§4.2), shared by every
-    protocol adapter. [prepare t] gives a test's observations and
-    [serve], which replays the test on the reference engine under a
-    quirk set ([None] skips the test). On a test whose observations
-    disagree ({!compare_all}), every implementation [suspects] names is
-    served under all its [quirks] and again with each quirk removed in
-    turn; a quirk whose removal changes the reply is confirmed for that
-    implementation.
+    protocol adapter; [impls], [render] and [prepare] are as for {!run}.
+    On a test whose observations disagree ({!compare_all}), every
+    implementation [suspects] names is served again with each of its
+    quirks removed in turn — only quirks the implementation's run
+    consulted, since removing any other replays the same run — and a
+    quirk whose removal changes the outcome is confirmed for that
+    implementation. The result equals {!attribute_naive}, which tries
+    every quirk.
 
     Returns the distinct confirmed (implementation, quirk) pairs in
     first-occurrence order: by test index, then suspect order, then
     quirk order. Tests are judged on a [jobs]-domain pool in
     index-ordered chunks of {!attribute_chunk}, each skipping the pairs
-    that earlier chunks confirmed, so the result is the same at any
-    [jobs]. [prepare], [serve] and [quirks] must be safe to call from
-    concurrent domains. *)
+    that earlier chunks confirmed; a test with no untried pair its runs
+    consulted is skipped before it is rendered or voted on. The result
+    is the same at any [jobs]. [prepare] and the serve functions must
+    be safe to call from concurrent domains. *)
+
+val attribute_naive :
+  suspects:(disagreement list -> string list) ->
+  impls:(string * 'q list) list ->
+  render:('r -> fields) ->
+  prepare:('a -> ('q Eywa_quirkset.Quirkset.t -> 'r) option) ->
+  'a list ->
+  (string * 'q) list
+(** The reference {!attribute}, kept for tests: sequential, every test
+    observed with {!observe_naive}, and every quirk of every suspect
+    tried by a fresh run. *)
 
 val impls_in_report : report -> string list
 val tuples_for : report -> string -> (disagreement * int) list

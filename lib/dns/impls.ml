@@ -171,7 +171,8 @@ let quirks impl version =
         List.filter_map (fun b -> if b.new_bug then Some b.quirk else None) impl.bugs
       else List.map (fun b -> b.quirk) impl.bugs
 
-let serve impl version zone q = Lookup.lookup ~quirks:(quirks impl version) zone q
+let serve impl version zone q =
+  Lookup.lookup ~quirks:(Eywa_quirkset.Quirkset.of_list (quirks impl version)) zone q
 
 let bug_catalog =
   List.concat_map (fun impl -> List.map (fun b -> (impl.name, b)) impl.bugs) all

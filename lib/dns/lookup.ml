@@ -1,3 +1,5 @@
+module Quirkset = Eywa_quirkset.Quirkset
+
 type quirk =
   | Sibling_glue_missing
   | Sibling_glue_missing_wildcard
@@ -77,9 +79,12 @@ let rdata_has_star (r : Rr.t) =
 let remove_last xs =
   match List.rev xs with [] -> [] | _ :: rev_rest -> List.rev rev_rest
 
-let lookup ?(quirks = []) zone (q : Message.query) =
-  let has qk = List.mem qk quirks in
-  let max_chain = if has Inconsistent_loop_unroll then 2 else 8 in
+(* Every deviation is gated on [has]. Each consult sits behind the
+   cheaper conditions that decide whether its quirk could matter, so a
+   run consults few quirks and difftest can share it between more
+   implementations. *)
+let lookup ?(quirks = Quirkset.of_list []) zone (q : Message.query) =
+  let has = Quirkset.has quirks in
   let soa_rrs =
     List.filter (fun (r : Rr.t) -> r.rtype = Rr.SOA) (Zone.records_at zone zone.origin)
   in
@@ -102,13 +107,13 @@ let lookup ?(quirks = []) zone (q : Message.query) =
   let referral cut ns_rrs answer =
     let glue =
       if has Sibling_glue_missing then []
-      else if has Sibling_glue_missing_wildcard && zone_has_wildcard then []
+      else if zone_has_wildcard && has Sibling_glue_missing_wildcard then []
       else
         Zone.glue_for zone (List.filter_map Rr.target ns_rrs)
     in
     let aa = has Aa_zone_cut_ns in
     ignore cut;
-    if has Glue_aa_flag && glue <> [] then
+    if glue <> [] && has Glue_aa_flag then
       (* glue promoted to authoritative data: it lands in the answer
          section rather than additional *)
       respond Message.NOERROR ~aa ~answer:(answer @ glue) ~authority:ns_rrs
@@ -119,7 +124,8 @@ let lookup ?(quirks = []) zone (q : Message.query) =
   let rec resolve qname qtype acc visited depth : Message.response =
     if not (Zone.in_zone zone qname) then out_of_zone qname acc
     else if List.exists (Name.equal qname) visited then loop_detected acc
-    else if depth > max_chain then positive acc
+    else if depth > 8 || (depth > 2 && has Inconsistent_loop_unroll) then
+      positive acc
     else begin
       match Zone.delegation_of zone qname with
       | Some (cut, ns_rrs) -> referral cut ns_rrs acc
@@ -174,7 +180,7 @@ let lookup ?(quirks = []) zone (q : Message.query) =
     in
     let wildcard_available = Zone.wildcards_matching zone qname <> [] in
     match deepest with
-    | Some rr when not (has Synth_wildcard_not_dname && wildcard_available) -> (
+    | Some rr when not (wildcard_available && has Synth_wildcard_not_dname) -> (
         match Rr.target rr with
         | None -> nodata acc
         | Some dname_target -> (
@@ -191,7 +197,7 @@ let lookup ?(quirks = []) zone (q : Message.query) =
                 let synth = Rr.v qname Rr.CNAME (Rr.Target new_name) in
                 let acc = acc @ [ shown; synth ] in
                 if qtype = Rr.CNAME then positive acc
-                else if has Dname_not_recursive && depth > 0 then positive acc
+                else if depth > 0 && has Dname_not_recursive then positive acc
                 else resolve new_name qtype acc (qname :: visited) (depth + 1)))
     | Some _ | None -> try_wildcard qname qtype acc visited depth
   and try_wildcard qname qtype acc visited depth =
@@ -226,7 +232,7 @@ let lookup ?(quirks = []) zone (q : Message.query) =
   and wildcard_expand qname qtype (w : Rr.t) acc visited depth =
     let group = Zone.records_at zone w.owner in
     let synth_owner =
-      if has Star_query_synthesis && name_has_star qname then w.owner else qname
+      if name_has_star qname && has Star_query_synthesis then w.owner else qname
     in
     let synthesize (r : Rr.t) = { r with Rr.owner = synth_owner } in
     let cnames = List.filter (fun (r : Rr.t) -> r.rtype = Rr.CNAME) group in
@@ -238,8 +244,8 @@ let lookup ?(quirks = []) zone (q : Message.query) =
       | None -> positive acc
       | Some target ->
           if
-            has Wildcard_loop_crash
-            && Name.wildcard_matches ~wildcard:w.owner target
+            Name.wildcard_matches ~wildcard:w.owner target
+            && has Wildcard_loop_crash
           then raise (Crashed "wildcard CNAME loop")
           else if has Cname_chain_not_followed then positive acc
           else resolve target qtype acc (qname :: visited) (depth + 1)
@@ -254,8 +260,8 @@ let lookup ?(quirks = []) zone (q : Message.query) =
         | None -> nodata acc
         | Some target ->
             if
-              has Wildcard_loop_crash
-              && Name.wildcard_matches ~wildcard:w.owner target
+              Name.wildcard_matches ~wildcard:w.owner target
+              && has Wildcard_loop_crash
             then raise (Crashed "wildcard DNAME loop")
             else begin
               let shown =
@@ -282,7 +288,7 @@ let lookup ?(quirks = []) zone (q : Message.query) =
             Name.is_proper_suffix ~suffix:qname r.owner && name_has_star r.owner)
           zone.Zone.records
       in
-      if has Wrong_rcode_ent_wildcard && below_has_star then
+      if below_has_star && has Wrong_rcode_ent_wildcard then
         respond Message.NXDOMAIN ~answer:acc ~authority:soa_rrs
       else nodata acc
     end
@@ -290,16 +296,18 @@ let lookup ?(quirks = []) zone (q : Message.query) =
   in
   let finalize (r : Message.response) =
     let r =
-      if has Wrong_rcode_star_rdata && List.exists rdata_has_star r.answer then
+      if List.exists rdata_has_star r.answer && has Wrong_rcode_star_rdata then
         { r with Message.rcode = Message.NXDOMAIN }
       else r
     in
     let r =
-      if has Duplicate_answer_records && r.answer <> [] then
+      if r.answer <> [] && has Duplicate_answer_records then
         { r with Message.answer = r.answer @ r.answer }
       else r
     in
-    if has Missing_aa_flag then { r with Message.aa = false; authority = [] } else r
+    if (r.aa || r.authority <> []) && has Missing_aa_flag then
+      { r with Message.aa = false; authority = [] }
+    else r
   in
   if not (Zone.in_zone zone q.qname) then
     Message.Reply (respond Message.REFUSED ~aa:false)

@@ -42,4 +42,11 @@ type quirk =
 val quirk_to_string : quirk -> string
 val all_quirks : quirk list
 
-val lookup : ?quirks:quirk list -> Zone.t -> Message.query -> Message.outcome
+val lookup :
+  ?quirks:quirk Eywa_quirkset.Quirkset.t ->
+  Zone.t ->
+  Message.query ->
+  Message.outcome
+(** Serve a query under a quirk set (default: none — the reference
+    engine). A quirk the run never {!Eywa_quirkset.Quirkset.has}-checks
+    cannot change its outcome. *)

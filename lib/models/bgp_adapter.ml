@@ -140,7 +140,7 @@ let reflect_scenario ~with_policy test quirks =
 
 (* RMAP-PL: pure policy evaluation — a route against a one-entry prefix
    list used by a route-map stanza. *)
-let policy_scenario test quirks =
+let policy_scenario test =
   match (Bgp_models.test_route test, Bgp_models.test_prefix_entry test) with
   | Some prefix, Some entry ->
       let route = Bgp.Route.v prefix in
@@ -159,24 +159,26 @@ let policy_scenario test quirks =
             ];
         }
       in
-      let outcome =
-        Bgp.Policy.apply_route_map ~quirks ~prefix_lists:[ pl ] rm route
-      in
       Some
-        [
-          ( "policy",
-            match outcome with
-            | None -> "deny"
-            | Some r -> "permit " ^ Bgp.Route.to_string r );
-        ]
+        (fun quirks ->
+          [
+            ( "policy",
+              match
+                Bgp.Policy.apply_route_map ~quirks ~prefix_lists:[ pl ] rm route
+              with
+              | None -> "deny"
+              | Some r -> "permit " ^ Bgp.Route.to_string r );
+          ])
   | _, _ -> None
 
-let scenario ~model_id test quirks =
+(* A test's scenario, replayed under a quirk set; [None] when the model
+   has none for the test. *)
+let scenario ~model_id test =
   match model_id with
-  | "CONFED" -> Some (confed_scenario test quirks)
-  | "RR" -> Some (reflect_scenario ~with_policy:false test quirks)
-  | "RR-RMAP" -> Some (reflect_scenario ~with_policy:true test quirks)
-  | "RMAP-PL" -> policy_scenario test quirks
+  | "CONFED" -> Some (confed_scenario test)
+  | "RR" -> Some (reflect_scenario ~with_policy:false test)
+  | "RR-RMAP" -> Some (reflect_scenario ~with_policy:true test)
+  | "RMAP-PL" -> policy_scenario test
   | _ -> None
 
 (* The injector on R1 is ExaBGP — an independent, correct
@@ -184,31 +186,21 @@ let scenario ~model_id test quirks =
    view as an observation means a bug shared by all three tested
    implementations (the confederation sub-AS collision affects FRR,
    GoBGP and Batfish alike) still surfaces as a disagreement. *)
-let prepare ~model_id (test : Testcase.t) =
-  if test.bad_input || test.error <> None then None
-  else begin
-    let viewpoints =
-      ("exabgp", [])
-      :: List.map (fun impl -> (impl.Bgp.Impls.name, Bgp.Impls.quirks impl))
-           Bgp.Impls.all
-    in
-    let obs =
-      List.filter_map
-        (fun (name, quirks) ->
-          match scenario ~model_id test quirks with
-          | None -> None
-          | Some fields -> Some { Difftest.impl = name; fields })
-        viewpoints
-    in
-    match obs with [] -> None | _ -> Some (obs, scenario ~model_id test)
-  end
+let impls =
+  ("exabgp", [])
+  :: List.map
+       (fun impl -> (impl.Bgp.Impls.name, Bgp.Impls.quirks impl))
+       Bgp.Impls.all
 
-let observations_for ~model_id test = Option.map fst (prepare ~model_id test)
+let prepare ~model_id (test : Testcase.t) =
+  if test.bad_input || test.error <> None then None else scenario ~model_id test
+
+let observations_for ~model_id test =
+  Option.map (Difftest.observe ~impls ~render:Fun.id) (prepare ~model_id test)
 
 let run ?jobs ?sink ~model_id tests =
-  Difftest.run ?jobs ?sink ~label:model_id
-    ~observe:(observations_for ~model_id)
-    tests
+  Difftest.run ?jobs ?sink ~label:model_id ~impls ~render:Fun.id
+    ~prepare:(prepare ~model_id) tests
 
 (* A disagreement anywhere prompts attribution for every implementation:
    majority voting alone cannot name the culprit when the bug is shared. *)
@@ -216,10 +208,7 @@ let quirks_triggered ?jobs model_ids_and_tests =
   Difftest.attribute ?jobs
     ~suspects:(fun _ ->
       List.map (fun impl -> impl.Bgp.Impls.name) Bgp.Impls.all)
-    ~quirks:(fun name ->
-      match Bgp.Impls.find name with
-      | Some impl -> Bgp.Impls.quirks impl
-      | None -> [])
+    ~impls ~render:Fun.id
     ~prepare:(fun (model_id, test) -> prepare ~model_id test)
     (List.concat_map
        (fun (model_id, tests) -> List.map (fun t -> (model_id, t)) tests)

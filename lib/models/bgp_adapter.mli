@@ -7,16 +7,17 @@
     the observation renders the session outcome and both routing
     tables. *)
 
+val impls : (string * Eywa_bgp.Quirks.t list) list
+(** ExaBGP (no quirks), then each implementation with its quirks. *)
+
 val prepare :
   model_id:string ->
   Eywa_core.Testcase.t ->
-  (Eywa_difftest.Difftest.observation list
-  * (Eywa_bgp.Quirks.t list -> Eywa_difftest.Difftest.fields option))
+  (Eywa_bgp.Quirks.t Eywa_quirkset.Quirkset.t -> Eywa_difftest.Difftest.fields)
   option
-(** A test's observations (ExaBGP's and each implementation's), and
-    the function that replays its scenario under a given quirk set;
-    [None] for bad-input or crash-path tests and tests the model has no
-    scenario for. *)
+(** The function that replays a test's scenario under a given quirk
+    set and renders it; [None] for bad-input or crash-path tests and
+    tests the model has no scenario for. *)
 
 val observations_for :
   model_id:string -> Eywa_core.Testcase.t -> Eywa_difftest.Difftest.observation list option
@@ -37,6 +38,6 @@ val quirks_triggered :
   (string * Eywa_bgp.Quirks.t) list
 (** {!Eywa_difftest.Difftest.attribute} over the models' tests in
     order. Every implementation is a suspect on a disagreeing test,
-    since a bug FRR, GoBGP and Batfish share outvotes ExaBGP; a quirk is
-    confirmed when removing it changes the test's rendered session and
-    routing tables. *)
+    since a bug FRR, GoBGP and Batfish share outvotes ExaBGP; a quirk
+    the implementation's run consulted is confirmed when removing it
+    changes the test's rendered session and routing tables. *)

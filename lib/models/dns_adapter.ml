@@ -52,37 +52,26 @@ let artifacts_for ~model_id (test : Testcase.t) =
     end
   end
 
+let impls version =
+  List.map
+    (fun impl -> (impl.Dns.Impls.name, Dns.Impls.quirks impl version))
+    Dns.Impls.all
+
 (* One serving path for difftest and attribution: every implementation
    is the reference engine under its own quirk set. *)
-let prepare ~model_id ~version test =
-  match artifacts_for ~model_id test with
-  | None -> None
-  | Some (zone, query) ->
-      let serve quirks = Dns.Lookup.lookup ~quirks zone query in
-      Some
-        ( List.map
-            (fun impl ->
-              let outcome = serve (Dns.Impls.quirks impl version) in
-              { Difftest.impl = impl.Dns.Impls.name;
-                fields = fields_of_outcome outcome })
-            Dns.Impls.all,
-          serve )
-
-let observations_for ~model_id ~version test =
-  Option.map fst (prepare ~model_id ~version test)
+let prepare ~model_id test =
+  Option.map
+    (fun (zone, query) quirks -> Dns.Lookup.lookup ~quirks zone query)
+    (artifacts_for ~model_id test)
 
 let run ?jobs ?sink ?on_test ~model_id ~version tests =
-  Difftest.run ?jobs ?sink ?on_test ~label:model_id
-    ~observe:(observations_for ~model_id ~version)
-    tests
+  Difftest.run ?jobs ?sink ?on_test ~label:model_id ~impls:(impls version)
+    ~render:fields_of_outcome ~prepare:(prepare ~model_id) tests
 
 let quirks_triggered ?jobs ~version model_ids_and_tests =
-  Difftest.attribute ?jobs ~suspects:Difftest.dissenters
-    ~quirks:(fun name ->
-      match Dns.Impls.find name with
-      | Some impl -> Dns.Impls.quirks impl version
-      | None -> [])
-    ~prepare:(fun (model_id, test) -> prepare ~model_id ~version test)
+  Difftest.attribute ?jobs ~suspects:Difftest.dissenters ~impls:(impls version)
+    ~render:fields_of_outcome
+    ~prepare:(fun (model_id, test) -> prepare ~model_id test)
     (List.concat_map
        (fun (model_id, tests) -> List.map (fun t -> (model_id, t)) tests)
        model_ids_and_tests)

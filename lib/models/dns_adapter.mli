@@ -17,22 +17,17 @@ val artifacts_for :
 (** The zone and query a test turns into; [None] for bad-input or
     crash-path tests, which are not replayed against servers. *)
 
+val impls : Eywa_dns.Impls.version -> (string * Eywa_dns.Lookup.quirk list) list
+(** The implementations of Table 1 with their quirks at a version. *)
+
 val prepare :
   model_id:string ->
-  version:Eywa_dns.Impls.version ->
   Eywa_core.Testcase.t ->
-  (Eywa_difftest.Difftest.observation list
-  * (Eywa_dns.Lookup.quirk list -> Eywa_dns.Message.outcome))
+  (Eywa_dns.Lookup.quirk Eywa_quirkset.Quirkset.t -> Eywa_dns.Message.outcome)
   option
-(** A test's observations, and the function that serves its query
-    under a given quirk set — the one serving path difftest and
-    attribution share; [None] as for {!artifacts_for}. *)
-
-val observations_for :
-  model_id:string ->
-  version:Eywa_dns.Impls.version ->
-  Eywa_core.Testcase.t ->
-  Eywa_difftest.Difftest.observation list option
+(** The function that serves a test's query under a given quirk set —
+    the one serving path difftest and attribution share; [None] as for
+    {!artifacts_for}. *)
 
 val run :
   ?jobs:int ->
@@ -57,8 +52,9 @@ val quirks_triggered :
 (** Root-cause attribution by {!Eywa_difftest.Difftest.attribute} over
     the models' tests in order: for every disagreeing (implementation,
     test), re-serve the query with each of the implementation's quirks
-    removed in turn; a quirk whose removal changes the response is the
-    root cause. Only the dissenters of the majority vote are suspects.
-    Returns the distinct (implementation, quirk) pairs confirmed by at
-    least one test, in first-occurrence order — the "bugs found" of
-    Table 3. *)
+    removed in turn — only quirks the implementation's run consulted,
+    since removing any other replays the same run; a quirk whose
+    removal changes the response is the root cause. Only the
+    dissenters of the majority vote are suspects. Returns the distinct
+    (implementation, quirk) pairs confirmed by at least one test, in
+    first-occurrence order — the "bugs found" of Table 3. *)

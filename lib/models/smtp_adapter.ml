@@ -20,7 +20,6 @@ let machine =
 
 let state_graph_for = Stateful.state_graph_for
 let prepare ~graph = Stateful.prepare machine ~graph
-let observations_for ~graph = Stateful.observations_for machine ~graph
 let run ?jobs ?sink ~graph tests = Stateful.run machine ?jobs ?sink ~graph tests
 
 let quirks_triggered ?jobs ~graph tests =

@@ -13,15 +13,9 @@ val state_graph_for :
 val prepare :
   graph:Eywa_stategraph.Stategraph.t ->
   Eywa_core.Testcase.t ->
-  (Eywa_difftest.Difftest.observation list
-  * (Eywa_smtp.Machine.quirk list -> string list option))
+  (Eywa_smtp.Machine.quirk Eywa_quirkset.Quirkset.t -> (string list, string) result)
   option
 (** {!Stateful_adapter.prepare} on {!machine}. *)
-
-val observations_for :
-  graph:Eywa_stategraph.Stategraph.t ->
-  Eywa_core.Testcase.t ->
-  Eywa_difftest.Difftest.observation list option
 
 val run :
   ?jobs:int ->

@@ -7,7 +7,7 @@ type 'q machine = {
   start : string;
   states : string list;
   input_field : string;
-  run : 'q list -> string list -> string list;
+  run : 'q Eywa_quirkset.Quirkset.t -> string list -> string list;
   impls : (string * 'q list) list;
   label : string;
   suspects : Difftest.disagreement list -> string list;
@@ -48,35 +48,28 @@ let test_input m (t : Testcase.t) =
   | Some v -> Value.cstring v
   | None -> ""
 
-(* The probed reply is the session's last. *)
-let probe = function
+(* The probed reply is the session's last. Attribution compares the
+   whole session's replies, not only the probed one. *)
+let render = function
   | Ok replies -> [ ("reply", List.hd (List.rev replies)); ("drive", "ok") ]
   | Error m -> [ ("reply", ""); ("drive", m) ]
 
-(* Attribution compares the whole session's replies, not only the
-   probed one. *)
 let prepare m ~graph (test : Testcase.t) =
   if test.bad_input || test.error <> None then None
   else
     let input = test_input m test in
     if input = "" then None
-    else
-      let serve = drive m graph ~state:(test_state m test) ~input in
-      Some
-        ( List.map
-            (fun (impl, quirks) -> { Difftest.impl; fields = probe (serve quirks) })
-            m.impls,
-          fun quirks -> Result.to_option (serve quirks) )
+    else Some (drive m graph ~state:(test_state m test) ~input)
 
-let observations_for m ~graph test = Option.map fst (prepare m ~graph test)
+let observations_for m ~graph test =
+  Option.map (Difftest.observe ~impls:m.impls ~render) (prepare m ~graph test)
 
 let run m ?jobs ?sink ~graph tests =
-  Difftest.run ?jobs ?sink ~label:m.label ~observe:(observations_for m ~graph)
-    tests
+  Difftest.run ?jobs ?sink ~label:m.label ~impls:m.impls ~render
+    ~prepare:(prepare m ~graph) tests
 
 let attribute m ?jobs suites =
-  Difftest.attribute ?jobs ~suspects:m.suspects
-    ~quirks:(fun name -> Option.value (List.assoc_opt name m.impls) ~default:[])
+  Difftest.attribute ?jobs ~suspects:m.suspects ~impls:m.impls ~render
     ~prepare:(fun (graph, test) -> prepare m ~graph test)
     (List.concat_map
        (fun (graph, tests) -> List.map (fun t -> (graph, t)) tests)

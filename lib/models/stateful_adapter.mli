@@ -14,7 +14,7 @@ type 'q machine = {
   states : string list;
       (** the model's [state] enum members, in declaration order *)
   input_field : string;  (** the model's input argument *)
-  run : 'q list -> string list -> string list;
+  run : 'q Eywa_quirkset.Quirkset.t -> string list -> string list;
       (** a fresh server's replies, one per input letter, under a quirk
           set *)
   impls : (string * 'q list) list;
@@ -34,7 +34,7 @@ val drive :
   Eywa_stategraph.Stategraph.t ->
   state:string ->
   input:string ->
-  'q list ->
+  'q Eywa_quirkset.Quirkset.t ->
   (string list, string) result
 (** [drive m graph ~state ~input] BFS-searches [graph] once for a path
     from [m.start] to [state]; applied to a quirk set, it runs a fresh
@@ -42,23 +42,26 @@ val drive :
     reply (the probed reply is the last). [Error _] when the graph
     cannot reach the state. *)
 
+val render : (string list, string) result -> Eywa_difftest.Difftest.fields
+(** An observation: the probed (last) reply and whether the drive
+    succeeded. *)
+
 val prepare :
   'q machine ->
   graph:Eywa_stategraph.Stategraph.t ->
   Eywa_core.Testcase.t ->
-  (Eywa_difftest.Difftest.observation list * ('q list -> string list option))
-  option
-(** A test's observations (each implementation's probed reply and
-    whether the drive succeeded), and the function that replays the
-    whole session to the test's state and its input under a given
-    quirk set ([None] when the graph cannot reach the state); [None]
-    for bad-input or crash-path tests and tests without an input. *)
+  ('q Eywa_quirkset.Quirkset.t -> (string list, string) result) option
+(** The function that replays the whole session to the test's state
+    and its input under a given quirk set ({!drive}); [None] for
+    bad-input or crash-path tests and tests without an input. *)
 
 val observations_for :
   'q machine ->
   graph:Eywa_stategraph.Stategraph.t ->
   Eywa_core.Testcase.t ->
   Eywa_difftest.Difftest.observation list option
+(** {!Eywa_difftest.Difftest.observe} of a test: each implementation's
+    {!render}ed session, in [m.impls] order. *)
 
 val run :
   'q machine ->
@@ -67,7 +70,7 @@ val run :
   graph:Eywa_stategraph.Stategraph.t ->
   Eywa_core.Testcase.t list ->
   Eywa_difftest.Difftest.report
-(** {!Eywa_difftest.Difftest.run} over {!observations_for}: identical
+(** {!Eywa_difftest.Difftest.run} over {!prepare}: identical
     at any [jobs]; [sink] receives the merge-point events, labelled
     [m.label]. *)
 
@@ -78,6 +81,7 @@ val attribute :
   (string * 'q) list
 (** {!Eywa_difftest.Difftest.attribute} over the models' tests in
     order, each driven through its model's state graph, with
-    [m.suspects] as suspects; a quirk is confirmed when removing it
-    changes the replies of the whole session that drives the server to
-    the test's state and sends its input, not only the probed reply. *)
+    [m.suspects] as suspects; a quirk the implementation's run consulted
+    is confirmed when removing it changes the replies of the whole
+    session that drives the server to the test's state and sends its
+    input, not only the probed reply. *)

@@ -14,8 +14,7 @@ val state_graph_for :
 val prepare :
   graph:Eywa_stategraph.Stategraph.t ->
   Eywa_core.Testcase.t ->
-  (Eywa_difftest.Difftest.observation list
-  * (Eywa_tcp.Machine.quirk list -> string list option))
+  (Eywa_tcp.Machine.quirk Eywa_quirkset.Quirkset.t -> (string list, string) result)
   option
 
 val observations_for :

@@ -29,7 +29,8 @@ let find name = List.find_opt (fun impl -> impl.name = name) all
 
 let quirks impl = List.map (fun b -> b.quirk) impl.bugs
 
-let run_session impl commands = Machine.run_session ~quirks:(quirks impl) commands
+let run_session impl commands =
+  Machine.run_session ~quirks:(Eywa_quirkset.Quirkset.of_list (quirks impl)) commands
 
 let bug_catalog =
   List.concat_map (fun impl -> List.map (fun b -> (impl.name, b)) impl.bugs) all

@@ -1,3 +1,5 @@
+module Quirkset = Eywa_quirkset.Quirkset
+
 type state =
   | Initial
   | Helo_sent
@@ -71,8 +73,8 @@ let command_to_wire = function
   | Quit -> "QUIT"
   | Other s -> s
 
-let handle ?(quirks = []) state command =
-  let has q = List.mem q quirks in
+let handle ?(quirks = Quirkset.of_list []) state command =
+  let has = Quirkset.has quirks in
   match (state, command) with
   | Initial, Helo -> ("250", Helo_sent)
   | Initial, Ehlo -> ("250", Ehlo_sent)

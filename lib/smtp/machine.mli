@@ -43,11 +43,13 @@ val command_of_letter : string -> command
 val command_to_wire : command -> string
 (** The real protocol line ("MAIL FROM:<a@test>" etc.). *)
 
-val handle : ?quirks:quirk list -> state -> command -> string * state
+val handle :
+  ?quirks:quirk Eywa_quirkset.Quirkset.t -> state -> command -> string * state
 (** One step: the reply code ("250", "354", "503", "221", "500") and
     the successor state. *)
 
-val run_session : ?quirks:quirk list -> command list -> string list
+val run_session :
+  ?quirks:quirk Eywa_quirkset.Quirkset.t -> command list -> string list
 (** Run a fresh session (starting at [Initial]) through the commands,
     collecting replies. *)
 

@@ -22,6 +22,6 @@ val parse_reply : string -> (string, string) result
 (** The leading three-digit code of a reply line. *)
 
 val run_wire_session :
-  ?quirks:Machine.quirk list -> string list -> string list
+  ?quirks:Machine.quirk Eywa_quirkset.Quirkset.t -> string list -> string list
 (** A full session at the wire level: parse each line, run the machine,
     format each reply. *)

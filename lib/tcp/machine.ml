@@ -1,3 +1,5 @@
+module Quirkset = Eywa_quirkset.Quirkset
+
 type state = Closed | Listen | Syn_rcvd | Established | Close_wait | Last_ack
 
 type segment = Syn | Ack | Fin | Rst | Data | Other of string
@@ -41,8 +43,8 @@ let segment_of_letter = function
   | "D" -> Data
   | s -> Other s
 
-let handle ?(quirks = []) state segment =
-  let has q = List.mem q quirks in
+let handle ?(quirks = Quirkset.of_list []) state segment =
+  let has = Quirkset.has quirks in
   let rst () = if has No_rst_on_bad_segment then "-" else "R" in
   match (state, segment) with
   | Listen, Syn -> ("SA", Syn_rcvd)

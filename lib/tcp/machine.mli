@@ -32,10 +32,12 @@ val state_of_string : string -> state option
 val segment_to_letter : segment -> string
 val segment_of_letter : string -> segment
 
-val handle : ?quirks:quirk list -> state -> segment -> string * state
+val handle :
+  ?quirks:quirk Eywa_quirkset.Quirkset.t -> state -> segment -> string * state
 (** One step: the reply ("SA", "A", "FA", "R", "-") and successor. *)
 
-val run_connection : ?quirks:quirk list -> segment list -> string list
+val run_connection :
+  ?quirks:quirk Eywa_quirkset.Quirkset.t -> segment list -> string list
 (** A fresh connection starts in [Listen]. *)
 
 val reference_transitions : ((string * string) * string) list

@@ -1,4 +1,5 @@
 open Eywa_bgp
+module Quirkset = Eywa_quirkset.Quirkset
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -115,14 +116,18 @@ let test_policy_quirk_ge_match () =
   let e = entry "10.0.0.0/8" in
   check "reference exact only" false (Policy.entry_matches e (pfx "10.1.0.0/16"));
   check "frr quirk matches longer" true
-    (Policy.entry_matches ~quirks:[ Quirks.Prefix_list_ge_match ] e (pfx "10.1.0.0/16"))
+    (Policy.entry_matches
+       ~quirks:(Quirkset.of_list [ Quirks.Prefix_list_ge_match ])
+       e (pfx "10.1.0.0/16"))
 
 let test_policy_quirk_zero_masklength () =
   let e = entry ~ge:(Some 8) ~le:(Some 24) "0.0.0.0/0" in
   (* gobgp quirk: such an entry matches everything, even shorter than ge *)
   check "reference respects ge" false (Policy.entry_matches e (pfx "10.0.0.0/4"));
   check "gobgp quirk matches all" true
-    (Policy.entry_matches ~quirks:[ Quirks.Prefix_set_zero_masklength ] e (pfx "10.0.0.0/4"))
+    (Policy.entry_matches
+       ~quirks:(Quirkset.of_list [ Quirks.Prefix_set_zero_masklength ])
+       e (pfx "10.0.0.0/4"))
 
 let test_route_map () =
   let pl = { Policy.pl_name = "pl"; entries = [ entry "10.0.0.0/8" ] } in
@@ -170,7 +175,8 @@ let confed = Some { Confed.confed_id = 100; sub_as = 65001; members = [ 65001; 6
 
 let test_confed_classify () =
   let c ?quirks peer_as peer_in_confed =
-    Confed.classify ?quirks confed ~local_as:65001 ~peer_as ~peer_in_confed
+    Confed.classify ?quirks:(Option.map Quirkset.of_list quirks) confed
+      ~local_as:65001 ~peer_as ~peer_in_confed
   in
   check "same sub-as ibgp" true (c 65001 true = Confed.Ibgp);
   check "other sub-as confed-ebgp" true (c 65002 true = Confed.Ebgp_confed);
@@ -181,8 +187,9 @@ let test_confed_classify () =
 
 let test_confed_agree_mismatch () =
   check "quirk causes a session mismatch" true
-    (Confed.agree ~quirks:[ Quirks.Confed_sub_as_eq_peer ] confed ~local_as:65001
-       ~peer_as:65001 ~peer_in_confed:false
+    (Confed.agree
+       ~quirks:(Quirkset.of_list [ Quirks.Confed_sub_as_eq_peer ])
+       confed ~local_as:65001 ~peer_as:65001 ~peer_in_confed:false
     = Confed.Session_mismatch);
   check "reference agrees ebgp" true
     (Confed.agree confed ~local_as:65001 ~peer_as:65001 ~peer_in_confed:false
@@ -207,8 +214,9 @@ let test_confed_replace_as () =
   in
   check "replaced" true (Aspath.contains 600 out && not (Aspath.contains 65001 out));
   let broken =
-    Confed.export_path ~quirks:[ Quirks.Replace_as_confed_broken ] confed Confed.Ebgp
-      ~local_as:65001 ~replace_as:(600, true) path
+    Confed.export_path
+      ~quirks:(Quirkset.of_list [ Quirks.Replace_as_confed_broken ])
+      confed Confed.Ebgp ~local_as:65001 ~replace_as:(600, true) path
   in
   check "quirk ignores replace-as with confeds" true (Aspath.contains 65001 broken)
 
@@ -270,8 +278,8 @@ let test_chain_local_pref_reset () =
   let r2 = plain_router "r2" 2 and r3 = plain_router "r3" 3 in
   let injected = [ Route.v ~local_pref:250 ~as_path:(Aspath.prepend 1 Aspath.empty) (pfx "10.0.0.0/8") ] in
   let run quirks =
-    Network.run_chain ~quirks ~r2 ~r2_in:(neighbor 1) ~r2_out:(neighbor 3) ~r3
-      ~r3_in:(neighbor 2) ~injected ()
+    Network.run_chain ~quirks:(Quirkset.of_list quirks) ~r2 ~r2_in:(neighbor 1)
+      ~r2_out:(neighbor 3) ~r3 ~r3_in:(neighbor 2) ~injected ()
   in
   let reference, _ = run [] in
   let batfish, _ = run [ Quirks.Local_pref_not_reset_ebgp ] in
@@ -288,7 +296,9 @@ let test_chain_session_mismatch_blocks () =
   (* the in-neighbor is external but its AS collides with our sub-AS *)
   let collide = { (neighbor 65001) with Network.peer_in_confed = false } in
   let r2_rib, _ =
-    Network.run_chain ~quirks:[ Quirks.Confed_sub_as_eq_peer ] ~r2 ~r2_in:collide
+    Network.run_chain
+      ~quirks:(Quirkset.of_list [ Quirks.Confed_sub_as_eq_peer ])
+      ~r2 ~r2_in:collide
       ~r2_out:(neighbor 9) ~r3 ~r3_in:(neighbor 100) ~injected ()
   in
   check "nothing received over a mismatched session" true (r2_rib = []);
@@ -313,6 +323,96 @@ let test_impls_catalog () =
     (match Impls.find "frr" with
     | Some impl -> List.mem Quirks.Replace_as_confed_broken (Impls.quirks impl)
     | None -> false)
+
+(* random three-router chains: any configuration, policy and route *)
+
+let gen_asn = QCheck2.Gen.oneofl [ 1; 2; 7; 9; 100; 65001 ]
+
+let gen_prefix =
+  QCheck2.Gen.(
+    map2
+      (fun hi len -> Prefix.v (Int32.shift_left (Int32.of_int hi) 24) len)
+      (oneofl [ 0; 10; 11 ])
+      (oneofl [ 0; 4; 8; 12; 16 ]))
+
+let gen_entry =
+  QCheck2.Gen.(
+    map4
+      (fun permit prefix ge le -> { Policy.seq = 10; permit; prefix; ge; le })
+      bool gen_prefix
+      (opt (oneofl [ 4; 8; 16 ]))
+      (opt (oneofl [ 8; 16; 24 ])))
+
+let gen_router rname =
+  QCheck2.Gen.(
+    map4
+      (fun asn confed entries stanza_permit ->
+        {
+          Network.rname;
+          asn;
+          confed;
+          cluster_id = 1;
+          prefix_lists = [ { Policy.pl_name = "pl"; entries } ];
+          route_maps =
+            [
+              {
+                Policy.rm_name = "rm";
+                stanzas =
+                  [
+                    {
+                      Policy.stanza_seq = 10;
+                      stanza_permit;
+                      matches = [ Policy.Match_prefix_list "pl" ];
+                      sets = [ Policy.Set_local_pref 150 ];
+                    };
+                  ];
+              };
+            ];
+        })
+      gen_asn
+      (opt
+         (map2
+            (fun confed_id sub_as -> { Confed.confed_id; sub_as; members = [ sub_as ] })
+            (oneofl [ 7; 100 ])
+            gen_asn))
+      (list_size (int_range 1 2) gen_entry)
+      bool)
+
+let gen_neighbor =
+  QCheck2.Gen.(
+    map4
+      (fun peer_as peer_in_confed peer_kind (import_map, export_map, replace_as) ->
+        { Network.peer_as; peer_in_confed; peer_kind; import_map; export_map; replace_as })
+      gen_asn bool
+      (oneofl [ Reflect.External; Reflect.Client; Reflect.Non_client ])
+      (triple (opt (pure "rm")) (opt (pure "rm")) (opt (map (fun b -> (6, b)) bool))))
+
+let gen_route =
+  QCheck2.Gen.(
+    map3
+      (fun prefix local_pref asn ->
+        Route.v ~local_pref ~as_path:(Aspath.prepend asn Aspath.empty) prefix)
+      gen_prefix
+      (oneofl [ 100; 200 ])
+      gen_asn)
+
+let prop_unconsulted_quirks_inert =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"network: a quirk the run did not consult cannot change it"
+       QCheck2.Gen.(
+         quad
+           (pair (gen_router "r2") (gen_router "r3"))
+           (triple gen_neighbor gen_neighbor gen_neighbor)
+           (list_size (int_range 1 3) gen_route)
+           (Inert.gen_subset Quirks.all))
+       (fun ((r2, r3), (r2_in, r2_out, r3_in), injected, quirks) ->
+         Inert.unconsulted_are_inert ~all:Quirks.all
+           (fun quirks ->
+             ( Confed.agree ~quirks r2.Network.confed ~local_as:r2.asn
+                 ~peer_as:r2_in.Network.peer_as ~peer_in_confed:r2_in.peer_in_confed,
+               Network.run_chain ~quirks ~r2 ~r2_in ~r2_out ~r3 ~r3_in ~injected () ))
+           quirks))
 
 let suite =
   [
@@ -345,5 +445,6 @@ let suite =
     Alcotest.test_case "network: mismatched sessions block routes" `Quick
       test_chain_session_mismatch_blocks;
     Alcotest.test_case "network: best rib" `Quick test_best_rib;
+    prop_unconsulted_quirks_inert;
     Alcotest.test_case "impls: catalog" `Quick test_impls_catalog;
   ]

@@ -1,4 +1,5 @@
 open Eywa_dns
+module Quirkset = Eywa_quirkset.Quirkset
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -196,7 +197,8 @@ let test_build_zone_out_of_zone_target () =
 
 (* ----- reference lookup semantics ----- *)
 
-let lookup ?quirks z q = Lookup.lookup ?quirks z q
+let lookup ?quirks z q =
+  Lookup.lookup ?quirks:(Option.map Quirkset.of_list quirks) z q
 
 let reply z qname qtype =
   match lookup z { Message.qname = n qname; qtype } with
@@ -467,6 +469,37 @@ let test_quirk_star_query_synthesis () =
         (List.exists (fun (rr : Rr.t) -> Name.equal rr.owner (n "*.test.")) bad.answer)
   | _ -> Alcotest.fail "crash"
 
+(* ----- the consult log ----- *)
+
+let gen_short =
+  QCheck2.Gen.oneofl
+    [ ""; "a"; "b"; "*"; "a.b"; "*.a"; "a.*"; "b.*"; "*.*"; "ns.a"; "a.b.*" ]
+
+let gen_record =
+  QCheck2.Gen.(
+    map3
+      (fun rname rtype rdata -> { Zonefile.rname; rtype; rdata })
+      gen_short
+      (oneofl [ Rr.A; Rr.A; Rr.CNAME; Rr.CNAME; Rr.DNAME; Rr.NS; Rr.TXT ])
+      (oneof [ gen_short; oneofl [ "10.0.0.1"; "a*" ] ]))
+
+let prop_unconsulted_quirks_inert =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"lookup: a quirk the run did not consult cannot change it"
+       QCheck2.Gen.(
+         tup5
+           (list_size (int_range 0 6) gen_record)
+           bool gen_short
+           (oneofl [ Rr.A; Rr.CNAME; Rr.DNAME; Rr.TXT; Rr.NS ])
+           (Inert.gen_subset Lookup.all_quirks))
+       (fun (records, extra_delegation, qname, qtype, quirks) ->
+         let z = Zonefile.build_zone ~extra_delegation records in
+         let q = Zonefile.build_query qname qtype in
+         Inert.unconsulted_are_inert ~all:Lookup.all_quirks
+           (fun quirks -> Lookup.lookup ~quirks z q)
+           quirks))
+
 (* ----- implementations ----- *)
 
 let test_impls_roster () =
@@ -556,6 +589,7 @@ let suite =
       test_quirk_dname_replaced_by_query_fig2;
     Alcotest.test_case "quirk: wildcard loop crash" `Quick test_quirk_wildcard_loop_crash;
     Alcotest.test_case "quirk: star-in-query synthesis" `Quick test_quirk_star_query_synthesis;
+    prop_unconsulted_quirks_inert;
     Alcotest.test_case "impls: roster" `Quick test_impls_roster;
     Alcotest.test_case "impls: old vs current versions" `Quick test_impls_versions;
     Alcotest.test_case "impls: bug catalog" `Quick test_impls_bug_catalog_counts;

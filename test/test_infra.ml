@@ -85,6 +85,84 @@ let test_compare_single_observation () =
   check "single observation vacuous" true
     (Difftest.compare_all [ obs "a" [ ("f", "1") ] ] = [])
 
+let disagreement impl field got majority =
+  { Difftest.d_impl = impl; d_field = field; d_got = got; d_majority = majority }
+
+(* Implementations whose outcomes render alike share one field list, and
+   the vote counts each list once with its weight. *)
+let test_compare_all_shared_field_lists () =
+  let x = [ ("rcode", "NXDOMAIN"); ("answer", "1") ] in
+  let y = [ ("rcode", "NOERROR"); ("answer", "1") ] in
+  let z = [ ("rcode", "SERVFAIL"); ("answer", "2") ] in
+  (* rcode: NXDOMAIN (x, twice) ties NOERROR (y, twice), and the tie
+     goes to the smaller value even though x is seen first; answer: "1"
+     has four votes across two lists *)
+  check "tie to the smallest, disagreements by field then observation" true
+    (Difftest.compare_all [ obs "a" x; obs "b" y; obs "c" x; obs "d" y; obs "e" z ]
+    = [
+        disagreement "a" "rcode" "NXDOMAIN" "NOERROR";
+        disagreement "c" "rcode" "NXDOMAIN" "NOERROR";
+        disagreement "e" "rcode" "SERVFAIL" "NOERROR";
+        disagreement "e" "answer" "2" "1";
+      ]);
+  (* weights sum across lists that agree on a field: NOERROR has one vote
+     from each of two lists, NXDOMAIN two from one shared list *)
+  let p = [ ("rcode", "NOERROR"); ("answer", "1") ] in
+  let q = [ ("rcode", "NOERROR"); ("answer", "2") ] in
+  let r = [ ("rcode", "NXDOMAIN"); ("answer", "1") ] in
+  check "weights sum across lists" true
+    (Difftest.compare_all [ obs "a" p; obs "b" q; obs "c" r; obs "d" r ]
+    = [
+        disagreement "c" "rcode" "NXDOMAIN" "NOERROR";
+        disagreement "d" "rcode" "NXDOMAIN" "NOERROR";
+        disagreement "b" "answer" "2" "1";
+      ]);
+  (* a structurally equal copy joins the same list's vote *)
+  check "copies vote with the list they equal" true
+    (Difftest.compare_all [ obs "a" x; obs "b" y; obs "c" (List.map Fun.id x) ]
+    = [ disagreement "b" "rcode" "NOERROR" "NXDOMAIN" ])
+
+(* one vote per observation, as before field lists were grouped *)
+let compare_all_per_observation observations =
+  match observations with
+  | [] | [ _ ] -> []
+  | first :: _ ->
+      List.concat_map
+        (fun (field, _) ->
+          let values =
+            List.filter_map
+              (fun o ->
+                Option.map
+                  (fun v -> (o.Difftest.impl, v))
+                  (List.assoc_opt field o.Difftest.fields))
+              observations
+          in
+          let majority = Difftest.field_majority values in
+          List.filter_map
+            (fun (impl, v) ->
+              if v = majority then None else Some (disagreement impl field v majority))
+            values)
+        first.Difftest.fields
+
+let prop_grouped_vote_is_per_observation =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"compare_all = one vote per observation, over shared field lists"
+       QCheck2.Gen.(
+         list_size (int_range 0 8)
+           (pair (int_bound 3) (pair (oneofl [ "x"; "y"; "z" ]) (oneofl [ "1"; "2" ]))))
+       (fun picks ->
+         (* a few shared lists, and fresh copies of the same values *)
+         let shared = Array.init 4 (fun i -> [ ("f", string_of_int i); ("g", "0") ]) in
+         let observations =
+           List.mapi
+             (fun i (k, (f, g)) ->
+               let fields = if k < 2 then shared.(k) else [ ("f", f); ("g", g) ] in
+               obs (Printf.sprintf "i%d" i) fields)
+             picks
+         in
+         Difftest.compare_all observations = compare_all_per_observation observations))
+
 let test_accum_and_report () =
   let acc = Difftest.create () in
   (* same root cause twice, plus one clean test *)
@@ -152,6 +230,9 @@ let suite =
     Alcotest.test_case "difftest: disagreements" `Quick test_compare_all;
     Alcotest.test_case "difftest: agreement" `Quick test_compare_all_agreement;
     Alcotest.test_case "difftest: single observation" `Quick test_compare_single_observation;
+    Alcotest.test_case "difftest: vote over shared field lists" `Quick
+      test_compare_all_shared_field_lists;
+    prop_grouped_vote_is_per_observation;
     Alcotest.test_case "difftest: accumulate and report" `Quick test_accum_and_report;
     Alcotest.test_case "difftest: report ordering" `Quick test_report_ordering;
     prop_majority_is_a_value;

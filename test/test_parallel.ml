@@ -73,99 +73,83 @@ module Dns_adapter = Eywa_models.Dns_adapter
 module Bgp_adapter = Eywa_models.Bgp_adapter
 module Smtp_adapter = Eywa_models.Smtp_adapter
 module Tcp_adapter = Eywa_models.Tcp_adapter
-
-(* Every suspect, every quirk, on every disagreeing test, deduplicated
-   in first-occurrence order: what the driver must return however it
-   skips pairs it already confirmed. *)
-let naive_attribution ~suspects ~quirks ~prepare tests =
-  let found = ref [] in
-  List.iter
-    (fun t ->
-      match prepare t with
-      | None -> ()
-      | Some (obs, serve) -> (
-          match Difftest.compare_all obs with
-          | [] -> ()
-          | ds ->
-              List.iter
-                (fun impl ->
-                  let active = quirks impl in
-                  let with_all = serve active in
-                  List.iter
-                    (fun q ->
-                      let without = List.filter (fun x -> x <> q) active in
-                      if
-                        serve without <> with_all
-                        && not (List.mem (impl, q) !found)
-                      then found := (impl, q) :: !found)
-                    active)
-                (suspects ds)))
-    tests;
-  List.rev !found
+module Stateful_adapter = Eywa_models.Stateful_adapter
 
 let dissenters ds = List.map (fun (d : Difftest.disagreement) -> d.d_impl) ds
-
-let quirks_of find quirks name =
-  match find name with Some impl -> quirks impl | None -> []
 
 let tagged models_and_tests =
   List.concat_map
     (fun (id, tests) -> List.map (fun t -> (id, t)) tests)
     models_and_tests
 
+let old = Eywa_dns.Impls.Old
+
+(* Every suspect, every quirk, on every disagreeing test, deduplicated
+   in first-occurrence order: what [Difftest.attribute] must return
+   however it skips pairs it already confirmed or quirks a run did not
+   consult. *)
 let dns_reference ~version models_and_tests =
-  naive_attribution ~suspects:dissenters
-    ~quirks:
-      (quirks_of Eywa_dns.Impls.find (fun i -> Eywa_dns.Impls.quirks i version))
-    ~prepare:(fun (model_id, t) -> Dns_adapter.prepare ~model_id ~version t)
+  Difftest.attribute_naive ~suspects:dissenters ~impls:(Dns_adapter.impls version)
+    ~render:Dns_adapter.fields_of_outcome
+    ~prepare:(fun (model_id, t) -> Dns_adapter.prepare ~model_id t)
     (tagged models_and_tests)
 
 let state_graph = function Ok g -> g | Error m -> Alcotest.fail m
 
-let test_quirks_jobs_invariant () =
-  let old = Eywa_dns.Impls.Old in
-  (* the CNAME suite twice: its second copy is a run of chunks that
-     confirm nothing new, and DNAME still confirms pairs after it *)
-  let dns =
-    ("CNAME", Lazy.force cname_suite)
+(* the CNAME suite twice: its second copy is a run of chunks that
+   confirm nothing new, and DNAME still confirms pairs after it *)
+let dns_suites =
+  lazy
+    (("CNAME", Lazy.force cname_suite)
     :: ("CNAME", Lazy.force cname_suite)
     :: List.map
          (fun (m : Model_def.t) -> (m.id, (synth ~jobs:1 m).unique_tests))
-         [ Dns_models.dname; Dns_models.wildcard ]
-  in
+         [ Dns_models.dname; Dns_models.wildcard ])
+
+let bgp_suites =
+  lazy
+    (List.map
+       (fun (m : Model_def.t) -> (m.id, (synth ~jobs:1 m).unique_tests))
+       [ Bgp_models.confed; Bgp_models.rr; Bgp_models.rmap_pl ])
+
+let stateful_suite model state_graph_for =
+  lazy
+    (let s = synth ~jobs:1 model in
+     (state_graph (state_graph_for s), s.unique_tests))
+
+let smtp_suite = stateful_suite Smtp_models.server Smtp_adapter.state_graph_for
+
+let tcp_suite =
+  stateful_suite Eywa_models.Tcp_models.server Tcp_adapter.state_graph_for
+
+let bgp_suspects _ = List.map (fun i -> i.Eywa_bgp.Impls.name) Eywa_bgp.Impls.all
+let tcp_suspects _ = List.map (fun i -> i.Eywa_tcp.Impls.name) Eywa_tcp.Impls.all
+
+let test_quirks_jobs_invariant () =
+  let dns = Lazy.force dns_suites in
   check "the DNS list spans more than one chunk" true
     (List.length (List.concat_map snd dns) > 2 * Difftest.attribute_chunk);
   let dns_ref = dns_reference ~version:old dns in
-  let bgp =
-    List.map
-      (fun (m : Model_def.t) -> (m.id, (synth ~jobs:1 m).unique_tests))
-      [ Bgp_models.confed; Bgp_models.rr; Bgp_models.rmap_pl ]
-  in
+  let bgp = Lazy.force bgp_suites in
   let bgp_ref =
-    naive_attribution
-      ~suspects:(fun _ ->
-        List.map (fun i -> i.Eywa_bgp.Impls.name) Eywa_bgp.Impls.all)
-      ~quirks:(quirks_of Eywa_bgp.Impls.find Eywa_bgp.Impls.quirks)
+    Difftest.attribute_naive ~suspects:bgp_suspects ~impls:Bgp_adapter.impls
+      ~render:Fun.id
       ~prepare:(fun (model_id, t) -> Bgp_adapter.prepare ~model_id t)
       (tagged bgp)
   in
-  let smtp = synth ~jobs:1 Smtp_models.server in
-  let smtp_graph = state_graph (Smtp_adapter.state_graph_for smtp) in
+  let smtp_graph, smtp = Lazy.force smtp_suite in
   let smtp_ref =
-    naive_attribution ~suspects:dissenters
-      ~quirks:(quirks_of Eywa_smtp.Impls.find Eywa_smtp.Impls.quirks)
+    Difftest.attribute_naive ~suspects:dissenters
+      ~impls:Smtp_adapter.machine.impls ~render:Stateful_adapter.render
       ~prepare:(Smtp_adapter.prepare ~graph:smtp_graph)
-      smtp.unique_tests
+      smtp
   in
-  let tcp = synth ~jobs:1 Eywa_models.Tcp_models.server in
-  let tcp_graph = state_graph (Tcp_adapter.state_graph_for tcp) in
+  let tcp_graph, tcp = Lazy.force tcp_suite in
   let tcp_ref =
-    naive_attribution
-      ~suspects:(fun _ ->
-        List.map (fun i -> i.Eywa_tcp.Impls.name) Eywa_tcp.Impls.all)
-      ~quirks:(quirks_of Eywa_tcp.Impls.find Eywa_tcp.Impls.quirks)
+    Difftest.attribute_naive ~suspects:tcp_suspects
+      ~impls:Tcp_adapter.machine.impls ~render:Stateful_adapter.render
       ~prepare:(Tcp_adapter.prepare ~graph:tcp_graph)
-      tcp.unique_tests
+      tcp
   in
   check "every reference confirms some pair" true
     (dns_ref <> [] && bgp_ref <> [] && smtp_ref <> [] && tcp_ref <> []);
@@ -179,11 +163,9 @@ let test_quirks_jobs_invariant () =
       check (name "BGP") true
         (Bgp_adapter.quirks_triggered ~jobs bgp = bgp_ref);
       check (name "SMTP") true
-        (Smtp_adapter.quirks_triggered ~jobs ~graph:smtp_graph smtp.unique_tests
-        = smtp_ref);
+        (Smtp_adapter.quirks_triggered ~jobs ~graph:smtp_graph smtp = smtp_ref);
       check (name "TCP") true
-        (Tcp_adapter.quirks_triggered ~jobs ~graph:tcp_graph tcp.unique_tests
-        = tcp_ref))
+        (Tcp_adapter.quirks_triggered ~jobs ~graph:tcp_graph tcp = tcp_ref))
     [ 1; 4 ]
 
 let quirks_any_order =
@@ -198,6 +180,67 @@ let quirks_any_order =
          List.length tests > 2 * Difftest.attribute_chunk
          && Dns_adapter.quirks_triggered ~jobs ~version [ ("CNAME", tests) ]
             = dns_reference ~version [ ("CNAME", tests) ]))
+
+(* ----- the memoized serve against the full serve ----- *)
+
+(* A suite repeated until it spans more than two attribution chunks,
+   then shuffled. *)
+let long ~rand tests =
+  let copies = (2 * Difftest.attribute_chunk / max 1 (List.length tests)) + 1 in
+  List.map snd
+    (List.stable_sort
+       (fun (a, _) (b, _) -> compare a b)
+       (List.map
+          (fun t -> (Random.State.bits rand, t))
+          (List.concat (List.init copies (fun _ -> tests)))))
+
+(* The memoized observations, report and attribution of one protocol
+   equal the full serve: every implementation served and rendered on
+   every test, and every quirk of every suspect tried. *)
+let memo_is_full_serve ~jobs ~suspects ~impls ~render ~prepare tests =
+  let acc = Difftest.create () in
+  let observations_agree =
+    List.for_all
+      (fun t ->
+        match prepare t with
+        | None -> true
+        | Some serve ->
+            let full = Difftest.observe_naive ~impls ~render serve in
+            ignore (Difftest.record acc full);
+            Difftest.observe ~impls ~render serve = full)
+      tests
+  in
+  List.length tests > 2 * Difftest.attribute_chunk
+  && observations_agree
+  && Difftest.run ~jobs ~impls ~render ~prepare tests = Difftest.report acc
+  && Difftest.attribute ~jobs ~suspects ~impls ~render ~prepare tests
+     = Difftest.attribute_naive ~suspects ~impls ~render ~prepare tests
+
+let memo_equals_full_serve =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:4
+       ~name:"memoized difftest and attribution = full serve, 4 protocols"
+       QCheck2.Gen.(pair (oneofl [ 1; 4 ]) int)
+       (fun (jobs, seed) ->
+         let rand = Random.State.make [| seed |] in
+         let smtp_graph, smtp = Lazy.force smtp_suite in
+         let tcp_graph, tcp = Lazy.force tcp_suite in
+         memo_is_full_serve ~jobs ~suspects:Difftest.dissenters
+           ~impls:(Dns_adapter.impls old) ~render:Dns_adapter.fields_of_outcome
+           ~prepare:(fun (model_id, t) -> Dns_adapter.prepare ~model_id t)
+           (long ~rand (tagged (Lazy.force dns_suites)))
+         && memo_is_full_serve ~jobs ~suspects:bgp_suspects
+              ~impls:Bgp_adapter.impls ~render:Fun.id
+              ~prepare:(fun (model_id, t) -> Bgp_adapter.prepare ~model_id t)
+              (long ~rand (tagged (Lazy.force bgp_suites)))
+         && memo_is_full_serve ~jobs ~suspects:Difftest.dissenters
+              ~impls:Smtp_adapter.machine.impls ~render:Stateful_adapter.render
+              ~prepare:(Smtp_adapter.prepare ~graph:smtp_graph)
+              (long ~rand smtp)
+         && memo_is_full_serve ~jobs ~suspects:tcp_suspects
+              ~impls:Tcp_adapter.machine.impls ~render:Stateful_adapter.render
+              ~prepare:(Tcp_adapter.prepare ~graph:tcp_graph)
+              (long ~rand tcp)))
 
 (* ----- Pool.map semantics ----- *)
 
@@ -284,6 +327,7 @@ let suite =
     Alcotest.test_case "quirk attribution: jobs=1 = jobs=4" `Slow
       test_quirks_jobs_invariant;
     quirks_any_order;
+    memo_equals_full_serve;
     pool_map_preserves_order;
     pool_map_first_exception;
     Alcotest.test_case "nested Pool.map runs inline" `Quick

@@ -1,6 +1,7 @@
 (* The loopback UDP nameserver: real sockets over the wire codec. *)
 
 open Eywa_dns
+module Quirkset = Eywa_quirkset.Quirkset
 
 let check = Alcotest.(check bool)
 let n = Name.of_string
@@ -62,7 +63,9 @@ let test_query_timeout () =
 let test_two_servers_differ () =
   (* the socket path preserves the differential signal *)
   let quirky =
-    Lookup.lookup ~quirks:[ Lookup.Cname_chain_not_followed ] test_zone
+    Lookup.lookup
+      ~quirks:(Quirkset.of_list [ Lookup.Cname_chain_not_followed ])
+      test_zone
   in
   with_server (Lookup.lookup test_zone) (fun port_ref ->
       with_server quirky (fun port_quirk ->

@@ -1,4 +1,5 @@
 open Eywa_smtp
+module Quirkset = Eywa_quirkset.Quirkset
 module Stategraph = Eywa_stategraph.Stategraph
 
 let check = Alcotest.(check bool)
@@ -85,7 +86,9 @@ let test_reference_transitions_consistent () =
 
 let test_quirk_accepts_mail_without_helo () =
   let reply, state =
-    Machine.handle ~quirks:[ Machine.Accept_mail_without_helo ] Machine.Initial
+    Machine.handle
+      ~quirks:(Quirkset.of_list [ Machine.Accept_mail_without_helo ])
+      Machine.Initial
       Machine.Mail_from
   in
   check_str "accepted" "250" reply;
@@ -104,7 +107,7 @@ let drive_and_probe impl graph ~state ~input =
   Result.map
     (fun replies -> List.hd (List.rev replies))
     (Eywa_models.Stateful_adapter.drive Eywa_models.Smtp_adapter.machine graph
-       ~state ~input (Impls.quirks impl))
+       ~state ~input (Quirkset.of_list (Impls.quirks impl)))
 
 let test_impls_roster () =
   check_int "three servers" 3 (List.length Impls.all);
@@ -169,6 +172,21 @@ let prop_sessions_agree_modulo_quirk =
              | None -> false)
            [ "smtpd"; "opensmtpd" ]))
 
+let prop_unconsulted_quirks_inert =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"session: a quirk the run did not consult cannot change it"
+       QCheck2.Gen.(
+         pair
+           (list_size (int_range 0 8)
+              (oneofl [ "H"; "E"; "M"; "R"; "D"; "."; "Q"; "x" ]))
+           (Inert.gen_subset [ Machine.Accept_mail_without_helo ]))
+       (fun (letters, quirks) ->
+         let commands = List.map Machine.command_of_letter letters in
+         Inert.unconsulted_are_inert ~all:[ Machine.Accept_mail_without_helo ]
+           (fun quirks -> Machine.run_session ~quirks commands)
+           quirks))
+
 let suite =
   [
     Alcotest.test_case "machine: happy path" `Quick test_happy_path;
@@ -188,4 +206,5 @@ let suite =
     Alcotest.test_case "impls: probe distinguishes aiosmtpd" `Quick
       test_drive_difference_between_impls;
     prop_sessions_agree_modulo_quirk;
+    prop_unconsulted_quirks_inert;
   ]

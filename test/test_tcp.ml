@@ -1,6 +1,7 @@
 (* The §6 TCP extension: machine semantics and the stateful pipeline. *)
 
 open Eywa_tcp
+module Quirkset = Eywa_quirkset.Quirkset
 module Stategraph = Eywa_stategraph.Stategraph
 
 let check = Alcotest.(check bool)
@@ -24,14 +25,18 @@ let test_data_before_handshake_rejected () =
 
 let test_quirk_fast_open () =
   let reply, _ =
-    Machine.handle ~quirks:[ Machine.Data_before_established ] Machine.Syn_rcvd
+    Machine.handle
+      ~quirks:(Quirkset.of_list [ Machine.Data_before_established ])
+      Machine.Syn_rcvd
       Machine.Data
   in
   check_str "quirk ACKs early data" "A" reply
 
 let test_quirk_quiet () =
   let reply, _ =
-    Machine.handle ~quirks:[ Machine.No_rst_on_bad_segment ] Machine.Listen
+    Machine.handle
+      ~quirks:(Quirkset.of_list [ Machine.No_rst_on_bad_segment ])
+      Machine.Listen
       Machine.Ack
   in
   check_str "quirk stays silent" "-" reply;
@@ -68,7 +73,7 @@ let drive_and_probe impl graph ~state ~input =
   Result.map
     (fun replies -> List.hd (List.rev replies))
     (Eywa_models.Stateful_adapter.drive Eywa_models.Tcp_adapter.machine graph
-       ~state ~input (Impls.quirks impl))
+       ~state ~input (Quirkset.of_list (Impls.quirks impl)))
 
 let test_drive_and_probe () =
   match Impls.find "refstack" with
@@ -177,9 +182,27 @@ let prop_connections_agree_without_quirks =
          let segments = List.map Machine.segment_of_letter letters in
          match Impls.find "refstack" with
          | Some impl ->
-             Machine.run_connection ~quirks:(Impls.quirks impl) segments
+             Machine.run_connection
+               ~quirks:(Quirkset.of_list (Impls.quirks impl))
+               segments
              = Machine.run_connection segments
          | None -> false))
+
+let tcp_quirks = [ Machine.Data_before_established; Machine.No_rst_on_bad_segment ]
+
+let prop_unconsulted_quirks_inert =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"connection: a quirk the run did not consult cannot change it"
+       QCheck2.Gen.(
+         pair
+           (list_size (int_range 0 10) (oneofl [ "S"; "A"; "F"; "R"; "D"; "x" ]))
+           (Inert.gen_subset tcp_quirks))
+       (fun (letters, quirks) ->
+         let segments = List.map Machine.segment_of_letter letters in
+         Inert.unconsulted_are_inert ~all:tcp_quirks
+           (fun quirks -> Machine.run_connection ~quirks segments)
+           quirks))
 
 let suite =
   [
@@ -202,4 +225,5 @@ let suite =
     Alcotest.test_case "difftest: pool run = sequential fold, on the sink"
       `Slow test_difftest_pool_and_sink;
     prop_connections_agree_without_quirks;
+    prop_unconsulted_quirks_inert;
   ]
