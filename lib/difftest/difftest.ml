@@ -11,81 +11,67 @@ type disagreement = {
   d_majority : string;
 }
 
-(* The value with the largest total weight, ties to the smallest. *)
-let weighted_majority weighted =
-  let totals =
-    List.fold_left
-      (fun totals (v, n) ->
-        match List.assoc_opt v totals with
-        | Some m -> (v, m + n) :: List.remove_assoc v totals
-        | None -> (v, n) :: totals)
-      [] weighted
-  in
+(* Counted in an association list: observations that share a run share
+   their strings, so most lookups end at a pointer test. *)
+let field_majority values =
+  let counts = ref [] in
+  List.iter
+    (fun (_, v) ->
+      match List.assoc_opt v !counts with
+      | Some n -> incr n
+      | None -> counts := (v, ref 1) :: !counts)
+    values;
   let best =
     List.fold_left
       (fun acc (v, n) ->
         match acc with
-        | Some (bv, bn) when n < bn || (n = bn && v >= bv) -> acc
-        | Some _ | None -> Some (v, n))
-      None totals
+        | Some (bv, bn) when !n < bn || (!n = bn && v > bv) -> acc
+        | Some _ | None -> Some (v, !n))
+      None !counts
   in
   match best with Some (v, _) -> v | None -> ""
 
-let field_majority values =
-  weighted_majority (List.map (fun (_, v) -> (v, 1)) values)
-
-(* One vote per distinct field list, weighted by the implementations
-   that share it; each observation then keeps its place in the order of
-   disagreements. Observations rendered from one outcome share their
-   field list physically, so grouping them costs a pointer test. *)
 let compare_all observations =
   match observations with
   | [] | [ _ ] -> []
   | first :: _ ->
-      let groups = ref [] in
-      let grouped =
-        List.map
-          (fun o ->
-            match
-              List.find_opt (fun (fs, _) -> fs == o.fields || fs = o.fields) !groups
-            with
-            | Some (fs, n) ->
-                incr n;
-                (o.impl, fs)
-            | None ->
-                groups := (o.fields, ref 1) :: !groups;
-                (o.impl, o.fields))
-          observations
-      in
+      let field_names = List.map fst first.fields in
       List.concat_map
-        (fun (field, _) ->
-          let majority =
-            weighted_majority
-              (List.filter_map
-                 (fun (fs, n) ->
-                   Option.map (fun v -> (v, !n)) (List.assoc_opt field fs))
-                 !groups)
+        (fun field ->
+          let values =
+            List.filter_map
+              (fun o ->
+                match List.assoc_opt field o.fields with
+                | Some v -> Some (o.impl, v)
+                | None -> None)
+              observations
           in
+          let majority = field_majority values in
           List.filter_map
-            (fun (impl, fs) ->
-              match List.assoc_opt field fs with
-              | Some v when v <> majority ->
-                  Some
-                    { d_impl = impl; d_field = field; d_got = v; d_majority = majority }
-              | Some _ | None -> None)
-            grouped)
-        first.fields
+            (fun (impl, v) ->
+              if v = majority then None
+              else
+                Some { d_impl = impl; d_field = field; d_got = v; d_majority = majority })
+            values)
+        field_names
 
 (* ----- serving a test: one engine run per quirk set that can differ ----- *)
 
 (* A run under [quirks] that consulted only [consulted]. Every quirk
    set that agrees with [quirks] on [consulted] takes the same path
-   through the engine, so it shares [outcome] without a run of its own. *)
-type ('q, 'r) engine_run = { quirks : 'q list; consulted : 'q list; outcome : 'r }
+   through the engine, so it shares [outcome], rendered at most once as
+   [fields], without a run of its own. *)
+type ('q, 'r) engine_run = {
+  quirks : 'q list;
+  consulted : 'q list;
+  outcome : 'r;
+  fields : fields Lazy.t;
+}
 
 (* One test's engine runs so far. *)
 type ('q, 'r) memo = {
   serve : 'q Quirkset.t -> 'r;
+  render : 'r -> fields;
   mutable runs : ('q, 'r) engine_run list;
 }
 
@@ -98,40 +84,31 @@ let run_under memo quirks =
   | None ->
       let set = Quirkset.of_list quirks in
       let outcome = memo.serve set in
-      let r = { quirks; consulted = Quirkset.consulted set; outcome } in
+      let r =
+        {
+          quirks;
+          consulted = Quirkset.consulted set;
+          outcome;
+          fields = lazy (memo.render outcome);
+        }
+      in
       memo.runs <- memo.runs @ [ r ];
       r
 
 (* The reference runs first: most implementations share its outcome. *)
-let memo_of serve =
-  let memo = { serve; runs = [] } in
+let memo_of ~render serve =
+  let memo = { serve; render; runs = [] } in
   ignore (run_under memo []);
   memo
 
-(* Structurally equal outcomes are rendered once and share the field
-   list. *)
-let observe_runs ~render runs =
-  let rendered = ref [] in
-  List.map
-    (fun (impl, r) ->
-      let fields =
-        match
-          List.find_opt (fun (o, _) -> o == r.outcome || o = r.outcome) !rendered
-        with
-        | Some (_, fields) -> fields
-        | None ->
-            let fields = render r.outcome in
-            rendered := (r.outcome, fields) :: !rendered;
-            fields
-      in
-      { impl; fields })
-    runs
+let observe_runs runs =
+  List.map (fun (impl, r) -> { impl; fields = Lazy.force r.fields }) runs
 
 let impl_runs memo impls =
   List.map (fun (impl, quirks) -> (impl, run_under memo quirks)) impls
 
 let observe ~impls ~render serve =
-  observe_runs ~render (impl_runs (memo_of serve) impls)
+  observe_runs (impl_runs (memo_of ~render serve) impls)
 
 let observe_naive ~impls ~render serve =
   List.map
@@ -253,10 +230,10 @@ let attribute_chunk = 256
 
 let untried_pairs impls known =
   List.filter_map
-    (fun (impl, quirks) ->
-      match List.filter (fun q -> not (List.mem (impl, q) known)) quirks with
+    (fun (impl, own) ->
+      match List.filter (fun q -> not (List.mem (impl, q) known)) own with
       | [] -> None
-      | untried -> Some (impl, untried))
+      | untried -> Some (impl, own, untried))
     impls
 
 let attribute ?jobs ~suspects ~impls ~render ~prepare tests =
@@ -264,31 +241,36 @@ let attribute ?jobs ~suspects ~impls ~render ~prepare tests =
     match prepare t with
     | None -> []
     | Some serve -> (
-        let memo = memo_of serve in
+        let memo = memo_of ~render serve in
         let runs = impl_runs memo impls in
+        (* [r] may be an earlier implementation's run that agrees with
+           [own] only on the quirks it consulted. [own]'s run takes the
+           same path, so it consults the same quirks and has the same
+           outcome; but a quirk is removed from [own], never from
+           [r.quirks], which can differ from [own] elsewhere. *)
         let candidates =
           List.filter_map
-            (fun (impl, qs) ->
-              let r = List.assoc impl runs in
+            (fun (impl, own, qs) ->
+              let r = run_under memo own in
               match List.filter (fun q -> List.mem q r.consulted) qs with
               | [] -> None
-              | qs -> Some (impl, (r, qs)))
+              | qs -> Some (impl, (own, r.outcome, qs)))
             untried
         in
         if candidates = [] then []
         else
-          match compare_all (observe_runs ~render runs) with
+          match compare_all (observe_runs runs) with
           | [] -> []
           | ds ->
               List.concat_map
                 (fun impl ->
                   match List.assoc_opt impl candidates with
                   | None -> []
-                  | Some (r, qs) ->
+                  | Some (own, outcome, qs) ->
                       List.filter_map
                         (fun q ->
-                          let without = List.filter (fun x -> x <> q) r.quirks in
-                          if (run_under memo without).outcome <> r.outcome then
+                          let without = List.filter (fun x -> x <> q) own in
+                          if (run_under memo without).outcome <> outcome then
                             Some (impl, q)
                           else None)
                         qs)

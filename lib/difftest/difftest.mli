@@ -15,8 +15,8 @@
     under quirk set Q therefore has the outcome of every quirk set that
     agrees with Q on L. A test serves the reference (no quirks) first
     and runs the engine again only for a quirk set that no earlier run
-    covers this way; each structurally distinct outcome is rendered
-    once. *)
+    covers this way; each run's outcome is rendered at most once, for
+    every implementation that shares the run. *)
 
 type fields = (string * string) list
 (** field name -> rendered value; all observations of one test must use
@@ -39,10 +39,8 @@ val field_majority : (string * string) list -> string
 val compare_all : observation list -> disagreement list
 (** Disagreements of a single test across implementations: for each
     field (in the first observation's order), every observation whose
-    value differs from the field's majority, in observation order.
-    The vote is taken once per distinct field list, weighted by how
-    many observations share it, so it is the {!field_majority} of the
-    observations' values. *)
+    value differs from the field's majority ({!field_majority} of the
+    observations' values), in observation order. *)
 
 val observe :
   impls:(string * 'q list) list ->
@@ -133,10 +131,11 @@ val attribute :
     On a test whose observations disagree ({!compare_all}), every
     implementation [suspects] names is served again with each of its
     quirks removed in turn — only quirks the implementation's run
-    consulted, since removing any other replays the same run — and a
-    quirk whose removal changes the outcome is confirmed for that
-    implementation. The result equals {!attribute_naive}, which tries
-    every quirk.
+    consulted, since removing any other replays the same run. A quirk
+    is removed from the implementation's own quirk set, even where its
+    run was shared with another implementation's set, and a quirk whose
+    removal changes the outcome is confirmed for that implementation.
+    The result equals {!attribute_naive}, which tries every quirk.
 
     Returns the distinct confirmed (implementation, quirk) pairs in
     first-occurrence order: by test index, then suspect order, then

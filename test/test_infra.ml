@@ -88,8 +88,8 @@ let test_compare_single_observation () =
 let disagreement impl field got majority =
   { Difftest.d_impl = impl; d_field = field; d_got = got; d_majority = majority }
 
-(* Implementations whose outcomes render alike share one field list, and
-   the vote counts each list once with its weight. *)
+(* Implementations that share a run share its field list; each still
+   votes once. *)
 let test_compare_all_shared_field_lists () =
   let x = [ ("rcode", "NXDOMAIN"); ("answer", "1") ] in
   let y = [ ("rcode", "NOERROR"); ("answer", "1") ] in
@@ -105,63 +105,83 @@ let test_compare_all_shared_field_lists () =
         disagreement "e" "rcode" "SERVFAIL" "NOERROR";
         disagreement "e" "answer" "2" "1";
       ]);
-  (* weights sum across lists that agree on a field: NOERROR has one vote
+  (* votes sum across lists that agree on a field: NOERROR has one vote
      from each of two lists, NXDOMAIN two from one shared list *)
   let p = [ ("rcode", "NOERROR"); ("answer", "1") ] in
   let q = [ ("rcode", "NOERROR"); ("answer", "2") ] in
   let r = [ ("rcode", "NXDOMAIN"); ("answer", "1") ] in
-  check "weights sum across lists" true
+  check "votes sum across lists" true
     (Difftest.compare_all [ obs "a" p; obs "b" q; obs "c" r; obs "d" r ]
     = [
         disagreement "c" "rcode" "NXDOMAIN" "NOERROR";
         disagreement "d" "rcode" "NXDOMAIN" "NOERROR";
         disagreement "b" "answer" "2" "1";
-      ]);
-  (* a structurally equal copy joins the same list's vote *)
-  check "copies vote with the list they equal" true
-    (Difftest.compare_all [ obs "a" x; obs "b" y; obs "c" (List.map Fun.id x) ]
-    = [ disagreement "b" "rcode" "NOERROR" "NXDOMAIN" ])
+      ])
 
-(* one vote per observation, as before field lists were grouped *)
-let compare_all_per_observation observations =
-  match observations with
-  | [] | [ _ ] -> []
-  | first :: _ ->
-      List.concat_map
-        (fun (field, _) ->
-          let values =
-            List.filter_map
-              (fun o ->
-                Option.map
-                  (fun v -> (o.Difftest.impl, v))
-                  (List.assoc_opt field o.Difftest.fields))
-              observations
-          in
-          let majority = Difftest.field_majority values in
-          List.filter_map
-            (fun (impl, v) ->
-              if v = majority then None else Some (disagreement impl field v majority))
-            values)
-        first.Difftest.fields
+(* ----- attribution over synthetic engines ----- *)
 
-let prop_grouped_vote_is_per_observation =
+module Quirkset = Eywa_quirkset.Quirkset
+
+(* B = [q] shares A's run under [q; a], which consulted only q. Removing
+   q from B must serve B's own set without q, [], not A's, [a]. *)
+let test_attribute_removes_from_own_set () =
+  let serve set = Quirkset.has set "q" || Quirkset.has set "a" in
+  let impls = [ ("ref", []); ("A", [ "q"; "a" ]); ("B", [ "q" ]) ] in
+  let suspects _ = List.map fst impls in
+  let render b = [ ("out", string_of_bool b) ] in
+  let prepare () = Some serve in
+  let naive = Difftest.attribute_naive ~suspects ~impls ~render ~prepare [ () ] in
+  check "full serve confirms (B, q)" true (naive = [ ("B", "q") ]);
+  check "memoized attribution equals the full serve" true
+    (Difftest.attribute ~jobs:1 ~suspects ~impls ~render ~prepare [ () ] = naive)
+
+(* An engine that consults quirks down a decision tree, so its outcome
+   depends on the quirk set only through the quirks on its path. *)
+type tree = Leaf of int | Ask of int * tree * tree
+
+let rec serve_tree tree set =
+  match tree with
+  | Leaf v -> v
+  | Ask (q, yes, no) -> serve_tree (if Quirkset.has set q then yes else no) set
+
+let gen_tree =
+  QCheck2.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           let leaf = map (fun v -> Leaf v) (int_bound 2) in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 (3, map3 (fun q y n -> Ask (q, y, n)) (int_bound 3) (self (n - 1)) (self (n - 1)));
+               ]))
+
+let prop_attribute_on_decision_trees =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300
-       ~name:"compare_all = one vote per observation, over shared field lists"
+       ~name:"memoized observe and attribute = full serve, on decision-tree engines"
        QCheck2.Gen.(
-         list_size (int_range 0 8)
-           (pair (int_bound 3) (pair (oneofl [ "x"; "y"; "z" ]) (oneofl [ "1"; "2" ]))))
-       (fun picks ->
-         (* a few shared lists, and fresh copies of the same values *)
-         let shared = Array.init 4 (fun i -> [ ("f", string_of_int i); ("g", "0") ]) in
-         let observations =
-           List.mapi
-             (fun i (k, (f, g)) ->
-               let fields = if k < 2 then shared.(k) else [ ("f", f); ("g", g) ] in
-               obs (Printf.sprintf "i%d" i) fields)
-             picks
+         triple
+           (list_repeat 4 (list_size (int_bound 4) (int_bound 3)))
+           (list_size (int_range 1 6) gen_tree)
+           bool)
+       (fun (quirk_sets, trees, all_suspects) ->
+         let impls =
+           ("ref", []) :: List.mapi (fun i qs -> (Printf.sprintf "i%d" i, qs)) quirk_sets
          in
-         Difftest.compare_all observations = compare_all_per_observation observations))
+         let suspects =
+           if all_suspects then fun _ -> List.map fst impls else Difftest.dissenters
+         in
+         let render v = [ ("out", string_of_int v) ] in
+         let prepare tree = Some (serve_tree tree) in
+         List.for_all
+           (fun tree ->
+             Difftest.observe ~impls ~render (serve_tree tree)
+             = Difftest.observe_naive ~impls ~render (serve_tree tree))
+           trees
+         && Difftest.attribute ~jobs:1 ~suspects ~impls ~render ~prepare trees
+            = Difftest.attribute_naive ~suspects ~impls ~render ~prepare trees))
 
 let test_accum_and_report () =
   let acc = Difftest.create () in
@@ -232,7 +252,9 @@ let suite =
     Alcotest.test_case "difftest: single observation" `Quick test_compare_single_observation;
     Alcotest.test_case "difftest: vote over shared field lists" `Quick
       test_compare_all_shared_field_lists;
-    prop_grouped_vote_is_per_observation;
+    Alcotest.test_case "difftest: attribution removes a quirk from the own set" `Quick
+      test_attribute_removes_from_own_set;
+    prop_attribute_on_decision_trees;
     Alcotest.test_case "difftest: accumulate and report" `Quick test_accum_and_report;
     Alcotest.test_case "difftest: report ordering" `Quick test_report_ordering;
     prop_majority_is_a_value;
