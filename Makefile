@@ -1,7 +1,7 @@
 # Development entry points. `make check` is the PR gate: everything
 # builds, every test passes, and formatting is clean.
 
-.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke examples-smoke suite-identity difftest-identity perfbench-smoke check bench clean
+.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke examples-smoke suite-identity stats-identity difftest-identity perfbench-smoke check bench clean
 
 all: build
 
@@ -100,6 +100,28 @@ suite-identity:
 	[ $$status -eq 0 ] && echo "suite-identity: all $$(wc -l < test/golden/suites-k3.md5) suites byte-identical"; \
 	exit $$status
 
+# every model's k=3 pipeline counters are byte-identical to the MD5s
+# in test/golden/stats-k3.md5 (one "md5  MODEL" line per model): `eywa
+# stats M -k 3 --jobs 2 --json` with its wall-clock `*_seconds` lines
+# dropped, which pins solver_calls, solver_decisions, symex_ticks and
+# model_reuses where suite-identity pins only the tests. A change that
+# must not move the search keeps this passing.
+stats-identity:
+	rm -rf /tmp/eywa-stats-identity && mkdir -p /tmp/eywa-stats-identity
+	@status=0; \
+	while read sum model; do \
+	  out=/tmp/eywa-stats-identity/$$model.json; \
+	  dune exec bin/eywa_cli.exe -- stats $$model -k 3 --jobs 2 --json \
+	    > $$out || exit 1; \
+	  got=$$(grep -v _seconds $$out | md5sum | cut -d' ' -f1); \
+	  if [ "$$got" != "$$sum" ]; then \
+	    echo "stats-identity: $$model stats differ from test/golden/stats-k3.md5"; \
+	    status=1; \
+	  fi; \
+	done < test/golden/stats-k3.md5; \
+	[ $$status -eq 0 ] && echo "stats-identity: all $$(wc -l < test/golden/stats-k3.md5) stats byte-identical"; \
+	exit $$status
+
 # differential testing and attribution print byte-identical output to
 # the MD5s in test/golden/difftest-k3.md5 (one "md5  COMMAND MODEL" line
 # each): `eywa difftest M -k 3` for the 13 models and TCP, and `eywa
@@ -129,7 +151,7 @@ difftest-identity:
 perfbench-smoke:
 	bash perfbench/run.sh --smoke
 
-check: build test fuzz-smoke trace-smoke examples-smoke suite-identity difftest-identity perfbench-smoke fmt
+check: build test fuzz-smoke trace-smoke examples-smoke suite-identity stats-identity difftest-identity perfbench-smoke fmt
 
 bench:
 	dune exec bench/main.exe -- fast

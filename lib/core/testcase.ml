@@ -11,21 +11,98 @@ let input t name = List.assoc name t.inputs
 
 let input_string t name = Value.cstring (input t name)
 
-(* Strings are canonicalised to their C contents so buffers that differ
-   only after the first NUL coincide. *)
-let rec canon (v : Value.t) =
+(* [c] as OCaml's lexical escaping writes it inside [quote]s:
+   [Char.escaped] for [quote = '\''], [String.escaped] for ['"'] (the
+   two differ only in which quote they escape). *)
+let add_escaped buf ~quote c =
+  match c with
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\b' -> Buffer.add_string buf "\\b"
+  | c when c = quote ->
+      Buffer.add_char buf '\\';
+      Buffer.add_char buf c
+  | ' ' .. '~' -> Buffer.add_char buf c
+  | c ->
+      let n = Char.code c in
+      Buffer.add_char buf '\\';
+      Buffer.add_char buf (Char.unsafe_chr (48 + (n / 100)));
+      Buffer.add_char buf (Char.unsafe_chr (48 + (n / 10 mod 10)));
+      Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_list buf sep add = function
+  | [] -> ()
+  | x :: xs ->
+      add x;
+      List.iter
+        (fun x ->
+          Buffer.add_char buf sep;
+          add x)
+        xs
+
+(* The canonical rendering of a value: {!Value.pp}'s spelling of each
+   scalar, written straight into [buf] without Format. Strings are
+   canonicalised to their C contents so buffers that differ only after
+   the first NUL coincide. *)
+let rec add_canon buf (v : Value.t) =
   match v with
-  | Value.Vstring _ -> Printf.sprintf "%S" (Value.cstring v)
-  | Value.Vstruct (n, fs) ->
-      Printf.sprintf "%s{%s}" n
-        (String.concat ";" (List.map (fun (f, w) -> f ^ "=" ^ canon w) fs))
-  | Value.Varray vs ->
-      Printf.sprintf "[%s]" (String.concat ";" (List.map canon (Array.to_list vs)))
-  | Value.Vunit | Value.Vbool _ | Value.Vchar _ | Value.Vint _ | Value.Venum _ ->
-      Value.to_string v
+  | Vunit -> Buffer.add_string buf "()"
+  | Vbool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Vchar c ->
+      Buffer.add_char buf '\'';
+      add_escaped buf ~quote:'\'' c;
+      Buffer.add_char buf '\''
+  | Vint n -> Buffer.add_string buf (Int.to_string n)
+  | Venum (e, i) ->
+      Buffer.add_string buf e;
+      Buffer.add_char buf '#';
+      Buffer.add_string buf (Int.to_string i)
+  | Vstring raw ->
+      Buffer.add_char buf '"';
+      let len =
+        match String.index_opt raw '\000' with
+        | Some i -> i
+        | None -> String.length raw
+      in
+      for i = 0 to len - 1 do
+        add_escaped buf ~quote:'"' raw.[i]
+      done;
+      Buffer.add_char buf '"'
+  | Vstruct (n, fs) ->
+      Buffer.add_string buf n;
+      Buffer.add_char buf '{';
+      add_list buf ';'
+        (fun (f, w) ->
+          Buffer.add_string buf f;
+          Buffer.add_char buf '=';
+          add_canon buf w)
+        fs;
+      Buffer.add_char buf '}'
+  | Varray vs ->
+      Buffer.add_char buf '[';
+      Array.iteri
+        (fun i w ->
+          if i > 0 then Buffer.add_char buf ';';
+          add_canon buf w)
+        vs;
+      Buffer.add_char buf ']'
+
+let canon v =
+  let buf = Buffer.create 32 in
+  add_canon buf v;
+  Buffer.contents buf
 
 let key t =
-  String.concat "," (List.map (fun (name, v) -> name ^ "=" ^ canon v) t.inputs)
+  let buf = Buffer.create 64 in
+  add_list buf ','
+    (fun (name, v) ->
+      Buffer.add_string buf name;
+      Buffer.add_char buf '=';
+      add_canon buf v)
+    t.inputs;
+  Buffer.contents buf
 
 let dedup tests =
   let seen = Hashtbl.create (List.length tests) in

@@ -1,4 +1,4 @@
-type assignment = (int, int) Hashtbl.t
+type assignment = int array
 
 type stats = { decisions : int; conflicts : int }
 
@@ -6,34 +6,105 @@ type outcome = Sat of assignment | Unsat | Unknown
 
 exception Budget
 
+(* No domain holds [min_int] ({!Term.fresh_var} rejects it), so it marks
+   an unassigned slot; a vid past the end of the array is unassigned
+   too. *)
+let unassigned = min_int
+
+let lookup (m : assignment) vid =
+  if vid < Array.length m then Array.unsafe_get m vid else unassigned
+
+(* ----- the partial evaluator ----- *)
+
+(* [Term.peval] over an assignment, without an [option] per node or a
+   closure call per variable read: an undetermined subterm raises
+   [Undetermined], and only [And]/[Or] catch it, since they are the
+   only nodes whose other side can still decide the result. Everywhere
+   else an unknown operand makes the node unknown, as in [Term.peval];
+   [Ite] evaluates only the branch its known condition picks. *)
+exception Undetermined
+
+let rec pev m (t : Term.t) =
+  match t with
+  | Const n -> n
+  | Var v ->
+      let x = lookup m v.Term.vid in
+      if x = unassigned then raise_notrace Undetermined else x
+  | Not a -> if pev m a = 0 then 1 else 0
+  | And (a, b) -> (
+      match pev m a with
+      | 0 -> 0
+      | _ -> if pev m b <> 0 then 1 else 0
+      | exception Undetermined ->
+          if pev m b = 0 then 0 else raise_notrace Undetermined)
+  | Or (a, b) -> (
+      match pev m a with
+      | 0 -> if pev m b <> 0 then 1 else 0
+      | _ -> 1
+      | exception Undetermined ->
+          if pev m b <> 0 then 1 else raise_notrace Undetermined)
+  | Eq (a, b) -> if pev m a = pev m b then 1 else 0
+  | Lt (a, b) -> if pev m a < pev m b then 1 else 0
+  | Le (a, b) -> if pev m a <= pev m b then 1 else 0
+  | Add (a, b) -> pev m a + pev m b
+  | Sub (a, b) -> pev m a - pev m b
+  | Mul (a, b) -> pev m a * pev m b
+  | Div (a, b) ->
+      let x = pev m a in
+      let y = pev m b in
+      if y = 0 then 0 else x / y
+  | Mod (a, b) ->
+      let x = pev m a in
+      let y = pev m b in
+      if y = 0 then 0 else x mod y
+  | Ite (c, a, b) -> if pev m c <> 0 then pev m a else pev m b
+
+let peval m t = match pev m t with n -> Some n | exception Undetermined -> None
+
+(* Whether [c] is already false under the partial model [m]: the only
+   question the search asks. *)
+let refuted m c =
+  match pev m c with 0 -> true | _ -> false | exception Undetermined -> false
+
 (* Variable ordering: smaller domain first, ties broken by occurrence
    count (more occurrences = more constraining = earlier), then by vid.
    The vid tiebreaker is load-bearing: without it, equal-keyed vars
    kept whatever order [Hashtbl.fold] produced them in, which is an
    implementation detail of the stdlib hash function — any change
    there would silently reorder the search and with it every generated
-   test. *)
+   test. Occurrences are counted in one pass into a vid-indexed array,
+   which also picks out each vid's first [var]; the comparator then
+   reads only ints. Also returns one more than the largest vid: the
+   length of an assignment that can hold every variable. *)
 let order_of_vars var_lists =
-  let occ = Hashtbl.create 32 in
-  let bump v =
-    let n = try Hashtbl.find occ v.Term.vid with Not_found -> 0 in
-    Hashtbl.replace occ v.Term.vid (n + 1)
+  let size =
+    List.fold_left
+      (List.fold_left (fun n v -> max n (v.Term.vid + 1)))
+      0 var_lists
   in
-  let all = Hashtbl.create 32 in
+  let occ = Array.make size 0 in
+  let distinct = ref [] in
   List.iter
     (List.iter (fun v ->
-         bump v;
-         if not (Hashtbl.mem all v.Term.vid) then Hashtbl.add all v.Term.vid v))
+         let vid = v.Term.vid in
+         if occ.(vid) = 0 then distinct := v :: !distinct;
+         occ.(vid) <- occ.(vid) + 1))
     var_lists;
-  let vs = Hashtbl.fold (fun _ v acc -> v :: acc) all [] in
-  let key v =
-    ( Array.length v.Term.domain,
-      - (try Hashtbl.find occ v.Term.vid with Not_found -> 0),
-      v.Term.vid )
-  in
-  List.sort (fun a b -> compare (key a) (key b)) vs
+  let vs = Array.of_list !distinct in
+  Array.sort
+    (fun a b ->
+      let c =
+        Int.compare (Array.length a.Term.domain) (Array.length b.Term.domain)
+      in
+      if c <> 0 then c
+      else
+        let c = Int.compare occ.(b.Term.vid) occ.(a.Term.vid) in
+        if c <> 0 then c else Int.compare a.Term.vid b.Term.vid)
+    vs;
+  (vs, size)
 
-let order_vars constraints = order_of_vars (List.map Term.vars constraints)
+let order_vars constraints =
+  Array.to_list (fst (order_of_vars (List.map Term.vars constraints)))
 
 (* ----- the naive reference search ----- *)
 
@@ -44,10 +115,13 @@ let order_vars constraints = order_of_vars (List.map Term.vars constraints)
    verdict cannot have changed. The qcheck suite holds the two to that
    contract. *)
 let naive_search ~max_decisions ~rotate constraints =
-  let vars = Array.of_list (order_vars constraints) in
-  let model : assignment = Hashtbl.create 32 in
+  let vars, size = order_of_vars (List.map Term.vars constraints) in
+  let model = Array.make size unassigned in
   let decisions = ref 0 and conflicts = ref 0 in
-  let env vid = Hashtbl.find_opt model vid in
+  let env vid =
+    let x = lookup model vid in
+    if x = unassigned then None else Some x
+  in
   let consistent () =
     List.for_all
       (fun c -> match Term.peval env c with Some 0 -> false | _ -> true)
@@ -63,14 +137,14 @@ let naive_search ~max_decisions ~rotate constraints =
       let start = Term.rotate_index ~rotate ~vid:v.Term.vid len in
       let rec try_values j =
         if j >= len then begin
-          Hashtbl.remove model v.Term.vid;
+          model.(v.Term.vid) <- unassigned;
           incr conflicts;
           false
         end
         else begin
           incr decisions;
           if !decisions > max_decisions then raise Budget;
-          Hashtbl.replace model v.Term.vid dom.((start + j) mod len);
+          model.(v.Term.vid) <- dom.((start + j) mod len);
           if consistent () && assign (i + 1) then true else try_values (j + 1)
         end
       in
@@ -126,6 +200,7 @@ let solve_naive_with_stats ?(max_decisions = 2_000_000) ?(rotate = 0)
 type watched = {
   cs : Term.t array;
   vars : Term.var array;  (* search order, {!order_of_vars} *)
+  size : int;  (* assignment length: one more than the largest vid *)
   watchers : int list array;
       (* watchers.(i): indices of non-unary constraints mentioning
          vars.(i), in constraint order *)
@@ -146,59 +221,65 @@ type prepared =
 let prepare conjuncts =
   let conjuncts = List.filter (fun (c, _) -> not (Term.is_true c)) conjuncts in
   if List.exists (fun (c, _) -> Term.is_false c) conjuncts then Refuted
-  else
-    let empty _ = None in
-    if List.exists (fun (c, _) -> Term.peval empty c = Some 0) conjuncts then
-      Reference (List.map fst conjuncts)
-    else begin
-      let cs = Array.of_list (List.map fst conjuncts) in
-      let vars = Array.of_list (order_of_vars (List.map snd conjuncts)) in
-      let n = Array.length vars in
-      let pos = Hashtbl.create (max 16 (2 * n)) in
-      Array.iteri (fun i v -> Hashtbl.replace pos v.Term.vid i) vars;
-      let watchers = Array.make (max 1 n) [] in
-      let unary = Array.make (max 1 n) [] in
-      List.iteri
-        (fun ci (_, vs) ->
-          match vs with
-          | [ v ] ->
-              let i = Hashtbl.find pos v.Term.vid in
-              unary.(i) <- ci :: unary.(i)
-          | vs ->
-              List.iter
-                (fun v ->
-                  let i = Hashtbl.find pos v.Term.vid in
-                  watchers.(i) <- ci :: watchers.(i))
-                vs)
-        conjuncts;
-      Array.iteri (fun i l -> watchers.(i) <- List.rev l) watchers;
-      let admissible =
-        Array.mapi
-          (fun i v ->
-            match unary.(i) with
-            | [] -> None
-            | us ->
-                Some
-                  (Array.map
-                     (fun value ->
-                       let env1 vid =
-                         if vid = v.Term.vid then Some value else None
-                       in
-                       List.for_all
-                         (fun ci -> Term.peval env1 cs.(ci) <> Some 0)
-                         us)
-                     v.Term.domain))
-          vars
-      in
-      Watched { cs; vars; watchers; admissible }
-    end
+  else if List.exists (fun (c, _) -> refuted [||] c) conjuncts then
+    Reference (List.map fst conjuncts)
+  else begin
+    let cs = Array.of_list (List.map fst conjuncts) in
+    let vars, size = order_of_vars (List.map snd conjuncts) in
+    let n = Array.length vars in
+    let pos = Array.make size 0 in
+    Array.iteri (fun i v -> pos.(v.Term.vid) <- i) vars;
+    let watchers = Array.make (max 1 n) [] in
+    let unary = Array.make (max 1 n) [] in
+    List.iteri
+      (fun ci (_, vs) ->
+        match vs with
+        | [ v ] ->
+            let i = pos.(v.Term.vid) in
+            unary.(i) <- ci :: unary.(i)
+        | vs ->
+            List.iter
+              (fun v ->
+                let i = pos.(v.Term.vid) in
+                watchers.(i) <- ci :: watchers.(i))
+              vs)
+      conjuncts;
+    Array.iteri (fun i l -> watchers.(i) <- List.rev l) watchers;
+    (* one scratch assignment for every mask: each variable is set to
+       each of its values in turn and cleared again *)
+    let scratch = Array.make size unassigned in
+    let admissible =
+      Array.mapi
+        (fun i v ->
+          match unary.(i) with
+          | [] -> None
+          | us ->
+              let vid = v.Term.vid in
+              let mask =
+                Array.map
+                  (fun value ->
+                    scratch.(vid) <- value;
+                    List.for_all (fun ci -> not (refuted scratch cs.(ci))) us)
+                  v.Term.domain
+              in
+              scratch.(vid) <- unassigned;
+              Some mask)
+        vars
+    in
+    Watched { cs; vars; size; watchers; admissible }
+  end
+
+(* Whether no constraint in [ws] is refuted under [model]. *)
+let rec consistent model cs = function
+  | [] -> true
+  | ci :: ws ->
+      (not (refuted model (Array.unsafe_get cs ci))) && consistent model cs ws
 
 let search_watched ~max_decisions ~rotate ?hint w =
-  let { cs; vars; watchers; admissible } = w in
+  let { cs; vars; size; watchers; admissible } = w in
   let n = Array.length vars in
-  let model : assignment = Hashtbl.create 32 in
+  let model = Array.make size unassigned in
   let decisions = ref 0 and conflicts = ref 0 in
-  let env vid = Hashtbl.find_opt model vid in
   (* val_order.(i).(j): the domain index tried j-th for vars.(i).
      Without a hint this is the rotated identity the naive search
      uses; a hinted value jumps to the front and the rotated order
@@ -210,63 +291,53 @@ let search_watched ~max_decisions ~rotate ?hint w =
         let len = Array.length dom in
         let start = Term.rotate_index ~rotate ~vid:v.Term.vid len in
         let base = Array.init len (fun j -> (start + j) mod len) in
-        match hint with
-        | None -> base
-        | Some h -> (
-            match Hashtbl.find_opt h v.Term.vid with
-            | None -> base
-            | Some hv ->
-                let hi = ref (-1) in
-                Array.iteri (fun k x -> if !hi < 0 && x = hv then hi := k) dom;
-                if !hi < 0 then base
-                else begin
-                  let order = Array.make len !hi in
-                  let k = ref 1 in
-                  Array.iter
-                    (fun idx ->
-                      if idx <> !hi then begin
-                        order.(!k) <- idx;
-                        incr k
-                      end)
-                    base;
-                  order
-                end))
+        let hi =
+          match hint with
+          | None -> -1
+          | Some h ->
+              let hv = lookup h v.Term.vid in
+              if hv = unassigned then -1
+              else
+                Option.value ~default:(-1)
+                  (Array.find_index (Int.equal hv) dom)
+        in
+        if hi < 0 then base
+        else begin
+          let order = Array.make len hi in
+          let k = ref 1 in
+          Array.iter
+            (fun idx ->
+              if idx <> hi then begin
+                order.(!k) <- idx;
+                incr k
+              end)
+            base;
+          order
+        end)
       vars
   in
-  let rec assign i =
-    if i >= n then true
+  let rec assign i = i >= n || try_values i 0
+  and try_values i j =
+    let v = vars.(i) in
+    let dom = v.Term.domain in
+    if j >= Array.length dom then begin
+      model.(v.Term.vid) <- unassigned;
+      incr conflicts;
+      false
+    end
     else begin
-      let v = vars.(i) in
-      let dom = v.Term.domain in
-      let len = Array.length dom in
-      let ord = val_order.(i) in
-      let ok = admissible.(i) in
-      let ws = watchers.(i) in
-      let rec try_values j =
-        if j >= len then begin
-          Hashtbl.remove model v.Term.vid;
-          incr conflicts;
-          false
-        end
-        else begin
-          incr decisions;
-          if !decisions > max_decisions then raise Budget;
-          let idx = ord.(j) in
-          let allowed = match ok with None -> true | Some a -> a.(idx) in
-          if not allowed then try_values (j + 1)
-          else begin
-            Hashtbl.replace model v.Term.vid dom.(idx);
-            let consistent =
-              List.for_all
-                (fun ci ->
-                  match Term.peval env cs.(ci) with Some 0 -> false | _ -> true)
-                ws
-            in
-            if consistent && assign (i + 1) then true else try_values (j + 1)
-          end
-        end
+      incr decisions;
+      if !decisions > max_decisions then raise Budget;
+      let idx = val_order.(i).(j) in
+      let allowed =
+        match admissible.(i) with None -> true | Some a -> a.(idx)
       in
-      try_values 0
+      if not allowed then try_values i (j + 1)
+      else begin
+        model.(v.Term.vid) <- dom.(idx);
+        (consistent model cs watchers.(i) && assign (i + 1))
+        || try_values i (j + 1)
+      end
     end
   in
   let outcome =
@@ -286,15 +357,9 @@ let solve_with_stats ?max_decisions ?rotate ?hint constraints =
 let solve ?max_decisions ?rotate constraints =
   fst (solve_with_stats ?max_decisions ?rotate constraints)
 
-let is_sat ?max_decisions constraints =
-  match solve ?max_decisions constraints with
-  | Sat _ -> true
-  | Unsat | Unknown -> false
-
 let value m v =
-  match Hashtbl.find_opt m v.Term.vid with
-  | Some x -> x
-  | None -> v.Term.domain.(0)
+  let x = lookup m v.Term.vid in
+  if x = unassigned then v.Term.domain.(0) else x
 
 let check m constraints =
   List.for_all (fun c -> Term.eval_var (value m) c <> 0) constraints

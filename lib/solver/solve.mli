@@ -13,10 +13,27 @@
     equivalent (outcome, model, decision and conflict counts) by the
     test suite. Domains are small by construction (the Eywa pipeline
     bounds every input type), so this is complete and fast in
-    practice. *)
+    practice.
 
-type assignment = (int, int) Hashtbl.t
-(** Maps variable id to its chosen value. *)
+    A partial model is an [int array] indexed by variable id, which
+    {!Term} keeps dense per {!Term.with_fresh_ids} scope. The watched
+    search reads it through an evaluator ({!peval}) that allocates
+    nothing per node and hashes nothing per variable read; the naive
+    reference still goes through {!Term.peval}, so holding the two
+    searches equal also holds the two evaluators equal. *)
+
+type assignment = int array
+(** A (partial) model: [m.(vid)] is variable [vid]'s value, or
+    {!unassigned}. A vid at or past [Array.length m] is unassigned
+    too, so models of different lengths combine by overlaying. A [Sat]
+    model is as long as one more than the largest vid it assigns. *)
+
+val unassigned : int
+(** The marker of an unassigned slot: [min_int], which
+    {!Term.fresh_var} keeps out of every domain. *)
+
+val lookup : assignment -> int -> int
+(** [lookup m vid] is [m.(vid)], or {!unassigned} past the end. *)
 
 type stats = { decisions : int; conflicts : int }
 
@@ -88,11 +105,12 @@ val order_vars : Term.t list -> Term.var list
     the order a pure function of the constraint set (never of
     [Hashtbl] iteration order). Exposed for the regression test. *)
 
-val is_sat : ?max_decisions:int -> Term.t list -> bool
-(** [is_sat cs] is [true] iff [solve cs] is [Sat _]. An [Unknown]
-    outcome counts as unsatisfiable for the purposes of path pruning,
-    which keeps exploration sound-for-tests (we never emit a test from
-    an unproven path). *)
+val peval : assignment -> Term.t -> int option
+(** [peval m t] is [Term.peval] under the partial model [m], computed
+    the way the watched search computes it (an undetermined subterm
+    unwinds to the nearest [And]/[Or] instead of returning an
+    [option]). Exposed for the test that holds it equal to
+    {!Term.peval}. *)
 
 val value : assignment -> Term.var -> int
 (** Value of [v] in the model, defaulting to the first domain element

@@ -55,8 +55,10 @@ let intern_key = Domain.DLS.new_key fresh_intern
 
 let intern_state () = Domain.DLS.get intern_key
 
+(* [min_int] is [Solve]'s unassigned marker, so no domain may hold it;
+   a domain is strictly increasing, so its first element decides. *)
 let fresh_var ?(name = "v") sort domain =
-  assert (Array.length domain > 0);
+  assert (Array.length domain > 0 && domain.(0) <> min_int);
   let c = counter () in
   let vid = !c in
   incr c;

@@ -17,7 +17,9 @@ type var = private {
   vid : int;  (** unique id, dense from 0 *)
   vname : string;
   sort : sort;
-  domain : int array;  (** allowed values, non-empty, strictly increasing *)
+  domain : int array;
+      (** allowed values, non-empty, strictly increasing, never
+          [min_int] (the solver's unassigned marker) *)
 }
 
 (** A term. Build terms with the smart constructors below, which fold

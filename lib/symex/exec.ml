@@ -169,8 +169,12 @@ let combine_models slice_model parent_model =
   match parent_model with
   | None -> slice_model
   | Some pm ->
-      let t = Hashtbl.copy pm in
-      Hashtbl.iter (fun vid v -> Hashtbl.replace t vid v) slice_model;
+      let len = max (Array.length pm) (Array.length slice_model) in
+      let t = Array.make len Solve.unassigned in
+      Array.blit pm 0 t 0 (Array.length pm);
+      Array.iteri
+        (fun vid x -> if x <> Solve.unassigned then t.(vid) <- x)
+        slice_model;
       t
 
 (* Branch-feasibility probe of [head :: parent]; [known] is the model

@@ -59,26 +59,26 @@ let default_value ~rotate (v : Term.var) =
   let len = Array.length v.Term.domain in
   v.Term.domain.(Term.rotate_index ~rotate ~vid:v.Term.vid len)
 
-let rec concretize ?(rotate = 0) model = function
-  | Sunit -> Value.Vunit
-  | Sscalar (ty, t) -> Value.of_int ty (eval_term ~rotate model t)
-  | Sstring cells ->
-      let buf = Bytes.create (Array.length cells) in
-      Array.iteri
-        (fun i t -> Bytes.set buf i (Char.chr (eval_term ~rotate model t land 0xff)))
-        cells;
-      Value.Vstring (Bytes.to_string buf)
-  | Sstruct (n, fs) ->
-      Value.Vstruct (n, List.map (fun (f, v) -> (f, concretize ~rotate model v)) fs)
-  | Sarray vs -> Value.Varray (Array.map (concretize ~rotate model) vs)
-
-and eval_term ~rotate model t =
-  Term.eval_var
-    (fun v ->
-      match Hashtbl.find_opt model v.Term.vid with
-      | Some x -> x
-      | None -> default_value ~rotate v)
-    t
+(* One environment per concretization: a leaf reads its atoms by vid
+   from the model, and an atom the model leaves unassigned takes its
+   rotated default. *)
+let concretize ?(rotate = 0) model sv =
+  let env v =
+    let x = Solve.lookup model v.Term.vid in
+    if x = Solve.unassigned then default_value ~rotate v else x
+  in
+  let rec go = function
+    | Sunit -> Value.Vunit
+    | Sscalar (ty, t) -> Value.of_int ty (Term.eval_var env t)
+    | Sstring cells ->
+        Value.Vstring
+          (String.init (Array.length cells) (fun i ->
+               Char.chr (Term.eval_var env cells.(i) land 0xff)))
+    | Sstruct (n, fs) ->
+        Value.Vstruct (n, List.map (fun (f, v) -> (f, go v)) fs)
+    | Sarray vs -> Value.Varray (Array.map go vs)
+  in
+  go sv
 
 let atoms v =
   let seen = Hashtbl.create 16 in

@@ -228,6 +228,73 @@ let test_testcase_string_canonical () =
   let b = tc [ ("s", Value.Vstring "ab\000other!!") ] (Value.Vbool true) in
   check "NUL-tail ignored" true (Testcase.key a = Testcase.key b)
 
+(* The Format-based rendering [Testcase.key] used to build, kept as
+   the reference the Buffer-based one is held to. *)
+let rec canon_reference (v : Value.t) =
+  match v with
+  | Value.Vstring _ -> Printf.sprintf "%S" (Value.cstring v)
+  | Value.Vstruct (n, fs) ->
+      Printf.sprintf "%s{%s}" n
+        (String.concat ";"
+           (List.map (fun (f, w) -> f ^ "=" ^ canon_reference w) fs))
+  | Value.Varray vs ->
+      Printf.sprintf "[%s]"
+        (String.concat ";" (List.map canon_reference (Array.to_list vs)))
+  | Value.Vunit | Value.Vbool _ | Value.Vchar _ | Value.Vint _ | Value.Venum _ ->
+      Value.to_string v
+
+let key_reference (t : Testcase.t) =
+  String.concat ","
+    (List.map (fun (name, v) -> name ^ "=" ^ canon_reference v) t.inputs)
+
+(* Values of every shape: chars over all of 0-255, strings with
+   embedded NULs and every escape class, negative ints, enums, and
+   structs and arrays nested inside each other. *)
+let gen_value =
+  let open QCheck2.Gen in
+  let any_char = map Char.chr (int_range 0 255) in
+  let str =
+    string_size
+      ~gen:(oneof [ any_char; return '\000'; oneofl [ '"'; '\''; '\\' ] ])
+      (int_range 0 10)
+  in
+  let name = oneofl [ "a"; "rr"; "Type"; "x_1" ] in
+  let scalar =
+    oneof
+      [
+        return Value.Vunit;
+        map (fun b -> Value.Vbool b) bool;
+        map (fun c -> Value.Vchar c) any_char;
+        map (fun n -> Value.Vint n) (oneof [ int; int_range (-300) 300 ]);
+        map2 (fun e i -> Value.Venum (e, i)) name (int_range (-2) 9);
+        map (fun s -> Value.Vstring s) str;
+      ]
+  in
+  sized_size (int_range 0 8) @@ fix (fun self n ->
+      if n <= 0 then scalar
+      else
+        let sub = self (n / 3) in
+        oneof
+          [
+            scalar;
+            map2
+              (fun n fs -> Value.Vstruct (n, fs))
+              name
+              (list_size (int_range 0 3) (pair name sub));
+            map
+              (fun vs -> Value.Varray (Array.of_list vs))
+              (list_size (int_range 0 3) sub);
+          ])
+
+let prop_key_equals_reference =
+  QCheck2.Test.make ~count:500 ~name:"Testcase.key = the Format-based rendering"
+    ~print:(fun inputs -> key_reference (tc inputs Value.Vunit))
+    QCheck2.Gen.(
+      list_size (int_range 0 4) (pair (oneofl [ "q"; "zone"; "s" ]) gen_value))
+    (fun inputs ->
+      let t = tc inputs Value.Vunit in
+      Testcase.key t = key_reference t)
+
 (* ----- synthesis with a canned oracle ----- *)
 
 let canned_completion =
@@ -311,6 +378,7 @@ let suite =
     Alcotest.test_case "harness: symbolic inputs" `Quick test_harness_symbolic_inputs;
     Alcotest.test_case "testcase: dedup by inputs" `Quick test_testcase_dedup;
     Alcotest.test_case "testcase: string canonicalisation" `Quick test_testcase_string_canonical;
+    QCheck_alcotest.to_alcotest prop_key_equals_reference;
     Alcotest.test_case "synthesis: canned oracle end to end" `Quick test_synthesis_canned;
     Alcotest.test_case "synthesis: compile failures skipped" `Quick test_synthesis_skips_bad_models;
     Alcotest.test_case "synthesis: main must be a Func" `Quick test_synthesis_rejects_non_func_main;

@@ -242,8 +242,13 @@ let test_order_vars_vid_tiebreak () =
 
 (* ----- watched solver = naive reference (PR-5 tentpole) ----- *)
 
+(* The length of an assignment that holds every variable of [vars]. *)
+let model_size vars = 1 + List.fold_left (fun n v -> max n v.Term.vid) 0 vars
+
 let model_to_list m =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+  List.filter
+    (fun (_, x) -> x <> Solve.unassigned)
+    (List.mapi (fun vid x -> (vid, x)) (Array.to_list m))
 
 let outcomes_equal a b =
   match (a, b) with
@@ -300,11 +305,11 @@ let prop_hinted_solve_sound =
         (list_size (int_range 1 5) (gen_term shared_vars))
         (list_size (int_range 0 3) (int_range (-4) 12)))
     (fun (cs, hint_vals) ->
-      let hint = Hashtbl.create 8 in
+      let hint = Array.make (model_size shared_vars) Solve.unassigned in
       List.iteri
         (fun i value ->
           let v = List.nth shared_vars (i mod List.length shared_vars) in
-          Hashtbl.replace hint v.Term.vid value)
+          hint.(v.Term.vid) <- value)
         hint_vals;
       let o1, _ = Solve.solve_with_stats ~max_decisions:100_000 ~hint cs in
       let o2, _ = Solve.solve_with_stats ~max_decisions:100_000 cs in
@@ -312,6 +317,140 @@ let prop_hinted_solve_sound =
       | Solve.Sat m, Solve.Sat _ -> Solve.check m cs
       | Solve.Unsat, Solve.Unsat | Solve.Unknown, Solve.Unknown -> true
       | _ -> false)
+
+(* ----- the search's partial evaluator = Term.peval ----- *)
+
+(* Raw-constructed terms, so the smart constructors fold nothing away:
+   [And]/[Or] with one undetermined side, [Div]/[Mod] by a zero
+   constant or a zero-valued variable, and [Ite] on an undetermined
+   condition all occur. *)
+let gen_raw_term vars =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [ map Term.const (int_range (-2) 3);
+        map (fun v -> Term.Var v) (oneofl vars) ]
+  in
+  sized_size (int_range 0 12) @@ fix (fun self n ->
+      if n <= 0 then leaf
+      else
+        let sub = self (n / 2) in
+        let bin k = map2 k sub sub in
+        oneof
+          [
+            leaf;
+            map (fun a -> Term.Not a) sub;
+            bin (fun a b -> Term.And (a, b));
+            bin (fun a b -> Term.Or (a, b));
+            bin (fun a b -> Term.Eq (a, b));
+            bin (fun a b -> Term.Lt (a, b));
+            bin (fun a b -> Term.Le (a, b));
+            bin (fun a b -> Term.Add (a, b));
+            bin (fun a b -> Term.Sub (a, b));
+            bin (fun a b -> Term.Mul (a, b));
+            bin (fun a b -> Term.Div (a, b));
+            bin (fun a b -> Term.Mod (a, b));
+            map3 (fun c a b -> Term.Ite (c, a, b)) sub sub sub;
+          ])
+
+(* A partial assignment over [vars]: each slot unassigned or a small
+   value (zero included, for division), and sometimes shorter than the
+   largest vid, so reads past the end occur too. *)
+let gen_partial vars =
+  let open QCheck2.Gen in
+  let size = model_size vars in
+  let slot = oneof [ return Solve.unassigned; int_range (-2) 3 ] in
+  int_range 0 size >>= fun len -> array_repeat len slot
+
+let peval_reference m t =
+  Term.peval
+    (fun vid ->
+      let x = Solve.lookup m vid in
+      if x = Solve.unassigned then None else Some x)
+    t
+
+let prop_peval_equals_reference =
+  QCheck2.Test.make ~count:1000
+    ~name:"Solve.peval = Term.peval on raw terms under partial models"
+    ~print:(fun (t, m) ->
+      Printf.sprintf "%s under [%s]" (Term.to_string t)
+        (String.concat ";"
+           (Array.to_list
+              (Array.map
+                 (fun x ->
+                   if x = Solve.unassigned then "_" else string_of_int x)
+                 m))))
+    QCheck2.Gen.(pair (gen_raw_term shared_vars) (gen_partial shared_vars))
+    (fun (t, m) -> Solve.peval m t = peval_reference m t)
+
+(* The shapes the generator is there to reach, pinned one by one. *)
+let test_peval_edge_cases () =
+  let x = List.nth shared_vars 0 and y = List.nth shared_vars 1 in
+  let m = Array.make (1 + max x.Term.vid y.Term.vid) Solve.unassigned in
+  m.(y.Term.vid) <- 0;
+  let vx = Term.Var x and vy = Term.Var y in
+  let same name t =
+    Alcotest.(check (option int)) name (peval_reference m t) (Solve.peval m t)
+  in
+  same "and: unknown, false" (Term.And (vx, vy));
+  same "and: false, unknown" (Term.And (vy, vx));
+  same "and: unknown, true" (Term.And (vx, Term.Const 1));
+  same "or: unknown, true" (Term.Or (vx, Term.Const 2));
+  same "or: true, unknown" (Term.Or (Term.Const 2, vx));
+  same "or: unknown, false" (Term.Or (vx, vy));
+  same "div by zero" (Term.Div (Term.Const 5, vy));
+  same "mod by zero" (Term.Mod (Term.Const 5, vy));
+  same "div, unknown by zero" (Term.Div (vx, vy));
+  same "ite: unknown condition, equal branches" (Term.Ite (vx, vy, vy));
+  same "ite: known condition, unknown other branch"
+    (Term.Ite (vy, vx, Term.Const 4));
+  same "past the end"
+    (Term.Var (Term.fresh_var ~name:"far" Term.Sbool [| 0; 1 |]))
+
+(* ----- order_vars = the tuple sort it replaced ----- *)
+
+(* Few distinct domain sizes and a handful of variables, so keys tie
+   on size and on occurrence count and the vid decides. *)
+let order_pool =
+  List.map
+    (fun (i, k) ->
+      Term.fresh_var ~name:(Printf.sprintf "o%d" i) (Term.Sint 3)
+        (Array.init k (fun j -> j)))
+    [ (0, 3); (1, 2); (2, 3); (3, 5); (4, 2); (5, 3) ]
+
+let order_reference cs =
+  let occ = Hashtbl.create 16 and all = Hashtbl.create 16 in
+  List.iter
+    (List.iter (fun v ->
+         let n = try Hashtbl.find occ v.Term.vid with Not_found -> 0 in
+         Hashtbl.replace occ v.Term.vid (n + 1);
+         if not (Hashtbl.mem all v.Term.vid) then Hashtbl.add all v.Term.vid v))
+    (List.map Term.vars cs);
+  let key v =
+    (Array.length v.Term.domain, - Hashtbl.find occ v.Term.vid, v.Term.vid)
+  in
+  List.sort
+    (fun a b -> compare (key a) (key b))
+    (Hashtbl.fold (fun _ v acc -> v :: acc) all [])
+
+let prop_order_equals_reference =
+  QCheck2.Test.make ~count:300 ~name:"order_vars = tuple-sort reference"
+    QCheck2.Gen.(
+      list_size (int_range 0 6)
+        (list_size (int_range 1 4) (oneofl order_pool)))
+    (fun var_lists ->
+      (* one constraint per list, mentioning its vars (repeats
+         included); vids repeat across constraints *)
+      let cs =
+        List.map
+          (fun vs ->
+            List.fold_left
+              (fun acc v -> Term.Or (acc, Term.Var v))
+              (Term.Var (List.hd vs)) (List.tl vs))
+          var_lists
+      in
+      List.map (fun v -> v.Term.vid) (Solve.order_vars cs)
+      = List.map (fun v -> v.Term.vid) (order_reference cs))
 
 let suite =
   [
@@ -339,4 +478,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_watched_equals_naive;
     QCheck_alcotest.to_alcotest prop_hinted_solve_sound;
     QCheck_alcotest.to_alcotest prop_prepared_equals_fresh;
+    Alcotest.test_case "partial evaluator edge cases = Term.peval" `Quick
+      test_peval_edge_cases;
+    QCheck_alcotest.to_alcotest prop_peval_equals_reference;
+    QCheck_alcotest.to_alcotest prop_order_equals_reference;
   ]

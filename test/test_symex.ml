@@ -127,8 +127,11 @@ let test_sv_concretize () =
   let s = Sv.symbolic_string ~alphabet ~name:"s" 3 in
   let atoms = Sv.atoms s in
   check_int "three atoms (NUL cell pinned)" 3 (List.length atoms);
-  let model = Hashtbl.create 4 in
-  List.iteri (fun i v -> Hashtbl.replace model v.Term.vid
+  let model =
+    Array.make (1 + List.fold_left (fun n v -> max n v.Term.vid) 0 atoms)
+      Solve.unassigned
+  in
+  List.iteri (fun i v -> model.(v.Term.vid) <-
                  (if i < 2 then Char.code 'a' else 0)) atoms;
   let v = Sv.concretize model s in
   Alcotest.(check string) "aa" "aa" (Value.cstring v)
@@ -141,7 +144,7 @@ let test_sv_of_value_roundtrip () =
   in
   let sv = Sv.of_value v in
   check "no atoms in embedded concrete value" true (Sv.atoms sv = []);
-  check "concretizes back" true (Value.equal v (Sv.concretize (Hashtbl.create 1) sv))
+  check "concretizes back" true (Value.equal v (Sv.concretize [||] sv))
 
 (* ----- executor ----- *)
 
