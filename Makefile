@@ -1,7 +1,7 @@
 # Development entry points. `make check` is the PR gate: everything
 # builds, every test passes, and formatting is clean.
 
-.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke examples-smoke suite-identity stats-identity difftest-identity perfbench-smoke check bench clean
+.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke examples-smoke suite-identity stats-identity fuzz-identity difftest-identity perfbench-smoke check bench clean
 
 all: build
 
@@ -122,6 +122,28 @@ stats-identity:
 	[ $$status -eq 0 ] && echo "stats-identity: all $$(wc -l < test/golden/stats-k3.md5) stats byte-identical"; \
 	exit $$status
 
+# every model's k=3 fuzz run is byte-identical to the MD5s in
+# test/golden/fuzz-k3.md5 (one "md5  MODEL" line per model): the stdout
+# of `eywa fuzz M -k 3 --jobs 2 --save F` followed by F, the combined
+# symex+fuzz suite. suite-identity pins only the symex suites; a change
+# to the fuzz loop that must not move a keeper or an exec count keeps
+# this passing.
+fuzz-identity:
+	rm -rf /tmp/eywa-fuzz-identity && mkdir -p /tmp/eywa-fuzz-identity
+	@status=0; \
+	while read sum model; do \
+	  dir=/tmp/eywa-fuzz-identity; \
+	  dune exec bin/eywa_cli.exe -- fuzz $$model -k 3 --jobs 2 \
+	    --save $$dir/$$model.suite > $$dir/$$model.out || exit 1; \
+	  got=$$(cat $$dir/$$model.out $$dir/$$model.suite | md5sum | cut -d' ' -f1); \
+	  if [ "$$got" != "$$sum" ]; then \
+	    echo "fuzz-identity: $$model fuzz run differs from test/golden/fuzz-k3.md5"; \
+	    status=1; \
+	  fi; \
+	done < test/golden/fuzz-k3.md5; \
+	[ $$status -eq 0 ] && echo "fuzz-identity: all $$(wc -l < test/golden/fuzz-k3.md5) fuzz runs byte-identical"; \
+	exit $$status
+
 # differential testing and attribution print byte-identical output to
 # the MD5s in test/golden/difftest-k3.md5 (one "md5  COMMAND MODEL" line
 # each): `eywa difftest M -k 3` for the 13 models and TCP, and `eywa
@@ -151,7 +173,7 @@ difftest-identity:
 perfbench-smoke:
 	bash perfbench/run.sh --smoke
 
-check: build test fuzz-smoke trace-smoke examples-smoke suite-identity stats-identity difftest-identity perfbench-smoke fmt
+check: build test fuzz-smoke trace-smoke examples-smoke suite-identity stats-identity fuzz-identity difftest-identity perfbench-smoke fmt
 
 bench:
 	dune exec bench/main.exe -- fast

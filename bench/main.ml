@@ -381,11 +381,11 @@ let micro () =
     | Ok s ->
         let program = List.hd s.Pipeline.programs in
         let natives = Eywa_core.Harness.natives_concrete m.Model_def.graph s.main in
+        (* set up once, as the fuzz loop does per draw *)
+        let run = Eywa_fuzz.Coverage.runner ~natives ~main:s.main program in
         let edges (t : Testcase.t) =
           let cov = Eywa_minic.Interp.coverage_create () in
-          ignore
-            (Eywa_fuzz.Coverage.execute ~natives ~main:s.main ~coverage:cov program
-               t.Testcase.inputs);
+          ignore (run ~coverage:cov t.Testcase.inputs);
           Eywa_fuzz.Coverage.count cov
         in
         let best =
@@ -394,9 +394,7 @@ let micro () =
             (List.hd s.unique_tests) s.unique_tests
         in
         fun () ->
-          Eywa_fuzz.Coverage.execute ~natives ~main:s.main
-            ~coverage:(Eywa_minic.Interp.coverage_create ())
-            program best.Testcase.inputs
+          run ~coverage:(Eywa_minic.Interp.coverage_create ()) best.Testcase.inputs
   in
   let tests =
     [

@@ -8,6 +8,27 @@
 
 module Interp = Eywa_minic.Interp
 
+type runner =
+  coverage:Interp.coverage ->
+  (string * Eywa_minic.Value.t) list ->
+  Eywa_core.Testcase.t
+(** Run the harness on one concrete input vector, marking hit edges
+    into [coverage]. The result mirrors [Pipeline.path_to_test]:
+    an [EywaOut] return is unpacked into [bad_input]/[result], a
+    runtime error (or fuel exhaustion) lands in [error]. An input the
+    vector does not bind takes its type's default value. *)
+
+val runner :
+  ?fuel:int ->
+  natives:(string * (Eywa_minic.Value.t list -> Eywa_minic.Value.t)) list ->
+  main:Eywa_core.Emodule.func ->
+  Eywa_minic.Ast.program ->
+  runner
+(** The harness of one program made ready for many input vectors: the
+    interpreter entry is {!Interp.prepare}d and the declared argument
+    order fixed once. Apply it to the program once, then to each
+    vector. [fuel] is per run, as for {!Interp.run}. *)
+
 val execute :
   ?fuel:int ->
   natives:(string * (Eywa_minic.Value.t list -> Eywa_minic.Value.t)) list ->
@@ -16,10 +37,7 @@ val execute :
   Eywa_minic.Ast.program ->
   (string * Eywa_minic.Value.t) list ->
   Eywa_core.Testcase.t
-(** Run the harness on one concrete input vector, marking hit edges
-    into [coverage]. The result mirrors [Pipeline.path_to_test]:
-    an [EywaOut] return is unpacked into [bad_input]/[result], a
-    runtime error (or fuel exhaustion) lands in [error]. *)
+(** One run: a {!runner} applied once. *)
 
 val news : global:Interp.coverage -> Interp.coverage -> int
 (** Number of edges in the local map that the global map lacks: a byte

@@ -9,8 +9,8 @@
     Determinism contract — the same invariants as {!Eywa_core.Pipeline}:
     a fuzz draw is a pure function of (program, its symex tests, config,
     index). Randomness comes only from {!Rng} seeded at
-    [fuzz_seed + index]; the budget is a count of candidate executions
-    (a deterministic tick budget, never wall clock); coverage maps are
+    [fuzz_seed + index]; the budget is a count of candidates (a
+    deterministic tick budget, never wall clock); coverage maps are
     used for membership and counting only, so hash order is invisible.
     Fixed (seed, budget, mutator set) gives byte-identical corpus and
     tests at any [jobs] value and on warm or cold cache. *)
@@ -22,7 +22,7 @@ module Testcase = Eywa_core.Testcase
 
 type config = {
   fuzz_seed : int;  (** base seed; draw [i] fuzzes at [fuzz_seed + i] *)
-  budget : int;  (** candidate executions per draw (deterministic ticks) *)
+  budget : int;  (** candidates per draw (deterministic ticks) *)
   max_new_tests : int;  (** stop a draw early after this many keepers *)
   mutators : Mutate.kind list;  (** enabled mutators, canonical order *)
   fuel : int;  (** interpreter fuel per candidate execution *)
@@ -33,7 +33,10 @@ val default_config : config
 
 type draw_fuzz = {
   f_index : int;  (** the model-draw index this fuzz run extends *)
-  execs : int;  (** candidate executions actually spent *)
+  execs : int;
+      (** candidates the budget spent. A candidate equal to an input the
+          draw already ran counts here but is answered by the memo, not
+          executed: it could add no edge (see {!fuzz_draw}). *)
   edges_seed : int;  (** edges covered by the symex seed suite alone *)
   edges_after : int;  (** edges covered after fuzzing *)
   edges_static : int;  (** the program's whole static edge universe *)
@@ -89,7 +92,20 @@ val fuzz_draw :
     fans out. It stops at the execution budget, at [max_new_tests]
     keepers, or once every static edge is covered (nothing more can
     be kept), whichever comes first. [alphabet] is the model's
-    character domain (the same one symbolic strings range over). *)
+    character domain (the same one symbolic strings range over).
+
+    The draw runs its program through one {!Coverage.runner} and keeps
+    an exact memo ({!Memo}) of the inputs it has run. A candidate
+    already in the memo spends its budget tick and its rng draws but is
+    not executed: a run's coverage depends on its input alone, and the
+    edges of every input run before are already covered, so it could
+    not be kept. The artifact is the one executing it would give. The
+    seeds enter the memo only when there are no more of them than the
+    budget.
+
+    A draw without seed tests (its symex run timed out before the
+    first) has nothing to mutate: it spends 0 executions and keeps
+    nothing. *)
 
 val fuzz_of_seeds :
   ?cache:Cache.t ->

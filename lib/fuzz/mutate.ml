@@ -49,39 +49,66 @@ let rec count_sites which v =
       Array.fold_left (fun a f -> a + count_sites which f) 0 vs
 
 (* Rewrite the [target]-th site (in traversal order) with [f]; all
-   other sites — and the whole shape — are untouched. *)
+   other sites — and the whole shape — are untouched. Only the path
+   down to the target is rebuilt: every subtree beside it is returned
+   physically, and the walk stops at the target. [k] counts the sites
+   still to pass; it drops below 0 once the target is rewritten. *)
 let rewrite_site which target f v =
   let k = ref target in
   let take () =
     let hit = !k = 0 in
-    decr k;
+    k := if hit then -1 else !k - 1;
     hit
   in
   let rec go v =
     match v with
     | Value.Vunit -> v
-    | Value.Vbool b ->
-        if which = `All && take () then f (Sbool b) else v
-    | Value.Vchar c ->
-        if which = `All && take () then f (Schar c) else v
-    | Value.Vint n ->
-        if which = `All && take () then f (Sint n) else v
+    | Value.Vbool b -> if which = `All && take () then f (Sbool b) else v
+    | Value.Vchar c -> if which = `All && take () then f (Schar c) else v
+    | Value.Vint n -> if which = `All && take () then f (Sint n) else v
     | Value.Venum (e, i) -> if take () then f (Senum (e, i)) else v
     | Value.Vstring raw ->
+        let n = String.length raw in
         if which = `Enum then v
+        else if !k >= n then begin
+          k := !k - n;
+          v
+        end
         else begin
-          let b = Bytes.of_string raw in
-          for i = 0 to Bytes.length b - 1 do
-            if take () then
-              match f (Sbyte (Bytes.get b i)) with
-              | Value.Vchar c -> Bytes.set b i c
-              | _ -> ()
-          done;
-          Value.Vstring (Bytes.to_string b)
+          let i = !k in
+          k := -1;
+          match f (Sbyte raw.[i]) with
+          | Value.Vchar c ->
+              let b = Bytes.of_string raw in
+              Bytes.set b i c;
+              Value.Vstring (Bytes.unsafe_to_string b)
+          | _ -> v
         end
     | Value.Vstruct (n, fs) ->
-        Value.Vstruct (n, List.map (fun (fn, fv) -> (fn, go fv)) fs)
-    | Value.Varray vs -> Value.Varray (Array.map go vs)
+        let fs' = fields fs in
+        if fs' == fs then v else Value.Vstruct (n, fs')
+    | Value.Varray vs ->
+        let rec scan i =
+          if i = Array.length vs then v
+          else
+            let e = go vs.(i) in
+            if !k >= 0 then scan (i + 1)
+            else begin
+              let copy = Array.copy vs in
+              copy.(i) <- e;
+              Value.Varray copy
+            end
+        in
+        scan 0
+  and fields fs =
+    match fs with
+    | [] -> fs
+    | ((fn, fv) as field) :: rest ->
+        let fv' = go fv in
+        if !k < 0 then (fn, fv') :: rest
+        else
+          let rest' = fields rest in
+          if rest' == rest then fs else field :: rest'
   in
   go v
 
@@ -137,24 +164,22 @@ let arith_site ~program ~alphabet ~rng site =
 
 (* Mutate one site across the whole argument vector: sites are counted
    over the concatenation of the argument value trees, so every leaf
-   is equally likely regardless of which argument holds it. *)
+   is equally likely regardless of which argument holds it. Only the
+   argument that holds the site is rewritten; the others are shared.
+   [None] (and no rng draw) when the vector has no site of the class. *)
 let mutate_one which f inputs rng =
-  let total =
-    List.fold_left (fun a (_, v) -> a + count_sites which v) 0 inputs
-  in
-  if total = 0 then inputs
+  let counts = List.map (fun (_, v) -> count_sites which v) inputs in
+  let total = List.fold_left ( + ) 0 counts in
+  if total = 0 then None
   else begin
-    let target = ref (Rng.int rng total) in
-    List.map
-      (fun (n, v) ->
-        let here = count_sites which v in
-        let v' =
-          if !target >= 0 && !target < here then rewrite_site which !target f v
-          else v
-        in
-        target := !target - here;
-        (n, v'))
-      inputs
+    let rec go target inputs counts =
+      match (inputs, counts) with
+      | ((n, v) as arg) :: rest, here :: counts ->
+          if target < here then (n, rewrite_site which target f v) :: rest
+          else arg :: go (target - here) rest counts
+      | _ -> inputs
+    in
+    Some (go (Rng.int rng total) inputs counts)
   end
 
 let rec shape_compatible a b =
@@ -179,16 +204,18 @@ let rec shape_compatible a b =
 
 let rec apply ~program ~alphabet ~rng kind ~other inputs =
   match kind with
-  | Byte -> mutate_one `All (byte_site ~program ~alphabet ~rng) inputs rng
-  | Arith -> mutate_one `All (arith_site ~program ~alphabet ~rng) inputs rng
-  | Enum ->
-      let total =
-        List.fold_left (fun a (_, v) -> a + count_sites `Enum v) 0 inputs
-      in
-      if total = 0 then
-        (* no enum anywhere in the signature: degrade gracefully *)
-        apply ~program ~alphabet ~rng Byte ~other inputs
-      else mutate_one `Enum (byte_site ~program ~alphabet ~rng) inputs rng
+  | Byte ->
+      Option.value ~default:inputs
+        (mutate_one `All (byte_site ~program ~alphabet ~rng) inputs rng)
+  | Arith ->
+      Option.value ~default:inputs
+        (mutate_one `All (arith_site ~program ~alphabet ~rng) inputs rng)
+  | Enum -> (
+      match mutate_one `Enum (byte_site ~program ~alphabet ~rng) inputs rng with
+      | Some mutant -> mutant
+      | None ->
+          (* no enum anywhere in the signature: degrade gracefully *)
+          apply ~program ~alphabet ~rng Byte ~other inputs)
   | Havoc ->
       let rounds = 1 + Rng.int rng 4 in
       let rec go n acc =

@@ -7,7 +7,8 @@
     string bytes are drawn from the model's alphabet (plus NUL, so
     strings can shorten), and enum mutations stay within the declared
     member range via [Ast.find_enum] — the same enum resolution every
-    other pass uses. *)
+    other pass uses. A mutant shares every subtree it leaves unchanged
+    with its parent; nothing is ever written in place. *)
 
 type kind =
   | Byte  (** replace one scalar site with an interesting/alphabet value *)

@@ -618,6 +618,8 @@ let same_owner what a b =
   | Some p, Some q when p != q -> invalid_arg (what ^ ": coverage maps of different programs")
   | _ -> ()
 
+let coverage_clear cov = Bytes.fill cov.hits 0 (Bytes.length cov.hits) '\000'
+
 let coverage_count cov =
   let n = ref 0 in
   Bytes.iter (fun b -> if b <> '\000' then incr n) cov.hits;
@@ -656,35 +658,61 @@ let static_edges program = Array.to_list (compiled program).labels
 
 (* ----- running ----- *)
 
-(* The entry call dispatches by name at run time, in the same order as
-   a compiled call site: builtins, natives, program functions. *)
-let enter c st natives name args =
-  tick st;
-  match builtin name (List.length args) with
-  | Some b -> b args
-  | None -> (
-      if List.mem_assoc name natives then (List.assoc name natives) args
-      else
-        match List.find_opt (fun fn -> String.equal fn.func.fname name) c.fns with
-        | None -> rt "call to undefined function %S" name
-        | Some fn ->
-            if List.length fn.func.params <> List.length args then
-              rt "%s: arity mismatch" name;
-            let frame = Array.make fn.frame_size Value.Vunit in
-            List.iteri (fun i v -> frame.(i) <- v) args;
-            invoke fn st frame)
+(* A program's entry point with everything that does not depend on the
+   arguments resolved once: the natives by callee id, and the entry
+   call's target. *)
+type prepared = {
+  p_program : Ast.program;
+  p_compiled : compiled;
+  p_string_bound : int;
+  p_natives : (Value.t list -> Value.t) option array;
+  p_entry : st -> Value.t list -> Value.t;
+}
 
-let run ?(fuel = 100_000) ?(string_bound = 16) ?(natives = []) ?coverage program
-    fname args =
+(* The entry call dispatches in the same order as a compiled call site:
+   builtins, natives, program functions. It ticks before it dispatches,
+   and an unknown name is an error of the run, not of preparing it. *)
+let entry c natives name =
+  let native = List.assoc_opt name natives in
+  let target = List.find_opt (fun fn -> String.equal fn.func.fname name) c.fns in
+  fun st args ->
+    tick st;
+    match builtin name (List.length args) with
+    | Some b -> b args
+    | None -> (
+        match native with
+        | Some native -> native args
+        | None -> (
+            match target with
+            | None -> rt "call to undefined function %S" name
+            | Some fn ->
+                if List.length fn.func.params <> List.length args then
+                  rt "%s: arity mismatch" name;
+                let frame = Array.make fn.frame_size Value.Vunit in
+                List.iteri (fun i v -> frame.(i) <- v) args;
+                invoke fn st frame))
+
+let prepare ?(string_bound = 16) ?(natives = []) program fname =
   let c = compiled program in
+  {
+    p_program = program;
+    p_compiled = c;
+    p_string_bound = string_bound;
+    p_natives = Array.map (fun name -> List.assoc_opt name natives) c.callees;
+    p_entry = entry c natives fname;
+  }
+
+let exec ?(fuel = 100_000) ?coverage p args =
   let hits =
-    match coverage with None -> c.scratch | Some cov -> claim cov program c
+    match coverage with
+    | None -> p.p_compiled.scratch
+    | Some cov -> claim cov p.p_program p.p_compiled
   in
-  let natives_by_id =
-    Array.map (fun name -> List.assoc_opt name natives) c.callees
-  in
-  let st = { fuel; string_bound; natives = natives_by_id; hits } in
-  match enter c st natives fname args with
+  let st = { fuel; string_bound = p.p_string_bound; natives = p.p_natives; hits } in
+  match p.p_entry st args with
   | v -> Ok v
   | exception Runtime_exc m -> Error (Runtime m)
   | exception Fuel_exc -> Error Out_of_fuel
+
+let run ?fuel ?string_bound ?natives ?coverage program fname args =
+  exec ?fuel ?coverage (prepare ?string_bound ?natives program fname) args

@@ -33,6 +33,10 @@ val covered : coverage -> string list
 (** Labels of the edges hit, in edge-id order (the order of
     {!static_edges}). *)
 
+val coverage_clear : coverage -> unit
+(** Forget every hit but keep the map's binding, so one map can serve
+    run after run of its program. *)
+
 val coverage_count : coverage -> int
 (** Number of distinct edges hit. *)
 
@@ -51,6 +55,32 @@ val static_edges : Ast.program -> string list
     table, in edge-id order. The dynamic coverage map is always a
     subset of this list. *)
 
+type prepared
+(** A program's entry function made ready to run many times: the
+    natives resolved by callee id and the entry call's target found
+    once, where {!run} does both on every call. *)
+
+val prepare :
+  ?string_bound:int ->
+  ?natives:(string * (Value.t list -> Value.t)) list ->
+  Ast.program ->
+  string ->
+  prepared
+(** [prepare program fname] readies calls of [fname]; the arguments
+    mean what they mean for {!run}. Preparing never fails: an unknown
+    [fname] is the [Runtime] error of each {!exec}. *)
+
+val exec :
+  ?fuel:int ->
+  ?coverage:coverage ->
+  prepared ->
+  Value.t list ->
+  (Value.t, error) result
+(** One call of a prepared entry with [args]: the same result, fuel
+    use and coverage as {!run} with the same arguments.
+    @raise Invalid_argument if [coverage] is bound to another
+    program. *)
+
 val run :
   ?fuel:int ->
   ?string_bound:int ->
@@ -60,11 +90,12 @@ val run :
   string ->
   Value.t list ->
   (Value.t, error) result
-(** [run program fname args] calls [fname] with [args]. Default fuel is
-    [100_000]; [string_bound] sizes locally declared string buffers
-    (default [16]). [natives] supplies pure host-implemented functions
-    (the harness's regex guards) looked up after the builtins and before
-    program functions. Falling off the end of a non-void function is a
-    [Runtime] error; for a void function it yields [Vunit].
+(** [run program fname args] calls [fname] with [args]: {!prepare}
+    then one {!exec}. Default fuel is [100_000]; [string_bound] sizes
+    locally declared string buffers (default [16]). [natives] supplies
+    pure host-implemented functions (the harness's regex guards) looked
+    up after the builtins and before program functions. Falling off the
+    end of a non-void function is a [Runtime] error; for a void
+    function it yields [Vunit].
     @raise Invalid_argument if [coverage] is bound to another
     program. *)

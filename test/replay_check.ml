@@ -1,5 +1,5 @@
 (* Symbolic/concrete agreement: replay a synthesized suite through the
-   concrete interpreter ({!Eywa_fuzz.Coverage.execute}, the replay the
+   concrete interpreter ({!Eywa_fuzz.Coverage.runner}, the replay the
    fuzzer uses) and compare each emitted test with what the program
    really does. *)
 
@@ -28,12 +28,11 @@ let disagreements g (s : Pipeline.t) =
   in
   List.fold_left2
     (fun (n, bad) (r : Pipeline.model_result) program ->
+      let run = Coverage.runner ~natives ~main:s.main program in
       List.fold_left
         (fun (n, bad) (t : Testcase.t) ->
           let got =
-            Coverage.execute ~natives ~main:s.main
-              ~coverage:(Eywa_minic.Interp.coverage_create ())
-              program t.inputs
+            run ~coverage:(Eywa_minic.Interp.coverage_create ()) t.inputs
           in
           if agree t got then (n + 1, bad)
           else

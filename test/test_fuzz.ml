@@ -14,6 +14,12 @@
      bound to one program.
    - Mutants preserve the shape of the input vector (same constructor
      tree, string lengths, array sizes, struct fields).
+   - [Fuzz.fuzz_draw] equals the reference loop kept below (no memo,
+     no prepared runner, the old copying mutators) artifact for
+     artifact, and [Mutate.apply] equals the old mutators mutant for
+     mutant and rng draw for rng draw.
+   - A draw without seeds runs nothing; the memo's hash sees every
+     leaf of a many-record input.
    - Regression: a runtime error escaping a nested call must surface
      as [Error], not corrupt the interpreter's scope stack. *)
 
@@ -21,6 +27,7 @@ module Fuzz = Eywa_fuzz.Fuzz
 module Mutate = Eywa_fuzz.Mutate
 module Rng = Eywa_fuzz.Rng
 module Coverage = Eywa_fuzz.Coverage
+module Memo = Eywa_fuzz.Memo
 module Pipeline = Eywa_core.Pipeline
 module Cache = Eywa_core.Cache
 module Harness = Eywa_core.Harness
@@ -309,6 +316,36 @@ let test_coverage_one_program () =
   check_labels "absorb into a fresh map copies it" (Interp.covered cov)
     (Interp.covered fresh)
 
+(* ----- a run never writes into its input ----- *)
+
+(* Mutants share every subtree they leave unchanged with their parent,
+   and the memo keeps the inputs it has seen: both need the interpreter
+   to copy, never write into, an argument it assigns through. *)
+let test_run_leaves_input_intact () =
+  let p =
+    parse
+      {|
+        typedef struct { int x; char* name; } Cell;
+        typedef struct { Cell cells[2]; } Box;
+        int f(Box b) {
+          b.cells[1].x = 9;
+          b.cells[0].name[0] = 'z';
+          return b.cells[1].x + b.cells[0].name[0];
+        }
+      |}
+  in
+  let box () =
+    let cell x name =
+      Value.Vstruct ("Cell", [ ("x", Value.Vint x); ("name", Value.Vstring name) ])
+    in
+    Value.Vstruct
+      ("Box", [ ("cells", Value.Varray [| cell 1 "ab\000"; cell 2 "cd\000" |]) ])
+  in
+  let input = box () in
+  check "the run sees its own writes" true
+    (Interp.run p "f" [ input ] = Ok (Value.Vint (9 + Char.code 'z')));
+  check "the argument is unchanged" true (Value.equal input (box ()))
+
 (* ----- mutants preserve input shape ----- *)
 
 let rec same_shape (a : Value.t) (b : Value.t) =
@@ -387,6 +424,418 @@ let prop_fuzz_draw_pure =
              ~alphabet:model.Model_def.alphabet ~index:0 program seeds
          in
          run () = run ()))
+
+(* ----- the reference engine: the fuzz loop before the candidate memo ----- *)
+
+(* The mutators as they were before they shared unchanged subtrees:
+   every argument rebuilt, every string passed copied. Kept as the
+   reference [Mutate.apply] must match, mutant for mutant and rng draw
+   for rng draw. *)
+module Old_mutate = struct
+  module Ast = Eywa_minic.Ast
+
+  type site =
+    | Sbool of bool
+    | Schar of char
+    | Sint of int
+    | Senum of string * int
+    | Sbyte of char
+
+  let rec count_sites which v =
+    match v with
+    | Value.Vunit -> 0
+    | Value.Vbool _ -> ( match which with `All -> 1 | `Enum -> 0)
+    | Value.Vchar _ -> ( match which with `All -> 1 | `Enum -> 0)
+    | Value.Vint _ -> ( match which with `All -> 1 | `Enum -> 0)
+    | Value.Venum _ -> 1
+    | Value.Vstring raw -> (
+        match which with `All -> String.length raw | `Enum -> 0)
+    | Value.Vstruct (_, fs) ->
+        List.fold_left (fun a (_, f) -> a + count_sites which f) 0 fs
+    | Value.Varray vs ->
+        Array.fold_left (fun a f -> a + count_sites which f) 0 vs
+
+  (* Rewrite the [target]-th site (in traversal order) with [f]; all
+     other sites — and the whole shape — are untouched. *)
+  let rewrite_site which target f v =
+    let k = ref target in
+    let take () =
+      let hit = !k = 0 in
+      decr k;
+      hit
+    in
+    let rec go v =
+      match v with
+      | Value.Vunit -> v
+      | Value.Vbool b ->
+          if which = `All && take () then f (Sbool b) else v
+      | Value.Vchar c ->
+          if which = `All && take () then f (Schar c) else v
+      | Value.Vint n ->
+          if which = `All && take () then f (Sint n) else v
+      | Value.Venum (e, i) -> if take () then f (Senum (e, i)) else v
+      | Value.Vstring raw ->
+          if which = `Enum then v
+          else begin
+            let b = Bytes.of_string raw in
+            for i = 0 to Bytes.length b - 1 do
+              if take () then
+                match f (Sbyte (Bytes.get b i)) with
+                | Value.Vchar c -> Bytes.set b i c
+                | _ -> ()
+            done;
+            Value.Vstring (Bytes.to_string b)
+          end
+      | Value.Vstruct (n, fs) ->
+          Value.Vstruct (n, List.map (fun (fn, fv) -> (fn, go fv)) fs)
+      | Value.Varray vs -> Value.Varray (Array.map go vs)
+    in
+    go v
+
+  (* ----- the individual mutators ----- *)
+
+  let interesting_ints =
+    [ 0; 1; 2; 7; 8; 15; 16; 31; 32; 63; 64; 127; 128; 255; 256; 1023; 1024 ]
+
+  let enum_members program ename =
+    match Ast.find_enum program ename with
+    | Some e -> List.length e.Ast.members
+    | None -> 0
+
+  let char_pool alphabet = if alphabet = [] then [ '\000' ] else '\000' :: alphabet
+
+  let byte_site ~program ~alphabet ~rng site =
+    let pool = char_pool alphabet in
+    match site with
+    | Sbool b -> Value.Vbool (not b)
+    | Schar _ | Sbyte _ -> Value.Vchar (Rng.pick rng pool)
+    | Sint _ -> Value.Vint (Rng.pick rng interesting_ints)
+    | Senum (e, i) ->
+        let n = enum_members program e in
+        Value.Venum (e, if n > 0 then Rng.int rng n else i)
+
+  let arith_site ~program ~alphabet ~rng site =
+    let delta () =
+      let d = 1 + Rng.int rng 8 in
+      if Rng.bool rng then d else -d
+    in
+    let shift_char c =
+      let pool = char_pool alphabet in
+      let len = List.length pool in
+      let idx =
+        let rec find i = function
+          | [] -> None
+          | x :: rest -> if x = c then Some i else find (i + 1) rest
+        in
+        find 0 pool
+      in
+      match idx with
+      | None -> Rng.pick rng pool
+      | Some i -> List.nth pool (((i + delta ()) mod len + len) mod len)
+    in
+    match site with
+    | Sbool b -> Value.Vbool (not b)
+    | Schar c | Sbyte c -> Value.Vchar (shift_char c)
+    | Sint n -> Value.Vint (n + delta ())
+    | Senum (e, i) ->
+        let n = enum_members program e in
+        if n > 0 then Value.Venum (e, ((i + delta ()) mod n + n) mod n)
+        else Value.Venum (e, i)
+
+  (* Mutate one site across the whole argument vector: sites are counted
+     over the concatenation of the argument value trees, so every leaf
+     is equally likely regardless of which argument holds it. *)
+  let mutate_one which f inputs rng =
+    let total =
+      List.fold_left (fun a (_, v) -> a + count_sites which v) 0 inputs
+    in
+    if total = 0 then inputs
+    else begin
+      let target = ref (Rng.int rng total) in
+      List.map
+        (fun (n, v) ->
+          let here = count_sites which v in
+          let v' =
+            if !target >= 0 && !target < here then rewrite_site which !target f v
+            else v
+          in
+          target := !target - here;
+          (n, v'))
+        inputs
+    end
+
+  let rec shape_compatible a b =
+    match (a, b) with
+    | Value.Vunit, Value.Vunit
+    | Value.Vbool _, Value.Vbool _
+    | Value.Vchar _, Value.Vchar _
+    | Value.Vint _, Value.Vint _ ->
+        true
+    | Value.Venum (e, _), Value.Venum (f, _) -> e = f
+    | Value.Vstring x, Value.Vstring y -> String.length x = String.length y
+    | Value.Vstruct (n, fs), Value.Vstruct (m, gs) ->
+        n = m
+        && List.length fs = List.length gs
+        && List.for_all2
+             (fun (f, v) (g, w) -> f = g && shape_compatible v w)
+             fs gs
+    | Value.Varray x, Value.Varray y ->
+        Array.length x = Array.length y
+        && (Array.length x = 0 || shape_compatible x.(0) y.(0))
+    | _ -> false
+
+  let rec apply ~program ~alphabet ~rng kind ~other inputs =
+    match (kind : Mutate.kind) with
+    | Byte -> mutate_one `All (byte_site ~program ~alphabet ~rng) inputs rng
+    | Arith -> mutate_one `All (arith_site ~program ~alphabet ~rng) inputs rng
+    | Enum ->
+        let total =
+          List.fold_left (fun a (_, v) -> a + count_sites `Enum v) 0 inputs
+        in
+        if total = 0 then
+          (* no enum anywhere in the signature: degrade gracefully *)
+          apply ~program ~alphabet ~rng Byte ~other inputs
+        else mutate_one `Enum (byte_site ~program ~alphabet ~rng) inputs rng
+    | Havoc ->
+        let rounds = 1 + Rng.int rng 4 in
+        let rec go n acc =
+          if n = 0 then acc
+          else
+            let kind = Rng.pick rng [ Mutate.Byte; Arith; Enum ] in
+            go (n - 1) (apply ~program ~alphabet ~rng kind ~other acc)
+        in
+        go rounds inputs
+    | Splice -> (
+        match other with
+        | None -> apply ~program ~alphabet ~rng Havoc ~other inputs
+        | Some partner ->
+            List.map
+              (fun (n, v) ->
+                match List.assoc_opt n partner with
+                | Some w when shape_compatible v w && Rng.bool rng -> (n, w)
+                | _ -> (n, v))
+              inputs)
+end
+
+(* The draw loop as it was before the memo, the prepared runner and the
+   running edge count: every candidate run on a fresh coverage map,
+   with the old mutators. Kept as the reference [Fuzz.fuzz_draw] must
+   match artifact for artifact. (It fails on a draw without seeds.) *)
+type ref_corpus = {
+  mutable inputs : (string * Value.t) list array;
+  mutable sums : int array;
+  mutable size : int;
+}
+
+let ref_corpus_add c inputs energy =
+  if c.size = Array.length c.inputs then begin
+    let grow a fill =
+      let b = Array.make (max 64 (2 * c.size)) fill in
+      Array.blit a 0 b 0 c.size;
+      b
+    in
+    c.inputs <- grow c.inputs [];
+    c.sums <- grow c.sums 0
+  end;
+  let before = if c.size = 0 then 0 else c.sums.(c.size - 1) in
+  c.inputs.(c.size) <- inputs;
+  c.sums.(c.size) <- before + max 1 energy;
+  c.size <- c.size + 1
+
+let ref_pick_parent rng c =
+  let target = Rng.int rng c.sums.(c.size - 1) in
+  let rec search lo hi =
+    if lo = hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if c.sums.(mid) > target then search lo mid else search (mid + 1) hi
+  in
+  c.inputs.(search 0 (c.size - 1))
+
+let fuzz_draw_reference ?(repeats = ref 0) ~natives ~main ~(config : Fuzz.config)
+    ~alphabet ~index program seeds : Fuzz.draw_fuzz =
+  (* [repeats] counts the candidates equal to an input run before *)
+  let ran = Hashtbl.create 64 in
+  let ran_before inputs =
+    Hashtbl.mem ran inputs || (Hashtbl.replace ran inputs (); false)
+  in
+  let rng = Rng.create (config.fuzz_seed + index) in
+  let global = Interp.coverage_create () in
+  let corpus = { inputs = [||]; sums = [||]; size = 0 } in
+  List.iter
+    (fun (t : Testcase.t) ->
+      let local = Interp.coverage_create () in
+      ignore
+        (Coverage.execute ~fuel:config.fuel ~natives ~main ~coverage:local
+           program t.Testcase.inputs);
+      ignore (ran_before t.Testcase.inputs);
+      let fresh = Coverage.news ~global local in
+      Coverage.absorb ~into:global local;
+      ref_corpus_add corpus t.Testcase.inputs fresh)
+    seeds;
+  let edges_seed = Coverage.count global in
+  let edges_static = List.length (Interp.static_edges program) in
+  let mutators = if config.mutators = [] then Mutate.all else config.mutators in
+  let new_tests = ref [] in
+  let n_new = ref 0 in
+  let execs = ref 0 in
+  while
+    !execs < config.budget
+    && !n_new < config.max_new_tests
+    && Coverage.count global < edges_static
+  do
+    let parent = ref_pick_parent rng corpus in
+    let kind = Rng.pick rng mutators in
+    let other =
+      match kind with
+      | Mutate.Splice -> Some corpus.inputs.(Rng.int rng corpus.size)
+      | _ -> None
+    in
+    let candidate = Old_mutate.apply ~program ~alphabet ~rng kind ~other parent in
+    if ran_before candidate then incr repeats;
+    let local = Interp.coverage_create () in
+    let test =
+      Coverage.execute ~fuel:config.fuel ~natives ~main ~coverage:local program
+        candidate
+    in
+    incr execs;
+    let fresh = Coverage.news ~global local in
+    if fresh > 0 then begin
+      Coverage.absorb ~into:global local;
+      ref_corpus_add corpus test.Testcase.inputs fresh;
+      new_tests := test :: !new_tests;
+      incr n_new
+    end
+  done;
+  {
+    f_index = index;
+    execs = !execs;
+    edges_seed;
+    edges_after = Coverage.count global;
+    edges_static;
+    new_tests = List.rev !new_tests;
+  }
+
+(* Small alphabets make mutants collide with seeds, parents and each
+   other often, so the memo answers many candidates. *)
+let small_alphabets = [| [ 'a' ]; [ 'a'; '.' ]; [ '*'; 'b' ] |]
+
+let prop_fuzz_draw_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:25 ~name:"fuzz_draw = the reference loop"
+       QCheck2.Gen.(
+         quad (int_range 0 100_000) (int_range 0 400) (int_range 0 2)
+           (int_range 0 30))
+       (fun (seed, budget, alpha_i, n_seeds) ->
+         let s = Lazy.force seed_suite in
+         let natives =
+           Harness.natives_concrete model.Model_def.graph s.Pipeline.main
+         in
+         let program = List.hd s.Pipeline.programs in
+         let seeds =
+           List.filteri (fun i _ -> i < 1 + n_seeds) s.Pipeline.unique_tests
+         in
+         let config = { fuzz_config with fuzz_seed = seed; budget } in
+         let alphabet = small_alphabets.(alpha_i) in
+         let go f =
+           f ~natives ~main:s.Pipeline.main ~config ~alphabet ~index:0 program
+             seeds
+         in
+         go Fuzz.fuzz_draw = go (fuzz_draw_reference ?repeats:None)))
+
+(* the property above is only as good as the repeats it meets: on a
+   one-letter alphabet, most candidates repeat an input already run *)
+let test_reference_meets_repeats () =
+  let s = Lazy.force seed_suite in
+  let natives = Harness.natives_concrete model.Model_def.graph s.Pipeline.main in
+  let program = List.hd s.Pipeline.programs in
+  let seeds = List.filteri (fun i _ -> i < 10) s.Pipeline.unique_tests in
+  let config = { fuzz_config with fuzz_seed = 3; budget = 300 } in
+  let repeats = ref 0 in
+  let go f =
+    f ~natives ~main:s.Pipeline.main ~config ~alphabet:[ 'a' ] ~index:0 program
+      seeds
+  in
+  let d = go (fuzz_draw_reference ~repeats) in
+  check "a third of the candidates repeat" true (!repeats * 3 > d.execs);
+  check "fuzz_draw = the reference loop" true (go Fuzz.fuzz_draw = d)
+
+let prop_mutate_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"Mutate.apply = the reference mutators"
+       QCheck2.Gen.(
+         quad (int_range 0 100_000) (int_range 0 4) (int_range 0 1000)
+           (int_range 0 2))
+       (fun (seed, kind_i, pair_i, alpha_i) ->
+         let s = Lazy.force seed_suite in
+         let program = List.hd s.Pipeline.programs in
+         let tests = Array.of_list s.Pipeline.unique_tests in
+         let inputs = tests.(pair_i mod Array.length tests).Testcase.inputs in
+         let other =
+           Some tests.((pair_i + 7) mod Array.length tests).Testcase.inputs
+         in
+         let kind = List.nth Mutate.all kind_i in
+         let alphabet = small_alphabets.(alpha_i) in
+         let r1 = Rng.create seed and r2 = Rng.create seed in
+         let m1 = Mutate.apply ~program ~alphabet ~rng:r1 kind ~other inputs in
+         let m2 = Old_mutate.apply ~program ~alphabet ~rng:r2 kind ~other inputs in
+         (* equal next draws: the two streams stand at the same state *)
+         m1 = m2 && Rng.int r1 max_int = Rng.int r2 max_int))
+
+(* ----- a draw without seeds ----- *)
+
+(* A symex run that times out before its first test leaves a draw with
+   no seeds: nothing to mutate, so nothing runs. The loop used to pick a
+   parent from the empty corpus and fail with "index out of bounds". *)
+let test_no_seed_draw () =
+  let s = Lazy.force seed_suite in
+  let natives = Harness.natives_concrete model.Model_def.graph s.Pipeline.main in
+  let program = List.hd s.Pipeline.programs in
+  let d =
+    Fuzz.fuzz_draw ~natives ~main:s.Pipeline.main ~config:fuzz_config
+      ~alphabet:model.Model_def.alphabet ~index:0 program []
+  in
+  check_int "no execution" 0 d.execs;
+  check_int "no seed edges" 0 d.edges_seed;
+  check_int "no edges after" 0 d.edges_after;
+  check "the static universe is still reported" true (d.edges_static > 0);
+  check_int "no keepers" 0 (List.length d.new_tests)
+
+(* ----- the memo's hash sees every leaf ----- *)
+
+(* A FULLLOOKUP-shaped input: one zone struct holding many records.
+   Polymorphic [Hashtbl.hash] gives up after ten meaningful leaves, so
+   two such inputs that differ only in the last leaf collide there, and
+   a memo keyed on it degrades to a list scan. *)
+let zone_input last =
+  let record i rdat =
+    Value.Vstruct
+      ( "Record",
+        [
+          ("rtyp", Value.Venum ("RecordType", i mod 7));
+          ("name", Value.Vstring (Printf.sprintf "a%d\000" (i mod 10)));
+          ("rdat", Value.Vstring rdat);
+        ] )
+  in
+  let recs = Array.init 12 (fun i -> record i (if i = 11 then last else "b.\000\000")) in
+  [
+    ("query", Value.Vstring "*a\000\000");
+    ("qtype", Value.Venum ("RecordType", 0));
+    ("zone", Value.Vstruct ("Zone", [ ("recs", Value.Varray recs) ]));
+  ]
+
+let test_memo_hash_sees_last_leaf () =
+  let a = zone_input "b.\000\000" and b = zone_input "b.\000a" in
+  check "the inputs differ" false (a = b);
+  check "polymorphic Hashtbl.hash collides on them" true
+    (Hashtbl.hash a = Hashtbl.hash b);
+  check "Memo.hash tells them apart" true (Memo.hash a <> Memo.hash b);
+  check "Memo.hash is structural" true
+    (Memo.hash a = Memo.hash (zone_input "b.\000\000"));
+  let m = Memo.create 4 in
+  check "a is new" true (Memo.add m a);
+  check "b is new" true (Memo.add m b);
+  check "an equal copy of a is not" false (Memo.add m (zone_input "b.\000\000"))
 
 (* ----- artifact codec ----- *)
 
@@ -476,9 +925,19 @@ let suite =
     Alcotest.test_case "edge labels of a fixed program" `Quick test_edge_labels;
     Alcotest.test_case "a coverage map belongs to one program" `Quick
       test_coverage_one_program;
+    Alcotest.test_case "a run never writes into its input" `Quick
+      test_run_leaves_input_intact;
     prop_mutants_preserve_shape;
     prop_rng_deterministic;
     prop_fuzz_draw_pure;
+    prop_fuzz_draw_matches_reference;
+    Alcotest.test_case "small alphabets make mutants repeat" `Quick
+      test_reference_meets_repeats;
+    prop_mutate_matches_reference;
+    Alcotest.test_case "a draw without seeds runs nothing" `Quick
+      test_no_seed_draw;
+    Alcotest.test_case "the memo hash sees the last leaf" `Quick
+      test_memo_hash_sees_last_leaf;
     Alcotest.test_case "fuzz artifacts round-trip the codec" `Slow
       test_artifact_roundtrip;
     Alcotest.test_case "truncated artifacts decode to Error" `Slow
