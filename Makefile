@@ -147,8 +147,11 @@ fuzz-identity:
 # differential testing and attribution print byte-identical output to
 # the MD5s in test/golden/difftest-k3.md5 (one "md5  COMMAND MODEL" line
 # each): `eywa difftest M -k 3` for the 13 models and TCP, and `eywa
-# report M -k 3` for the DNS models, at --jobs 1 and --jobs 4. A change
-# to how tests are served or attributed must keep this passing.
+# report M -k 3` for the DNS models, at --jobs 1 and --jobs 4. `bench
+# table3 fast` (its `total bench time` line dropped) is pinned too, by
+# test/golden/table3-fast.md5: of the outputs pinned here only it attributes
+# the suites of several models in a single call. A change to how tests
+# are served or attributed must keep this passing.
 difftest-identity:
 	rm -rf /tmp/eywa-difftest-identity && mkdir -p /tmp/eywa-difftest-identity
 	@status=0; \
@@ -163,8 +166,15 @@ difftest-identity:
 	      status=1; \
 	    fi; \
 	  done < test/golden/difftest-k3.md5; \
+	  out=/tmp/eywa-difftest-identity/table3-j$$jobs.txt; \
+	  dune exec bench/main.exe -- table3 fast --jobs $$jobs > $$out || exit 1; \
+	  got=$$(grep -v 'total bench time' $$out | md5sum | cut -d' ' -f1); \
+	  if [ "$$got" != "$$(cut -d' ' -f1 test/golden/table3-fast.md5)" ]; then \
+	    echo "difftest-identity: bench table3 --jobs $$jobs differs from test/golden/table3-fast.md5"; \
+	    status=1; \
+	  fi; \
 	done; \
-	[ $$status -eq 0 ] && echo "difftest-identity: all $$(wc -l < test/golden/difftest-k3.md5) outputs byte-identical at --jobs 1 and 4"; \
+	[ $$status -eq 0 ] && echo "difftest-identity: all $$(wc -l < test/golden/difftest-k3.md5) outputs and bench table3 byte-identical at --jobs 1 and 4"; \
 	exit $$status
 
 # the tracked pipeline benchmark's self-test: builds it from source,

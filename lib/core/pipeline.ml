@@ -47,6 +47,7 @@ type t = {
   main : Emodule.func;
   results : model_result list;
   unique_tests : Testcase.t list;
+  unique_keys : string list;
   loc_min : int;
   loc_max : int;
   programs : Ast.program list;
@@ -278,13 +279,14 @@ let aggregate ~main draws =
   let locs = List.map (fun r -> r.c_loc) compiled in
   let loc_min = List.fold_left min max_int locs in
   let loc_max = List.fold_left max 0 locs in
-  let unique_tests =
-    Testcase.dedup (List.concat_map (fun r -> r.tests) results)
+  let unique =
+    Testcase.dedup_keyed (List.concat_map (fun r -> r.tests) results)
   in
   {
     main;
     results;
-    unique_tests;
+    unique_tests = List.map snd unique;
+    unique_keys = List.map fst unique;
     loc_min = (if locs = [] then 0 else loc_min);
     loc_max;
     programs;

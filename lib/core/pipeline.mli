@@ -84,6 +84,8 @@ type t = {
   main : Emodule.func;
   results : model_result list;
   unique_tests : Testcase.t list;
+  unique_keys : string list;
+      (** each unique test's {!Testcase.key}, in [unique_tests] order *)
   loc_min : int;  (** over models that compiled; 0 if none *)
   loc_max : int;
   programs : Eywa_minic.Ast.program list;  (** one per compiled model *)

@@ -104,17 +104,19 @@ let key t =
     t.inputs;
   Buffer.contents buf
 
-let dedup tests =
+let dedup_keyed tests =
   let seen = Hashtbl.create (List.length tests) in
-  List.filter
+  List.filter_map
     (fun t ->
       let k = key t in
-      if Hashtbl.mem seen k then false
+      if Hashtbl.mem seen k then None
       else begin
         Hashtbl.add seen k ();
-        true
+        Some (k, t)
       end)
     tests
+
+let dedup tests = List.map snd (dedup_keyed tests)
 
 let pp ppf t =
   Format.fprintf ppf "{%s -> %s%s%s}" (key t)

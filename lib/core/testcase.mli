@@ -26,5 +26,8 @@ val key : t -> string
 val dedup : t list -> t list
 (** Stable dedup by {!key}. *)
 
+val dedup_keyed : t list -> (string * t) list
+(** {!dedup}, each kept test paired with its {!key}. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -76,7 +76,9 @@ type ('q, 'r) memo = {
 }
 
 let agrees set r =
-  List.for_all (fun q -> List.mem q set = List.mem q r.quirks) r.consulted
+  List.for_all
+    (fun q -> Bool.equal (Quirkset.mem q set) (Quirkset.mem q r.quirks))
+    r.consulted
 
 let run_under memo quirks =
   match List.find_opt (agrees quirks) memo.runs with
@@ -219,12 +221,17 @@ let run ?jobs ?(sink = Eywa_core.Instrument.null) ?(label = "suite")
    depend on that snapshot, and a pair is skipped only after the chunk
    holding its first confirming test, so the merge sees every pair first
    at the same index as when every test tries every pair: the result is
-   the same for any chunk size and pool.
+   the same for any chunk size and pool. Once no pair is left untried,
+   no later test is prepared at all.
 
    Of those pairs a test tries only the quirks the implementation's own
    run consulted: removing any other quirk replays the same run, so it
-   cannot confirm. A test where no such pair is left is skipped before
-   its observations are rendered or voted on. *)
+   cannot confirm. So a test first serves the reference and the runs of
+   the implementations that still have an untried pair; only if one of
+   those runs consulted an untried quirk are the other implementations
+   served, and the observations rendered and voted on. Serving those
+   runs first can change which run an implementation shares, never its
+   outcome or the quirks it consulted. *)
 
 let attribute_chunk = 256
 
@@ -242,7 +249,6 @@ let attribute ?jobs ~suspects ~impls ~render ~prepare tests =
     | None -> []
     | Some serve -> (
         let memo = memo_of ~render serve in
-        let runs = impl_runs memo impls in
         (* [r] may be an earlier implementation's run that agrees with
            [own] only on the quirks it consulted. [own]'s run takes the
            same path, so it consults the same quirks and has the same
@@ -252,14 +258,14 @@ let attribute ?jobs ~suspects ~impls ~render ~prepare tests =
           List.filter_map
             (fun (impl, own, qs) ->
               let r = run_under memo own in
-              match List.filter (fun q -> List.mem q r.consulted) qs with
+              match List.filter (fun q -> Quirkset.mem q r.consulted) qs with
               | [] -> None
               | qs -> Some (impl, (own, r.outcome, qs)))
             untried
         in
         if candidates = [] then []
         else
-          match compare_all (observe_runs runs) with
+          match compare_all (observe_runs (impl_runs memo impls)) with
           | [] -> []
           | ds ->
               List.concat_map
@@ -281,14 +287,16 @@ let attribute ?jobs ~suspects ~impls ~render ~prepare tests =
       let rec go known chunk n = function
         | t :: rest when n < attribute_chunk ->
             go known (t :: chunk) (n + 1) rest
-        | rest ->
-            let known =
-              List.fold_left (List.fold_left note) known
-                (Eywa_core.Pool.map pool
-                   (confirmed (untried_pairs impls known))
-                   (List.rev chunk))
-            in
-            match rest with [] -> List.rev known | _ -> go known [] 0 rest
+        | rest -> (
+            match untried_pairs impls known with
+            | [] -> List.rev known
+            | untried -> (
+                let known =
+                  List.fold_left (List.fold_left note) known
+                    (Eywa_core.Pool.map pool (confirmed untried)
+                       (List.rev chunk))
+                in
+                match rest with [] -> List.rev known | _ -> go known [] 0 rest))
       in
       go [] [] 0 tests)
 

@@ -141,10 +141,17 @@ val attribute :
     first-occurrence order: by test index, then suspect order, then
     quirk order. Tests are judged on a [jobs]-domain pool in
     index-ordered chunks of {!attribute_chunk}, each skipping the pairs
-    that earlier chunks confirmed; a test with no untried pair its runs
-    consulted is skipped before it is rendered or voted on. The result
-    is the same at any [jobs]. [prepare] and the serve functions must
-    be safe to call from concurrent domains. *)
+    that earlier chunks confirmed; once every pair is confirmed, no
+    later test is prepared.
+
+    A test serves lazily. It serves the reference, then the runs of the
+    implementations that still have an untried pair. If none of those
+    runs consulted an untried quirk, the test stops there: no other
+    implementation is served, and nothing is rendered or voted on. Only
+    a test with such a candidate serves the remaining implementations,
+    renders every observation and votes. The result is the same at any
+    [jobs]. [prepare] and the serve functions must be safe to call from
+    concurrent domains. *)
 
 val attribute_naive :
   suspects:(disagreement list -> string list) ->

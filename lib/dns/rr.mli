@@ -22,3 +22,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** The bytes {!pp} prints: owner, type and rdata separated by single
+    spaces, with TXT rdata quoted and escaped as an OCaml string
+    literal. *)

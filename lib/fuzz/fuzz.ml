@@ -352,16 +352,13 @@ let fuzz_of_seeds ?cache ?(sink = Instrument.null) ?(config = default_config)
           cached
       in
       List.iter (emit_fuzz_events sink) per_draw;
-      let symex_keys =
-        List.fold_left
-          (fun acc t ->
-            Hashtbl.replace acc (Testcase.key t) ();
-            acc)
-          (Hashtbl.create 64) s.unique_tests
-      in
+      (* the suite's keys come from its own dedup, not built again *)
+      let symex_keys = Hashtbl.create (List.length s.unique_keys) in
+      List.iter (fun k -> Hashtbl.replace symex_keys k ()) s.unique_keys;
       let fuzz_tests =
-        Testcase.dedup (List.concat_map (fun d -> d.new_tests) per_draw)
-        |> List.filter (fun t -> not (Hashtbl.mem symex_keys (Testcase.key t)))
+        Testcase.dedup_keyed (List.concat_map (fun d -> d.new_tests) per_draw)
+        |> List.filter_map (fun (k, t) ->
+               if Hashtbl.mem symex_keys k then None else Some t)
       in
       let combined_tests = s.unique_tests @ fuzz_tests in
       sink

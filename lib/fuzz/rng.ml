@@ -1,26 +1,36 @@
 (* splitmix64 (Steele, Lea & Flood): a tiny, high-quality, seedable
    generator whose whole state is one int64 — trivially splittable and
-   with no global state to leak across domains. *)
+   with no global state to leak across domains.
 
-type t = { mutable state : int64 }
+   The state lives in an 8-byte buffer rather than a mutable [int64]
+   field, which would box a fresh [Int64] on every draw; [mix] and
+   [next] are inlined so that no [Int64] crosses a call boxed either. *)
+
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
       0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int seed))
+
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
 let split t i =
-  { state = mix (Int64.add t.state (mix (Int64.of_int i))) }
+  of_state (mix (Int64.add (Bytes.get_int64_ne t 0) (mix (Int64.of_int i))))
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -4,7 +4,7 @@ module Testcase = Eywa_core.Testcase
 
 let render_rrs rrs =
   String.concat " | "
-    (List.sort_uniq compare (List.map Dns.Rr.to_string rrs))
+    (List.sort_uniq String.compare (List.map Dns.Rr.to_string rrs))
 
 let fields_of_outcome = function
   | Dns.Message.Crash m ->

@@ -13,6 +13,13 @@
 
 type 'q t
 
+val mem : 'q -> 'q list -> bool
+(** [mem q l] is [List.mem q l]. When [q] is an immediate value (an
+    [int], a [bool], a constant constructor: every quirk catalog of the
+    four protocols) it compares with [==], which for an immediate is
+    structural equality, instead of calling the polymorphic compare;
+    any other [q] falls back to [List.mem]. *)
+
 val of_list : 'q list -> 'q t
 (** The set of the given quirks, with an empty log. *)
 

@@ -280,47 +280,42 @@ let search_watched ~max_decisions ~rotate ?hint w =
   let n = Array.length vars in
   let model = Array.make size unassigned in
   let decisions = ref 0 and conflicts = ref 0 in
-  (* val_order.(i).(j): the domain index tried j-th for vars.(i).
-     Without a hint this is the rotated identity the naive search
-     uses; a hinted value jumps to the front and the rotated order
-     follows with it removed. *)
-  let val_order =
-    Array.map
-      (fun v ->
-        let dom = v.Term.domain in
-        let len = Array.length dom in
-        let start = Term.rotate_index ~rotate ~vid:v.Term.vid len in
-        let base = Array.init len (fun j -> (start + j) mod len) in
-        let hi =
-          match hint with
-          | None -> -1
-          | Some h ->
-              let hv = lookup h v.Term.vid in
-              if hv = unassigned then -1
-              else
-                Option.value ~default:(-1)
-                  (Array.find_index (Int.equal hv) dom)
-        in
-        if hi < 0 then base
-        else begin
-          let order = Array.make len hi in
-          let k = ref 1 in
-          Array.iter
-            (fun idx ->
-              if idx <> hi then begin
-                order.(!k) <- idx;
-                incr k
-              end)
-            base;
-          order
-        end)
-      vars
+  (* The domain index tried j-th for vars.(i) is computed, not looked
+     up. Without a hint it is the rotated identity the naive search
+     uses, (start + j) mod len. A hinted value, at position p of that
+     rotated order, jumps to the front and the rest follows with it
+     removed: try j >= 1 takes position j - 1 while j - 1 < p, and
+     position j after. hint_pos.(i) is p, or -1 when vars.(i) has no
+     hinted value in its domain. *)
+  let hint_pos =
+    match hint with
+    | None -> [||]
+    | Some h ->
+        Array.map
+          (fun v ->
+            let hv = lookup h v.Term.vid in
+            if hv = unassigned then -1
+            else
+              let dom = v.Term.domain in
+              match Array.find_index (Int.equal hv) dom with
+              | None -> -1
+              | Some hi ->
+                  let len = Array.length dom in
+                  let start = Term.rotate_index ~rotate ~vid:v.Term.vid len in
+                  (hi - start + len) mod len)
+          vars
   in
-  let rec assign i = i >= n || try_values i 0
-  and try_values i j =
+  let rec assign i =
+    i >= n
+    ||
+    let v = vars.(i) in
+    let start = Term.rotate_index ~rotate ~vid:v.Term.vid (Array.length v.Term.domain) in
+    try_values i start (match hint with None -> -1 | Some _ -> hint_pos.(i)) 0
+  and try_values i start p j =
     let v = vars.(i) in
     let dom = v.Term.domain in
-    if j >= Array.length dom then begin
+    let len = Array.length dom in
+    if j >= len then begin
       model.(v.Term.vid) <- unassigned;
       incr conflicts;
       false
@@ -328,15 +323,16 @@ let search_watched ~max_decisions ~rotate ?hint w =
     else begin
       incr decisions;
       if !decisions > max_decisions then raise Budget;
-      let idx = val_order.(i).(j) in
+      let pos = if p < 0 || j > p then j else if j = 0 then p else j - 1 in
+      let idx = if start + pos >= len then start + pos - len else start + pos in
       let allowed =
         match admissible.(i) with None -> true | Some a -> a.(idx)
       in
-      if not allowed then try_values i (j + 1)
+      if not allowed then try_values i start p (j + 1)
       else begin
         model.(v.Term.vid) <- dom.(idx);
         (consistent model cs watchers.(i) && assign (i + 1))
-        || try_values i (j + 1)
+        || try_values i start p (j + 1)
       end
     end
   in

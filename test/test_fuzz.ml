@@ -403,6 +403,65 @@ let prop_rng_deterministic =
          in
          draw () = draw ()))
 
+(* splitmix64 transcribed with its state in a mutable [int64] field,
+   which boxes on every draw: the reference stream {!Rng} must draw. *)
+module Boxed_rng = struct
+  type t = { mutable state : int64 }
+
+  let golden = 0x9E3779B97F4A7C15L
+
+  let mix z =
+    let z =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
+    in
+    let z =
+      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
+    in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create seed = { state = mix (Int64.of_int seed) }
+
+  let next t =
+    t.state <- Int64.add t.state golden;
+    mix t.state
+
+  let split t i = { state = mix (Int64.add t.state (mix (Int64.of_int i))) }
+
+  let int t n =
+    Int64.to_int (Int64.rem (Int64.logand (next t) Int64.max_int) (Int64.of_int n))
+
+  let bool t = Int64.logand (next t) 1L = 1L
+end
+
+let prop_rng_matches_boxed_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"rng draws the stream of the boxed-int64 reference"
+       QCheck2.Gen.(
+         triple int (int_range 1 max_int)
+           (list_size (int_range 1 40) (pair (int_range 0 2) small_nat)))
+       (fun (seed, n, steps) ->
+         (* one step draws an int, a bool, or splits off a child stream
+            labelled by the step's number and draws from it *)
+         let draw (int, bool, split) =
+           List.map
+             (fun (op, i) ->
+               match op with
+               | 0 -> int n
+               | 1 -> Bool.to_int (bool ())
+               | _ -> split i)
+             steps
+         in
+         let r = Rng.create seed and b = Boxed_rng.create seed in
+         draw
+           ( Rng.int r,
+             (fun () -> Rng.bool r),
+             fun i -> Rng.int (Rng.split r i) n )
+         = draw
+             ( Boxed_rng.int b,
+               (fun () -> Boxed_rng.bool b),
+               fun i -> Boxed_rng.int (Boxed_rng.split b i) n )))
+
 (* ----- the fuzz draw is a pure function of its inputs ----- *)
 
 let prop_fuzz_draw_pure =
@@ -929,6 +988,7 @@ let suite =
       test_run_leaves_input_intact;
     prop_mutants_preserve_shape;
     prop_rng_deterministic;
+    prop_rng_matches_boxed_reference;
     prop_fuzz_draw_pure;
     prop_fuzz_draw_matches_reference;
     Alcotest.test_case "small alphabets make mutants repeat" `Quick

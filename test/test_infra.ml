@@ -135,6 +135,81 @@ let test_attribute_removes_from_own_set () =
   check "memoized attribution equals the full serve" true
     (Difftest.attribute ~jobs:1 ~suspects ~impls ~render ~prepare [ () ] = naive)
 
+(* Once only B has an untried quirk, a test whose B run consults none
+   of B's untried quirks cannot confirm a pair: it serves the reference
+   and B's run, never A's, and is not voted on. *)
+type staged = First | Filler | Later
+
+let test_attribute_serves_only_open_suspects () =
+  let impls = [ ("ref", []); ("A", [ "a" ]); ("B", [ "b"; "c" ]) ] in
+  let first set =
+    if Quirkset.has set "a" then 1 else if Quirkset.has set "c" then 2 else 0
+  in
+  let later set =
+    if Quirkset.has set "c" then 1 else if Quirkset.has set "a" then 2 else 0
+  in
+  let later_serves = Atomic.make 0 in
+  let prepare = function
+    | First -> Some first
+    | Filler -> None
+    | Later ->
+        Some
+          (fun set ->
+            Atomic.incr later_serves;
+            later set)
+  in
+  (* the first chunk confirms (A, a) and (B, c); the second holds Later *)
+  let tests =
+    (First :: List.init (Difftest.attribute_chunk - 1) (fun _ -> Filler)) @ [ Later ]
+  in
+  let render v = [ ("out", string_of_int v) ] in
+  let suspects = Difftest.dissenters in
+  let naive = Difftest.attribute_naive ~suspects ~impls ~render ~prepare tests in
+  check "the first test confirms (A, a) and (B, c)" true
+    (naive = [ ("A", "a"); ("B", "c") ]);
+  Atomic.set later_serves 0;
+  check "lazy attribution equals the full serve" true
+    (Difftest.attribute ~jobs:1 ~suspects ~impls ~render ~prepare tests = naive);
+  check_int "Later serves the reference and B only" 2 (Atomic.get later_serves)
+
+let prop_quirkset_mem =
+  let copy s = Bytes.to_string (Bytes.of_string s) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500
+       ~name:"Quirkset.mem = List.mem, over ints and over run-time strings"
+       QCheck2.Gen.(
+         pair
+           (pair (int_range (-3) 3) (list_size (int_range 0 6) (int_range (-3) 3)))
+           (let s = oneofl [ "a"; "b"; "c" ] in
+            pair s (list_size (int_range 0 6) s)))
+       (fun ((i, is), (q, qs)) ->
+         (* fresh copies: structurally equal strings, physically distinct *)
+         let q = copy q and qs = List.map copy qs in
+         Quirkset.mem i is = List.mem i is && Quirkset.mem q qs = List.mem q qs))
+
+(* Every production quirk is a constant constructor, so {!Quirkset.mem}
+   takes its [==] path on all of them. *)
+let test_catalog_quirks_immediate () =
+  let immediate q = Obj.is_int (Obj.repr q) in
+  check "DNS" true
+    (List.for_all immediate Eywa_dns.Lookup.all_quirks
+    && List.for_all
+         (fun (_, b) -> immediate b.Eywa_dns.Impls.quirk)
+         Eywa_dns.Impls.bug_catalog);
+  check "BGP" true
+    (List.for_all immediate Eywa_bgp.Quirks.all
+    && List.for_all
+         (fun (_, b) -> immediate b.Eywa_bgp.Impls.quirk)
+         Eywa_bgp.Impls.bug_catalog);
+  check "SMTP" true
+    (List.for_all
+       (fun (_, b) -> immediate b.Eywa_smtp.Impls.quirk)
+       Eywa_smtp.Impls.bug_catalog);
+  check "TCP" true
+    (List.for_all
+       (fun (_, b) -> immediate b.Eywa_tcp.Impls.quirk)
+       Eywa_tcp.Impls.bug_catalog)
+
 (* An engine that consults quirks down a decision tree, so its outcome
    depends on the quirk set only through the quirks on its path. *)
 type tree = Leaf of int | Ask of int * tree * tree
@@ -254,6 +329,11 @@ let suite =
       test_compare_all_shared_field_lists;
     Alcotest.test_case "difftest: attribution removes a quirk from the own set" `Quick
       test_attribute_removes_from_own_set;
+    Alcotest.test_case "difftest: attribution serves only suspects with an untried quirk"
+      `Quick test_attribute_serves_only_open_suspects;
+    prop_quirkset_mem;
+    Alcotest.test_case "quirkset: every catalog quirk is immediate" `Quick
+      test_catalog_quirks_immediate;
     prop_attribute_on_decision_trees;
     Alcotest.test_case "difftest: accumulate and report" `Quick test_accum_and_report;
     Alcotest.test_case "difftest: report ordering" `Quick test_report_ordering;
