@@ -36,12 +36,10 @@ let rdata_to_string = function
   | Text s -> Printf.sprintf "%S" s
   | Soa_data -> "ns1.test. admin.test. 1 3600 600 86400 3600"
 
-let pp ppf t =
-  Format.fprintf ppf "%s %s %s" (Name.to_string t.owner) (rtype_to_string t.rtype)
-    (rdata_to_string t.rdata)
-
-(* The bytes of [pp], without a formatter: difftest renders every
-   record of every served run. *)
+(* Built without a formatter: difftest renders every record of every
+   served run. *)
 let to_string t =
   String.concat " "
     [ Name.to_string t.owner; rtype_to_string t.rtype; rdata_to_string t.rdata ]
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -20,8 +20,9 @@ val target : t -> Name.t option
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-(** The bytes {!pp} prints: owner, type and rdata separated by single
-    spaces, with TXT rdata quoted and escaped as an OCaml string
-    literal. *)
+(** Owner, type and rdata separated by single spaces, with TXT rdata
+    quoted and escaped as an OCaml string literal. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
