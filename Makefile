@@ -37,7 +37,8 @@ fuzz-smoke:
 # PR4 smoke: the wall-clock-stripped trace of a run is byte-identical
 # at jobs=1 on a cold cache vs jobs=4 on the warm cache (`eywa trace`
 # also checks well-formedness and the JSONL round-trip on the way),
-# and the stats/bench JSON artifacts round-trip the canonical printer
+# and the stats/bench JSON artifacts round-trip the canonical printer;
+# the bench driver refuses a stage it does not know
 trace-smoke:
 	rm -rf /tmp/eywa-trace-smoke && mkdir -p /tmp/eywa-trace-smoke
 	dune exec bin/eywa_cli.exe -- run RR -k 3 --timeout 5 --jobs 1 \
@@ -59,6 +60,8 @@ trace-smoke:
 	dune exec bench/main.exe -- fast table1 \
 	  --summary-json /tmp/eywa-trace-smoke/summary.json > /dev/null
 	dune exec bin/eywa_cli.exe -- trace --json /tmp/eywa-trace-smoke/summary.json
+	@if dune exec bench/main.exe -- fast no-such-stage > /dev/null 2>&1; then \
+	  echo "trace-smoke: bench accepted an unknown stage"; exit 1; fi
 
 # every example runs to completion, and the stateful ones still find
 # their seeded bugs: SMTP's aiosmtpd bug, and a root cause in each of

@@ -5,30 +5,27 @@
      table2  — Table 2: models, LoC, unique test counts
      table3  — Table 3: bugs found per implementation (+ new-bug flags)
      fig10   — Fig. 10: unique tests vs k for several temperatures
-     timing   — §4.3 result 1: generation and symbolic-execution times
-     parallel — jobs=1 vs jobs=N wall clock for the pooled stages
-     micro    — Bechamel micro-benchmarks of the core engines
+     timing  — §4.3 result 1: generation and symbolic-execution times
+     ablate  — the design choices of §2, knocked out in turn on DNAME
+     fuzz    — symex-only vs symex+fuzz edge coverage and difftest
+               disagreements (writes BENCH_PR3.json)
+     micro   — Bechamel micro-benchmarks of the core engines
 
-     fuzz     — PR3: symex-only vs symex+fuzz edge coverage and
-                difftest disagreements (writes BENCH_PR3.json)
-     obs      — PR4: observability layer determinism — the
-                wall-clock-stripped trace and env-stripped metrics of a
-                full CNAME run must be byte-identical at jobs=1 vs
-                jobs=N and warm vs cold cache (writes BENCH_PR4.json)
+   Run with no stage (or [all]) to execute everything in order. Pass
+   [fast] for a quick smoke-scale run; [--jobs N] sizes the domain
+   pools, [--cache-dir DIR] persists the synthesis cache on disk,
+   [--summary-json PATH] writes per-stage instrumentation totals
+   (ticks, cache hits/misses) after the run, and [--fuzz-json PATH]
+   redirects the fuzz stage's JSON. An unknown stage or flag exits 2
+   with the list of stages. The determinism of the pooled stages and
+   of the observability layer across --jobs and cache state is pinned
+   by the test suite (test_parallel, test_obs), not here.
 
-   Run with no argument to execute everything in order. Pass [fast] as
-   a final argument for a quick smoke-scale run; [--jobs N] sizes the
-   domain pools, [--json PATH] writes the parallel stage's
-   measurements as JSON, [--cache-dir DIR] persists the synthesis
-   cache on disk, [--summary-json PATH] writes per-stage
-   instrumentation totals (ticks, cache hits/misses) after the run,
-   and [--fuzz-json PATH] / [--obs-json PATH] redirect the fuzz and
-   obs stages' JSON.
-   Counts reproduce the
-   paper's *shape* (relative sizes, who hits the timeout, diminishing
-   returns around k = 10), not its absolute numbers: the substrate here
-   is the built-in symbolic executor and bug-seeded reference
-   implementations, not Klee and ten production servers. *)
+   Counts reproduce the paper's *shape* (relative sizes, who hits the
+   timeout, diminishing returns around k = 10), not its absolute
+   numbers: the substrate here is the built-in symbolic executor and
+   bug-seeded reference implementations, not Klee and ten production
+   servers. *)
 
 module Model_def = Eywa_models.Model_def
 module All = Eywa_models.All_models
@@ -39,6 +36,7 @@ module Cache = Eywa_core.Cache
 module Instrument = Eywa_core.Instrument
 module Testcase = Eywa_core.Testcase
 module Difftest = Eywa_difftest.Difftest
+module Json = Eywa_core.Serialize.Json
 
 let oracle = Eywa_llm.Gpt.oracle ()
 
@@ -56,14 +54,12 @@ let full_scale =
 let fast_scale =
   { k = 3; timeout_scale = 0.1; fig10_max_k = 6; fig10_seeds = 1; fuzz_budget = 250 }
 
-(* --jobs N / --json PATH / --cache-dir DIR / --summary-json PATH /
-   --fuzz-json PATH, set by the driver before any stage runs *)
+(* --jobs N / --cache-dir DIR / --summary-json PATH / --fuzz-json PATH,
+   set by the driver before any stage runs *)
 let jobs : int option ref = ref None
-let json_path : string option ref = ref None
 let cache_dir : string option ref = ref None
 let summary_json : string option ref = ref None
 let fuzz_json : string ref = ref "BENCH_PR3.json"
-let obs_json : string ref = ref "BENCH_PR4.json"
 
 (* ----- shared synthesis cache + instrumentation ----- *)
 
@@ -94,6 +90,14 @@ let synthesize scale (m : Model_def.t) =
   | Error e -> failwith (m.id ^ ": " ^ e)
 
 let line = String.make 78 '-'
+
+let write_json ~what path doc =
+  try
+    let oc = open_out path in
+    output_string oc (Json.to_string_pretty doc);
+    close_out oc;
+    Printf.printf "wrote %s\n" path
+  with Sys_error m -> Printf.eprintf "error: cannot write %s JSON: %s\n" what m
 
 (* ----- Table 1 ----- *)
 
@@ -521,123 +525,8 @@ let ablate scale =
     \                 (differential voting avoids all of these false alarms)\n"
     !false_positives !applicable
 
-(* ----- parallel speedup ----- *)
 
-(* Everything observable about a synthesis except wall-clock timings;
-   two runs are "byte-identical" iff these strings are equal. *)
-let fingerprint (s : Pipeline.t) =
-  String.concat "\n"
-    (Printf.sprintf "loc=%d/%d programs=%d" s.loc_min s.loc_max
-       (List.length s.programs)
-     :: List.map Testcase.to_string s.unique_tests
-    @ List.concat_map
-        (fun (r : Pipeline.model_result) ->
-          Printf.sprintf "model %d loc=%d err=%s" r.index r.c_loc
-            (Option.value ~default:"-" r.compile_error)
-          :: List.map Testcase.to_string r.tests)
-        s.results)
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Times the synthesis+symex stage and the difftest stage at jobs=1
-   and jobs=N, checking the byte-identity claim on every run. With
-   --json PATH the measurements are also written as JSON. *)
-let parallel scale =
-  let n =
-    match !jobs with
-    | Some j -> max 1 j
-    | None -> Eywa_core.Pool.default_jobs ()
-  in
-  Printf.printf "\n%s\nParallel pool: jobs=1 vs jobs=%d\n%s\n" line n line;
-  let models =
-    [ Eywa_models.Dns_models.cname; Eywa_models.Dns_models.dname;
-      Eywa_models.Bgp_models.rr ]
-  in
-  let synth ~jobs (m : Model_def.t) =
-    match Model_def.synthesize ~k:scale.k ~timeout:10.0 ~jobs ~oracle m with
-    | Ok s -> s
-    | Error e -> failwith (m.id ^ ": " ^ e)
-  in
-  Printf.printf "%-24s %12s %12s %9s %s\n" "stage" "jobs=1 (s)"
-    (Printf.sprintf "jobs=%d (s)" n) "speedup" "identical";
-  let stages =
-    List.map
-      (fun (m : Model_def.t) ->
-        let s1, t1 = time (fun () -> synth ~jobs:1 m) in
-        let sn, tn = time (fun () -> synth ~jobs:n m) in
-        ("synthesis:" ^ m.id, t1, tn, fingerprint s1 = fingerprint sn, Some (m, s1)))
-      models
-  in
-  (* difftest stage: replay the CNAME suite against the DNS servers *)
-  let stages =
-    stages
-    @
-    match stages with
-    | ("synthesis:CNAME", _, _, _, Some (m, s)) :: _ ->
-        let r1, t1 =
-          time (fun () ->
-              Dns_adapter.run ~jobs:1 ~model_id:m.id
-                ~version:Eywa_dns.Impls.Old s.unique_tests)
-        in
-        let rn, tn =
-          time (fun () ->
-              Dns_adapter.run ~jobs:n ~model_id:m.id
-                ~version:Eywa_dns.Impls.Old s.unique_tests)
-        in
-        let render r = Format.asprintf "%a" Difftest.pp_report r in
-        [ ("difftest:CNAME", t1, tn, render r1 = render rn, None) ]
-    | _ -> []
-  in
-  let total l sel = List.fold_left (fun acc st -> acc +. sel st) 0.0 l in
-  let t1_total = total stages (fun (_, t1, _, _, _) -> t1) in
-  let tn_total = total stages (fun (_, _, tn, _, _) -> tn) in
-  let all_identical = List.for_all (fun (_, _, _, same, _) -> same) stages in
-  let speedup t1 tn = if tn > 0.0 then t1 /. tn else 1.0 in
-  List.iter
-    (fun (name, t1, tn, same, _) ->
-      Printf.printf "%-24s %12.2f %12.2f %8.2fx %s\n" name t1 tn (speedup t1 tn)
-        (if same then "yes" else "NO"))
-    stages;
-  Printf.printf "%s\n%-24s %12.2f %12.2f %8.2fx %s\n" line "total" t1_total
-    tn_total
-    (speedup t1_total tn_total)
-    (if all_identical then "yes" else "NO");
-  if not all_identical then
-    failwith "parallel: output differs between jobs=1 and jobs=N";
-  (match !json_path with
-  | None -> ()
-  | Some path ->
-      (try
-      let oc = open_out path in
-      let stage_json (name, t1, tn, same, _) =
-        Printf.sprintf
-          "    { \"stage\": %S, \"jobs1_seconds\": %.4f, \"jobsN_seconds\": \
-           %.4f, \"speedup\": %.4f, \"identical_output\": %b }"
-          name t1 tn (speedup t1 tn) same
-      in
-      Printf.fprintf oc
-        "{\n\
-        \  \"jobs\": %d,\n\
-        \  \"cores\": %d,\n\
-        \  \"stages\": [\n\
-         %s\n\
-        \  ],\n\
-        \  \"total\": { \"jobs1_seconds\": %.4f, \"jobsN_seconds\": %.4f, \
-         \"speedup\": %.4f },\n\
-        \  \"identical_output\": %b\n\
-         }\n"
-        n
-        (Domain.recommended_domain_count ())
-        (String.concat ",\n" (List.map stage_json stages))
-        t1_total tn_total (speedup t1_total tn_total) all_identical;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-      with Sys_error m -> Printf.eprintf "error: cannot write JSON: %s\n" m))
-
-(* ----- fuzz stage (PR3) ----- *)
+(* ----- fuzz stage ----- *)
 
 (* Symex-only vs symex+fuzz: for each DNS model, fuzz the compiled
    draws seeded from their own symex tests, then compare the edge
@@ -654,6 +543,7 @@ let fuzz_stage scale =
   let fuzz_config =
     { Eywa_fuzz.Fuzz.default_config with budget = scale.fuzz_budget }
   in
+  (* one (strict increase, JSON row) per model *)
   let rows =
     List.map
       (fun (m : Model_def.t) ->
@@ -680,208 +570,40 @@ let fuzz_stage scale =
              ~version:Eywa_dns.Impls.Old tests)
             .Difftest.disagreeing_tests
         in
+        let symex_tests = List.length s.Pipeline.unique_tests in
+        let fuzz_tests = List.length f.Eywa_fuzz.Fuzz.fuzz_tests in
         let dis_symex = dis s.Pipeline.unique_tests in
         let dis_combined = dis f.Eywa_fuzz.Fuzz.combined_tests in
         Printf.printf "%-11s %7d %7d  %4d / %-6d %4d / %-6d %9d %9d\n" m.id
-          (List.length s.Pipeline.unique_tests)
-          (List.length f.Eywa_fuzz.Fuzz.fuzz_tests)
-          edges_seed edges_static edges_after edges_static dis_symex
-          dis_combined;
-        ( m.id,
-          List.length s.Pipeline.unique_tests,
-          List.length f.Eywa_fuzz.Fuzz.fuzz_tests,
-          edges_seed, edges_after, edges_static, dis_symex, dis_combined ))
+          symex_tests fuzz_tests edges_seed edges_static edges_after
+          edges_static dis_symex dis_combined;
+        let increased = edges_after > edges_seed in
+        ( increased,
+          Json.Obj
+            [
+              ("model", Json.Str m.id);
+              ("symex_tests", Json.Int symex_tests);
+              ("fuzz_tests", Json.Int fuzz_tests);
+              ("edges_symex", Json.Int edges_seed);
+              ("edges_combined", Json.Int edges_after);
+              ("edges_static", Json.Int edges_static);
+              ("disagreeing_symex", Json.Int dis_symex);
+              ("disagreeing_combined", Json.Int dis_combined);
+              ("strict_increase", Json.Bool increased);
+            ] ))
       models
   in
-  let any_strict_increase =
-    List.exists (fun (_, _, _, seed, after, _, _, _) -> after > seed) rows
-  in
+  let increased = List.length (List.filter fst rows) in
   Printf.printf "%s\nedge coverage strictly increased on %d of %d models\n" line
-    (List.length
-       (List.filter (fun (_, _, _, seed, after, _, _, _) -> after > seed) rows))
-    (List.length rows);
-  let path = !fuzz_json in
-  try
-    let oc = open_out path in
-    let row_json (id, symex, fuzz, seed, after, static, d_sy, d_co) =
-      Printf.sprintf
-        "    { \"model\": %S, \"symex_tests\": %d, \"fuzz_tests\": %d, \
-         \"edges_symex\": %d, \"edges_combined\": %d, \"edges_static\": %d, \
-         \"disagreeing_symex\": %d, \"disagreeing_combined\": %d, \
-         \"strict_increase\": %b }"
-        id symex fuzz seed after static d_sy d_co (after > seed)
-    in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"eywa-fuzz\",\n\
-      \  \"fuzz_budget\": %d,\n\
-      \  \"models\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"any_strict_increase\": %b\n\
-       }\n"
-      scale.fuzz_budget
-      (String.concat ",\n" (List.map row_json rows))
-      any_strict_increase;
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  with Sys_error m -> Printf.eprintf "error: cannot write fuzz JSON: %s\n" m
-
-(* ----- obs stage (PR4) ----- *)
-
-(* The observability determinism claim, end to end: run synthesis +
-   fuzz + difftest on CNAME three times — jobs=1 on a cold cache,
-   jobs=N warm on the same cache, jobs=N on a second cold cache — and
-   require the wall-clock-stripped JSONL traces and the env-stripped
-   Prometheus expositions to be byte-identical, every trace
-   well-formed and JSONL/Chrome exports round-trip/parse. *)
-let obs_stage scale =
-  let module Obs = Eywa_obs.Obs in
-  let module Trace = Eywa_obs.Trace in
-  let module Export = Eywa_obs.Export in
-  let module Metrics = Eywa_obs.Metrics in
-  let module Json = Eywa_core.Serialize.Json in
-  let n =
-    match !jobs with
-    | Some j when j > 1 -> j
-    | _ -> max 2 (Eywa_core.Pool.default_jobs ())
-  in
-  Printf.printf
-    "\n%s\nObservability: stripped traces at jobs=1/jobs=%d, warm/cold cache\n%s\n"
-    line n line;
-  let m = Eywa_models.Dns_models.cname in
-  let run ~jobs ~cache =
-    let ctx = Obs.create ~label:m.Model_def.id () in
-    let s =
-      match
-        Model_def.synthesize ~cache ~obs:ctx ~k:scale.k ~timeout:2.0 ~jobs
-          ~oracle m
-      with
-      | Ok s -> s
-      | Error e -> failwith (m.Model_def.id ^ ": " ^ e)
-    in
-    (match
-       Model_def.fuzz ~cache ~obs:ctx
-         ~fuzz_config:
-           { Eywa_fuzz.Fuzz.default_config with budget = scale.fuzz_budget }
-         ~k:scale.k ~timeout:2.0 ~jobs ~oracle m s
-     with
-    | Ok _ -> ()
-    | Error e -> failwith (m.Model_def.id ^ ": fuzz: " ^ e));
-    ignore
-      (Dns_adapter.run ~jobs ~sink:(Obs.sink ctx) ~model_id:m.Model_def.id
-         ~version:Eywa_dns.Impls.Old s.Pipeline.unique_tests);
-    ctx
-  in
-  (* run order matters: the second run must find the first one's cache
-     warm, the third must start cold again *)
-  let cache_a = Cache.create () in
-  let ctx1 = run ~jobs:1 ~cache:cache_a in
-  let ctx2 = run ~jobs:n ~cache:cache_a in
-  let ctx3 = run ~jobs:n ~cache:(Cache.create ()) in
-  let runs =
-    [
-      ("jobs=1, cold cache", ctx1);
-      (Printf.sprintf "jobs=%d, warm cache" n, ctx2);
-      (Printf.sprintf "jobs=%d, cold cache" n, ctx3);
-    ]
-  in
-  let traces = List.map (fun (name, ctx) -> (name, Obs.finish ctx)) runs in
-  List.iter
-    (fun (name, t) ->
-      match Trace.well_formed t with
-      | Ok () -> ()
-      | Error e -> failwith (Printf.sprintf "obs: %s: malformed trace: %s" name e))
-    traces;
-  let roundtrip_ok =
-    List.for_all
-      (fun (_, t) ->
-        match Export.of_jsonl (Export.to_jsonl t) with
-        | Ok t' -> t' = t
-        | Error _ -> false)
-      traces
-  in
-  let chrome_valid =
-    List.for_all
-      (fun (_, t) ->
-        match Json.of_string (Export.chrome_trace t) with
-        | Ok _ -> true
-        | Error _ -> false)
-      traces
-  in
-  let stripped =
-    List.map (fun (name, t) -> (name, Export.to_jsonl (Trace.strip t))) traces
-  in
-  let metrics_txt =
-    List.map
-      (fun (name, ctx) ->
-        (name, Metrics.expose ~strip_env:true (Obs.metrics ctx)))
-      runs
-  in
-  let all_equal = function
-    | [] -> true
-    | (_, first) :: rest -> List.for_all (fun (_, s) -> String.equal s first) rest
-  in
-  let trace_identical = all_equal stripped in
-  let metrics_identical = all_equal metrics_txt in
-  let count items =
-    List.fold_left
-      (fun (s, e) -> function
-        | Trace.Span _ -> (s + 1, e)
-        | Trace.Event _ -> (s, e + 1))
-      (0, 0) items
-  in
-  Printf.printf "%-22s %7s %8s %15s %14s\n" "run" "spans" "events"
-    "trace bytes" "stripped bytes";
-  List.iter2
-    (fun (name, t) (_, s) ->
-      let spans, events = count t.Trace.items in
-      Printf.printf "%-22s %7d %8d %15d %14d\n" name spans events
-        (String.length (Export.to_jsonl t))
-        (String.length s))
-    traces stripped;
-  Printf.printf "%s\n" line;
-  Printf.printf "stripped traces byte-identical : %s\n"
-    (if trace_identical then "yes" else "NO");
-  Printf.printf "stripped metrics byte-identical: %s\n"
-    (if metrics_identical then "yes" else "NO");
-  Printf.printf "JSONL round-trips, Chrome valid: %s, %s\n"
-    (if roundtrip_ok then "yes" else "NO")
-    (if chrome_valid then "yes" else "NO");
-  let path = !obs_json in
-  let run_obj (name, t) (_, s) =
-    let spans, events = count t.Trace.items in
-    Json.Obj
-      [
-        ("run", Json.Str name);
-        ("spans", Json.Int spans);
-        ("events", Json.Int events);
-        ("trace_bytes", Json.Int (String.length (Export.to_jsonl t)));
-        ("stripped_bytes", Json.Int (String.length s));
-      ]
-  in
-  let doc =
-    Json.Obj
-      [
-        ("bench", Json.Str "eywa-obs");
-        ("model", Json.Str m.Model_def.id);
-        ("jobs", Json.Int n);
-        ("runs", Json.List (List.map2 run_obj traces stripped));
-        ("stripped_trace_identical", Json.Bool trace_identical);
-        ("stripped_metrics_identical", Json.Bool metrics_identical);
-        ("jsonl_roundtrip", Json.Bool roundtrip_ok);
-        ("chrome_valid", Json.Bool chrome_valid);
-      ]
-  in
-  (try
-     let oc = open_out path in
-     output_string oc (Json.to_string_pretty doc);
-     close_out oc;
-     Printf.printf "wrote %s\n" path
-   with Sys_error e -> Printf.eprintf "error: cannot write obs JSON: %s\n" e);
-  if
-    not (trace_identical && metrics_identical && roundtrip_ok && chrome_valid)
-  then failwith "obs: determinism check failed"
+    increased (List.length rows);
+  write_json ~what:"fuzz" !fuzz_json
+    (Json.Obj
+       [
+         ("bench", Json.Str "eywa-fuzz");
+         ("fuzz_budget", Json.Int scale.fuzz_budget);
+         ("models", Json.List (List.map snd rows));
+         ("any_strict_increase", Json.Bool (increased > 0));
+       ])
 
 (* ----- driver ----- *)
 
@@ -905,7 +627,6 @@ let staged name f =
    shared with [eywa stats --json] ({!Eywa_obs.Export.summary_totals}),
    so both validate with [eywa trace --json PATH]. *)
 let write_summary_json path ~fast ~total_seconds =
-  let module Json = Eywa_core.Serialize.Json in
   let stage_json (name, dt, before, after) =
     Json.Obj
       (("stage", Json.Str name)
@@ -914,36 +635,54 @@ let write_summary_json path ~fast ~total_seconds =
            (Instrument.Collector.delta ~before after))
   in
   let s = Instrument.Collector.summary collector in
-  let doc =
-    Json.Obj
-      [
-        ("bench", Json.Str "eywa");
-        ("scale", Json.Str (if fast then "fast" else "full"));
-        ( "jobs",
-          Json.Int
-            (match !jobs with
-            | Some j -> j
-            | None -> Eywa_core.Pool.default_jobs ()) );
-        ("total_seconds", Json.Float total_seconds);
-        ("stages", Json.List (List.rev_map stage_json !stage_log));
-        ("totals", Eywa_obs.Export.summary_totals s);
-      ]
-  in
-  try
-    let oc = open_out path in
-    output_string oc (Json.to_string_pretty doc);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  with Sys_error m -> Printf.eprintf "error: cannot write summary JSON: %s\n" m
+  write_json ~what:"summary" path
+    (Json.Obj
+       [
+         ("bench", Json.Str "eywa");
+         ("scale", Json.Str (if fast then "fast" else "full"));
+         ( "jobs",
+           Json.Int
+             (match !jobs with
+             | Some j -> j
+             | None -> Eywa_core.Pool.default_jobs ()) );
+         ("total_seconds", Json.Float total_seconds);
+         ("stages", Json.List (List.rev_map stage_json !stage_log));
+         ("totals", Eywa_obs.Export.summary_totals s);
+       ])
+
+(* Every stage in run order. *)
+let stages =
+  [
+    ("table1", fun _ -> table1 ());
+    ("table2", table2);
+    ("table3", table3);
+    ("fig10", fig10);
+    ("timing", timing);
+    ("ablate", ablate);
+    ("fuzz", fuzz_stage);
+    ("micro", fun _ -> micro ());
+  ]
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf
+        "bench: %s\n\
+         usage: main.exe [fast] [all | STAGE...] [--jobs N] [--cache-dir DIR]\n\
+        \       [--summary-json PATH] [--fuzz-json PATH]\n\
+         stages: %s\n"
+        msg
+        (String.concat " " (List.map fst stages));
+      exit 2)
+    fmt
 
 let () =
   let rec parse_flags = function
     | [] -> []
     | "--jobs" :: v :: rest ->
-        jobs := Some (int_of_string v);
-        parse_flags rest
-    | "--json" :: p :: rest ->
-        json_path := Some p;
+        (match int_of_string_opt v with
+        | Some j -> jobs := Some j
+        | None -> usage_error "--jobs takes an integer, not %s" v);
         parse_flags rest
     | "--cache-dir" :: d :: rest ->
         cache_dir := Some d;
@@ -954,28 +693,26 @@ let () =
     | "--fuzz-json" :: p :: rest ->
         fuzz_json := p;
         parse_flags rest
-    | "--obs-json" :: p :: rest ->
-        obs_json := p;
-        parse_flags rest
+    | a :: _ when String.starts_with ~prefix:"-" a ->
+        usage_error "unknown or incomplete option %s" a
     | a :: rest -> a :: parse_flags rest
   in
   let args = parse_flags (Array.to_list Sys.argv |> List.tl) in
   let fast = List.mem "fast" args in
   let scale = if fast then fast_scale else full_scale in
   let commands = List.filter (fun a -> a <> "fast") args in
+  List.iter
+    (fun c ->
+      if c <> "all" && not (List.mem_assoc c stages) then
+        usage_error "unknown stage %s" c)
+    commands;
   let run_all = commands = [] || List.mem "all" commands in
-  let wants c = run_all || List.mem c commands in
   let t0 = Unix.gettimeofday () in
-  if wants "table1" then staged "table1" table1;
-  if wants "table2" then staged "table2" (fun () -> table2 scale);
-  if wants "table3" then staged "table3" (fun () -> table3 scale);
-  if wants "fig10" then staged "fig10" (fun () -> fig10 scale);
-  if wants "timing" then staged "timing" (fun () -> timing scale);
-  if wants "ablate" then staged "ablate" (fun () -> ablate scale);
-  if wants "parallel" then staged "parallel" (fun () -> parallel scale);
-  if wants "fuzz" then staged "fuzz" (fun () -> fuzz_stage scale);
-  if wants "obs" then staged "obs" (fun () -> obs_stage scale);
-  if wants "micro" then staged "micro" micro;
+  List.iter
+    (fun (name, stage) ->
+      if run_all || List.mem name commands then
+        staged name (fun () -> stage scale))
+    stages;
   let total_seconds = Unix.gettimeofday () -. t0 in
   Printf.printf "\n%s\ntotal bench time: %.1f s%s\n" line total_seconds
     (if fast then " (fast scale)" else "");

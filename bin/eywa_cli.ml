@@ -28,14 +28,17 @@ let oracle = Eywa_llm.Gpt.oracle ()
 
 let ( let* ) = Result.bind
 
+(* every model [All.find] searches: Table 2's thirteen, then the
+   extensions *)
+let roster = All.all @ All.extensions
+
 let find_model id =
   match All.find (String.uppercase_ascii id) with
   | Some m -> Ok m
   | None ->
       Error
         (Printf.sprintf "unknown model %S; available: %s" id
-           (String.concat ", "
-              (List.map (fun (m : Model_def.t) -> m.id) (All.all @ All.extensions))))
+           (String.concat ", " (List.map (fun (m : Model_def.t) -> m.id) roster)))
 
 (* ----- arguments ----- *)
 
@@ -167,9 +170,11 @@ let models_cmd =
     Printf.printf "%-10s %-11s %-9s %s\n" "Protocol" "Model" "Spec LoC" "Entry module";
     List.iter
       (fun (m : Model_def.t) ->
-        Printf.printf "%-10s %-11s %-9d %s\n" m.protocol m.id m.spec_loc
-          (Eywa_core.Emodule.name m.main))
-      All.all;
+        Printf.printf "%-10s %-11s %-9d %s%s\n" m.protocol m.id m.spec_loc
+          (Eywa_core.Emodule.name m.main)
+          (if List.memq m All.extensions then "  (extension model, not in Table 2)"
+           else ""))
+      roster;
     `Ok ()
   in
   Cmd.v (Cmd.info "models" ~doc:"List the available protocol models.")
@@ -205,8 +210,9 @@ let run_cmd =
     | Ok m -> (
         let obs = obs_for ~label:m.id trace_out metrics_out in
         match
-          Model_def.synthesize ?cache:(cache_of cache_dir) ?obs ~k ~temperature
-            ~seed ?timeout ?jobs ~oracle m
+          Model_def.synthesize ?cache:(cache_of cache_dir)
+            ?sink:(Option.map Eywa_obs.Obs.sink obs) ~k ~temperature ~seed
+            ?timeout ?jobs ~oracle m
         with
         | Error e -> `Error (false, e)
         | Ok s ->
@@ -246,8 +252,9 @@ let fuzz_cmd =
     | Ok m -> (
         let cache = cache_of cache_dir in
         let obs = obs_for ~label:m.id trace_out metrics_out in
+        let sink = Option.map Eywa_obs.Obs.sink obs in
         match
-          Model_def.synthesize ?cache ?obs ~k ~temperature ~seed ?timeout ?jobs
+          Model_def.synthesize ?cache ?sink ~k ~temperature ~seed ?timeout ?jobs
             ~oracle m
         with
         | Error e -> `Error (false, e)
@@ -261,7 +268,7 @@ let fuzz_cmd =
               }
             in
             match
-              Model_def.fuzz ?cache ?obs ~fuzz_config ~k ~temperature ~seed
+              Model_def.fuzz ?cache ?sink ~fuzz_config ~k ~temperature ~seed
                 ?timeout ?jobs ~oracle m s
             with
             | Error e -> `Error (false, e)
@@ -339,8 +346,8 @@ let difftest_cmd =
         let obs = obs_for ~label:m.id trace_out metrics_out in
         let osink = Option.map Eywa_obs.Obs.sink obs in
         match
-          Model_def.synthesize ?cache:(cache_of cache_dir) ?obs ~k ~temperature
-            ~seed ?timeout ?jobs ~oracle m
+          Model_def.synthesize ?cache:(cache_of cache_dir) ?sink:osink ~k
+            ~temperature ~seed ?timeout ?jobs ~oracle m
         with
         | Error e -> `Error (false, e)
         | Ok s ->

@@ -1,10 +1,5 @@
 type peer_type = Client | Non_client | External
 
-let peer_type_to_string = function
-  | Client -> "client"
-  | Non_client -> "non-client"
-  | External -> "external"
-
 let should_reflect ~from_ ~to_ =
   match from_ with
   | External | Client -> true

@@ -2,8 +2,6 @@
 
 type peer_type = Client | Non_client | External
 
-val peer_type_to_string : peer_type -> string
-
 val should_reflect : from_:peer_type -> to_:peer_type -> bool
 (** Whether a route reflector propagates a route learned [from_] to a
     neighbour of kind [to_]: routes from external peers and clients go

@@ -24,8 +24,6 @@ let regex_module pattern (target : Etype.Arg.t) =
   let rname = Printf.sprintf "__eywa_regex_%d" (Atomic.fetch_and_add regex_counter 1) in
   Regex { rname; pattern; target }
 
-let custom_module cname source = Custom { cname; source }
-
 let name = function
   | Func f -> f.name
   | Regex r -> r.rname

@@ -32,9 +32,6 @@ val regex_module : string -> Etype.Arg.t -> t
     @raise Eywa_symex.Regex.Parse_error on a malformed pattern.
     @raise Invalid_argument if [arg] is not a string type. *)
 
-val custom_module : string -> string -> t
-(** [custom_module name c_source]. *)
-
 val name : t -> string
 
 val inputs : func -> Etype.Arg.t list

@@ -104,12 +104,12 @@ let build_zone ?(suffix = default_suffix) ?(extra_delegation = false) records =
   (* model tests may repeat records or regenerate the apex SOA; keep
      the first occurrence of each so the zone stays valid *)
   let all = apex @ delegation @ converted in
-  let dedup =
+  let rev_dedup =
     List.fold_left
-      (fun acc r -> if List.exists (Rr.equal r) acc then acc else acc @ [ r ])
+      (fun acc r -> if List.exists (Rr.equal r) acc then acc else r :: acc)
       [] all
   in
-  Zone.v suffix dedup
+  Zone.v suffix (List.rev rev_dedup)
 
 let build_query ?(suffix = default_suffix) qname qtype =
   { Message.qname = reroot suffix qname; qtype }

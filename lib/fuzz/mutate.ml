@@ -12,14 +12,6 @@ let kind_to_string = function
   | Havoc -> "havoc"
   | Splice -> "splice"
 
-let kind_of_string = function
-  | "byte" -> Some Byte
-  | "arith" -> Some Arith
-  | "enum" -> Some Enum
-  | "havoc" -> Some Havoc
-  | "splice" -> Some Splice
-  | _ -> None
-
 (* ----- scalar sites ----- *)
 
 (* A mutation targets one scalar "site" of the input value tree: a

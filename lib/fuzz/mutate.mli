@@ -23,8 +23,6 @@ val all : kind list
 val kind_to_string : kind -> string
 (** Stable lowercase name, used in cache keys and CLI flags. *)
 
-val kind_of_string : string -> kind option
-
 val apply :
   program:Eywa_minic.Ast.program ->
   alphabet:char list ->

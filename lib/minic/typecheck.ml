@@ -252,7 +252,3 @@ let check program =
 
 let check_exn program =
   match check program with Ok () -> () | Error m -> failwith m
-
-let expr_ty program vars e =
-  let env = { program; scopes = [ vars ] } in
-  try Ok (ty_of env e) with Type_error m -> Error m

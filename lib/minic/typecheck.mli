@@ -11,8 +11,3 @@ val check : Ast.program -> (unit, string) result
 
 val check_exn : Ast.program -> unit
 (** @raise Failure when {!check} returns an error. *)
-
-val expr_ty :
-  Ast.program -> (string * Ast.ty) list -> Ast.expr -> (Ast.ty, string) result
-(** Type of an expression under the given variable environment; exposed
-    for the symbolic compiler and for tests. *)

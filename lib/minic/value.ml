@@ -102,10 +102,3 @@ let rec pp ppf = function
         (Array.to_list vs)
 
 let to_string v = Format.asprintf "%a" pp v
-
-let enum_member program = function
-  | Venum (ename, i) -> (
-      match Ast.find_enum program ename with
-      | Some e -> List.nth_opt e.members i
-      | None -> None)
-  | _ -> None

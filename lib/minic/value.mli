@@ -41,6 +41,3 @@ val of_cstring : ?bound:int -> string -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-
-val enum_member : Ast.program -> t -> string option
-(** Member name of an enum value, when the program declares it. *)

@@ -22,24 +22,14 @@ let pipeline_config ?(k = 10) ?(temperature = 0.6) ?(seed = 42) ?timeout
   in
   match max_paths with Some n -> { config with max_paths = n } | None -> config
 
-(* [?obs] and [?sink] compose: the observability context's sink is
-   teed in front of any caller-supplied sink. *)
-let combine_sink ?sink ?obs () =
-  match (obs, sink) with
-  | None, sink -> sink
-  | Some ctx, None -> Some (Eywa_obs.Obs.sink ctx)
-  | Some ctx, Some s -> Some (Eywa_core.Instrument.tee (Eywa_obs.Obs.sink ctx) s)
-
-let synthesize ?cache ?sink ?obs ?k ?temperature ?seed ?timeout ?max_paths
-    ?jobs ~oracle t =
-  let sink = combine_sink ?sink ?obs () in
+let synthesize ?cache ?sink ?k ?temperature ?seed ?timeout ?max_paths ?jobs
+    ~oracle t =
   let config = pipeline_config ?k ?temperature ?seed ?timeout ?max_paths t in
   Eywa_core.Pipeline.run ?cache ?sink ~config ?jobs ~oracle t.graph
     ~main:t.main
 
-let fuzz ?cache ?sink ?obs ?fuzz_config ?k ?temperature ?seed ?timeout
-    ?max_paths ?jobs ~oracle t suite =
-  let sink = combine_sink ?sink ?obs () in
+let fuzz ?cache ?sink ?fuzz_config ?k ?temperature ?seed ?timeout ?max_paths
+    ?jobs ~oracle t suite =
   let pipeline = pipeline_config ?k ?temperature ?seed ?timeout ?max_paths t in
   Eywa_fuzz.Fuzz.fuzz_of_seeds ?cache ?sink ?config:fuzz_config ?jobs
     ~oracle_name:oracle.Eywa_core.Oracle.name ~pipeline t.graph suite

@@ -28,7 +28,6 @@ val pipeline_config :
 val synthesize :
   ?cache:Eywa_core.Cache.t ->
   ?sink:Eywa_core.Instrument.sink ->
-  ?obs:Eywa_obs.Obs.t ->
   ?k:int ->
   ?temperature:float ->
   ?seed:int ->
@@ -43,14 +42,12 @@ val synthesize :
     small budgets). [jobs] fans the [k] draws out over a domain pool
     (see {!Eywa_core.Pipeline.run}); the result is identical at any
     value. [cache] content-addresses the per-draw artifacts and
-    [sink] receives stage events — both default to off. [obs] feeds
-    an observability context (span tree + metrics); when both [obs]
-    and [sink] are given, the context's sink runs first. *)
+    [sink] receives stage events — both default to off; pass
+    [Eywa_obs.Obs.sink ctx] to record a span tree and metrics. *)
 
 val fuzz :
   ?cache:Eywa_core.Cache.t ->
   ?sink:Eywa_core.Instrument.sink ->
-  ?obs:Eywa_obs.Obs.t ->
   ?fuzz_config:Eywa_fuzz.Fuzz.config ->
   ?k:int ->
   ?temperature:float ->

@@ -6,8 +6,8 @@
     - {b JSONL}: one item per line, meta line first. The
       wall-clock-stripped JSONL of a run ({!Trace.strip} then
       {!to_jsonl}) is byte-identical across pool sizes and cache
-      states — the property [make trace-smoke] and the bench [obs]
-      stage assert.
+      states — the property [make trace-smoke] and [test_obs]
+      assert.
     - {b Chrome [trace_event]}: loads in [about://tracing] /
       Perfetto; spans become ["ph":"X"] complete events on the logical
       clock (1 tick = 1 ms), point events ["ph":"i"] instants.

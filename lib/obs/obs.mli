@@ -1,12 +1,13 @@
 (** Observability context: one run's span tree and metrics, fed by a
     single {!Eywa_core.Instrument.sink}.
 
-    Thread an [Obs.t] through {!Eywa_models.Model_def.synthesize} /
-    [fuzz] / {!Eywa_models.Report.dns} (their [?obs] parameter) or
-    pass {!sink} anywhere a sink goes; every event updates both the
-    {!Trace.builder} and the metrics registry under one mutex, so a
-    context is safe to share with any code that follows the
-    [Instrument] emit-at-merge-point contract. *)
+    Pass {!sink} anywhere a sink goes — the [?sink] of
+    {!Eywa_models.Model_def.synthesize}, [fuzz] and the adapters' [run]
+    — and {!Eywa_core.Instrument.tee} it with another sink to feed
+    both; every event updates both the {!Trace.builder} and the
+    metrics registry under one mutex, so a context is safe to share
+    with any code that follows the [Instrument] emit-at-merge-point
+    contract. *)
 
 type t
 

@@ -87,14 +87,6 @@ let intern_id t =
       Tbl.add s.ids t id;
       id
 
-let default_domain = function
-  | Sbool -> [| 0; 1 |]
-  | Schar -> Array.init 256 (fun i -> i)
-  | Senum (_, n) -> Array.init (max n 1) (fun i -> i)
-  | Sint w ->
-      let w = min w 16 in
-      Array.init (1 lsl w) (fun i -> i)
-
 let tt = Const 1
 let ff = Const 0
 let const n = Const n
@@ -193,8 +185,6 @@ let ite c a b =
   | Const n -> if n <> 0 then a else b
   | _ -> if a = b then a else Ite (c, a, b)
 
-let conj ts = List.fold_left and_ tt ts
-
 let compute_vars t =
   let seen = Hashtbl.create 16 in
   let acc = ref [] in
@@ -288,12 +278,6 @@ let rotate_index ~rotate ~vid len =
     let h = h lxor (h lsr 13) in
     (h land max_int) mod len
   end
-
-let pp_sort ppf = function
-  | Sbool -> Format.fprintf ppf "bool"
-  | Schar -> Format.fprintf ppf "char"
-  | Sint w -> Format.fprintf ppf "u%d" w
-  | Senum (n, _) -> Format.fprintf ppf "enum:%s" n
 
 let rec pp ppf = function
   | Const n -> Format.fprintf ppf "%d" n

@@ -74,11 +74,6 @@ val intern_id : t -> int
 (** Dense id of [t] in the calling domain's current intern epoch; equal
     terms get equal ids, distinct terms distinct ids. *)
 
-(** Default domains per sort: [0;1] for booleans, the full enum index
-    range for enums, [0 .. 2^width-1] for ints (width capped at 16 to
-    keep domains finite in practice). *)
-val default_domain : sort -> int array
-
 (** Smart constructors. *)
 
 val tt : t
@@ -101,7 +96,6 @@ val mul : t -> t -> t
 val div : t -> t -> t
 val mod_ : t -> t -> t
 val ite : t -> t -> t -> t
-val conj : t list -> t
 
 (** [vars t] lists the distinct variables of [t] in first-occurrence
     order. *)
@@ -132,4 +126,3 @@ val is_true : t -> bool
 val is_false : t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val pp_sort : Format.formatter -> sort -> unit

@@ -40,22 +40,22 @@ let fuzz_config = { Eywa_fuzz.Fuzz.default_config with budget = 120 }
    same context; [sink] sees the same events after the context. *)
 let observed_run ?(sink = Instrument.null) ~jobs ~cache () =
   let ctx = Obs.create ~label:model.Model_def.id () in
+  let sink = Instrument.tee (Obs.sink ctx) sink in
   let s =
     match
-      Model_def.synthesize ~cache ~obs:ctx ~sink ~k:3 ~timeout:2.0 ~jobs
-        ~oracle model
+      Model_def.synthesize ~cache ~sink ~k:3 ~timeout:2.0 ~jobs ~oracle model
     with
     | Ok s -> s
     | Error e -> failwith e
   in
   (match
-     Model_def.fuzz ~cache ~obs:ctx ~sink ~fuzz_config ~k:3 ~timeout:2.0 ~jobs
-       ~oracle model s
+     Model_def.fuzz ~cache ~sink ~fuzz_config ~k:3 ~timeout:2.0 ~jobs ~oracle
+       model s
    with
   | Ok _ -> ()
   | Error e -> failwith e);
   ignore
-    (Dns_adapter.run ~jobs ~sink:(Instrument.tee (Obs.sink ctx) sink)
+    (Dns_adapter.run ~jobs ~sink
        ~model_id:model.Model_def.id ~version:Eywa_dns.Impls.Old
        s.Eywa_core.Pipeline.unique_tests);
   ctx
@@ -120,7 +120,8 @@ let test_well_formed_all_models () =
       (fun (m : Model_def.t) ->
         let ctx = Obs.create ~label:m.id () in
         (match
-           Model_def.synthesize ~obs:ctx ~k:1 ~timeout:1.0 ~jobs:2 ~oracle m
+           Model_def.synthesize ~sink:(Obs.sink ctx) ~k:1 ~timeout:1.0 ~jobs:2
+             ~oracle m
          with
         | Ok _ -> ()
         | Error e -> failwith (m.id ^ ": " ^ e));

@@ -53,6 +53,7 @@ let assert_jobs_invariant (m : Model_def.t) =
   check_int (m.id ^ " loc_max") s1.loc_max s4.loc_max
 
 let test_dns_jobs_invariant () = assert_jobs_invariant Dns_models.cname
+let test_dname_jobs_invariant () = assert_jobs_invariant Dns_models.dname
 let test_bgp_jobs_invariant () = assert_jobs_invariant Bgp_models.rr
 let test_smtp_jobs_invariant () = assert_jobs_invariant Smtp_models.server
 
@@ -319,6 +320,8 @@ let test_fresh_ids_per_domain () =
 let suite =
   [
     Alcotest.test_case "DNS CNAME: jobs=1 = jobs=4" `Slow test_dns_jobs_invariant;
+    Alcotest.test_case "DNS DNAME: jobs=1 = jobs=4" `Slow
+      test_dname_jobs_invariant;
     Alcotest.test_case "BGP RR: jobs=1 = jobs=4" `Slow test_bgp_jobs_invariant;
     Alcotest.test_case "SMTP SERVER: jobs=1 = jobs=4" `Slow
       test_smtp_jobs_invariant;
