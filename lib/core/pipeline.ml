@@ -270,6 +270,23 @@ let run_draw ~oracle ~config g ~main ~order index =
   | r, Some program ->
       (with_exploration r (explore ~config g ~main program), Some program)
 
+(* The stats fields first: they are free, and most incomplete draws
+   fail one of them; only a draw that passes them has its tests read. *)
+let complete config (r : model_result) =
+  match (r.compile_error, r.stats) with
+  | None, Some s ->
+      (not s.Exec.timed_out)
+      && s.Exec.paths_unknown = 0
+      && s.Exec.paths_completed < config.max_paths
+      && not
+           (List.exists
+              (fun (t : Testcase.t) ->
+                match t.Testcase.error with
+                | Some e -> String.equal e Exec.step_budget_error
+                | None -> false)
+              r.tests)
+  | _ -> false
+
 (* ----- stage 5: aggregation ----- *)
 
 let aggregate ~main draws =

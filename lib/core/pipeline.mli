@@ -183,6 +183,24 @@ val run_draw :
     {!run} must agree with (bar the wall-clock fields of duplicate
     draws). *)
 
+val complete : config -> model_result -> bool
+(** Whether the draw's symbolic exploration reached every feasible
+    path of its program within the bounds the exploration models: the
+    draw compiled and has stats, did not time out, lost no path to an
+    [Unknown] solve, stopped short of [config.max_paths], and cut no
+    path at [max_steps] (no test carries
+    {!Eywa_symex.Exec.step_budget_error}). [config] must be the one the
+    draw explored under. The stats are checked first; the tests are
+    scanned only for a draw that passes them.
+
+    An input within those bounds satisfies the path condition of
+    exactly one explored path, so its run takes the branches of that
+    path's seed: mutating the seeds of a complete draw can reach no
+    edge they miss. Mutants outside the bounds (an int past 0..4095, a
+    string whose terminator a byte mutation overwrote) are not covered
+    by this argument; the fuzz stage relies on it for them too (see
+    {!Eywa_fuzz.Fuzz.fuzz_of_seeds}). *)
+
 val aggregate :
   main:Emodule.func ->
   (model_result * Eywa_minic.Ast.program option) list ->

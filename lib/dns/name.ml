@@ -9,7 +9,7 @@ let to_string = function
   | [] -> "."
   | labels -> String.concat "." labels ^ "."
 
-let equal a b = a = b
+let equal = List.equal String.equal
 let compare = compare
 
 let label_count = List.length

@@ -16,6 +16,8 @@ val to_string : t -> string
 (** Dotted, with trailing dot; root is ["."]. *)
 
 val equal : t -> t -> bool
+(** Label by label with [String.equal]: the same answer as [Stdlib.(=)]. *)
+
 val compare : t -> t -> int
 
 val label_count : t -> int

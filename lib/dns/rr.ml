@@ -27,7 +27,19 @@ let rtype_of_string = function
 
 let target t = match t.rdata with Target n -> Some n | Address _ | Text _ | Soa_data -> None
 
-let equal a b = a = b
+let rdata_equal a b =
+  match (a, b) with
+  | Target m, Target n -> Name.equal m n
+  | Address x, Address y | Text x, Text y -> String.equal x y
+  | Soa_data, Soa_data -> true
+  | (Target _ | Address _ | Text _ | Soa_data), _ -> false
+
+(* Zone dedup and every zone lookup filter call this, so it compares
+   field by field, never through polymorphic compare; [rtype] is
+   immediate, so [==] is its equality. *)
+let equal a b =
+  a.rtype == b.rtype && Name.equal a.owner b.owner && rdata_equal a.rdata b.rdata
+
 let compare = compare
 
 let rdata_to_string = function

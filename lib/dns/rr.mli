@@ -19,7 +19,13 @@ val target : t -> Name.t option
 (** The rdata name for NS/CNAME/DNAME records. *)
 
 val equal : t -> t -> bool
+(** Structural equality, monomorphic: the same answer as [Stdlib.(=)]. *)
+
 val compare : t -> t -> int
+(** [Stdlib.compare]. The order is relied on: the constant [Soa_data]
+    sorts before every other [rdata], and [Message] sorts records by
+    it. *)
+
 val to_string : t -> string
 (** Owner, type and rdata separated by single spaces, with TXT rdata
     quoted and escaped as an OCaml string literal. *)

@@ -166,14 +166,23 @@ let pick_parent rng c =
   in
   c.inputs.(search 0 (c.size - 1))
 
-let fuzz_draw ~natives ~main ~config ~alphabet ~index program seeds =
-  let rng = Rng.create (config.fuzz_seed + index) in
+(* A draw after its seed phase: the runner, the coverage maps and the
+   corpus the mutation loop goes on with. *)
+type seeded = {
+  run : Coverage.runner;
+  global : Interp.coverage;
+  local : Interp.coverage;  (* one map serves every run: cleared after each *)
+  corpus : corpus;
+  edges_seed : int;
+  edges_static : int;
+}
+
+(* Seed the corpus from the symex suite: replay each seed test,
+   energy = its coverage novelty at arrival (first tests earn more). *)
+let seed_draw ~natives ~main ~config program seeds =
   let run = Coverage.runner ~fuel:config.fuel ~natives ~main program in
   let global = Interp.coverage_create () in
-  (* one map serves every run: cleared after each, never reallocated *)
   let local = Interp.coverage_create () in
-  (* seed the corpus from the symex suite: replay each seed test,
-     energy = its coverage novelty at arrival (first tests earn more) *)
   let corpus = { inputs = [||]; sums = [||]; size = 0 } in
   List.iter
     (fun (t : Testcase.t) ->
@@ -183,8 +192,35 @@ let fuzz_draw ~natives ~main ~config ~alphabet ~index program seeds =
       Interp.coverage_clear local;
       corpus_add corpus t.Testcase.inputs fresh)
     seeds;
-  let edges_seed = Coverage.count global in
-  let edges_static = List.length (Interp.static_edges program) in
+  {
+    run;
+    global;
+    local;
+    corpus;
+    edges_seed = Coverage.count global;
+    edges_static = List.length (Interp.static_edges program);
+  }
+
+(* The artifact of a mutation loop that keeps nothing: it runs until
+   the budget is spent, unless it never starts (no budget, no keeper
+   allowed, no seed, or every static edge already covered). *)
+let unmutated ~config ~index sd =
+  let loops =
+    config.budget > 0 && config.max_new_tests > 0 && sd.corpus.size > 0
+    && sd.edges_seed < sd.edges_static
+  in
+  {
+    f_index = index;
+    execs = (if loops then config.budget else 0);
+    edges_seed = sd.edges_seed;
+    edges_after = sd.edges_seed;
+    edges_static = sd.edges_static;
+    new_tests = [];
+  }
+
+let mutation_loop ~config ~alphabet ~index program seeds sd =
+  let { run; global; local; corpus; edges_seed; edges_static } = sd in
+  let rng = Rng.create (config.fuzz_seed + index) in
   let mutators = if config.mutators = [] then Mutate.all else config.mutators in
   let new_tests = ref [] in
   let n_new = ref 0 in
@@ -248,6 +284,10 @@ let fuzz_draw ~natives ~main ~config ~alphabet ~index program seeds =
     new_tests = List.rev !new_tests;
   }
 
+let fuzz_draw ~natives ~main ~config ~alphabet ~index program seeds =
+  seed_draw ~natives ~main ~config program seeds
+  |> mutation_loop ~config ~alphabet ~index program seeds
+
 (* ----- the staged engine ----- *)
 
 (* Pair each model result with its compiled program: [s.programs] holds
@@ -296,37 +336,47 @@ let fuzz_of_seeds ?cache ?(sink = Instrument.null) ?(config = default_config)
           (fun ((r : Pipeline.model_result), program) ->
             match program with
             | None -> None
-            | Some p -> Some (r.Pipeline.index, p, r.Pipeline.tests))
+            | Some p ->
+                Some
+                  ( r.Pipeline.index,
+                    p,
+                    r.Pipeline.tests,
+                    Pipeline.complete pipeline r ))
           (pair_draws s)
       in
       (* probe the cache sequentially, in index order *)
       let cached =
         List.map
-          (fun (index, program, seeds) ->
+          (fun ((index, _, _, _) as u) ->
             match cache with
-            | None -> (index, program, seeds, None)
+            | None -> (u, None)
             | Some c -> (
                 match Cache.find ~sink c (key_of index) with
-                | None -> (index, program, seeds, None)
+                | None -> (u, None)
                 | Some payload -> (
                     match artifact_of_string payload with
-                    | Ok d -> (index, program, seeds, Some d)
+                    | Ok d -> (u, Some d)
                     | Error _ ->
                         (* corrupt entry: fall back to computing *)
-                        (index, program, seeds, None))))
+                        (u, None))))
           units
       in
       let missing =
-        List.filter_map
-          (fun (i, p, seeds, d) -> if d = None then Some (i, p, seeds) else None)
-          cached
+        List.filter_map (fun (u, d) -> if d = None then Some u else None) cached
       in
-      (* misses are independent pure units; fan out, merge by index *)
+      (* misses are independent pure units; fan out, merge by index. A
+         draw whose symex is complete replays its seeds, so [edges_seed]
+         is measured, but mutates nothing: no mutant of its seeds could
+         be kept (Pipeline.complete), so it gets the artifact of a loop
+         that keeps nothing. *)
       let computed, pool_stats =
         Pool.with_pool ~jobs (fun pool ->
             Pool.map_stats pool
-              (fun (i, p, seeds) ->
-                (i, fuzz_draw ~natives ~main:s.main ~config ~alphabet ~index:i p seeds))
+              (fun (i, p, seeds, complete) ->
+                let sd = seed_draw ~natives ~main:s.main ~config p seeds in
+                ( i,
+                  if complete then unmutated ~config ~index:i sd
+                  else mutation_loop ~config ~alphabet ~index:i p seeds sd ))
               missing)
       in
       sink
@@ -347,7 +397,7 @@ let fuzz_of_seeds ?cache ?(sink = Instrument.null) ?(config = default_config)
             computed);
       let per_draw =
         List.map
-          (fun (i, _, _, d) ->
+          (fun ((i, _, _, _), d) ->
             match d with Some d -> d | None -> List.assoc i computed)
           cached
       in

@@ -34,9 +34,12 @@ val default_config : config
 type draw_fuzz = {
   f_index : int;  (** the model-draw index this fuzz run extends *)
   execs : int;
-      (** candidates the budget spent. A candidate equal to an input the
-          draw already ran counts here but is answered by the memo, not
-          executed: it could add no edge (see {!fuzz_draw}). *)
+      (** candidates charged to the budget, not necessarily run. A
+          candidate equal to an input the draw already ran counts here
+          but is answered by the memo, not executed: it could add no
+          edge (see {!fuzz_draw}). A symbolically complete draw charges
+          the candidates of a loop that keeps nothing and runs none of
+          them (see {!fuzz_of_seeds}). *)
   edges_seed : int;  (** edges covered by the symex seed suite alone *)
   edges_after : int;  (** edges covered after fuzzing *)
   edges_static : int;  (** the program's whole static edge universe *)
@@ -88,8 +91,10 @@ val fuzz_draw :
   Eywa_minic.Ast.program ->
   Testcase.t list ->
   draw_fuzz
-(** One draw's fuzz loop — the pure parallel unit {!fuzz_of_seeds}
-    fans out. It stops at the execution budget, at [max_new_tests]
+(** One draw's full fuzz loop: replay the seeds, then mutate. This is
+    the pure unit {!fuzz_of_seeds} fans out for a draw whose symex is
+    incomplete; for a complete one it shares the seed replay and skips
+    the mutation. It stops at the execution budget, at [max_new_tests]
     keepers, or once every static edge is covered (nothing more can
     be kept), whichever comes first. [alphabet] is the model's
     character domain (the same one symbolic strings range over).
@@ -122,4 +127,18 @@ val fuzz_of_seeds :
     over {!Eywa_core.Pool}, store, merge by index, replay
     [Fuzz_done] events at the merge point and emit [Fuzz_aggregated].
     [pipeline] must be the config the synthesis ran with (it is part
-    of the cache key). *)
+    of the cache key, and decides {!Pipeline.complete}).
+
+    Each missed draw replays its seeds as {!fuzz_draw} does, so
+    [edges_seed] is measured, never assumed. A draw whose symbolic
+    exploration is complete ({!Pipeline.complete}) then stops: every
+    input inside the model's bounds takes the branches of one explored
+    path, whose seed already covered them, so no mutant could be kept.
+    Its artifact is the one {!fuzz_draw} returns when it keeps
+    nothing: [edges_after = edges_seed], no new tests, and [execs] the
+    whole budget if the loop would start (a positive budget and keeper
+    cap, a seed, and an uncovered static edge), else 0. Mutants can
+    leave the bounds (an [Arith] nudge takes an int past 0..4095, a
+    byte mutation overwrites a string's terminator); that they gain
+    nothing there either is checked on every complete k=3 draw of the
+    roster, not proved. Any other draw runs the full loop. *)

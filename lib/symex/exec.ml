@@ -28,6 +28,8 @@ type path = {
   error : string option;
 }
 
+let step_budget_error = "step budget exhausted"
+
 type stats = {
   paths_completed : int;
   paths_pruned : int;
@@ -619,7 +621,7 @@ and eval_call ctx st name args k =
 and exec_stmt ctx st (s : Ast.stmt) ~knorm ~kret ~kbrk ~kcont : unit =
   if check_budget ctx then ()
   else if st.steps >= ctx.config.max_steps then
-    complete ctx st ~ret:Sv.Sunit ~error:(Some "step budget exhausted")
+    complete ctx st ~ret:Sv.Sunit ~error:(Some step_budget_error)
   else begin
     let st = { st with steps = st.steps + 1 } in
     match s with
@@ -646,7 +648,7 @@ and exec_stmt ctx st (s : Ast.stmt) ~knorm ~kret ~kbrk ~kcont : unit =
         let rec iterate st =
           if check_budget ctx then ()
           else if st.steps >= ctx.config.max_steps then
-            complete ctx st ~ret:Sv.Sunit ~error:(Some "step budget exhausted")
+            complete ctx st ~ret:Sv.Sunit ~error:(Some step_budget_error)
           else
             let st = { st with steps = st.steps + 1 } in
             eval ctx st c (fun st cv ->
@@ -663,7 +665,7 @@ and exec_stmt ctx st (s : Ast.stmt) ~knorm ~kret ~kbrk ~kcont : unit =
         let rec iterate st =
           if check_budget ctx then ()
           else if st.steps >= ctx.config.max_steps then
-            complete ctx st ~ret:Sv.Sunit ~error:(Some "step budget exhausted")
+            complete ctx st ~ret:Sv.Sunit ~error:(Some step_budget_error)
           else
             let st = { st with steps = st.steps + 1 } in
             eval ctx st c (fun st cv ->

@@ -45,6 +45,11 @@ type path = {
   error : string option;
 }
 
+val step_budget_error : string
+(** The [error] of a path cut at [max_steps] statements. Such a path
+    completes as a crash test, though the program may not have crashed
+    there: the exploration beyond the cut is missing. *)
+
 type stats = {
   paths_completed : int;
   paths_pruned : int;  (** completion solves the solver proved unsat *)

@@ -69,6 +69,41 @@ let prop_strip_append =
 
 (* ----- records ----- *)
 
+(* Small pools, so equal pairs turn up; every string is a fresh copy,
+   so equality never rests on sharing. *)
+let copy_string s = Bytes.to_string (Bytes.of_string s)
+let gen_fresh pool = QCheck2.Gen.map copy_string (QCheck2.Gen.oneofl pool)
+let gen_rr_name = QCheck2.Gen.(list_size (int_range 0 2) (gen_fresh [ "a"; "b"; "" ]))
+
+let gen_rr =
+  QCheck2.Gen.(
+    map3 Rr.v gen_rr_name
+      (oneofl [ Rr.A; Rr.AAAA; Rr.NS; Rr.TXT; Rr.CNAME; Rr.DNAME; Rr.SOA ])
+      (oneof
+         [
+           map (fun n -> Rr.Target n) gen_rr_name;
+           map (fun s -> Rr.Address s) (gen_fresh [ "a"; "1" ]);
+           map (fun s -> Rr.Text s) (gen_fresh [ "a"; "1" ]);
+           pure Rr.Soa_data;
+         ]))
+
+let prop_rr_equal_structural =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"Rr.equal and Name.equal agree with (=)"
+       QCheck2.Gen.(pair gen_rr gen_rr)
+       (fun (a, b) ->
+         let copy (r : Rr.t) =
+           Rr.v (List.map copy_string r.owner) r.rtype
+             (match r.rdata with
+             | Rr.Target n -> Rr.Target (List.map copy_string n)
+             | Rr.Address s -> Rr.Address (copy_string s)
+             | Rr.Text s -> Rr.Text (copy_string s)
+             | Rr.Soa_data -> Rr.Soa_data)
+         in
+         Rr.equal a b = Stdlib.( = ) a b
+         && Rr.equal a (copy a)
+         && Name.equal a.owner b.owner = Stdlib.( = ) a.owner b.owner))
+
 let test_rr_to_string_txt () =
   let r = Rr.v (n "t.test.") Rr.TXT (Rr.Text "say \"hi\" \\ caf\xc3\xa9 \xff") in
   check "TXT rdata quoted and escaped" true
@@ -560,6 +595,7 @@ let suite =
     Alcotest.test_case "name: DNAME substitution" `Quick test_name_substitute;
     prop_name_roundtrip;
     prop_strip_append;
+    prop_rr_equal_structural;
     Alcotest.test_case "record: TXT to_string" `Quick test_rr_to_string_txt;
     Alcotest.test_case "zone: basics" `Quick test_zone_basics;
     Alcotest.test_case "zone: empty non-terminals" `Quick test_zone_ent;

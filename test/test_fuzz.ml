@@ -20,6 +20,9 @@
      mutant and rng draw for rng draw.
    - A draw without seeds runs nothing; the memo's hash sees every
      leaf of a many-record input.
+   - A draw whose symex is complete ([Pipeline.complete]) skips its
+     mutation loop, and its artifact is the one the full loop gives;
+     each condition of completeness, forced, makes the loop run.
    - Regression: a runtime error escaping a nested call must surface
      as [Error], not corrupt the interpreter's scope stack. *)
 
@@ -250,6 +253,83 @@ let test_stops_at_static_edges () =
     saturated;
   check_draws "CNAME" Fuzz.default_config f;
   check_draws "LOOP" fuzz_config (fuzz model (Lazy.force seed_suite))
+
+(* ----- a symbolically complete draw skips its mutation loop ----- *)
+
+(* Synthesize [m] under [pipeline] and fuzz it at the default fuzz
+   config. Each compiled draw comes back with its completeness and its
+   staged artifact; [against_full] says which draws to check against
+   the artifact the full loop gives on their seeds. *)
+let staged_draws ~against_full (m : Model_def.t) (pipeline : Pipeline.config) =
+  let s =
+    match Pipeline.run ~config:pipeline ~jobs:1 ~oracle m.graph ~main:m.main with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let config = Fuzz.default_config in
+  let f =
+    match
+      Fuzz.fuzz_of_seeds ~config ~jobs:1 ~oracle_name:oracle.Eywa_core.Oracle.name
+        ~pipeline m.graph s
+    with
+    | Ok f -> f
+    | Error e -> Alcotest.fail e
+  in
+  let natives = Harness.natives_concrete m.graph s.Pipeline.main in
+  let compiled =
+    List.filter (fun (r : Pipeline.model_result) -> r.compile_error = None) s.results
+  in
+  List.map2
+    (fun ((r : Pipeline.model_result), program) (d : Fuzz.draw_fuzz) ->
+      let complete = Pipeline.complete pipeline r in
+      if against_full complete then
+        check_string
+          (Printf.sprintf "%s draw %d: staged artifact = full loop" m.id r.index)
+          (Fuzz.artifact_to_string
+             (Fuzz.fuzz_draw ~natives ~main:s.Pipeline.main ~config
+                ~alphabet:pipeline.Pipeline.alphabet ~index:r.index program r.tests))
+          (Fuzz.artifact_to_string d);
+      (complete, d))
+    (List.combine compiled s.Pipeline.programs)
+    f.per_draw
+
+(* The premise of the skip: no mutant of a complete draw's seeds, in
+   bounds or out, covers an edge the seeds miss, so the full loop keeps
+   nothing and spends the artifact's [execs]. Pinned on every complete
+   k=3 draw of the models that have one at seed 42: all but FULLLOOKUP
+   and LOOP, whose draws all stop at a budget. An incomplete draw runs
+   [Fuzz.fuzz_draw]'s own two phases; the test below checks it. *)
+let test_complete_draws_skip_nothing () =
+  List.iter
+    (fun (m : Model_def.t) ->
+      if m.id <> "FULLLOOKUP" && m.id <> "LOOP" then
+        let draws =
+          staged_draws ~against_full:Fun.id m (Model_def.pipeline_config ~k m)
+        in
+        check (m.id ^ " has a complete draw") true (List.exists fst draws))
+    Eywa_models.All_models.all
+
+(* Each condition of [Pipeline.complete] can be forced on SERVER, whose
+   k=3 draws are all complete: under each config no draw is complete
+   and the staged artifact is the full loop's. Where the cut draw has
+   a seed the loop runs and keeps a test the cut exploration missed;
+   without a solver decision no path completes, so no draw has one. *)
+let test_incomplete_draws_mutate () =
+  let m = Eywa_models.Smtp_models.server in
+  let base = Model_def.pipeline_config ~k m in
+  List.iter
+    (fun (what, pipeline, keeps) ->
+      let draws = staged_draws ~against_full:(fun _ -> true) m pipeline in
+      check (what ^ ": no draw is complete") false (List.exists fst draws);
+      check (what ^ ": the loop kept a test") keeps
+        (List.exists (fun (_, (d : Fuzz.draw_fuzz)) -> d.new_tests <> []) draws))
+    [
+      ("tiny timeout", { base with timeout = 0.003 }, true);
+      ("small max_paths", { base with max_paths = 4 }, true);
+      ("small max_steps", { base with max_steps = 10 }, true);
+      ("no solver decisions", { base with max_solver_decisions = 0 }, false);
+      ("few solver decisions", { base with max_solver_decisions = 2 }, true);
+    ]
 
 (* ----- edge labels and coverage maps ----- *)
 
@@ -981,6 +1061,10 @@ let suite =
       test_dynamic_subset_static;
     Alcotest.test_case "a draw stops once every static edge is covered" `Slow
       test_stops_at_static_edges;
+    Alcotest.test_case "a complete draw's staged artifact = the full loop" `Slow
+      test_complete_draws_skip_nothing;
+    Alcotest.test_case "an incomplete draw runs the full loop" `Slow
+      test_incomplete_draws_mutate;
     Alcotest.test_case "edge labels of a fixed program" `Quick test_edge_labels;
     Alcotest.test_case "a coverage map belongs to one program" `Quick
       test_coverage_one_program;
