@@ -88,19 +88,24 @@ examples-smoke:
 # test/golden/suites-k3.md5 (one "md5  MODEL" line per model): a change
 # that must not move any generated test keeps this passing. Regenerate
 # the file only for a change that means to alter suites, and say why.
+# test/golden/suites-k300.md5 pins the same at k=300 for CNAME, CONFED,
+# RR and SERVER, whose draws mostly repeat an earlier draft.
 suite-identity:
-	rm -rf /tmp/eywa-suite-identity && mkdir -p /tmp/eywa-suite-identity
+	rm -rf /tmp/eywa-suite-identity && mkdir -p /tmp/eywa-suite-identity/k300
 	@status=0; \
-	while read sum model; do \
-	  dune exec bin/eywa_cli.exe -- run $$model -k 3 --jobs 2 \
-	    --save /tmp/eywa-suite-identity/$$model.suite > /dev/null || exit 1; \
-	  got=$$(md5sum < /tmp/eywa-suite-identity/$$model.suite | cut -d' ' -f1); \
-	  if [ "$$got" != "$$sum" ]; then \
-	    echo "suite-identity: $$model suite differs from test/golden/suites-k3.md5"; \
-	    status=1; \
-	  fi; \
-	done < test/golden/suites-k3.md5; \
-	[ $$status -eq 0 ] && echo "suite-identity: all $$(wc -l < test/golden/suites-k3.md5) suites byte-identical"; \
+	for k in 3 300; do \
+	  case $$k in 3) dir=/tmp/eywa-suite-identity;; *) dir=/tmp/eywa-suite-identity/k$$k;; esac; \
+	  while read sum model; do \
+	    dune exec bin/eywa_cli.exe -- run $$model -k $$k --jobs 2 \
+	      --save $$dir/$$model.suite > /dev/null || exit 1; \
+	    got=$$(md5sum < $$dir/$$model.suite | cut -d' ' -f1); \
+	    if [ "$$got" != "$$sum" ]; then \
+	      echo "suite-identity: $$model k=$$k suite differs from test/golden/suites-k$$k.md5"; \
+	      status=1; \
+	    fi; \
+	  done < test/golden/suites-k$$k.md5; \
+	done; \
+	[ $$status -eq 0 ] && echo "suite-identity: all $$(cat test/golden/suites-k3.md5 test/golden/suites-k300.md5 | wc -l) suites (k=3 and k=300) byte-identical"; \
 	exit $$status
 
 # every model's k=3 pipeline counters are byte-identical to the MD5s
@@ -133,11 +138,14 @@ stats-identity:
 # this passing. test/golden/fuzz-k10.md5 pins the same at k=10 for
 # AUTH, DNAME, WILDCARD, RMAP-PL and RR-RMAP, whose draws mix
 # symbolically complete ones (the fuzz loop is skipped) with
-# incomplete ones (it runs).
+# incomplete ones (it runs), and for LOOP, whose incomplete draws
+# repeat a program and so share its seed phase.
+# test/golden/fuzz-k300.md5 pins k=300 for CNAME, CONFED, RR and
+# SERVER, where most draws repeat an earlier draft.
 fuzz-identity:
-	rm -rf /tmp/eywa-fuzz-identity && mkdir -p /tmp/eywa-fuzz-identity/k10
+	rm -rf /tmp/eywa-fuzz-identity && mkdir -p /tmp/eywa-fuzz-identity/k10 /tmp/eywa-fuzz-identity/k300
 	@status=0; \
-	for k in 3 10; do \
+	for k in 3 10 300; do \
 	  case $$k in 3) dir=/tmp/eywa-fuzz-identity;; *) dir=/tmp/eywa-fuzz-identity/k$$k;; esac; \
 	  while read sum model; do \
 	    dune exec bin/eywa_cli.exe -- fuzz $$model -k $$k --jobs 2 \
@@ -149,7 +157,7 @@ fuzz-identity:
 	    fi; \
 	  done < test/golden/fuzz-k$$k.md5; \
 	done; \
-	[ $$status -eq 0 ] && echo "fuzz-identity: all $$(cat test/golden/fuzz-k3.md5 test/golden/fuzz-k10.md5 | wc -l) fuzz runs (k=3 and k=10) byte-identical"; \
+	[ $$status -eq 0 ] && echo "fuzz-identity: all $$(cat test/golden/fuzz-k3.md5 test/golden/fuzz-k10.md5 test/golden/fuzz-k300.md5 | wc -l) fuzz runs (k=3, 10 and 300) byte-identical"; \
 	exit $$status
 
 # differential testing and attribution print byte-identical output to

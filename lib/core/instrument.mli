@@ -61,10 +61,10 @@ type event =
           (** logical units of the stage (e.g. [k] draws) —
               deterministic, cache- and jobs-invariant *)
       computed : int;
-          (** units actually executed this run: cache misses, and for
-              the ["draw"] batch the distinct compiled programs
-              explored among them (duplicate draws share one
-              exploration); cache-state-dependent, like
+          (** units actually executed this run: the distinct compiled
+              programs among the cache misses, explored (the ["draw"]
+              batch) or seeded (the ["fuzz"] batch) once for all their
+              draws; cache-state-dependent, like
               [Cache_hit]/[Cache_miss] *)
       jobs : int;  (** pool size — environment data *)
       per_worker : int list;  (** scheduling-dependent — environment *)

@@ -51,6 +51,7 @@ type t = {
   loc_min : int;
   loc_max : int;
   programs : Ast.program list;
+  program_ids : int list;
 }
 
 type generated = { gen_index : int; source : string; funcs : Ast.func list }
@@ -93,23 +94,26 @@ let prompt_parts g ~order ~main =
 
 (* ----- stage 1: one LLM draw ----- *)
 
-(* Obtain the implementation of one module for model index [i]:
-   prompt the oracle for Func modules, parse Custom sources directly. *)
-let generate_module oracle config g index m :
-    (Ast.func list * string, string) result =
+(* Model index [index]'s text for module [m]: the oracle's completion
+   for a Func module, the source of a Custom one, "" for a Regex. *)
+let module_draft ~oracle ~config g ~index m =
+  match m with
+  | Emodule.Func f ->
+      let prompt = Prompt.for_module g f in
+      oracle.Oracle.complete
+        {
+          Oracle.system = prompt.Prompt.system;
+          user = prompt.Prompt.user;
+          temperature = config.temperature;
+          seed = config.base_seed + index;
+        }
+  | Emodule.Custom c -> c.source
+  | Emodule.Regex _ -> ""
+
+let parse_module m text =
   match m with
   | Emodule.Func f -> (
-      let prompt = Prompt.for_module g f in
-      let completion =
-        oracle.Oracle.complete
-          {
-            Oracle.system = prompt.Prompt.system;
-            user = prompt.Prompt.user;
-            temperature = config.temperature;
-            seed = config.base_seed + index;
-          }
-      in
-      match Parser.parse_result completion with
+      match Parser.parse_result text with
       | Error msg -> Error (Printf.sprintf "module %s: %s" f.name msg)
       | Ok parsed -> (
           match Ast.find_func parsed f.name with
@@ -117,31 +121,32 @@ let generate_module oracle config g index m :
               Error
                 (Printf.sprintf "module %s: completion does not define %s" f.name
                    f.name)
-          | Some fn -> Ok ([ fn ], completion)))
+          | Some fn -> Ok [ fn ]))
   | Emodule.Custom c -> (
-      match Parser.parse_result c.source with
+      match Parser.parse_result text with
       | Error msg -> Error (Printf.sprintf "custom module %s: %s" c.cname msg)
-      | Ok parsed -> Ok (parsed.Ast.funcs, c.source))
-  | Emodule.Regex _ -> Ok ([], "")
+      | Ok parsed -> Ok parsed.Ast.funcs)
+  | Emodule.Regex _ -> Ok []
 
+(* A draft's source text and functions from its modules' texts and
+   parses, in synthesis order. *)
+let assemble texts fns =
+  (String.concat "\n\n" (List.filter (fun t -> t <> "") texts), List.concat fns)
+
+(* Module by module, the oracle's text then its parse; the first module
+   that does not parse ends the draw, so no later module is prompted. *)
 let generate ~oracle ~config g ~order ~index =
-  let rec gen acc_funcs acc_src = function
+  let rec go texts fns = function
     | [] ->
-        Ok
-          {
-            gen_index = index;
-            source = String.concat "\n\n" (List.rev acc_src);
-            funcs = List.rev acc_funcs;
-          }
+        let source, funcs = assemble (List.rev texts) (List.rev fns) in
+        Ok { gen_index = index; source; funcs }
     | m :: rest -> (
-        match generate_module oracle config g index m with
+        let text = module_draft ~oracle ~config g ~index m in
+        match parse_module m text with
         | Error e -> Error e
-        | Ok (fns, src) ->
-            gen (List.rev_append fns acc_funcs)
-              (if src = "" then acc_src else src :: acc_src)
-              rest)
+        | Ok f -> go (text :: texts) (f :: fns) rest)
   in
-  gen [] [] order
+  go [] [] order
 
 (* ----- stage 2: compile ----- *)
 
@@ -225,29 +230,35 @@ let tests_of_paths ~config ~inputs paths =
 
 (* ----- stages 1-2 composed: a draw's front ----- *)
 
-let front ~oracle ~config g ~main ~order index : model_result * Ast.program option =
-  let gen_start = now () in
-  let draw ?(c_source = "") ?(c_loc = 0) ?compile_error gen_seconds =
-    { index; c_source; c_loc; compile_error; tests = []; stats = None; gen_seconds;
-      symex_seconds = 0.0 }
+(* A draft's front from its parse: line-counted and compiled, or
+   rejected with a stage tag. It is the front of every draw that drew
+   the draft, bar the draw's [index] and [gen_seconds] (left at 0). *)
+let build g ~main parsed =
+  let draw ?(c_source = "") ?(c_loc = 0) ?compile_error () =
+    { index = 0; c_source; c_loc; compile_error; tests = []; stats = None;
+      gen_seconds = 0.0; symex_seconds = 0.0 }
   in
-  match generate ~oracle ~config g ~order ~index with
+  match parsed with
   | Error e ->
       (* stage-tagged so parallel failure logs are attributable: this
          branch covers oracle completions that do not parse or do not
          define the requested function *)
-      (draw ~compile_error:("oracle: " ^ e) (now () -. gen_start), None)
-  | Ok gen -> (
-      let gen_seconds = now () -. gen_start in
+      (draw ~compile_error:("oracle: " ^ e) (), None)
+  | Ok (gen : generated) -> (
       let c_loc =
         List.fold_left (fun acc f -> acc + Pretty.loc (Pretty.func f)) 0 gen.funcs
       in
       match compile g ~main gen with
       | Error e ->
-          ( draw ~c_source:gen.source ~c_loc ~compile_error:("typecheck: " ^ e)
-              gen_seconds,
-            None )
-      | Ok program -> (draw ~c_source:gen.source ~c_loc gen_seconds, Some program))
+          (draw ~c_source:gen.source ~c_loc ~compile_error:("typecheck: " ^ e) (), None)
+      | Ok program -> (draw ~c_source:gen.source ~c_loc (), Some program))
+
+let front ~oracle ~config g ~main ~order index : model_result * Ast.program option =
+  let gen_start = now () in
+  let parsed = generate ~oracle ~config g ~order ~index in
+  let gen_seconds = now () -. gen_start in
+  let r, program = build g ~main parsed in
+  ({ r with index; gen_seconds }, program)
 
 (* ----- stages 3-4 composed: a program's exploration ----- *)
 
@@ -289,15 +300,54 @@ let complete config (r : model_result) =
 
 (* ----- stage 5: aggregation ----- *)
 
-let aggregate ~main draws =
+(* Sampled drafts repeat, and an exploration is a pure function of the
+   compiled program (it runs under a fresh term-id scope), so a draw
+   set needs one exploration per distinct program. [slots.(i)] is the
+   position in [programs] (first-occurrence order) of draw [i]'s
+   program, -1 for a rejected draw. The key is the program itself: a
+   digest of its unshared marshalled form buckets it, structural
+   equality decides. *)
+let distinct_programs (programs : Ast.program option array) =
+  let buckets = Hashtbl.create 64 in
+  let distinct = ref [] and n = ref 0 in
+  let slot_of program =
+    let digest = Digest.string (Marshal.to_string program [ Marshal.No_sharing ]) in
+    match List.assoc_opt program (Hashtbl.find_all buckets digest) with
+    | Some slot -> slot
+    | None ->
+        let slot = !n in
+        Hashtbl.add buckets digest (program, slot);
+        distinct := program :: !distinct;
+        incr n;
+        slot
+  in
+  let slots = Array.map (Option.fold ~none:(-1) ~some:slot_of) programs in
+  (slots, List.rev !distinct)
+
+(* [aggregate] given each draw's slot. Draws of one program carry equal
+   tests, so only a program's first draw contributes its tests to the
+   dedup: the others would add no key. *)
+let aggregate_slots ~main draws slots =
   let results = List.map fst draws in
   let programs = List.filter_map snd draws in
   let compiled = List.filter (fun r -> r.compile_error = None) results in
   let locs = List.map (fun r -> r.c_loc) compiled in
   let loc_min = List.fold_left min max_int locs in
   let loc_max = List.fold_left max 0 locs in
+  let seen = Array.make (Array.fold_left max (-1) slots + 1) false in
   let unique =
-    Testcase.dedup_keyed (List.concat_map (fun r -> r.tests) results)
+    Testcase.dedup_keyed
+      (List.concat
+         (List.mapi
+            (fun i r ->
+              let slot = slots.(i) in
+              if slot < 0 then r.tests
+              else if seen.(slot) then []
+              else begin
+                seen.(slot) <- true;
+                r.tests
+              end)
+            results))
   in
   {
     main;
@@ -307,7 +357,12 @@ let aggregate ~main draws =
     loc_min = (if locs = [] then 0 else loc_min);
     loc_max;
     programs;
+    program_ids = List.filter (fun slot -> slot >= 0) (Array.to_list slots);
   }
+
+let aggregate ~main draws =
+  aggregate_slots ~main draws
+    (fst (distinct_programs (Array.of_list (List.map snd draws))))
 
 (* ----- cache keys ----- *)
 
@@ -495,46 +550,130 @@ let emit_draw_events sink (r : model_result) =
          symex_seconds = r.symex_seconds;
        })
 
-(* Sampled drafts repeat, and an exploration is a pure function of the
-   compiled program (it runs under a fresh term-id scope), so [run]
-   explores each distinct program once. [slots.(i)] is the position in
-   [programs] (first-occurrence order) of front [i]'s program, -1 for a
-   rejected draw. The key is the program itself: a digest of its
-   unshared marshalled form buckets it, structural equality decides. *)
-let distinct_programs fronts =
-  let buckets = Hashtbl.create 64 in
-  let programs = ref [] and n = ref 0 in
-  let slot_of program =
-    let digest = Digest.string (Marshal.to_string program [ Marshal.No_sharing ]) in
-    match List.assoc_opt program (Hashtbl.find_all buckets digest) with
-    | Some slot -> slot
-    | None ->
-        let slot = !n in
-        Hashtbl.add buckets digest (program, slot);
-        programs := program :: !programs;
-        incr n;
-        slot
-  in
-  let slots = Array.make (Array.length fronts) (-1) in
-  Array.iteri
-    (fun i (_, program) -> Option.iter (fun p -> slots.(i) <- slot_of p) program)
-    fronts;
-  (slots, List.rev !programs)
+(* A draw of [shared_fronts] part way through the synthesis order: its
+   modules' texts and functions so far (latest first), the seconds spent
+   on it, and the parse error that ended it, if any. *)
+type drafting = {
+  texts : string list;
+  fns : Ast.func list list;
+  seconds : float;
+  failed : string option;
+}
 
-(* Give every front its program's exploration. The first draw of a
-   program keeps the measured symex wall time; its duplicates report
-   0.0, since this process spent no time exploring them. *)
-let share_explorations fronts slots explorations =
-  let claimed = Array.make (Array.length explorations) false in
-  Array.init (Array.length fronts) (fun i ->
-      let r, program = fronts.(i) in
+(* The fronts of [indices] (ascending), as [front] gives them, with each
+   distinct module text parsed once and each distinct draft compiled
+   once: sampled drafts repeat, and parsing, line counting and
+   compiling are pure functions of the text. Module by module, the
+   oracle runs per live draw on the pool, then the module's new texts
+   are parsed on the pool; a draw whose text does not parse stops, so
+   it prompts no later module, as in [generate]. A draw's [gen_seconds]
+   is its own oracle time plus the parse time of each text it was the
+   first (lowest index) to draw. *)
+let shared_fronts pool ~oracle ~config g ~main ~order indices =
+  let timed f x =
+    let start = now () in
+    let y = f x in
+    (y, now () -. start)
+  in
+  let indices = Array.of_list indices in
+  let draws =
+    Array.map (fun _ -> { texts = []; fns = []; seconds = 0.0; failed = None }) indices
+  in
+  let step m =
+    let live =
+      List.filter
+        (fun j -> draws.(j).failed = None)
+        (List.init (Array.length draws) Fun.id)
+    in
+    let drawn =
+      Pool.map pool
+        (fun j -> timed (module_draft ~oracle ~config g ~index:indices.(j)) m)
+        live
+    in
+    (* each new text's parse, and the first draw of it, which pays for it *)
+    let parses = Hashtbl.create 16 and fresh = ref [] in
+    List.iter2
+      (fun j (text, _) ->
+        if not (Hashtbl.mem parses text) then begin
+          Hashtbl.add parses text j;
+          fresh := text :: !fresh
+        end)
+      live drawn;
+    let fresh = List.rev !fresh in
+    let parsed = Hashtbl.create 16 in
+    List.iter2 (Hashtbl.add parsed) fresh
+      (Pool.map pool (timed (parse_module m)) fresh);
+    List.iter2
+      (fun j (text, oracle_seconds) ->
+        let d = draws.(j) in
+        let result, parse_seconds = Hashtbl.find parsed text in
+        let seconds =
+          d.seconds +. oracle_seconds
+          +. if Hashtbl.find parses text = j then parse_seconds else 0.0
+        in
+        draws.(j) <-
+          (match result with
+          | Error e -> { d with seconds; failed = Some e }
+          | Ok f -> { d with texts = text :: d.texts; fns = f :: d.fns; seconds }))
+      live drawn
+  in
+  List.iter step order;
+  (* the distinct drafts that parsed, keyed by their texts *)
+  let ids = Hashtbl.create 64 and distinct = ref [] in
+  let id_of d =
+    match Hashtbl.find_opt ids d.texts with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.add ids d.texts id;
+        distinct := d :: !distinct;
+        id
+  in
+  let draft_ids = Array.map (fun d -> if d.failed = None then id_of d else -1) draws in
+  let built =
+    Array.of_list
+      (Pool.map pool
+         (fun d ->
+           let source, funcs = assemble (List.rev d.texts) (List.rev d.fns) in
+           build g ~main (Ok { gen_index = 0; source; funcs }))
+         (List.rev !distinct))
+  in
+  List.init (Array.length draws) (fun j ->
+      let d = draws.(j) in
+      let r, program =
+        match d.failed with
+        | Some e -> build g ~main (Error e)
+        | None -> built.(draft_ids.(j))
+      in
+      ({ r with index = indices.(j); gen_seconds = d.seconds }, program))
+
+(* Explore each distinct program some draw of [missing] runs, and give
+   every such draw its program's exploration; [draws] holds every draw,
+   the misses not yet explored. The first miss of a program keeps the
+   measured symex wall time; its repeats report 0.0, since this process
+   spent no time exploring them. *)
+let explore_missing pool ~config g ~main draws missing slots programs =
+  let programs = Array.of_list programs in
+  let wanted =
+    List.sort_uniq compare
+      (List.filter (fun slot -> slot >= 0) (List.map (Array.get slots) missing))
+  in
+  let explorations, pool_stats =
+    Pool.map_stats pool (fun slot -> explore ~config g ~main programs.(slot)) wanted
+  in
+  let explored = Array.make (Array.length programs) None in
+  List.iter2 (fun slot e -> explored.(slot) <- Some e) wanted explorations;
+  List.iter
+    (fun i ->
       let slot = slots.(i) in
-      if slot < 0 then (r, program)
-      else
-        let tests, stats, symex_seconds = explorations.(slot) in
-        let symex_seconds = if claimed.(slot) then 0.0 else symex_seconds in
-        claimed.(slot) <- true;
-        (with_exploration r (tests, stats, symex_seconds), program))
+      if slot >= 0 then begin
+        let tests, stats, symex_seconds = Option.get explored.(slot) in
+        explored.(slot) <- Some (tests, stats, 0.0);
+        let r, program = draws.(i) in
+        draws.(i) <- (with_exploration r (tests, stats, symex_seconds), program)
+      end)
+    missing;
+  pool_stats
 
 let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
     ~oracle g ~main =
@@ -553,7 +692,7 @@ let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
             draw_key ~oracle_name:oracle.Oracle.name ~config ~prompts ~index
           in
           (* probe the cache sequentially, in index order *)
-          let draws =
+          let cached =
             Array.init config.k (fun index ->
                 match cache with
                 | None -> None
@@ -568,22 +707,24 @@ let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
                             None)))
           in
           let missing =
-            List.filter (fun i -> Option.is_none draws.(i)) (List.init config.k Fun.id)
+            List.filter (fun i -> Option.is_none cached.(i)) (List.init config.k Fun.id)
           in
           (* the misses are independent; fan them out and merge by
              model index, so the result is identical at any [jobs] *)
-          let computed, pool_stats =
+          let draws, slots, pool_stats =
             Pool.with_pool ~jobs (fun pool ->
                 let fronts =
-                  Pool.map pool (front ~oracle ~config g ~main:main_f ~order) missing
-                  |> Array.of_list
+                  shared_fronts pool ~oracle ~config g ~main:main_f ~order missing
                 in
-                let slots, programs = distinct_programs fronts in
-                let explorations, pool_stats =
-                  Pool.map_stats pool (explore ~config g ~main:main_f) programs
+                let draws = Array.copy cached in
+                List.iter2 (fun i front -> draws.(i) <- Some front) missing fronts;
+                let draws = Array.map Option.get draws in
+                let slots, programs = distinct_programs (Array.map snd draws) in
+                let pool_stats =
+                  explore_missing pool ~config g ~main:main_f draws missing slots
+                    programs
                 in
-                ( share_explorations fronts slots (Array.of_list explorations),
-                  pool_stats ))
+                (draws, slots, pool_stats))
           in
           sink
             (Instrument.Pool_merged
@@ -595,21 +736,18 @@ let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
                  per_worker = pool_stats.Pool.per_worker;
                  queue_wait_ticks = pool_stats.Pool.queue_wait_ticks;
                });
-          List.iteri
-            (fun pos i ->
-              let draw = computed.(pos) in
-              draws.(i) <- Some draw;
-              Option.iter
-                (fun c -> Cache.store c (key_of i) (artifact_to_string draw))
-                cache)
-            missing;
-          let draws = List.map Option.get (Array.to_list draws) in
-          List.iter (fun (r, _) -> emit_draw_events sink r) draws;
-          let result = aggregate ~main:main_f draws in
+          Option.iter
+            (fun c ->
+              List.iter
+                (fun i -> Cache.store c (key_of i) (artifact_to_string draws.(i)))
+                missing)
+            cache;
+          Array.iter (fun (r, _) -> emit_draw_events sink r) draws;
+          let result = aggregate_slots ~main:main_f (Array.to_list draws) slots in
           sink
             (Instrument.Suite_aggregated
                {
-                 draws = List.length draws;
+                 draws = config.k;
                  unique_tests = List.length result.unique_tests;
                });
           Ok result)

@@ -23,13 +23,15 @@
     v}
 
     {!run} composes {!front} and {!explore} exactly as {!run_draw}
-    does, but explores each distinct compiled program of a draw set
-    once: sampled drafts repeat, and an exploration is a pure function
-    of the program. It adds three cross-cutting services:
+    does, but pays for each distinct draft and each distinct program
+    once: sampled drafts repeat, and parsing, compiling and exploring
+    are pure functions of the draft or the program. It adds three
+    cross-cutting services:
 
-    - {b Parallelism}: the fronts, then the distinct programs'
-      explorations, fan out over {!Pool} and merge by index, so
-      results are bit-for-bit independent of [jobs].
+    - {b Parallelism}: the oracle draws, the distinct drafts' builds,
+      then the distinct programs' explorations fan out over {!Pool}
+      and merge by index, so results are bit-for-bit independent of
+      [jobs].
     - {b Caching}: each draw result is content-addressed in a
       {!Cache} under a key covering {e everything} the draw depends
       on — oracle name, exact prompt texts, pipe structure, effective
@@ -89,6 +91,12 @@ type t = {
   loc_min : int;  (** over models that compiled; 0 if none *)
   loc_max : int;
   programs : Eywa_minic.Ast.program list;  (** one per compiled model *)
+  program_ids : int list;
+      (** one per compiled model, parallel to [programs]: equal ids for
+          structurally equal programs, numbered from 0 in order of first
+          occurrence. Draws of one program carry equal tests and stats,
+          so a later stage (the fuzz seed phase) can do a program's work
+          once. *)
 }
 
 (** {1 Stage functions} *)
@@ -115,9 +123,11 @@ val generate :
   order:Emodule.t list ->
   index:int ->
   (generated, string) result
-(** One LLM draw: prompt the oracle per module (callees first) at seed
-    [config.base_seed + index]. [Error] messages carry no stage tag;
-    {!run_draw} adds ["oracle: "]. *)
+(** One LLM draw: module by module (callees first), prompt the oracle
+    for a Func module at seed [config.base_seed + index] and parse its
+    completion. The first module that does not parse is the [Error],
+    and no later module is prompted. [Error] messages carry no stage
+    tag; {!run_draw} adds ["oracle: "]. *)
 
 val compile :
   Graph.t ->
@@ -154,7 +164,8 @@ val front :
   int ->
   model_result * Eywa_minic.Ast.program option
 (** Stages 1-2 for one index: {!generate} then {!compile}, with the
-    rejection stage-tagged and [gen_seconds] measured. The result has
+    rejection stage-tagged and [gen_seconds] measured (the oracle
+    draws plus parsing their completions). The result has
     no tests, no stats and [symex_seconds = 0.0]; the program is
     [None] iff [compile_error] is set. Allocates no term ids, so it
     needs no term-id scope of its own. *)
@@ -205,7 +216,11 @@ val aggregate :
   main:Emodule.func ->
   (model_result * Eywa_minic.Ast.program option) list ->
   t
-(** Union the per-draw tests into the unique suite with min/max LoC. *)
+(** Union the per-draw tests into the unique suite with min/max LoC,
+    and number the distinct programs ([program_ids]). Draws of one
+    program must carry equal tests, as draws explored under one config
+    do: only a program's first draw is keyed for the dedup, since its
+    repeats could add no key. *)
 
 (** {1 Cache keys and artifacts} *)
 
@@ -268,16 +283,24 @@ val run :
     {!t} is bit-for-bit independent of [jobs] — provided the oracle is
     a pure function of its request, which the simulated LLM is.
 
-    The cache misses first run {!front}; then {!explore} runs once per
-    distinct compiled program among them, keyed on the
-    {!Eywa_minic.Ast.program} itself (a digest buckets, structural
-    equality decides — never the source text), and each exploration
-    goes to every draw that produced its program. Per-draw results,
+    Each cache miss draws from the oracle module by module, as
+    {!generate} does; each distinct completion text of a module is
+    parsed once, and a draw stops at its first text that does not
+    parse, so the oracle gets exactly the calls {!generate} makes.
+    Each distinct draft (the draw's module texts) is then line-counted
+    and compiled once, and {!explore} runs once per distinct compiled
+    program among the misses, keyed on the {!Eywa_minic.Ast.program}
+    itself (a digest buckets, structural equality decides — never the
+    source text). Each parse, build and exploration goes to every draw
+    that produced its text, draft or program. Per-draw results,
     [Symex_done] stats and cache artifacts are therefore exactly those
-    of {!run_draw}, except that a duplicate draw reports
-    [symex_seconds = 0.0]: only the first draw of a program keeps the
-    time this process measured. [Pool_merged {label = "draw"}] counts
-    the distinct programs explored in [computed].
+    of {!run_draw}, except for the wall clock: a draw's [gen_seconds]
+    is its own oracle time plus the parse time of the texts it was the
+    first to draw, and only the first miss of a program keeps the symex
+    time this process measured (a repeat reports
+    [symex_seconds = 0.0]). [Pool_merged {label = "draw"}]
+    counts the distinct programs explored in [computed]. The program
+    ids the aggregation hands on cover cached draws too.
 
     With a [cache], draw results are looked up before computing and
     stored after; hits decode to byte-identical results (and emit

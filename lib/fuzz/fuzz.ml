@@ -155,7 +155,7 @@ let corpus_add c inputs energy =
   c.size <- c.size + 1
 
 (* Entry [i] with probability energy_i / total: the first entry whose
-   prefix sum exceeds a uniform draw below the total. *)
+   prefix sum exceeds a uniform draw below the total. Returns [i]. *)
 let pick_parent rng c =
   let target = Rng.int rng c.sums.(c.size - 1) in
   let rec search lo hi =
@@ -164,7 +164,7 @@ let pick_parent rng c =
       let mid = (lo + hi) / 2 in
       if c.sums.(mid) > target then search lo mid else search (mid + 1) hi
   in
-  c.inputs.(search 0 (c.size - 1))
+  search 0 (c.size - 1)
 
 (* A draw after its seed phase: the runner, the coverage maps and the
    corpus the mutation loop goes on with. *)
@@ -218,6 +218,20 @@ let unmutated ~config ~index sd =
     new_tests = [];
   }
 
+(* A seeded draw the mutation loop may grow without touching [sd]: its
+   own corpus and global map. The runner and the per-run [local] map
+   are shared; a run leaves neither changed. *)
+let private_copy sd =
+  let global = Interp.coverage_create () in
+  Coverage.absorb ~into:global sd.global;
+  let c = sd.corpus in
+  {
+    sd with
+    global;
+    corpus =
+      { inputs = Array.copy c.inputs; sums = Array.copy c.sums; size = c.size };
+  }
+
 let mutation_loop ~config ~alphabet ~index program seeds sd =
   let { run; global; local; corpus; edges_seed; edges_static } = sd in
   let rng = Rng.create (config.fuzz_seed + index) in
@@ -242,6 +256,10 @@ let mutation_loop ~config ~alphabet ~index program seeds sd =
          List.iter (fun (t : Testcase.t) -> ignore (Memo.add m t.Testcase.inputs)) seeds;
        m)
   in
+  (* Each corpus entry's mutation sites by position: counted when a seed
+     is first picked, inherited by a keeper from its parent, whose shape
+     it keeps. Only picked entries take room. *)
+  let sites_of = Hashtbl.create 64 in
   (* the budget counts candidates — a deterministic tick budget in the
      sense of Exec.check_budget, never wall clock. A run only ever
      covers static edges, so once every one is covered no candidate can
@@ -254,13 +272,23 @@ let mutation_loop ~config ~alphabet ~index program seeds sd =
     && corpus.size > 0
   do
     let parent = pick_parent rng corpus in
+    let sites =
+      match Hashtbl.find_opt sites_of parent with
+      | Some s -> s
+      | None ->
+          let s = Mutate.sites corpus.inputs.(parent) in
+          Hashtbl.add sites_of parent s;
+          s
+    in
     let kind = Rng.pick rng mutators in
     let other =
       match kind with
       | Mutate.Splice -> Some corpus.inputs.(Rng.int rng corpus.size)
       | _ -> None
     in
-    let candidate = Mutate.apply ~program ~alphabet ~rng kind ~other parent in
+    let candidate =
+      Mutate.apply ~sites ~program ~alphabet ~rng kind ~other corpus.inputs.(parent)
+    in
     incr execs;
     if Memo.add (Lazy.force seen) candidate then begin
       let test = run ~coverage:local candidate in
@@ -268,6 +296,7 @@ let mutation_loop ~config ~alphabet ~index program seeds sd =
       if fresh > 0 then begin
         Coverage.absorb ~into:global local;
         covered := !covered + fresh;
+        Hashtbl.replace sites_of corpus.size sites;
         corpus_add corpus test.Testcase.inputs fresh;
         new_tests := test :: !new_tests;
         incr n_new
@@ -290,21 +319,39 @@ let fuzz_draw ~natives ~main ~config ~alphabet ~index program seeds =
 
 (* ----- the staged engine ----- *)
 
-(* Pair each model result with its compiled program: [s.programs] holds
-   exactly the programs of the results whose [compile_error] is [None],
-   in index order (see [Pipeline.aggregate]). *)
-let pair_draws (s : Pipeline.t) =
-  let rec go results programs =
-    match results with
-    | [] -> []
-    | (r : Pipeline.model_result) :: rest ->
-        if r.compile_error = None then
-          match programs with
-          | p :: ps -> (r, Some p) :: go rest ps
-          | [] -> (r, None) :: go rest []
-        else (r, None) :: go rest programs
+(* Each compiled draw with its program and program id: [s.programs]
+   and [s.program_ids] hold one entry per result whose [compile_error]
+   is [None], in index order (see [Pipeline.aggregate]). *)
+let compiled_draws (s : Pipeline.t) =
+  let rec go results programs ids =
+    match (results, programs, ids) with
+    | (r : Pipeline.model_result) :: rest, p :: ps, id :: ids when r.compile_error = None
+      ->
+        (r, p, id) :: go rest ps ids
+    | _ :: rest, _, _ -> go rest programs ids
+    | [], _, _ -> []
   in
-  go s.results s.programs
+  go s.results s.programs s.program_ids
+
+(* The cache misses grouped by program, in program-id order: each
+   group's program, its seeds (the symex tests every draw of the
+   program shares), whether its exploration is complete, and its draw
+   indices in order. *)
+let group_by_program pipeline misses =
+  let groups =
+    Array.make (List.fold_left (fun n (_, _, id) -> max n (id + 1)) 0 misses) []
+  in
+  List.iter (fun ((_, _, id) as d) -> groups.(id) <- d :: groups.(id)) (List.rev misses);
+  List.filter_map
+    (function
+      | [] -> None
+      | ((r : Pipeline.model_result), program, _) :: _ as draws ->
+          Some
+            ( program,
+              r.tests,
+              Pipeline.complete pipeline r,
+              List.map (fun ((r : Pipeline.model_result), _, _) -> r.index) draws ))
+    (Array.to_list groups)
 
 let emit_fuzz_events sink (d : draw_fuzz) =
   sink
@@ -331,27 +378,15 @@ let fuzz_of_seeds ?cache ?(sink = Instrument.null) ?(config = default_config)
       let key_of index =
         fuzz_key ~oracle_name ~pipeline ~config ~prompts ~index
       in
-      let units =
-        List.filter_map
-          (fun ((r : Pipeline.model_result), program) ->
-            match program with
-            | None -> None
-            | Some p ->
-                Some
-                  ( r.Pipeline.index,
-                    p,
-                    r.Pipeline.tests,
-                    Pipeline.complete pipeline r ))
-          (pair_draws s)
-      in
+      let units = compiled_draws s in
       (* probe the cache sequentially, in index order *)
       let cached =
         List.map
-          (fun ((index, _, _, _) as u) ->
+          (fun (((r : Pipeline.model_result), _, _) as u) ->
             match cache with
             | None -> (u, None)
             | Some c -> (
-                match Cache.find ~sink c (key_of index) with
+                match Cache.find ~sink c (key_of r.index) with
                 | None -> (u, None)
                 | Some payload -> (
                     match artifact_of_string payload with
@@ -364,20 +399,30 @@ let fuzz_of_seeds ?cache ?(sink = Instrument.null) ?(config = default_config)
       let missing =
         List.filter_map (fun (u, d) -> if d = None then Some u else None) cached
       in
-      (* misses are independent pure units; fan out, merge by index. A
-         draw whose symex is complete replays its seeds, so [edges_seed]
-         is measured, but mutates nothing: no mutant of its seeds could
-         be kept (Pipeline.complete), so it gets the artifact of a loop
-         that keeps nothing. *)
+      (* each program the misses run is one pure unit: replay its seeds
+         once, then give each of its draws its artifact. A complete
+         exploration mutates nothing: no mutant of its seeds could be
+         kept (Pipeline.complete), so each draw gets the artifact of a
+         loop that keeps nothing. Otherwise each draw runs its own loop,
+         at its own seed, on a private copy of the seeded corpus. Fan
+         the units out, merge by index. *)
       let computed, pool_stats =
         Pool.with_pool ~jobs (fun pool ->
             Pool.map_stats pool
-              (fun (i, p, seeds, complete) ->
+              (fun (p, seeds, complete, indices) ->
                 let sd = seed_draw ~natives ~main:s.main ~config p seeds in
-                ( i,
-                  if complete then unmutated ~config ~index:i sd
-                  else mutation_loop ~config ~alphabet ~index:i p seeds sd ))
-              missing)
+                let last = List.length indices - 1 in
+                List.mapi
+                  (fun n i ->
+                    ( i,
+                      if complete then unmutated ~config ~index:i sd
+                      else
+                        (* the last loop may grow [sd] itself: nothing
+                           reads it after *)
+                        mutation_loop ~config ~alphabet ~index:i p seeds
+                          (if n = last then sd else private_copy sd) ))
+                  indices)
+              (group_by_program pipeline missing))
       in
       sink
         (Instrument.Pool_merged
@@ -389,16 +434,18 @@ let fuzz_of_seeds ?cache ?(sink = Instrument.null) ?(config = default_config)
              per_worker = pool_stats.Pool.per_worker;
              queue_wait_ticks = pool_stats.Pool.queue_wait_ticks;
            });
+      let computed = List.concat computed in
       (match cache with
       | None -> ()
       | Some c ->
           List.iter
             (fun (i, d) -> Cache.store c (key_of i) (artifact_to_string d))
             computed);
+      let computed = Hashtbl.of_seq (List.to_seq computed) in
       let per_draw =
         List.map
-          (fun ((i, _, _, _), d) ->
-            match d with Some d -> d | None -> List.assoc i computed)
+          (fun (((r : Pipeline.model_result), _, _), d) ->
+            match d with Some d -> d | None -> Hashtbl.find computed r.index)
           cached
       in
       List.iter (emit_fuzz_events sink) per_draw;

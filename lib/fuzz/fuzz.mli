@@ -92,9 +92,9 @@ val fuzz_draw :
   Testcase.t list ->
   draw_fuzz
 (** One draw's full fuzz loop: replay the seeds, then mutate. This is
-    the pure unit {!fuzz_of_seeds} fans out for a draw whose symex is
-    incomplete; for a complete one it shares the seed replay and skips
-    the mutation. It stops at the execution budget, at [max_new_tests]
+    the per-draw reference {!fuzz_of_seeds} must agree with, which
+    replays the seeds once per program and skips the mutation of a
+    complete draw. It stops at the execution budget, at [max_new_tests]
     keepers, or once every static edge is covered (nothing more can
     be kept), whichever comes first. [alphabet] is the model's
     character domain (the same one symbolic strings range over).
@@ -123,15 +123,22 @@ val fuzz_of_seeds :
   Pipeline.t ->
   (t, string) result
 (** The staged engine: pair each compiled draw of the synthesis result
-    with its program, probe the cache in index order, fan misses out
-    over {!Eywa_core.Pool}, store, merge by index, replay
-    [Fuzz_done] events at the merge point and emit [Fuzz_aggregated].
-    [pipeline] must be the config the synthesis ran with (it is part
-    of the cache key, and decides {!Pipeline.complete}).
+    with its program, probe the cache in index order, group the misses
+    by program ([s.program_ids]), fan the groups out over
+    {!Eywa_core.Pool}, store, merge by index, replay [Fuzz_done] events
+    at the merge point and emit [Fuzz_aggregated]. [pipeline] must be
+    the config the synthesis ran with (it is part of the cache key, and
+    decides {!Pipeline.complete}). [Pool_merged {label = "fuzz"}]
+    counts the compiled draws in [tasks] and the programs seeded in
+    [computed].
 
-    Each missed draw replays its seeds as {!fuzz_draw} does, so
-    [edges_seed] is measured, never assumed. A draw whose symbolic
-    exploration is complete ({!Pipeline.complete}) then stops: every
+    Draws of one program share its seeds and its exploration, so each
+    group replays its seeds once, as {!fuzz_draw} does: [edges_seed] is
+    measured, never assumed. Each incomplete draw of the group then
+    runs its own mutation loop, at its own rng seed, on a private copy
+    of the seeded corpus and coverage map; its artifact is the one
+    {!fuzz_draw} gives it. A draw whose symbolic exploration is
+    complete ({!Pipeline.complete}) stops after the seeds: every
     input inside the model's bounds takes the branches of one explored
     path, whose seed already covered them, so no mutant could be kept.
     Its artifact is the one {!fuzz_draw} returns when it keeps

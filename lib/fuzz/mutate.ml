@@ -26,19 +26,33 @@ type site =
   | Senum of string * int
   | Sbyte of char
 
-let rec count_sites which v =
+(* The sites of a value of each class, (all, enum), in one walk. They
+   depend on the value's shape alone: string lengths, array sizes and
+   struct fields, which no mutator changes. *)
+let rec count_sites v =
   match v with
-  | Value.Vunit -> 0
-  | Value.Vbool _ -> ( match which with `All -> 1 | `Enum -> 0)
-  | Value.Vchar _ -> ( match which with `All -> 1 | `Enum -> 0)
-  | Value.Vint _ -> ( match which with `All -> 1 | `Enum -> 0)
-  | Value.Venum _ -> 1
-  | Value.Vstring raw -> (
-      match which with `All -> String.length raw | `Enum -> 0)
+  | Value.Vunit -> (0, 0)
+  | Value.Vbool _ | Value.Vchar _ | Value.Vint _ -> (1, 0)
+  | Value.Venum _ -> (1, 1)
+  | Value.Vstring raw -> (String.length raw, 0)
   | Value.Vstruct (_, fs) ->
-      List.fold_left (fun a (_, f) -> a + count_sites which f) 0 fs
+      List.fold_left
+        (fun (a, e) (_, f) ->
+          let a', e' = count_sites f in
+          (a + a', e + e'))
+        (0, 0) fs
   | Value.Varray vs ->
-      Array.fold_left (fun a f -> a + count_sites which f) 0 vs
+      Array.fold_left
+        (fun (a, e) f ->
+          let a', e' = count_sites f in
+          (a + a', e + e'))
+        (0, 0) vs
+
+type sites = { all : int list; enum : int list }
+
+let sites inputs =
+  let counts = List.map (fun (_, v) -> count_sites v) inputs in
+  { all = List.map fst counts; enum = List.map snd counts }
 
 (* Rewrite the [target]-th site (in traversal order) with [f]; all
    other sites — and the whole shape — are untouched. Only the path
@@ -158,9 +172,9 @@ let arith_site ~program ~alphabet ~rng site =
    over the concatenation of the argument value trees, so every leaf
    is equally likely regardless of which argument holds it. Only the
    argument that holds the site is rewritten; the others are shared.
-   [None] (and no rng draw) when the vector has no site of the class. *)
-let mutate_one which f inputs rng =
-  let counts = List.map (fun (_, v) -> count_sites which v) inputs in
+   [counts] holds each argument's sites of the class. [None] (and no
+   rng draw) when the vector has no site of the class. *)
+let mutate_one which ~counts f inputs rng =
   let total = List.fold_left ( + ) 0 counts in
   if total = 0 then None
   else begin
@@ -194,36 +208,40 @@ let rec shape_compatible a b =
       && (Array.length x = 0 || shape_compatible x.(0) y.(0))
   | _ -> false
 
-let rec apply ~program ~alphabet ~rng kind ~other inputs =
-  match kind with
-  | Byte ->
-      Option.value ~default:inputs
-        (mutate_one `All (byte_site ~program ~alphabet ~rng) inputs rng)
-  | Arith ->
-      Option.value ~default:inputs
-        (mutate_one `All (arith_site ~program ~alphabet ~rng) inputs rng)
-  | Enum -> (
-      match mutate_one `Enum (byte_site ~program ~alphabet ~rng) inputs rng with
-      | Some mutant -> mutant
-      | None ->
-          (* no enum anywhere in the signature: degrade gracefully *)
-          apply ~program ~alphabet ~rng Byte ~other inputs)
-  | Havoc ->
-      let rounds = 1 + Rng.int rng 4 in
-      let rec go n acc =
-        if n = 0 then acc
-        else
-          let kind = Rng.pick rng [ Byte; Arith; Enum ] in
-          go (n - 1) (apply ~program ~alphabet ~rng kind ~other acc)
-      in
-      go rounds inputs
-  | Splice -> (
-      match other with
-      | None -> apply ~program ~alphabet ~rng Havoc ~other inputs
-      | Some partner ->
-          List.map
-            (fun (n, v) ->
-              match List.assoc_opt n partner with
-              | Some w when shape_compatible v w && Rng.bool rng -> (n, w)
-              | _ -> (n, v))
-            inputs)
+(* Every mutant keeps its parent's shape, so one count of the sites
+   serves a whole havoc burst. *)
+let apply ~sites ~program ~alphabet ~rng kind ~other inputs =
+  let one which f inputs =
+    let counts = match which with `All -> sites.all | `Enum -> sites.enum in
+    mutate_one which ~counts f inputs rng
+  in
+  let rec go kind inputs =
+    match kind with
+    | Byte ->
+        Option.value ~default:inputs (one `All (byte_site ~program ~alphabet ~rng) inputs)
+    | Arith ->
+        Option.value ~default:inputs (one `All (arith_site ~program ~alphabet ~rng) inputs)
+    | Enum -> (
+        match one `Enum (byte_site ~program ~alphabet ~rng) inputs with
+        | Some mutant -> mutant
+        | None ->
+            (* no enum anywhere in the signature: degrade gracefully *)
+            go Byte inputs)
+    | Havoc ->
+        let rounds = 1 + Rng.int rng 4 in
+        let rec burst n acc =
+          if n = 0 then acc else burst (n - 1) (go (Rng.pick rng [ Byte; Arith; Enum ]) acc)
+        in
+        burst rounds inputs
+    | Splice -> (
+        match other with
+        | None -> go Havoc inputs
+        | Some partner ->
+            List.map
+              (fun (n, v) ->
+                match List.assoc_opt n partner with
+                | Some w when shape_compatible v w && Rng.bool rng -> (n, w)
+                | _ -> (n, v))
+              inputs)
+  in
+  go kind inputs

@@ -23,7 +23,16 @@ val all : kind list
 val kind_to_string : kind -> string
 (** Stable lowercase name, used in cache keys and CLI flags. *)
 
+type sites
+(** How many mutation sites each argument of an input vector holds. A
+    function of the vector's shape alone, which every mutant keeps:
+    count a corpus entry's sites once and pass them with each of its
+    mutations. *)
+
+val sites : (string * Eywa_minic.Value.t) list -> sites
+
 val apply :
+  sites:sites ->
   program:Eywa_minic.Ast.program ->
   alphabet:char list ->
   rng:Rng.t ->
@@ -33,5 +42,6 @@ val apply :
   (string * Eywa_minic.Value.t) list
 (** One mutation of the named input vector. [other] supplies the
     crossover partner for [Splice] (ignored by the rest; [Splice]
-    degrades to [Havoc] without one). Pure in (rng stream, inputs):
-    the same stream position yields the same mutant. *)
+    degrades to [Havoc] without one). [sites] must be those of a vector
+    of the same shape as [inputs]. Pure in (rng
+    stream, inputs): the same stream position yields the same mutant. *)

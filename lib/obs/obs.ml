@@ -54,8 +54,8 @@ let instruments reg =
   let computed =
     Metrics.counter reg ~cls:Env "eywa_pool_computed_total"
       ~help:
-        "units executed this run (for the draw batch, the distinct compiled \
-         programs explored)"
+        "units executed this run (for the draw and fuzz batches, the \
+         distinct compiled programs explored or seeded)"
   in
   let pool : Instrument.event -> unit = function
     | Pool_merged p ->

@@ -331,6 +331,123 @@ let test_incomplete_draws_mutate () =
       ("few solver decisions", { base with max_solver_decisions = 2 }, true);
     ]
 
+(* ----- one seed phase per program ----- *)
+
+(* The per-draw reference [fuzz_of_seeds] must agree with: each draw
+   replays its own seeds, then a complete one gets the artifact of a
+   loop that keeps nothing and any other its full loop. The first is
+   [fuzz_draw] at budget 0 (the seeds alone) with the budget's execs
+   put back when the loop would start. *)
+let per_draw_reference ~pipeline ~(config : Fuzz.config) (m : Model_def.t)
+    (s : Pipeline.t) =
+  let natives = Harness.natives_concrete m.graph s.Pipeline.main in
+  let compiled =
+    List.filter (fun (r : Pipeline.model_result) -> r.compile_error = None) s.results
+  in
+  List.map2
+    (fun (r : Pipeline.model_result) program ->
+      let go config =
+        Fuzz.fuzz_draw ~natives ~main:s.Pipeline.main ~config
+          ~alphabet:pipeline.Pipeline.alphabet ~index:r.index program r.tests
+      in
+      if Pipeline.complete pipeline r then
+        let d = go { config with budget = 0 } in
+        let loops =
+          config.budget > 0 && config.max_new_tests > 0 && r.tests <> []
+          && d.edges_seed < d.edges_static
+        in
+        { d with execs = (if loops then config.budget else 0) }
+      else go config)
+    compiled s.Pipeline.programs
+
+(* [fuzz_of_seeds] replays a program's seeds once for all its draws,
+   yet gives each draw the per-draw reference's artifact: at jobs 1
+   and 4, and with a cache that holds only the first draw of each
+   program, so a repeated program's draws are partly replayed from the
+   cache and partly computed. LOOP at k=10 (at this file's small
+   budget) has several incomplete draws of one program, each mutating
+   its own copy of the seeded corpus; RR at k=30 has many complete
+   draws per program. The fuzz pool counts the compiled draws
+   as its tasks and the programs it seeded as computed. *)
+let test_shared_seeding_equals_per_draw () =
+  List.iter
+    (fun ((m : Model_def.t), k, complete) ->
+      let pipeline = Model_def.pipeline_config ~k ~timeout:(timeout m) m in
+      let s =
+        match Pipeline.run ~config:pipeline ~jobs:1 ~oracle m.graph ~main:m.main with
+        | Ok s -> s
+        | Error e -> Alcotest.fail e
+      in
+      let config = Fuzz.default_config in
+      let expected = per_draw_reference ~pipeline ~config m s in
+      let draws =
+        List.combine s.Pipeline.program_ids
+          (List.filter (fun (r : Pipeline.model_result) -> r.compile_error = None) s.results)
+      in
+      check (m.id ^ ": two draws of one kind run one program") true
+        (List.exists
+           (fun (id, (r : Pipeline.model_result)) ->
+             Pipeline.complete pipeline r = complete
+             && List.exists
+                  (fun (id', (r' : Pipeline.model_result)) -> id' = id && r'.index > r.index)
+                  draws)
+           draws);
+      let distinct l = List.length (List.sort_uniq compare l) in
+      let first_of_program index =
+        let id = fst (List.find (fun (_, (r : Pipeline.model_result)) -> r.index = index) draws) in
+        (snd (List.find (fun (id', _) -> id' = id) draws)).Pipeline.index = index
+      in
+      let order =
+        match Eywa_core.Graph.synthesis_order m.graph ~main:m.main with
+        | Ok o -> o
+        | Error e -> Alcotest.fail e
+      in
+      let prompts = Pipeline.prompt_parts m.graph ~order ~main:s.Pipeline.main in
+      let key index =
+        Fuzz.fuzz_key ~oracle_name:oracle.Eywa_core.Oracle.name ~pipeline ~config
+          ~prompts ~index
+      in
+      List.iter
+        (fun jobs ->
+          List.iter
+            (fun (label, cached) ->
+              let cache = Cache.create () in
+              List.iter2
+                (fun (_, (r : Pipeline.model_result)) d ->
+                  if cached r.index then
+                    Cache.store cache (key r.index) (Fuzz.artifact_to_string d))
+                draws expected;
+              let c = Eywa_core.Instrument.Collector.create () in
+              let f =
+                match
+                  Fuzz.fuzz_of_seeds ~cache ~sink:(Eywa_core.Instrument.Collector.sink c)
+                    ~config ~jobs ~oracle_name:oracle.Eywa_core.Oracle.name ~pipeline
+                    m.graph s
+                with
+                | Ok f -> f
+                | Error e -> Alcotest.fail e
+              in
+              let what = Printf.sprintf "%s k=%d jobs=%d %s" m.id k jobs label in
+              check (what ^ ": artifacts = per-draw reference") true
+                (List.map Fuzz.artifact_to_string f.per_draw
+                = List.map Fuzz.artifact_to_string expected);
+              let missed =
+                List.filter (fun (_, (r : Pipeline.model_result)) -> not (cached r.index)) draws
+              in
+              check (what ^ ": fuzz pool tasks = draws, computed = programs seeded")
+                true
+                (List.filter_map
+                   (function
+                     | Eywa_core.Instrument.Pool_merged { label = "fuzz"; tasks; computed; _ }
+                       ->
+                         Some (tasks, computed)
+                     | _ -> None)
+                   (Eywa_core.Instrument.Collector.events c)
+                = [ (List.length draws, distinct (List.map fst missed)) ]))
+            [ ("cold", fun _ -> false); ("first draws cached", first_of_program) ])
+        [ 1; 4 ])
+    [ (Dns_models.loop, 10, false); (Eywa_models.Bgp_models.rr, 30, true) ]
+
 (* ----- edge labels and coverage maps ----- *)
 
 let edges_src =
@@ -462,8 +579,8 @@ let prop_mutants_preserve_shape =
          let rng = Rng.create seed in
          let kind = List.nth Mutate.all kind_i in
          let mutant =
-           Mutate.apply ~program ~alphabet:model.Model_def.alphabet ~rng kind
-             ~other inputs
+           Mutate.apply ~sites:(Mutate.sites inputs) ~program
+             ~alphabet:model.Model_def.alphabet ~rng kind ~other inputs
          in
          List.length mutant = List.length inputs
          && List.for_all2
@@ -916,9 +1033,46 @@ let prop_mutate_matches_reference =
          let kind = List.nth Mutate.all kind_i in
          let alphabet = small_alphabets.(alpha_i) in
          let r1 = Rng.create seed and r2 = Rng.create seed in
-         let m1 = Mutate.apply ~program ~alphabet ~rng:r1 kind ~other inputs in
+         let m1 =
+           Mutate.apply ~sites:(Mutate.sites inputs) ~program ~alphabet ~rng:r1 kind
+             ~other inputs
+         in
          let m2 = Old_mutate.apply ~program ~alphabet ~rng:r2 kind ~other inputs in
          (* equal next draws: the two streams stand at the same state *)
+         m1 = m2 && Rng.int r1 max_int = Rng.int r2 max_int))
+
+(* Sites depend on the shape alone, which every mutant keeps: the
+   sites of a mutant serve a mutation of its parent. *)
+let prop_mutate_sites_of_a_mutant =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"Mutate.apply given a mutant's sites = its parent's"
+       QCheck2.Gen.(
+         quad (int_range 0 100_000) (int_range 0 4) (int_range 0 1000)
+           (int_range 0 2))
+       (fun (seed, kind_i, pair_i, alpha_i) ->
+         let s = Lazy.force seed_suite in
+         let program = List.hd s.Pipeline.programs in
+         let tests = Array.of_list s.Pipeline.unique_tests in
+         let inputs = tests.(pair_i mod Array.length tests).Testcase.inputs in
+         let other =
+           Some tests.((pair_i + 7) mod Array.length tests).Testcase.inputs
+         in
+         let alphabet = small_alphabets.(alpha_i) in
+         let mutant =
+           Mutate.apply ~sites:(Mutate.sites inputs) ~program ~alphabet
+             ~rng:(Rng.create (seed + 1))
+             (List.nth Mutate.all ((kind_i + 1) mod 5)) ~other inputs
+         in
+         let kind = List.nth Mutate.all kind_i in
+         let r1 = Rng.create seed and r2 = Rng.create seed in
+         let m1 =
+           Mutate.apply ~sites:(Mutate.sites inputs) ~program ~alphabet ~rng:r1 kind
+             ~other inputs
+         in
+         let m2 =
+           Mutate.apply ~sites:(Mutate.sites mutant) ~program ~alphabet ~rng:r2 kind
+             ~other inputs
+         in
          m1 = m2 && Rng.int r1 max_int = Rng.int r2 max_int))
 
 (* ----- a draw without seeds ----- *)
@@ -1065,6 +1219,8 @@ let suite =
       test_complete_draws_skip_nothing;
     Alcotest.test_case "an incomplete draw runs the full loop" `Slow
       test_incomplete_draws_mutate;
+    Alcotest.test_case "one seed phase per program = per-draw artifacts" `Slow
+      test_shared_seeding_equals_per_draw;
     Alcotest.test_case "edge labels of a fixed program" `Quick test_edge_labels;
     Alcotest.test_case "a coverage map belongs to one program" `Quick
       test_coverage_one_program;
@@ -1078,6 +1234,7 @@ let suite =
     Alcotest.test_case "small alphabets make mutants repeat" `Quick
       test_reference_meets_repeats;
     prop_mutate_matches_reference;
+    prop_mutate_sites_of_a_mutant;
     Alcotest.test_case "a draw without seeds runs nothing" `Quick
       test_no_seed_draw;
     Alcotest.test_case "the memo hash sees the last leaf" `Quick

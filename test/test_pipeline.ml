@@ -24,6 +24,7 @@ module Instrument = Eywa_core.Instrument
 module Graph = Eywa_core.Graph
 module Emodule = Eywa_core.Emodule
 module Testcase = Eywa_core.Testcase
+module Oracle = Eywa_core.Oracle
 module Model_def = Eywa_models.Model_def
 module Bgp_models = Eywa_models.Bgp_models
 module Dns_models = Eywa_models.Dns_models
@@ -505,6 +506,135 @@ let test_dedup_equals_run_draw () =
         [ 1; 4 ])
     dedup_models
 
+(* ----- a repeated draft's front and dedup are paid once ----- *)
+
+let synthesize ?cache ?(oracle = oracle) ~config ~jobs (m : Model_def.t) =
+  match Pipeline.run ?cache ~config ~jobs ~oracle m.graph ~main:m.main with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+(* [aggregate] keys only the first draw of each program, yet its suite
+   is the dedup of every draw's tests; [program_ids] number the
+   distinct programs in order of first occurrence. Cold and warm: the
+   warm run decodes each program on its own, so none is shared
+   physically and every one is compared by structure. *)
+let test_aggregate_equals_full_dedup () =
+  List.iter
+    (fun (m : Model_def.t) ->
+      let cache = Cache.create () in
+      List.iter
+        (fun label ->
+          let s = synthesize ~cache ~config:(dedup_config m) ~jobs:1 m in
+          let what = Printf.sprintf "%s %s" m.id label in
+          let every =
+            Testcase.dedup_keyed
+              (List.concat_map (fun (r : Pipeline.model_result) -> r.tests) s.results)
+          in
+          check (what ^ ": unique tests = dedup of every draw's tests") true
+            (List.map snd every = s.unique_tests);
+          check (what ^ ": unique keys = their keys") true
+            (List.map fst every = s.unique_keys);
+          let programs = Array.of_list s.programs in
+          let ids = Array.of_list s.program_ids in
+          check_int (what ^ ": one id per compiled draw") (Array.length programs)
+            (Array.length ids);
+          let next = ref 0 in
+          Array.iteri
+            (fun j p ->
+              let rec first i = if programs.(i) = p then i else first (i + 1) in
+              let f = first 0 in
+              if f = j then begin
+                check_int (Printf.sprintf "%s: draw %d's new program takes the next id" what j)
+                  !next ids.(j);
+                incr next
+              end
+              else
+                check_int (Printf.sprintf "%s: draw %d repeats draw %d's id" what j f)
+                  ids.(f) ids.(j))
+            programs;
+          check_int (what ^ ": 6 distinct programs") 6 !next;
+          let again = Pipeline.aggregate ~main:(main_of m) (draws_of s) in
+          check_string (what ^ ": aggregate of the draws = run's suite")
+            (det_fingerprint s) (det_fingerprint again);
+          check (what ^ ": aggregate of the draws = run's ids") true
+            (again.program_ids = s.program_ids))
+        [ "cold"; "warm" ])
+    dedup_models
+
+let mentions needle s =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length s && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
+(* [run] parses each distinct module text and compiles each distinct
+   draft once, yet every draw gets what [front] gives its index (source,
+   LoC, rejection and program), and the oracle gets exactly the requests
+   [front] sends: a draw stops at its first text that does not parse.
+   [expect] checks, on the reference's (error, source) pairs, that the
+   case [inner] sets up occurs. *)
+let check_shared_fronts (m : Model_def.t) ~k inner expect =
+  let lock = Mutex.create () and requests = ref [] in
+  let oracle =
+    Oracle.make ~name:inner.Oracle.name (fun (r : Oracle.request) ->
+        Mutex.protect lock (fun () -> requests := (r.seed, r.user) :: !requests);
+        inner.Oracle.complete r)
+  in
+  let taken () =
+    let r = List.sort compare !requests in
+    requests := [];
+    r
+  in
+  let config = { (config m) with k } in
+  let front ((r : Pipeline.model_result), program) =
+    (r.index, r.c_source, r.c_loc, r.compile_error, program)
+  in
+  let reference =
+    List.init k (fun i ->
+        front
+          (Pipeline.front ~oracle ~config m.graph ~main:(main_of m) ~order:(order_of m) i))
+  in
+  let reference_requests = taken () in
+  expect
+    (List.filter_map
+       (fun (_, source, _, err, _) -> Option.map (fun e -> (e, source)) err)
+       reference);
+  check (m.id ^ ": some draft compiles") true
+    (List.exists (fun (_, _, _, _, p) -> p <> None) reference);
+  List.iter
+    (fun jobs ->
+      let s = synthesize ~oracle ~config ~jobs m in
+      check (Printf.sprintf "%s jobs=%d: run's fronts = per-index front" m.id jobs) true
+        (List.map front (draws_of s) = reference);
+      check (Printf.sprintf "%s jobs=%d: run's oracle requests = front's" m.id jobs) true
+        (taken () = reference_requests))
+    [ 1; 4 ]
+
+(* At fail rate 0.3 the oracle sabotages about a third of RR's drafts
+   with strtok, in the same text each time, so a shared rejection is
+   checked. RMAP-PL prompts several Func modules per draw; garbling a
+   quarter of the completions to one unparsable text makes drafts fail
+   at different modules, each failing text repeated. *)
+let test_shared_front_equals_front () =
+  check_shared_fronts Bgp_models.rr ~k:30
+    (Eywa_llm.Gpt.oracle ~config:{ Eywa_llm.Gpt.default_config with fail_rate = 0.3 } ())
+    (fun rejected ->
+      let strtok =
+        List.filter_map
+          (fun (e, source) ->
+            if mentions "typecheck: " e && mentions "strtok" e then Some source else None)
+          rejected
+      in
+      check "a strtok draft is rejected more than once" true
+        (List.length (List.sort_uniq compare strtok) < List.length strtok));
+  check_shared_fronts Bgp_models.rmap_pl ~k:20
+    (Oracle.make ~name:"garbling" (fun (r : Oracle.request) ->
+         if Hashtbl.hash (r.seed, r.user) mod 4 = 0 then "int ("
+         else oracle.Oracle.complete r))
+    (fun rejected ->
+      let unparsed = List.filter (mentions "oracle: ") (List.map fst rejected) in
+      check "drafts fail to parse at more than one module" true
+        (List.length (List.sort_uniq compare unparsed) > 1))
+
 let test_front_allocates_no_ids () =
   let m = Bgp_models.rr in
   let allocated =
@@ -539,4 +669,8 @@ let suite =
       test_dedup_equals_run_draw;
     Alcotest.test_case "a draw's front allocates no term ids" `Quick
       test_front_allocates_no_ids;
+    Alcotest.test_case "aggregate = dedup of every draw's tests" `Slow
+      test_aggregate_equals_full_dedup;
+    Alcotest.test_case "run's shared fronts = per-index front" `Slow
+      test_shared_front_equals_front;
   ]
