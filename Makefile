@@ -1,7 +1,7 @@
 # Development entry points. `make check` is the PR gate: everything
 # builds, every test passes, and formatting is clean.
 
-.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke examples-smoke suite-identity stats-identity fuzz-identity difftest-identity perfbench-smoke check bench clean
+.PHONY: all build test fmt fmt-apply fuzz-smoke trace-smoke examples-smoke suite-identity stats-identity fuzz-identity cache-identity difftest-identity perfbench-smoke check bench clean
 
 all: build
 
@@ -160,6 +160,33 @@ fuzz-identity:
 	[ $$status -eq 0 ] && echo "fuzz-identity: all $$(cat test/golden/fuzz-k3.md5 test/golden/fuzz-k10.md5 test/golden/fuzz-k300.md5 | wc -l) fuzz runs (k=3, 10 and 300) byte-identical"; \
 	exit $$status
 
+# the cache artifacts `eywa fuzz M -k 3 --jobs 2 --cache-dir D` writes
+# for CNAME, RR, SERVER and LOOP are byte-identical to the MD5s in
+# test/golden/cache-k3.md5 (one "md5  MODEL/FILE" line per artifact):
+# each fuzz-*.eywa file whole, each draw-*.eywa file minus its two
+# wall-clock lines (`gen`, `sym`). File names carry the cache keys, so
+# a change to a key or to an artifact's bytes fails here. Regenerate
+# the file only with a change that bumps an artifact's version or a
+# key part, and say why.
+cache-identity:
+	rm -rf /tmp/eywa-cache-identity && mkdir -p /tmp/eywa-cache-identity/dirs
+	@for model in $$(cut -d' ' -f3 test/golden/cache-k3.md5 | cut -d/ -f1 | uniq); do \
+	  dune exec bin/eywa_cli.exe -- fuzz $$model -k 3 --jobs 2 \
+	    --cache-dir /tmp/eywa-cache-identity/dirs/$$model > /dev/null || exit 1; \
+	done; \
+	for f in /tmp/eywa-cache-identity/dirs/*/*.eywa; do \
+	  case $$f in \
+	    */draw-*) sum=$$(grep -av -e '^gen ' -e '^sym ' $$f | md5sum | cut -d' ' -f1);; \
+	    *) sum=$$(md5sum < $$f | cut -d' ' -f1);; \
+	  esac; \
+	  echo "$$sum  $${f#/tmp/eywa-cache-identity/dirs/}"; \
+	done | LC_ALL=C sort -k2 > /tmp/eywa-cache-identity/got.md5; \
+	if diff test/golden/cache-k3.md5 /tmp/eywa-cache-identity/got.md5; then \
+	  echo "cache-identity: all $$(wc -l < test/golden/cache-k3.md5) cache artifacts byte-identical"; \
+	else \
+	  echo "cache-identity: cache artifacts differ from test/golden/cache-k3.md5"; exit 1; \
+	fi
+
 # differential testing and attribution print byte-identical output to
 # the MD5s in test/golden/difftest-k3.md5 (one "md5  COMMAND MODEL" line
 # each): `eywa difftest M -k 3` for the 13 models and TCP, and `eywa
@@ -199,7 +226,7 @@ difftest-identity:
 perfbench-smoke:
 	bash perfbench/run.sh --smoke
 
-check: build test fuzz-smoke trace-smoke examples-smoke suite-identity stats-identity fuzz-identity difftest-identity perfbench-smoke fmt
+check: build test fuzz-smoke trace-smoke examples-smoke suite-identity stats-identity fuzz-identity cache-identity difftest-identity perfbench-smoke fmt
 
 bench:
 	dune exec bench/main.exe -- fast

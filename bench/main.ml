@@ -640,11 +640,7 @@ let write_summary_json path ~fast ~total_seconds =
        [
          ("bench", Json.Str "eywa");
          ("scale", Json.Str (if fast then "fast" else "full"));
-         ( "jobs",
-           Json.Int
-             (match !jobs with
-             | Some j -> j
-             | None -> Eywa_core.Pool.default_jobs ()) );
+         ("jobs", Json.Int (Eywa_core.Pool.jobs !jobs));
          ("total_seconds", Json.Float total_seconds);
          ("stages", Json.List (List.rev_map stage_json !stage_log));
          ("totals", Eywa_obs.Export.summary_totals s);

@@ -67,7 +67,7 @@ let timeout_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the synthesis and difftest pools. Defaults to \
+    "Worker domains for the synthesis, fuzz and difftest pools. Defaults to \
      $(b,EYWA_JOBS) or the recommended domain count; output is identical at \
      any value."
   in

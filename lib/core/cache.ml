@@ -52,8 +52,6 @@ let create ?dir () =
   { dir; mutex = Mutex.create (); table = Hashtbl.create 64; hits = 0;
     misses = 0 }
 
-let dir t = t.dir
-
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
@@ -71,19 +69,13 @@ let disk_read t (key : Key.t) =
   match path_of t key with
   | None -> None
   | Some path -> (
-      match open_in_bin path with
+      match In_channel.with_open_bin path In_channel.input_all with
       | exception Sys_error _ -> None
-      | ic ->
-          let len = in_channel_length ic in
-          let content = really_input_string ic len in
-          close_in ic;
-          let expected = Key.canonical key in
-          let header = String.length expected in
-          if
-            String.length content >= header + 1
-            && String.sub content 0 header = expected
-            && content.[header] = '\n'
-          then Some (String.sub content (header + 1) (len - header - 1))
+      | content ->
+          let header = Key.canonical key ^ "\n" in
+          let n = String.length header in
+          if String.starts_with ~prefix:header content then
+            Some (String.sub content n (String.length content - n))
           else None)
 
 let disk_write t (key : Key.t) payload =
@@ -97,39 +89,36 @@ let disk_write t (key : Key.t) payload =
         (* write-then-rename so a concurrent reader never sees a torn
            entry *)
         let tmp = path ^ ".tmp" in
-        let oc = open_out_bin tmp in
-        output_string oc (Key.canonical key);
-        output_char oc '\n';
-        output_string oc payload;
-        close_out oc;
+        Out_channel.with_open_bin tmp (fun oc ->
+            output_string oc (Key.canonical key ^ "\n");
+            output_string oc payload);
         Sys.rename tmp path
       with Sys_error _ -> ())
 
-let find ?(sink = Instrument.null) t (key : Key.t) =
-  let result =
+let lookup ?(sink = Instrument.null) t (key : Key.t) ~decode =
+  let canonical = Key.canonical key in
+  let found =
     locked t (fun () ->
-        match Hashtbl.find_opt t.table (slot key) with
-        | Some (canonical, payload) when canonical = Key.canonical key ->
-            t.hits <- t.hits + 1;
-            Some payload
-        | Some _ | None -> (
-            match disk_read t key with
-            | Some payload ->
-                Hashtbl.replace t.table (slot key)
-                  (Key.canonical key, payload);
-                t.hits <- t.hits + 1;
-                Some payload
-            | None ->
-                t.misses <- t.misses + 1;
-                None))
+        let found =
+          match Hashtbl.find_opt t.table (slot key) with
+          | Some (c, payload) when c = canonical -> Result.to_option (decode payload)
+          | Some _ | None ->
+              Option.bind (disk_read t key) (fun payload ->
+                  let v = Result.to_option (decode payload) in
+                  if Option.is_some v then
+                    Hashtbl.replace t.table (slot key) (canonical, payload);
+                  v)
+        in
+        if Option.is_some found then t.hits <- t.hits + 1
+        else t.misses <- t.misses + 1;
+        found)
   in
-  (match result with
-  | Some _ ->
-      sink (Instrument.Cache_hit { stage = Key.stage key; key = Key.digest key })
-  | None ->
-      sink
-        (Instrument.Cache_miss { stage = Key.stage key; key = Key.digest key }));
-  result
+  let stage = Key.stage key and digest = Key.digest key in
+  sink
+    (match found with
+    | Some _ -> Instrument.Cache_hit { stage; key = digest }
+    | None -> Instrument.Cache_miss { stage; key = digest });
+  found
 
 let store t (key : Key.t) payload =
   locked t (fun () ->

@@ -8,9 +8,10 @@
     promise that equal keys denote byte-identical results on any host
     at any [jobs].
 
-    Payloads are opaque strings (the stage's serialized artifact).
-    Lookups hit an in-memory table first; with a [dir], entries also
-    persist to disk ([<dir>/<stage>-<digest>.eywa]) and survive across
+    Payloads are strings (the stage's serialized artifact), which the
+    stage's decoder turns back into its result at {!lookup}. Lookups
+    hit an in-memory table first; with a [dir], entries also persist
+    to disk ([<dir>/<stage>-<digest>.eywa]) and survive across
     processes — a bench rerun or a CLI [--cache-dir] session starts
     warm. Disk entries embed the full canonical key, so a digest
     collision is detected on load and treated as a miss rather than
@@ -45,12 +46,19 @@ val create : ?dir:string -> unit -> t
 (** In-memory cache; with [dir], also persisted there (the directory
     is created on first store). *)
 
-val dir : t -> string option
-
-val find : ?sink:Instrument.sink -> t -> Key.t -> string option
-(** Memory first, then disk (a disk hit is promoted to memory).
-    Counts a hit or a miss and, given [sink], emits the matching
-    {!Instrument.Cache_hit}/[Cache_miss] event. *)
+val lookup :
+  ?sink:Instrument.sink ->
+  t ->
+  Key.t ->
+  decode:(string -> ('a, string) result) ->
+  'a option
+(** The stage artifact stored under the key, decoded: memory first,
+    then disk (a disk entry that decodes is promoted to memory). An
+    entry that is absent, or that [decode] rejects (a torn write, an
+    older artifact version), is a miss: the stage recomputes it and
+    its store overwrites the entry. Counts the hit or miss and, given
+    [sink], emits the matching {!Instrument.Cache_hit}/[Cache_miss]
+    event, so a hit always means replayed work. *)
 
 val store : t -> Key.t -> string -> unit
 (** Insert (and persist, with a [dir]). Overwrites silently: equal

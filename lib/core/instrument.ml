@@ -40,6 +40,11 @@ type sink = event -> unit
 let null : sink = fun _ -> ()
 let tee a b : sink = fun e -> a e; b e
 
+let pool_merged ~label ~tasks (st : Pool.map_stats) =
+  Pool_merged
+    { label; tasks; computed = st.tasks; jobs = st.jobs; per_worker = st.per_worker;
+      queue_wait_ticks = st.queue_wait_ticks }
+
 type cls = Det | Env
 
 module Stat = struct

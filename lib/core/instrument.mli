@@ -56,16 +56,20 @@ type event =
               attribution like symex ticks and fuzz execs *)
     }
   | Pool_merged of {
-      label : string;  (** stage name, e.g. ["draw"], ["fuzz"] *)
+      label : string;
+          (** stage name: ["draw"], ["fuzz"] or ["difftest:" ^ label] *)
       tasks : int;
-          (** logical units of the stage (e.g. [k] draws) —
-              deterministic, cache- and jobs-invariant *)
+          (** logical units of the stage: the [k] draws (["draw"]), the
+              compiled draws (["fuzz"]), the suite's tests
+              (["difftest:*"]) — deterministic, cache- and
+              jobs-invariant *)
       computed : int;
           (** units actually executed this run: the distinct compiled
               programs among the cache misses, explored (the ["draw"]
               batch) or seeded (the ["fuzz"] batch) once for all their
               draws; cache-state-dependent, like
-              [Cache_hit]/[Cache_miss] *)
+              [Cache_hit]/[Cache_miss]. A ["difftest:*"] batch has no
+              cache and judges every test: [computed = tasks]. *)
       jobs : int;  (** pool size — environment data *)
       per_worker : int list;  (** scheduling-dependent — environment *)
       queue_wait_ticks : int;  (** pool-size-dependent — environment *)
@@ -82,6 +86,11 @@ val null : sink
 (** Drops every event. The default everywhere. *)
 
 val tee : sink -> sink -> sink
+
+val pool_merged : label:string -> tasks:int -> Pool.map_stats -> event
+(** The [Pool_merged] event of a stage's pool batch: [tasks] logical
+    units, of which the batch's {!Pool.map_stats} computed
+    [Pool.tasks]. The one place a stage builds the event. *)
 
 (** Whether a value is a function of the run's inputs alone ([Det]:
     identical across pool sizes, cache states and machines) or

@@ -394,129 +394,75 @@ let draw_key ~oracle_name ~config ~prompts ~index =
 
 (* ----- the draw artifact codec ----- *)
 
+(* version-bumped whenever the stats line changes shape: an older
+   entry fails to decode and is recomputed, which is the intended
+   invalidation path *)
+let draw_header = "eywa-draw 3"
+
 let artifact_to_string ((r : model_result), program) =
-  let buf = Buffer.create 2048 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_char buf '\n')
-      fmt
+  let stats st =
+    String.concat " " (List.map (fun (_, get) -> string_of_int (get st)) Exec.stats_columns)
   in
-  line "eywa-draw 3";
-  line "index %d" r.index;
-  line "gen %h" r.gen_seconds;
-  line "sym %h" r.symex_seconds;
-  line "loc %d" r.c_loc;
-  (match r.compile_error with
-  | None -> line "err -"
-  | Some e -> line "err %s" (Serialize.quote e));
-  (match r.stats with
-  | None -> line "stats -"
-  | Some st ->
-      let column (_, get) = string_of_int (get st) in
-      line "stats %s" (String.concat " " (List.map column Exec.stats_columns)));
-  line "src %s" (Serialize.quote r.c_source);
-  (match program with
-  | None -> line "prog -"
-  | Some p -> line "prog %s" (Serialize.quote (Pretty.program ~headers:false p)));
-  line "tests %d" (List.length r.tests);
-  List.iter (fun t -> line "%s" (Serialize.test_to_line t)) r.tests;
-  Buffer.contents buf
+  Serialize.Artifact.to_string ~header:draw_header
+    [
+      ("index", string_of_int r.index);
+      ("gen", Printf.sprintf "%h" r.gen_seconds);
+      ("sym", Printf.sprintf "%h" r.symex_seconds);
+      ("loc", string_of_int r.c_loc);
+      ("err", Serialize.Artifact.quote_opt r.compile_error);
+      ("stats", Option.fold ~none:"-" ~some:stats r.stats);
+      ("src", Serialize.quote r.c_source);
+      ( "prog",
+        Serialize.Artifact.quote_opt (Option.map (Pretty.program ~headers:false) program)
+      );
+    ]
+    r.tests
 
 let artifact_of_string g ~main s =
+  let module A = Serialize.Artifact in
   let ( let* ) = Result.bind in
-  let lines = ref (String.split_on_char '\n' s) in
-  let next () =
-    match !lines with
-    | [] -> Error "truncated artifact"
-    | l :: rest ->
-        lines := rest;
-        Ok l
-  in
-  let field name =
-    let* l = next () in
-    let p = name ^ " " in
-    let pl = String.length p in
-    if String.length l >= pl && String.sub l 0 pl = p then
-      Ok (String.sub l pl (String.length l - pl))
-    else Error (Printf.sprintf "expected %S line, found %S" name l)
-  in
-  let int_field name =
-    let* v = field name in
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "bad %s count %S" name v)
-  in
-  let float_field name =
-    let* v = field name in
-    match float_of_string_opt v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "bad %s value %S" name v)
-  in
-  let opt_quoted name =
-    let* v = field name in
-    if v = "-" then Ok None
+  let* a = A.reader ~header:draw_header s in
+  let* index = A.int a "index" in
+  let* gen_seconds = A.float a "gen" in
+  let* symex_seconds = A.float a "sym" in
+  let* c_loc = A.int a "loc" in
+  let* compile_error = A.quoted_opt a "err" in
+  let* stats_line = A.field a "stats" in
+  let* stats =
+    if stats_line = "-" then Ok None
     else
-      let* decoded = Serialize.unquote v in
-      Ok (Some decoded)
+      match
+        Exec.stats_of_columns
+          (List.map int_of_string (String.split_on_char ' ' stats_line))
+      with
+      | Some st -> Ok (Some st)
+      | None | (exception Failure _) ->
+          Error (Printf.sprintf "bad stats line %S" stats_line)
   in
-  let* header = next () in
-  (* version-bumped whenever the stats line changes shape: an older
-     entry fails to parse and is recomputed, which is the intended
-     invalidation path *)
-  if header <> "eywa-draw 3" then Error "not a draw artifact"
-  else
-    let* index = int_field "index" in
-    let* gen_seconds = float_field "gen" in
-    let* symex_seconds = float_field "sym" in
-    let* c_loc = int_field "loc" in
-    let* compile_error = opt_quoted "err" in
-    let* stats_line = field "stats" in
-    let* stats =
-      if stats_line = "-" then Ok None
-      else
-        match
-          Exec.stats_of_columns
-            (List.map int_of_string (String.split_on_char ' ' stats_line))
-        with
-        | Some st -> Ok (Some st)
-        | None | (exception Failure _) ->
-            Error (Printf.sprintf "bad stats line %S" stats_line)
-    in
-    let* src_quoted = field "src" in
-    let* c_source = Serialize.unquote src_quoted in
-    let* program_text = opt_quoted "prog" in
-    let* program =
-      match program_text with
-      | None -> Ok None
-      | Some text -> (
-          match Parser.parse_result text with
-          | Error e -> Error ("stored program: " ^ e)
-          | Ok parsed ->
-              (* rebuild through the same pure construction as the cold
-                 path: the parser drops doc comments, Harness.build
-                 restores them along with everything else *)
-              let funcs =
-                List.filter
-                  (fun (f : Ast.func) -> f.fname <> Harness.entry_name)
-                  parsed.Ast.funcs
-              in
-              Ok (Some (Harness.build g ~main ~funcs)))
-    in
-    let* n_tests = int_field "tests" in
-    let rec read_tests acc = function
-      | 0 -> Ok (List.rev acc)
-      | n ->
-          let* l = next () in
-          let* t = Serialize.test_of_line l in
-          read_tests (t :: acc) (n - 1)
-    in
-    let* tests = read_tests [] n_tests in
-    Ok
-      ( { index; c_source; c_loc; compile_error; tests; stats; gen_seconds;
-          symex_seconds },
-        program )
+  let* c_source = Result.bind (A.field a "src") Serialize.unquote in
+  let* program_text = A.quoted_opt a "prog" in
+  let* program =
+    match program_text with
+    | None -> Ok None
+    | Some text -> (
+        match Parser.parse_result text with
+        | Error e -> Error ("stored program: " ^ e)
+        | Ok parsed ->
+            (* rebuild through the same pure construction as the cold
+               path: the parser drops doc comments, Harness.build
+               restores them along with everything else *)
+            let funcs =
+              List.filter
+                (fun (f : Ast.func) -> f.fname <> Harness.entry_name)
+                parsed.Ast.funcs
+            in
+            Ok (Some (Harness.build g ~main ~funcs)))
+  in
+  let* tests = A.tests a in
+  Ok
+    ( { index; c_source; c_loc; compile_error; tests; stats; gen_seconds;
+        symex_seconds },
+      program )
 
 (* ----- the composed engine ----- *)
 
@@ -684,9 +630,6 @@ let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
       match Graph.synthesis_order g ~main with
       | Error e -> Error e
       | Ok order ->
-          let jobs =
-            match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-          in
           let prompts = prompt_parts g ~order ~main:main_f in
           let key_of index =
             draw_key ~oracle_name:oracle.Oracle.name ~config ~prompts ~index
@@ -694,17 +637,9 @@ let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
           (* probe the cache sequentially, in index order *)
           let cached =
             Array.init config.k (fun index ->
-                match cache with
-                | None -> None
-                | Some c -> (
-                    match Cache.find ~sink c (key_of index) with
-                    | None -> None
-                    | Some payload -> (
-                        match artifact_of_string g ~main:main_f payload with
-                        | Ok draw -> Some draw
-                        | Error _ ->
-                            (* corrupt entry: fall back to computing *)
-                            None)))
+                Option.bind cache (fun c ->
+                    Cache.lookup ~sink c (key_of index)
+                      ~decode:(artifact_of_string g ~main:main_f)))
           in
           let missing =
             List.filter (fun i -> Option.is_none cached.(i)) (List.init config.k Fun.id)
@@ -712,7 +647,7 @@ let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
           (* the misses are independent; fan them out and merge by
              model index, so the result is identical at any [jobs] *)
           let draws, slots, pool_stats =
-            Pool.with_pool ~jobs (fun pool ->
+            Pool.with_pool ~jobs:(Pool.jobs jobs) (fun pool ->
                 let fronts =
                   shared_fronts pool ~oracle ~config g ~main:main_f ~order missing
                 in
@@ -726,16 +661,7 @@ let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
                 in
                 (draws, slots, pool_stats))
           in
-          sink
-            (Instrument.Pool_merged
-               {
-                 label = "draw";
-                 tasks = config.k;
-                 computed = pool_stats.Pool.tasks;
-                 jobs = pool_stats.Pool.jobs;
-                 per_worker = pool_stats.Pool.per_worker;
-                 queue_wait_ticks = pool_stats.Pool.queue_wait_ticks;
-               });
+          sink (Instrument.pool_merged ~label:"draw" ~tasks:config.k pool_stats);
           Option.iter
             (fun c ->
               List.iter

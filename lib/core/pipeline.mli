@@ -247,7 +247,8 @@ val draw_key :
     time, machine, and pool size. *)
 
 val artifact_to_string : model_result * Eywa_minic.Ast.program option -> string
-(** Serialize a draw result — tests via {!Serialize.test_to_line},
+(** Serialize a draw result in the {!Serialize.Artifact} codec under
+    the header [eywa-draw 3] — tests via {!Serialize.test_to_line},
     strings via {!Serialize.quote}, floats as hex literals (exact),
     the compiled program pretty-printed. *)
 
@@ -302,9 +303,11 @@ val run :
     counts the distinct programs explored in [computed]. The program
     ids the aggregation hands on cover cached draws too.
 
-    With a [cache], draw results are looked up before computing and
-    stored after; hits decode to byte-identical results (and emit
-    [Cache_hit] instead of [Cache_miss], the only event difference).
+    With a [cache], draw results are looked up ({!Cache.lookup} with
+    {!artifact_of_string}) before computing and stored after; hits
+    decode to byte-identical results (and emit [Cache_hit] instead of
+    [Cache_miss], the only event difference). An entry that does not
+    decode is a miss: the draw is computed and its entry overwritten.
     With a [sink], every stage reports: cache probes in index order,
     then per-draw events replayed in index order at the merge point,
     then the aggregation event. *)

@@ -24,6 +24,8 @@ let default_jobs () =
   | Some n -> n
   | None -> Domain.recommended_domain_count ()
 
+let jobs = function Some j -> max 1 j | None -> default_jobs ()
+
 type t = {
   size : int;
   queue : (unit -> unit) Queue.t;

@@ -1,18 +1,24 @@
-(** Fixed-size domain work-pool for the synthesis pipeline.
+(** Fixed-size domain work-pool for the pipeline's stages.
 
-    The three hot loops of the pipeline — the per-model-index loop in
-    {!Pipeline.run}, the per-test loop of differential testing, and
-    the per-model loop of the benchmark harness — are embarrassingly
-    parallel. This pool runs them across OCaml domains while keeping
-    the pipeline's determinism invariant: {!map} merges results by
-    input index, never by completion order, so output is bit-for-bit
-    independent of the pool size. *)
+    Their hot loops are embarrassingly parallel: the synthesis stage's
+    per-program exploration in {!Pipeline.run} (and its per-text
+    parses and per-draft builds), the fuzz stage's per-program batch
+    in [Fuzz.fuzz_of_seeds], and the per-test loops of differential
+    testing and attribution in [Difftest]. This pool runs them across
+    OCaml domains while keeping the pipeline's determinism invariant:
+    {!map} merges results by input index, never by completion order,
+    so output is bit-for-bit independent of the pool size. *)
 
 type t
 
 val default_jobs : unit -> int
 (** The [EYWA_JOBS] environment variable if set to a positive integer,
     otherwise [Domain.recommended_domain_count ()]. *)
+
+val jobs : int option -> int
+(** The pool size a stage runs at given its optional [?jobs]: [max 1 j]
+    for [Some j], {!default_jobs} for [None]. Every stage resolves its
+    [?jobs] here. *)
 
 val create : jobs:int -> t
 (** Spawn a pool of [max 1 jobs] worker domains ([jobs <= 1] spawns

@@ -497,6 +497,71 @@ let test_of_line line =
   | t -> Ok t
   | exception Bad m -> Error m
 
+(* ----- line-oriented artifacts ----- *)
+
+module Artifact = struct
+  let to_string ~header fields tests =
+    let buf = Buffer.create 1024 in
+    let line s =
+      Buffer.add_string buf s;
+      Buffer.add_char buf '\n'
+    in
+    line header;
+    List.iter (fun (name, value) -> line (name ^ " " ^ value)) fields;
+    line ("tests " ^ string_of_int (List.length tests));
+    List.iter (fun t -> line (test_to_line t)) tests;
+    Buffer.contents buf
+
+  let quote_opt = function None -> "-" | Some s -> quote s
+
+  type reader = { mutable lines : string list }
+
+  let ( let* ) = Result.bind
+
+  let reader ~header s =
+    match String.split_on_char '\n' s with
+    | h :: lines when h = header -> Ok { lines }
+    | _ -> Error (Printf.sprintf "not a %S artifact" header)
+
+  let next r =
+    match r.lines with
+    | [] -> Error "truncated artifact"
+    | l :: rest ->
+        r.lines <- rest;
+        Ok l
+
+  let field r name =
+    let* l = next r in
+    let p = name ^ " " in
+    if String.starts_with ~prefix:p l then
+      Ok (String.sub l (String.length p) (String.length l - String.length p))
+    else Error (Printf.sprintf "expected %S line, found %S" name l)
+
+  let parsed of_string r name =
+    let* v = field r name in
+    match of_string v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "bad %s value %S" name v)
+
+  let int = parsed int_of_string_opt
+  let float = parsed float_of_string_opt
+
+  let quoted_opt r name =
+    let* v = field r name in
+    if v = "-" then Ok None else Result.map Option.some (unquote v)
+
+  let tests r =
+    let* n = int r "tests" in
+    let rec go acc n =
+      if n = 0 then Ok (List.rev acc)
+      else
+        let* l = next r in
+        let* t = test_of_line l in
+        go (t :: acc) (n - 1)
+    in
+    go [] n
+end
+
 let save path tests =
   let oc = open_out path in
   Printf.fprintf oc "# eywa test suite: %d tests\n" (List.length tests);

@@ -61,6 +61,41 @@ end
 val test_to_line : Testcase.t -> string
 val test_of_line : string -> (Testcase.t, string) result
 
+(** The line codec of the pipeline's cached-stage artifacts (a
+    {!Pipeline} draw, a fuzz draw): a header line naming the format and
+    its version, one ["name value"] line per field in a fixed order,
+    then a counted block of {!test_to_line} lines. A reader that meets
+    a wrong header, a missing or misnamed line or a malformed value
+    returns [Error], never raises, so a torn or outdated cache entry
+    decodes to [Error] and the stage recomputes it. *)
+module Artifact : sig
+  val to_string : header:string -> (string * string) list -> Testcase.t list -> string
+  (** [header], one ["name value"] line per field in the order given,
+      ["tests N"], then the [N] tests; every line ends in a newline. *)
+
+  val quote_opt : string option -> string
+  (** ["-"] for [None], else {!quote} — the field value {!quoted_opt}
+      reads back. *)
+
+  type reader
+  (** A cursor over an artifact's lines, past its header. *)
+
+  val reader : header:string -> string -> (reader, string) result
+  (** [Error] unless the first line is exactly [header]. *)
+
+  val field : reader -> string -> (string, string) result
+  (** The value of the next line, which must be ["name value"]. *)
+
+  val int : reader -> string -> (int, string) result
+  val float : reader -> string -> (float, string) result
+  (** Accepts the hex literals ([%h]) writers use for exact floats. *)
+
+  val quoted_opt : reader -> string -> (string option, string) result
+
+  val tests : reader -> (Testcase.t list, string) result
+  (** The ["tests N"] line and the [N] test lines after it. *)
+end
+
 val save : string -> Testcase.t list -> unit
 (** Write a suite to a file, one test per line with a header comment.
     Overwrites. *)

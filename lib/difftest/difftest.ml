@@ -163,13 +163,8 @@ let report acc =
     tuples;
   }
 
-let resolve_jobs = function
-  | Some j -> max 1 j
-  | None -> Eywa_core.Pool.default_jobs ()
-
 let run ?jobs ?(sink = Eywa_core.Instrument.null) ?(label = "suite")
     ?(on_test = fun _ _ -> ()) ~impls ~render ~prepare tests =
-  let jobs = resolve_jobs jobs in
   (* [compare_all] is pure, so it runs in the worker too: the merge
      then holds only each test's disagreements, not every rendered
      observation of the suite *)
@@ -181,21 +176,14 @@ let run ?jobs ?(sink = Eywa_core.Instrument.null) ?(label = "suite")
       (prepare t)
   in
   let results, stats =
-    Eywa_core.Pool.with_pool ~jobs (fun pool ->
+    Eywa_core.Pool.with_pool ~jobs:(Eywa_core.Pool.jobs jobs) (fun pool ->
         Eywa_core.Pool.map_stats pool judge tests)
   in
   (* like the pipeline, events fire only at the merge point, on the
      orchestrating domain, after the deterministic index-ordered merge *)
   sink
-    (Eywa_core.Instrument.Pool_merged
-       {
-         label = "difftest:" ^ label;
-         tasks = List.length tests;
-         computed = stats.Eywa_core.Pool.tasks;
-         jobs = stats.Eywa_core.Pool.jobs;
-         per_worker = stats.Eywa_core.Pool.per_worker;
-         queue_wait_ticks = stats.Eywa_core.Pool.queue_wait_ticks;
-       });
+    (Eywa_core.Instrument.pool_merged ~label:("difftest:" ^ label)
+       ~tasks:(List.length tests) stats);
   let acc = create () in
   List.iter2
     (fun t -> function
@@ -283,7 +271,7 @@ let attribute ?jobs ~suspects ~impls ~render ~prepare tests =
                 (suspects ds))
   in
   let note known pair = if List.mem pair known then known else pair :: known in
-  Eywa_core.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+  Eywa_core.Pool.with_pool ~jobs:(Eywa_core.Pool.jobs jobs) (fun pool ->
       let rec go known chunk n = function
         | t :: rest when n < attribute_chunk ->
             go known (t :: chunk) (n + 1) rest

@@ -64,68 +64,31 @@ let fuzz_key ~oracle_name ~pipeline ~config ~prompts ~index =
 
 (* ----- the artifact codec ----- *)
 
+let fuzz_header = "eywa-fuzz 1"
+
 let artifact_to_string (d : draw_fuzz) =
-  let buf = Buffer.create 1024 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_char buf '\n')
-      fmt
-  in
-  line "eywa-fuzz 1";
-  line "index %d" d.f_index;
-  line "execs %d" d.execs;
-  line "edges %d %d %d" d.edges_seed d.edges_after d.edges_static;
-  line "tests %d" (List.length d.new_tests);
-  List.iter (fun t -> line "%s" (Serialize.test_to_line t)) d.new_tests;
-  Buffer.contents buf
+  Serialize.Artifact.to_string ~header:fuzz_header
+    [
+      ("index", string_of_int d.f_index);
+      ("execs", string_of_int d.execs);
+      ("edges", Printf.sprintf "%d %d %d" d.edges_seed d.edges_after d.edges_static);
+    ]
+    d.new_tests
 
 let artifact_of_string s =
+  let module A = Serialize.Artifact in
   let ( let* ) = Result.bind in
-  let lines = ref (String.split_on_char '\n' s) in
-  let next () =
-    match !lines with
-    | [] -> Error "truncated fuzz artifact"
-    | l :: rest ->
-        lines := rest;
-        Ok l
+  let* a = A.reader ~header:fuzz_header s in
+  let* f_index = A.int a "index" in
+  let* execs = A.int a "execs" in
+  let* edges_line = A.field a "edges" in
+  let* edges_seed, edges_after, edges_static =
+    match String.split_on_char ' ' edges_line |> List.map int_of_string_opt with
+    | [ Some s; Some a; Some t ] -> Ok (s, a, t)
+    | _ -> Error (Printf.sprintf "bad edges line %S" edges_line)
   in
-  let field name =
-    let* l = next () in
-    let p = name ^ " " in
-    let pl = String.length p in
-    if String.length l >= pl && String.sub l 0 pl = p then
-      Ok (String.sub l pl (String.length l - pl))
-    else Error (Printf.sprintf "expected %S line, found %S" name l)
-  in
-  let int_field name =
-    let* v = field name in
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "bad %s value %S" name v)
-  in
-  let* header = next () in
-  if header <> "eywa-fuzz 1" then Error "not a fuzz artifact"
-  else
-    let* f_index = int_field "index" in
-    let* execs = int_field "execs" in
-    let* edges_line = field "edges" in
-    let* edges_seed, edges_after, edges_static =
-      match String.split_on_char ' ' edges_line |> List.map int_of_string_opt with
-      | [ Some s; Some a; Some t ] -> Ok (s, a, t)
-      | _ -> Error (Printf.sprintf "bad edges line %S" edges_line)
-    in
-    let* n_tests = int_field "tests" in
-    let rec read_tests acc = function
-      | 0 -> Ok (List.rev acc)
-      | n ->
-          let* l = next () in
-          let* t = Serialize.test_of_line l in
-          read_tests (t :: acc) (n - 1)
-    in
-    let* new_tests = read_tests [] n_tests in
-    Ok { f_index; execs; edges_seed; edges_after; edges_static; new_tests }
+  let* new_tests = A.tests a in
+  Ok { f_index; execs; edges_seed; edges_after; edges_static; new_tests }
 
 (* ----- one draw's fuzz loop ----- *)
 
@@ -369,9 +332,6 @@ let fuzz_of_seeds ?cache ?(sink = Instrument.null) ?(config = default_config)
   match Graph.synthesis_order g ~main:(Emodule.Func s.main) with
   | Error e -> Error e
   | Ok order ->
-      let jobs =
-        match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-      in
       let prompts = Pipeline.prompt_parts g ~order ~main:s.main in
       let natives = Harness.natives_concrete g s.main in
       let alphabet = pipeline.Pipeline.alphabet in
@@ -383,17 +343,9 @@ let fuzz_of_seeds ?cache ?(sink = Instrument.null) ?(config = default_config)
       let cached =
         List.map
           (fun (((r : Pipeline.model_result), _, _) as u) ->
-            match cache with
-            | None -> (u, None)
-            | Some c -> (
-                match Cache.find ~sink c (key_of r.index) with
-                | None -> (u, None)
-                | Some payload -> (
-                    match artifact_of_string payload with
-                    | Ok d -> (u, Some d)
-                    | Error _ ->
-                        (* corrupt entry: fall back to computing *)
-                        (u, None))))
+            ( u,
+              Option.bind cache (fun c ->
+                  Cache.lookup ~sink c (key_of r.index) ~decode:artifact_of_string) ))
           units
       in
       let missing =
@@ -407,7 +359,7 @@ let fuzz_of_seeds ?cache ?(sink = Instrument.null) ?(config = default_config)
          at its own seed, on a private copy of the seeded corpus. Fan
          the units out, merge by index. *)
       let computed, pool_stats =
-        Pool.with_pool ~jobs (fun pool ->
+        Pool.with_pool ~jobs:(Pool.jobs jobs) (fun pool ->
             Pool.map_stats pool
               (fun (p, seeds, complete, indices) ->
                 let sd = seed_draw ~natives ~main:s.main ~config p seeds in
@@ -424,23 +376,12 @@ let fuzz_of_seeds ?cache ?(sink = Instrument.null) ?(config = default_config)
                   indices)
               (group_by_program pipeline missing))
       in
-      sink
-        (Instrument.Pool_merged
-           {
-             label = "fuzz";
-             tasks = List.length units;
-             computed = pool_stats.Pool.tasks;
-             jobs = pool_stats.Pool.jobs;
-             per_worker = pool_stats.Pool.per_worker;
-             queue_wait_ticks = pool_stats.Pool.queue_wait_ticks;
-           });
+      sink (Instrument.pool_merged ~label:"fuzz" ~tasks:(List.length units) pool_stats);
       let computed = List.concat computed in
-      (match cache with
-      | None -> ()
-      | Some c ->
-          List.iter
-            (fun (i, d) -> Cache.store c (key_of i) (artifact_to_string d))
-            computed);
+      Option.iter
+        (fun c ->
+          List.iter (fun (i, d) -> Cache.store c (key_of i) (artifact_to_string d)) computed)
+        cache;
       let computed = Hashtbl.of_seq (List.to_seq computed) in
       let per_draw =
         List.map

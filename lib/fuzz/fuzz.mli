@@ -73,8 +73,9 @@ val fuzz_key :
     it excludes [k], wall time, machine, and pool size. *)
 
 val artifact_to_string : draw_fuzz -> string
-(** No wall-clock fields: a decoded artifact is structurally equal to
-    the run that stored it. *)
+(** The {!Eywa_core.Serialize.Artifact} codec under the header
+    [eywa-fuzz 1]. No wall-clock fields: a decoded artifact is
+    structurally equal to the run that stored it. *)
 
 val artifact_of_string : string -> (draw_fuzz, string) result
 (** Inverse of {!artifact_to_string}; [Error] (never an exception) on
@@ -123,7 +124,8 @@ val fuzz_of_seeds :
   Pipeline.t ->
   (t, string) result
 (** The staged engine: pair each compiled draw of the synthesis result
-    with its program, probe the cache in index order, group the misses
+    with its program, probe the cache in index order (an entry that
+    does not decode is a miss, as in {!Pipeline.run}), group the misses
     by program ([s.program_ids]), fan the groups out over
     {!Eywa_core.Pool}, store, merge by index, replay [Fuzz_done] events
     at the merge point and emit [Fuzz_aggregated]. [pipeline] must be

@@ -23,6 +23,8 @@
    - A draw whose symex is complete ([Pipeline.complete]) skips its
      mutation loop, and its artifact is the one the full loop gives;
      each condition of completeness, forced, makes the loop run.
+   - A cache-dir entry that does not decode is a miss: counted and
+     logged as one, fuzzed again and rewritten.
    - Regression: a runtime error escaping a nested call must surface
      as [Error], not corrupt the interpreter's scope stack. *)
 
@@ -434,19 +436,86 @@ let test_shared_seeding_equals_per_draw () =
               let missed =
                 List.filter (fun (_, (r : Pipeline.model_result)) -> not (cached r.index)) draws
               in
-              check (what ^ ": fuzz pool tasks = draws, computed = programs seeded")
-                true
+              let tests = List.length f.fuzz_tests in
+              ignore
+                (Eywa_difftest.Difftest.run ~jobs
+                   ~sink:(Eywa_core.Instrument.Collector.sink c) ~label:m.id
+                   ~impls:[ ("a", []); ("b", []) ] ~render:(fun () -> [])
+                   ~prepare:(fun _ -> Some (fun _ -> ())) f.fuzz_tests);
+              (* the fuzz batch: every compiled draw, the programs seeded;
+                 the difftest batch: every test, each one judged *)
+              check (what ^ ": pool batches' tasks and computed") true
                 (List.filter_map
                    (function
-                     | Eywa_core.Instrument.Pool_merged { label = "fuzz"; tasks; computed; _ }
-                       ->
-                         Some (tasks, computed)
+                     | Eywa_core.Instrument.Pool_merged { label; tasks; computed; _ } ->
+                         Some (label, tasks, computed)
                      | _ -> None)
                    (Eywa_core.Instrument.Collector.events c)
-                = [ (List.length draws, distinct (List.map fst missed)) ]))
+                = [
+                    ("fuzz", List.length draws, distinct (List.map fst missed));
+                    ("difftest:" ^ m.id, tests, tests);
+                  ]))
             [ ("cold", fun _ -> false); ("first draws cached", first_of_program) ])
         [ 1; 4 ])
     [ (Dns_models.loop, 10, false); (Eywa_models.Bgp_models.rr, 30, true) ]
+
+(* ----- an entry that does not decode is a miss ----- *)
+
+(* A cache-dir fuzz entry under a valid key whose payload does not
+   decode is a miss, not a hit: the draw is fuzzed again, counted and
+   logged as a miss, and its entry rewritten with the valid artifact. *)
+let test_garbled_entry_is_a_miss () =
+  let s = Lazy.force seed_suite in
+  let order =
+    match Eywa_core.Graph.synthesis_order model.graph ~main:model.main with
+    | Ok o -> o
+    | Error e -> Alcotest.fail e
+  in
+  let index =
+    (List.find (fun (r : Pipeline.model_result) -> r.compile_error = None) s.results).index
+  in
+  let key =
+    Fuzz.fuzz_key ~oracle_name:oracle.Eywa_core.Oracle.name
+      ~pipeline:(Model_def.pipeline_config ~k ~timeout:(timeout model) model)
+      ~config:fuzz_config
+      ~prompts:(Pipeline.prompt_parts model.graph ~order ~main:s.main)
+      ~index
+  in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "eywa-fuzz-cache-test-%d" (Unix.getpid ()))
+  in
+  let path = Filename.concat dir ("fuzz-" ^ Cache.Key.digest key ^ ".eywa") in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  List.iter
+    (fun jobs ->
+      if Sys.file_exists dir then
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      let cold = fuzz ~cache:(Cache.create ~dir ()) ~jobs model s in
+      let valid = read () in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (Cache.Key.canonical key ^ "\ngarbage"));
+      let cache = Cache.create ~dir () in
+      let c = Eywa_core.Instrument.Collector.create () in
+      let warm =
+        match
+          Model_def.fuzz ~cache ~sink:(Eywa_core.Instrument.Collector.sink c)
+            ~fuzz_config ~k ~timeout:(timeout model) ~jobs ~oracle model s
+        with
+        | Ok f -> f
+        | Error e -> Alcotest.fail e
+      in
+      let what = Printf.sprintf "jobs=%d: " jobs in
+      check_string (what ^ "run = cold run") (fingerprint cold) (fingerprint warm);
+      check_int (what ^ "the garbled entry is a miss") 1 (Cache.misses cache);
+      check_int (what ^ "the others hit") (List.length cold.per_draw - 1) (Cache.hits cache);
+      check (what ^ "its probe logs Cache_miss") true
+        (List.filter_map
+           (function Eywa_core.Instrument.Cache_miss { key; _ } -> Some key | _ -> None)
+           (Eywa_core.Instrument.Collector.events c)
+        = [ Cache.Key.digest key ]);
+      check_string (what ^ "the entry is rewritten with the valid artifact") valid (read ()))
+    [ 1; 4 ]
 
 (* ----- edge labels and coverage maps ----- *)
 
@@ -1209,6 +1278,8 @@ let suite =
     Alcotest.test_case "fuzz output: jobs=1 = jobs=4" `Slow test_jobs_invariant;
     Alcotest.test_case "warm cache = cold run (jobs 1 and 4)" `Slow
       test_warm_equals_cold;
+    Alcotest.test_case "a cache entry that does not decode is a miss" `Slow
+      test_garbled_entry_is_a_miss;
     Alcotest.test_case "cache key covers every fuzz input" `Quick
       test_key_sensitivity;
     Alcotest.test_case "dynamic coverage is a subset of static edges" `Slow

@@ -16,7 +16,9 @@
      either way, except for Cache_hit/Cache_miss themselves.
    - [run] explores each distinct compiled program once, yet every
      draw equals the per-index [run_draw] reference; only a duplicate's
-     symex wall time differs (0.0). *)
+     symex wall time differs (0.0).
+   - A cache-dir entry that does not decode is a miss: counted and
+     logged as one, recomputed and rewritten. *)
 
 module Pipeline = Eywa_core.Pipeline
 module Cache = Eywa_core.Cache
@@ -471,15 +473,24 @@ let test_dedup_equals_run_draw () =
               let what = Printf.sprintf "%s jobs=%d %s" m.id jobs label in
               check (what ^ ": run = per-index run_draw") true
                 (List.map det_artifact (draws_of s) = expected);
+              (match
+                 Eywa_models.Protocol.report ~jobs ~sink:(Instrument.Collector.sink c)
+                   ~version:Eywa_dns.Impls.Old m s
+               with
+              | Ok _ -> ()
+              | Error e -> Alcotest.fail e);
               let events = Instrument.Collector.events c in
-              check (what ^ ": distinct programs explored") true
+              (* the draw batch: k draws, the distinct programs explored;
+                 the difftest batch: every unique test, each one judged *)
+              let tests = List.length s.unique_tests in
+              check (what ^ ": pool batches' tasks and computed") true
                 (List.filter_map
                    (function
-                     | Instrument.Pool_merged { label = "draw"; computed; _ } ->
-                         Some computed
+                     | Instrument.Pool_merged { label; tasks; computed; _ } ->
+                         Some (label, tasks, computed)
                      | _ -> None)
                    events
-                = [ want_computed ]);
+                = [ ("draw", 10, want_computed); ("difftest:" ^ m.id, tests, tests) ]);
               let symex_seconds = Array.make 10 nan in
               let stats = Array.make 10 None in
               List.iter
@@ -646,6 +657,42 @@ let test_front_allocates_no_ids () =
   in
   check_int "front allocates no term ids" 0 allocated
 
+(* ----- an entry that does not decode is a miss ----- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* A cache-dir entry under a valid key whose payload does not decode
+   (a torn write, an older artifact version) is a miss, not a hit: the
+   draw is recomputed, counted and logged as a miss, and its entry
+   rewritten with the valid artifact. *)
+let test_garbled_entry_is_a_miss () =
+  let m = model in
+  let prompts = Pipeline.prompt_parts m.graph ~order:(order_of m) ~main:(main_of m) in
+  let key = Pipeline.draw_key ~oracle_name:oracle.Oracle.name ~config:(config m) ~prompts ~index:1 in
+  List.iter
+    (fun jobs ->
+      let dir = temp_dir () in
+      let cold = run ~cache:(Cache.create ~dir ()) ~jobs m in
+      let path = Filename.concat dir ("draw-" ^ Cache.Key.digest key ^ ".eywa") in
+      let valid = read_file path in
+      write_file path (Cache.Key.canonical key ^ "\ngarbage");
+      let cache = Cache.create ~dir () in
+      let c = Instrument.Collector.create () in
+      let warm = run ~cache ~sink:(Instrument.Collector.sink c) ~jobs m in
+      let what = Printf.sprintf "jobs=%d: " jobs in
+      check_string (what ^ "run = cold run") (det_fingerprint cold) (det_fingerprint warm);
+      check_int (what ^ "the garbled entry is a miss") 1 (Cache.misses cache);
+      check_int (what ^ "the others hit") 3 (Cache.hits cache);
+      check (what ^ "its probe logs Cache_miss") true
+        (List.filter_map
+           (function Instrument.Cache_miss { key; _ } -> Some key | _ -> None)
+           (Instrument.Collector.events c)
+        = [ Cache.Key.digest key ]);
+      check_string (what ^ "the entry is rewritten with the valid artifact")
+        (mask_wall_fields valid) (mask_wall_fields (read_file path)))
+    [ 1; 4 ]
+
 let suite =
   [
     Alcotest.test_case "warm cache = cold run (jobs 1 and 4)" `Slow
@@ -673,4 +720,6 @@ let suite =
       test_aggregate_equals_full_dedup;
     Alcotest.test_case "run's shared fronts = per-index front" `Slow
       test_shared_front_equals_front;
+    Alcotest.test_case "a cache entry that does not decode is a miss" `Slow
+      test_garbled_entry_is_a_miss;
   ]
