@@ -110,24 +110,30 @@ suite-identity:
 
 # every model's k=3 pipeline counters are byte-identical to the MD5s
 # in test/golden/stats-k3.md5 (one "md5  MODEL" line per model): `eywa
-# stats M -k 3 --jobs 2 --json` with its wall-clock `*_seconds` lines
+# stats M -k 3 --jobs J --json` with its wall-clock `*_seconds` lines
 # dropped, which pins solver_calls, solver_decisions, symex_ticks and
 # model_reuses where suite-identity pins only the tests. A change that
-# must not move the search keeps this passing.
+# must not move the search keeps this passing. It runs at --jobs 1 and
+# --jobs 4 against the same MD5s: each pool worker keeps its own
+# refutation table, so the drafts that share a table differ between
+# the two, and an answer replayed where it does not belong would move
+# solver_decisions or symex_ticks at one of them.
 stats-identity:
 	rm -rf /tmp/eywa-stats-identity && mkdir -p /tmp/eywa-stats-identity
 	@status=0; \
-	while read sum model; do \
-	  out=/tmp/eywa-stats-identity/$$model.json; \
-	  dune exec bin/eywa_cli.exe -- stats $$model -k 3 --jobs 2 --json \
-	    > $$out || exit 1; \
-	  got=$$(grep -v _seconds $$out | md5sum | cut -d' ' -f1); \
-	  if [ "$$got" != "$$sum" ]; then \
-	    echo "stats-identity: $$model stats differ from test/golden/stats-k3.md5"; \
-	    status=1; \
-	  fi; \
-	done < test/golden/stats-k3.md5; \
-	[ $$status -eq 0 ] && echo "stats-identity: all $$(wc -l < test/golden/stats-k3.md5) stats byte-identical"; \
+	for jobs in 1 4; do \
+	  while read sum model; do \
+	    out=/tmp/eywa-stats-identity/$$model-j$$jobs.json; \
+	    dune exec bin/eywa_cli.exe -- stats $$model -k 3 --jobs $$jobs --json \
+	      > $$out || exit 1; \
+	    got=$$(grep -v _seconds $$out | md5sum | cut -d' ' -f1); \
+	    if [ "$$got" != "$$sum" ]; then \
+	      echo "stats-identity: $$model stats at --jobs $$jobs differ from test/golden/stats-k3.md5"; \
+	      status=1; \
+	    fi; \
+	  done < test/golden/stats-k3.md5; \
+	done; \
+	[ $$status -eq 0 ] && echo "stats-identity: all $$(wc -l < test/golden/stats-k3.md5) stats byte-identical at --jobs 1 and 4"; \
 	exit $$status
 
 # every model's k=3 fuzz run is byte-identical to the MD5s in

@@ -78,14 +78,21 @@ let disk_read t (key : Key.t) =
             Some (String.sub content n (String.length content - n))
           else None)
 
+(* [dir] and its missing parents. A directory that appears between the
+   check and the [mkdir] (another domain or process creating it) is no
+   failure. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
+  end
+
 let disk_write t (key : Key.t) payload =
   match path_of t key with
   | None -> ()
   | Some path -> (
       try
-        (match t.dir with
-        | Some d when not (Sys.file_exists d) -> Sys.mkdir d 0o755
-        | _ -> ());
+        Option.iter mkdir_p t.dir;
         (* write-then-rename so a concurrent reader never sees a torn
            entry *)
         let tmp = path ^ ".tmp" in

@@ -44,7 +44,7 @@ type t
 
 val create : ?dir:string -> unit -> t
 (** In-memory cache; with [dir], also persisted there (the directory
-    is created on first store). *)
+    is created, with any missing parents, on first store). *)
 
 val lookup :
   ?sink:Instrument.sink ->

@@ -33,6 +33,7 @@ type event =
       jobs : int;
       per_worker : int list;
       queue_wait_ticks : int;
+      refutations_reused : int;
     }
 
 type sink = event -> unit
@@ -40,10 +41,10 @@ type sink = event -> unit
 let null : sink = fun _ -> ()
 let tee a b : sink = fun e -> a e; b e
 
-let pool_merged ~label ~tasks (st : Pool.map_stats) =
+let pool_merged ?(refutations_reused = 0) ~label ~tasks (st : Pool.map_stats) =
   Pool_merged
     { label; tasks; computed = st.tasks; jobs = st.jobs; per_worker = st.per_worker;
-      queue_wait_ticks = st.queue_wait_ticks }
+      queue_wait_ticks = st.queue_wait_ticks; refutations_reused }
 
 type cls = Det | Env
 

@@ -10,7 +10,8 @@
     (model-index) order, never from inside pool workers. Hence the
     event sequence a run emits is — modulo the two wall-clock fields
     of [Draw_finished] and the environment fields of [Pool_merged]
-    ([computed]/[jobs]/[per_worker]/[queue_wait_ticks]) — bit-for-bit
+    ([computed]/[jobs]/[per_worker]/[queue_wait_ticks]/
+    [refutations_reused]) — bit-for-bit
     independent of [jobs] and of the cache state; a cache hit replays
     even the wall-clock fields the stored run measured, so only the
     [Cache_hit]/[Cache_miss] events themselves (and [Pool_merged]'s
@@ -73,6 +74,11 @@ type event =
       jobs : int;  (** pool size — environment data *)
       per_worker : int list;  (** scheduling-dependent — environment *)
       queue_wait_ticks : int;  (** pool-size-dependent — environment *)
+      refutations_reused : int;
+          (** the ["draw"] batch's branch probes that a worker's
+              refutation table answered ({!Eywa_symex.Exec}); 0 for
+              the other batches. Each worker has its own table, so the
+              count depends on which drafts shared one — environment *)
     }
       (** Emitted once per pool batch at the deterministic merge point.
           Only [label] and [tasks] are part of the deterministic event
@@ -87,10 +93,12 @@ val null : sink
 
 val tee : sink -> sink -> sink
 
-val pool_merged : label:string -> tasks:int -> Pool.map_stats -> event
+val pool_merged :
+  ?refutations_reused:int -> label:string -> tasks:int -> Pool.map_stats -> event
 (** The [Pool_merged] event of a stage's pool batch: [tasks] logical
     units, of which the batch's {!Pool.map_stats} computed
-    [Pool.tasks]. The one place a stage builds the event. *)
+    [Pool.tasks]; [refutations_reused] defaults to 0. The one place a
+    stage builds the event. *)
 
 (** Whether a value is a function of the run's inputs alone ([Det]:
     identical across pool sizes, cache states and machines) or

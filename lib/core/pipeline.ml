@@ -166,6 +166,7 @@ let symex ~config g ~main program =
       timeout = config.timeout;
       max_solver_decisions = config.max_solver_decisions;
       string_bound = 8;
+      samples_per_path = max 1 config.samples_per_path;
     }
   in
   let paths, stats =
@@ -198,31 +199,18 @@ let path_to_test ~rotate ~model inputs (path : Exec.path) : Testcase.t =
           { Testcase.inputs = concrete_inputs; result = Some v; bad_input = false;
             error = None })
 
-(* One test per (path, sample): re-solving the path condition under
-   different value rotations yields several concrete witnesses of the
-   same path, the way Klee's test generation covers bounded input
-   spaces far more densely than one-per-path (cf. the Table 2 counts).
-   Only the value order depends on the rotation, so the path is
-   prepared once, from the variables its conjuncts carry, for all its
-   sample solves. *)
+(* One test per (path, sample): the path condition's models under
+   different value rotations are several concrete witnesses of the same
+   path, the way Klee's test generation covers bounded input spaces far
+   more densely than one-per-path (cf. the Table 2 counts). The
+   executor solved them when it completed the path ({!Exec.path}'s
+   [samples]); this only reads them back. *)
 let path_to_tests config (path : Exec.path) inputs : Testcase.t list =
-  let module Solve = Eywa_solver.Solve in
   let samples = max 1 config.samples_per_path in
-  let prepared =
-    lazy (Solve.prepare (List.combine path.Exec.pc path.Exec.pc_vars))
-  in
+  if Array.length path.Exec.samples < samples - 1 then
+    invalid_arg "Pipeline.tests_of_paths: paths explored under fewer samples_per_path";
   List.init samples (fun s ->
-      let model =
-        if s = 0 then path.Exec.model
-        else
-          match
-            fst
-              (Solve.search ~max_decisions:config.max_solver_decisions
-                 ~rotate:s (Lazy.force prepared))
-          with
-          | Solve.Sat m -> m
-          | Solve.Unsat | Solve.Unknown -> path.Exec.model
-      in
+      let model = if s = 0 then path.Exec.model else path.Exec.samples.(s - 1) in
       path_to_test ~rotate:s ~model inputs path)
 
 let tests_of_paths ~config ~inputs paths =
@@ -263,10 +251,11 @@ let front ~oracle ~config g ~main ~order index : model_result * Ast.program opti
 (* ----- stages 3-4 composed: a program's exploration ----- *)
 
 let explore ~config g ~main program =
-  (* fresh atom ids per exploration — scoped to this job, so parallel
-     draws on a pool never share a counter and identical programs yield
-     identical paths, rotations and tests (tau = 0 determinism) *)
-  Eywa_solver.Term.with_fresh_ids @@ fun () ->
+  (* fresh atom ids per exploration, so identical programs yield
+     identical paths, rotations and tests on any worker (tau = 0
+     determinism); the intern scope, and with it the refutation table,
+     is the caller's *)
+  Eywa_solver.Term.with_fresh_vids @@ fun () ->
   let sym_start = now () in
   let inputs, paths, stats = symex ~config g ~main program in
   let symex_seconds = now () -. sym_start in
@@ -597,7 +586,8 @@ let shared_fronts pool ~oracle ~config g ~main ~order indices =
    every such draw its program's exploration; [draws] holds every draw,
    the misses not yet explored. The first miss of a program keeps the
    measured symex wall time; its repeats report 0.0, since this process
-   spent no time exploring them. *)
+   spent no time exploring them. Also returns the probes the workers'
+   refutation tables answered. *)
 let explore_missing pool ~config g ~main draws missing slots programs =
   let programs = Array.of_list programs in
   let wanted =
@@ -605,10 +595,15 @@ let explore_missing pool ~config g ~main draws missing slots programs =
       (List.filter (fun slot -> slot >= 0) (List.map (Array.get slots) missing))
   in
   let explorations, pool_stats =
-    Pool.map_stats pool (fun slot -> explore ~config g ~main programs.(slot)) wanted
+    Pool.map_stats pool
+      (fun slot ->
+        let before = Exec.refutations_reused () in
+        let e = explore ~config g ~main programs.(slot) in
+        (e, Exec.refutations_reused () - before))
+      wanted
   in
   let explored = Array.make (Array.length programs) None in
-  List.iter2 (fun slot e -> explored.(slot) <- Some e) wanted explorations;
+  List.iter2 (fun slot (e, _) -> explored.(slot) <- Some e) wanted explorations;
   List.iter
     (fun i ->
       let slot = slots.(i) in
@@ -619,7 +614,7 @@ let explore_missing pool ~config g ~main draws missing slots programs =
         draws.(i) <- (with_exploration r (tests, stats, symex_seconds), program)
       end)
     missing;
-  pool_stats
+  (pool_stats, List.fold_left (fun n (_, reused) -> n + reused) 0 explorations)
 
 let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
     ~oracle g ~main =
@@ -645,8 +640,13 @@ let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
             List.filter (fun i -> Option.is_none cached.(i)) (List.init config.k Fun.id)
           in
           (* the misses are independent; fan them out and merge by
-             model index, so the result is identical at any [jobs] *)
-          let draws, slots, pool_stats =
+             model index, so the result is identical at any [jobs].
+             Explorations share their domain's intern scope, and with
+             it its refutation table: a worker's lives as long as the
+             pool, the calling domain's (which explores when the pool
+             runs inline) as long as this scope. *)
+          let draws, slots, (pool_stats, refutations_reused) =
+            Eywa_solver.Term.with_fresh_ids @@ fun () ->
             Pool.with_pool ~jobs:(Pool.jobs jobs) (fun pool ->
                 let fronts =
                   shared_fronts pool ~oracle ~config g ~main:main_f ~order missing
@@ -661,7 +661,9 @@ let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
                 in
                 (draws, slots, pool_stats))
           in
-          sink (Instrument.pool_merged ~label:"draw" ~tasks:config.k pool_stats);
+          sink
+            (Instrument.pool_merged ~refutations_reused ~label:"draw" ~tasks:config.k
+               pool_stats);
           Option.iter
             (fun c ->
               List.iter

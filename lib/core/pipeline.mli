@@ -14,10 +14,10 @@
     prompt_parts   : graph/main        -> canonical prompt texts
     generate       : oracle/index      -> generated   (per-draw source)
     compile        : generated         -> Ast.program (or tagged rejection)
-    symex          : program           -> paths + stats
+    symex          : program           -> paths + stats (+ samples)
     tests_of_paths : paths             -> Testcase.t list
     front          : index             -> unexplored draw + program (1-2)
-    explore        : program           -> tests + stats (3-4, fresh ids)
+    explore        : program           -> tests + stats (3-4, fresh vids)
     run_draw       : index             -> model_result (front, then explore)
     aggregate      : model_result list -> t            (the unique suite)
     v}
@@ -31,7 +31,11 @@
     - {b Parallelism}: the oracle draws, the distinct drafts' builds,
       then the distinct programs' explorations fan out over {!Pool}
       and merge by index, so results are bit-for-bit independent of
-      [jobs].
+      [jobs]. Explorations on one domain share its intern scope for
+      the whole run, and with it the symbolic executor's refutation
+      table ({!Eywa_symex.Exec}): a slice one draft refuted is not
+      searched again by a later draft on that worker. No solver state
+      outlives the run.
     - {b Caching}: each draw result is content-addressed in a
       {!Cache} under a key covering {e everything} the draw depends
       on — oracle name, exact prompt texts, pipe structure, effective
@@ -146,14 +150,21 @@ val symex :
   * Eywa_symex.Exec.path list
   * Eywa_symex.Exec.stats
 (** Explore the compiled program on symbolic inputs; returns the named
-    inputs alongside the completed paths and stats. *)
+    inputs alongside the completed paths and stats. Each path carries
+    its [samples_per_path - 1] sample models ({!Eywa_symex.Exec.path}),
+    solved when the executor completed it. Runs in the caller's term-id
+    and intern scope, so its refutation table too. *)
 
 val tests_of_paths :
   config:config ->
   inputs:(string * Eywa_symex.Sv.t) list ->
   Eywa_symex.Exec.path list ->
   Testcase.t list
-(** Solve each path into [samples_per_path] concrete tests and dedup. *)
+(** Concretize each path into [samples_per_path] tests — its model,
+    then each of its samples, at value rotations [0, 1, ...] — and
+    dedup. Solves nothing: the executor found the samples. The paths
+    must come from {!symex} under a config with at least as many
+    [samples_per_path] (else [Invalid_argument]). *)
 
 val front :
   oracle:Oracle.t ->
@@ -176,11 +187,14 @@ val explore :
   main:Emodule.func ->
   Eywa_minic.Ast.program ->
   Testcase.t list * Eywa_symex.Exec.stats * float
-(** Stages 3-4 for one compiled program, under a fresh term-id scope:
+(** Stages 3-4 for one compiled program, with fresh variable ids
+    ({!Eywa_solver.Term.with_fresh_vids}) in the caller's intern scope:
     {!symex} then {!tests_of_paths}. Returns the tests, the symex stats
     and the measured symex wall seconds. Everything but the wall time
     is a pure function of (config, graph, main, program), so
-    structurally equal programs explore identically on any worker. *)
+    structurally equal programs explore identically on any worker —
+    whatever the scope's refutation table already holds, which only
+    saves searches. *)
 
 val run_draw :
   oracle:Oracle.t ->
@@ -300,8 +314,16 @@ val run :
     first to draw, and only the first miss of a program keeps the symex
     time this process measured (a repeat reports
     [symex_seconds = 0.0]). [Pool_merged {label = "draw"}]
-    counts the distinct programs explored in [computed]. The program
-    ids the aggregation hands on cover cached draws too.
+    counts the distinct programs explored in [computed], and the
+    probes the workers' refutation tables answered in
+    [refutations_reused]. The program ids the aggregation hands on
+    cover cached draws too.
+
+    Each pool worker explores in one intern scope for the whole run
+    (the calling domain, which explores when the pool runs inline, in
+    a {!Eywa_solver.Term.with_fresh_ids} scope that ends with the
+    run), so the refutation table a worker fills serves every later
+    draft it explores, and is dropped with the run.
 
     With a [cache], draw results are looked up ({!Cache.lookup} with
     {!artifact_of_string}) before computing and stored after; hits

@@ -24,7 +24,9 @@ val create : jobs:int -> t
 (** Spawn a pool of [max 1 jobs] worker domains ([jobs <= 1] spawns
     none and makes {!map} run inline). Creating a pool from inside a
     pool worker yields a degenerate inline pool — nested parallelism
-    would oversubscribe the machine and risk deadlock. *)
+    would oversubscribe the machine and risk deadlock. A worker domain
+    lives exactly as long as its pool, and so does its domain-local
+    state (its term ids, intern table and refutation table). *)
 
 val size : t -> int
 

@@ -209,7 +209,8 @@ let feed b (ev : Instrument.event) =
                ];
              env = [];
            })
-  | Pool_merged { label; tasks; computed; jobs; per_worker; queue_wait_ticks }
+  | Pool_merged
+      { label; tasks; computed; jobs; per_worker; queue_wait_ticks; refutations_reused }
     ->
       push b
         (Event
@@ -227,6 +228,7 @@ let feed b (ev : Instrument.event) =
                  ( "per_worker",
                    Json.List (List.map (fun n -> Json.Int n) per_worker) );
                  ("queue_wait_ticks", Json.Int queue_wait_ticks);
+                 ("refutations_reused", Json.Int refutations_reused);
                ];
            })
 

@@ -171,7 +171,10 @@ let solve_naive_with_stats ?(max_decisions = 2_000_000) ?(rotate = 0)
 
 (* Same search, minus the wasted work: after assigning variable [v],
    only constraints that mention [v] can change their partial-eval
-   verdict, so only those are re-checked ("watched constraints").
+   verdict, so only those are re-checked ("watched constraints"). A
+   strict constraint (no [And]/[Or]/[Ite]) stays undetermined while any
+   of its variables is unassigned, and the search assigns in a fixed
+   order, so it is watched only at its last variable in that order.
    Values that violate a unary constraint on [v] are pre-screened once
    per prepared problem instead of re-discovered on every backtrack.
    Decision and conflict counting is untouched — pruned values still
@@ -195,19 +198,39 @@ let solve_naive_with_stats ?(max_decisions = 2_000_000) ?(rotate = 0)
    complete — the verdict cannot change, only the order in which the
    same assignments are visited (and with it the decision count and,
    for Sat, which model is found first). Callers that need a specific
-   model order (test emission) must not pass a hint. *)
+   model order (test emission) must not pass a hint. An Unsat search
+   visits every consistent prefix of the variable order and tries every
+   domain value under each, whatever the value order, so its decision
+   and conflict counts do not depend on [?rotate] or [?hint] either. *)
 
 type watched = {
   cs : Term.t array;
   vars : Term.var array;  (* search order, {!order_of_vars} *)
   size : int;  (* assignment length: one more than the largest vid *)
   watchers : int list array;
-      (* watchers.(i): indices of non-unary constraints mentioning
-         vars.(i), in constraint order *)
+      (* watchers.(i): indices of the non-unary constraints a value
+         of vars.(i) can refute, in constraint order: those mentioning
+         vars.(i), bar a strict one, which is watched only at its last
+         variable in search order *)
   admissible : bool array option array;
       (* admissible.(i).(idx): whether domain index [idx] of vars.(i)
          passes every unary constraint on it; [None] if there is none *)
 }
+
+type conjunct = { term : Term.t; vars : Term.var list; strict : bool }
+
+(* Without [And]/[Or]/[Ite] nothing in a term can short-circuit past an
+   unassigned variable, so {!pev} raises [Undetermined] until every
+   variable is assigned. *)
+let rec strict : Term.t -> bool = function
+  | Const _ | Var _ -> true
+  | Not a -> strict a
+  | And _ | Or _ | Ite _ -> false
+  | Eq (a, b) | Lt (a, b) | Le (a, b) | Add (a, b) | Sub (a, b)
+  | Mul (a, b) | Div (a, b) | Mod (a, b) ->
+      strict a && strict b
+
+let conjunct term = { term; vars = Term.vars term; strict = strict term }
 
 type prepared =
   | Refuted  (** a constraint is the constant false *)
@@ -219,30 +242,31 @@ type prepared =
   | Watched of watched
 
 let prepare conjuncts =
-  let conjuncts = List.filter (fun (c, _) -> not (Term.is_true c)) conjuncts in
-  if List.exists (fun (c, _) -> Term.is_false c) conjuncts then Refuted
-  else if List.exists (fun (c, _) -> refuted [||] c) conjuncts then
-    Reference (List.map fst conjuncts)
+  let conjuncts = List.filter (fun c -> not (Term.is_true c.term)) conjuncts in
+  if List.exists (fun c -> Term.is_false c.term) conjuncts then Refuted
+  else if List.exists (fun c -> refuted [||] c.term) conjuncts then
+    Reference (List.map (fun c -> c.term) conjuncts)
   else begin
-    let cs = Array.of_list (List.map fst conjuncts) in
-    let vars, size = order_of_vars (List.map snd conjuncts) in
+    let cs = Array.of_list (List.map (fun c -> c.term) conjuncts) in
+    let vars, size = order_of_vars (List.map (fun c -> c.vars) conjuncts) in
     let n = Array.length vars in
     let pos = Array.make size 0 in
     Array.iteri (fun i v -> pos.(v.Term.vid) <- i) vars;
     let watchers = Array.make (max 1 n) [] in
     let unary = Array.make (max 1 n) [] in
+    let watch ci i = watchers.(i) <- ci :: watchers.(i) in
     List.iteri
-      (fun ci (_, vs) ->
-        match vs with
+      (fun ci c ->
+        match c.vars with
+        | [] -> ()
         | [ v ] ->
             let i = pos.(v.Term.vid) in
             unary.(i) <- ci :: unary.(i)
-        | vs ->
-            List.iter
-              (fun v ->
-                let i = pos.(v.Term.vid) in
-                watchers.(i) <- ci :: watchers.(i))
-              vs)
+        | vs when c.strict ->
+            (* undetermined until its last variable in search order is
+               assigned, so no earlier check could refute it *)
+            watch ci (List.fold_left (fun i v -> max i pos.(v.Term.vid)) 0 vs)
+        | vs -> List.iter (fun v -> watch ci pos.(v.Term.vid)) vs)
       conjuncts;
     Array.iteri (fun i l -> watchers.(i) <- List.rev l) watchers;
     (* one scratch assignment for every mask: each variable is set to
@@ -347,8 +371,7 @@ let search ?(max_decisions = 2_000_000) ?(rotate = 0) ?hint = function
   | Watched w -> search_watched ~max_decisions ~rotate ?hint w
 
 let solve_with_stats ?max_decisions ?rotate ?hint constraints =
-  search ?max_decisions ?rotate ?hint
-    (prepare (List.map (fun c -> (c, Term.vars c)) constraints))
+  search ?max_decisions ?rotate ?hint (prepare (List.map conjunct constraints))
 
 let solve ?max_decisions ?rotate constraints =
   fst (solve_with_stats ?max_decisions ?rotate constraints)

@@ -16,7 +16,7 @@
     practice.
 
     A partial model is an [int array] indexed by variable id, which
-    {!Term} keeps dense per {!Term.with_fresh_ids} scope. The watched
+    {!Term} keeps dense per {!Term.with_fresh_vids} scope. The watched
     search reads it through an evaluator ({!peval}) that allocates
     nothing per node and hashes nothing per variable read; the naive
     reference still goes through {!Term.peval}, so holding the two
@@ -64,7 +64,31 @@ val solve_with_stats :
     count and (for Sat) the first model found may differ. The symbolic
     executor hints feasibility probes with the model the parent path
     carries — never the model-producing solve, whose value order is
-    what diversifies emitted tests. *)
+    what diversifies emitted tests.
+
+    An [Unsat] answer's stats do not depend on [rotate] or [hint]: a
+    search that finds no model visits every consistent prefix of the
+    variable order and tries every value under each, in whatever
+    order, so its decisions and conflicts are those of any other value
+    order. The symbolic executor's refutation table rests on this. *)
+
+type conjunct = {
+  term : Term.t;
+  vars : Term.var list;
+      (** [Term.vars term] (any order of the same variables gives the
+          same search) *)
+  strict : bool;
+      (** [strict term]: no [And]/[Or]/[Ite] anywhere in it, so it
+          cannot be refuted while any of its variables is unassigned *)
+}
+(** A constraint with what {!prepare} needs to know about it, worked
+    out once: the symbolic executor builds one when a conjunct joins a
+    path, instead of on every solve of that path. *)
+
+val strict : Term.t -> bool
+
+val conjunct : Term.t -> conjunct
+(** The constraint with its variables and strictness computed. *)
 
 type prepared
 (** A constraint set with its per-set search set-up done: the variable
@@ -72,13 +96,11 @@ type prepared
     it at any rotation or hint gives exactly what {!solve_with_stats}
     gives on the same constraints. *)
 
-val prepare : (Term.t * Term.var list) list -> prepared
-(** [prepare cs] sets up the search over the conjunction of [cs], each
-    constraint paired with its free variables — which must be
-    [Term.vars c] (any order of the same variables gives the same
-    search). Taking them from the caller is the point: the symbolic
-    executor lists a conjunct's variables once, when it adds the
-    conjunct to a path, instead of on every solve. *)
+val prepare : conjunct list -> prepared
+(** [prepare cs] sets up the search over the conjunction of [cs]. A
+    non-unary constraint is watched at each of its variables, bar a
+    strict one, which is watched only at its last variable in search
+    order: every earlier check could only answer "undetermined". *)
 
 val search :
   ?max_decisions:int ->

@@ -28,10 +28,13 @@ let counter () = Domain.DLS.get counter_key
 
 (* Hash-consing state, a sibling of [counter_key]: the intern table
    assigns every structurally distinct term a dense id, and the other
-   tables memoize by that id. All of it is keyed on vids, so it must
-   live and die with the id allocator — [with_fresh_ids] swaps in a
-   fresh state along with the fresh counter, or a recycled vid would
-   alias a stale entry. *)
+   tables memoize by that id. [with_fresh_ids] swaps in a fresh state
+   along with the fresh counter; [with_fresh_vids] restarts only the
+   counter. A recycled vid is safe under a shared table because a
+   variable is its whole record (vid, name, sort, domain): a term of
+   one exploration interns to the id of a term of another only when the
+   two are the same constraint over the same variables, and so have the
+   same free variables too. *)
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
@@ -66,16 +69,41 @@ let fresh_var ?(name = "v") sort domain =
 
 let var_count () = !(counter ())
 
-let with_fresh_ids f =
+(* Values that share the intern table's lifetime ([scope_local]): each
+   registered entry installs a fresh value in the calling domain and
+   returns the function that puts the caller's back. Registered at
+   module initialisation, before any domain is spawned, and only read
+   afterwards. *)
+let scoped : (unit -> unit -> unit) list Atomic.t = Atomic.make []
+
+let scope_local init =
+  let key = Domain.DLS.new_key (fun () -> lazy (init ())) in
+  let install () =
+    let saved = Domain.DLS.get key in
+    Domain.DLS.set key (lazy (init ()));
+    fun () -> Domain.DLS.set key saved
+  in
+  let rec register () =
+    let l = Atomic.get scoped in
+    if not (Atomic.compare_and_set scoped l (install :: l)) then register ()
+  in
+  register ();
+  fun () -> Lazy.force (Domain.DLS.get key)
+
+let with_fresh_vids f =
   let saved = Domain.DLS.get counter_key in
-  let saved_intern = Domain.DLS.get intern_key in
   Domain.DLS.set counter_key (ref 0);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set counter_key saved) f
+
+let with_fresh_ids f =
+  let saved_intern = Domain.DLS.get intern_key in
+  let restore = List.map (fun install -> install ()) (Atomic.get scoped) in
   Domain.DLS.set intern_key (fresh_intern ());
   Fun.protect
     ~finally:(fun () ->
-      Domain.DLS.set counter_key saved;
-      Domain.DLS.set intern_key saved_intern)
-    f
+      Domain.DLS.set intern_key saved_intern;
+      List.iter (fun put_back -> put_back ()) restore)
+    (fun () -> with_fresh_vids f)
 
 let intern_id t =
   let s = intern_state () in

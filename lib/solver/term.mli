@@ -51,28 +51,49 @@ val fresh_var : ?name:string -> sort -> int array -> var
 val var_count : unit -> int
 
 val with_fresh_ids : (unit -> 'a) -> 'a
-(** [with_fresh_ids f] runs [f] with a fresh id allocator starting at
-    0, restoring the caller's allocator afterwards (also on raise).
-    The synthesis pipeline wraps every model run in this so identical
-    models produce identical atoms — and therefore identical value
-    rotations and identical test samples — at any pool size. Never
-    call it in the middle of building or solving a constraint
-    system. *)
+(** [with_fresh_ids f] runs [f] in a fresh {e intern scope}: a fresh
+    id allocator starting at 0, a fresh intern table (below) and a
+    fresh value of every {!scope_local}, restoring the caller's
+    afterwards (also on raise). Never call it in the middle of building
+    or solving a constraint system. *)
+
+val with_fresh_vids : (unit -> 'a) -> 'a
+(** [with_fresh_vids f] runs [f] with a fresh id allocator starting at
+    0 but in the caller's intern scope, restoring the caller's
+    allocator afterwards. The synthesis pipeline runs every exploration
+    in this, inside one {!with_fresh_ids} per run and pool worker:
+    identical programs produce identical atoms — and therefore
+    identical value rotations and identical test samples — at any pool
+    size, while a term that two drafts share interns to one id, so
+    what a {!scope_local} table learned in one draft answers in the
+    next. Sharing the table changes no result: an intern id is a
+    structural identity (a variable is its whole record, name and
+    domain included), used for membership and memo keys only. *)
 
 (** Per-domain interning. An intern table (a [Domain.DLS] sibling of
-    the id allocator, scoped and restored by {!with_fresh_ids} along
-    with it) assigns every structurally distinct term a dense id, which
+    the id allocator, scoped and restored by {!with_fresh_ids})
+    assigns every structurally distinct term a dense id, which
     compares and hashes as an [int]; {!vars} is memoized through it.
     Terms stay plain trees, so getting the id itself hashes the term
     and compares it structurally against its bucket — O(size), not
     O(1): a hot loop should keep an id or a variable list it needs
     again rather than ask for it twice. All of this state is
-    domain-local and epoch-local: ids from different {!with_fresh_ids}
-    scopes are unrelated and must never be mixed. *)
+    domain-local and scope-local: ids from different {!with_fresh_ids}
+    scopes are unrelated and must never be mixed. A domain outside any
+    scope has one of its own, which lives as long as the domain — so a
+    pool worker's lives as long as its pool. *)
 
 val intern_id : t -> int
-(** Dense id of [t] in the calling domain's current intern epoch; equal
+(** Dense id of [t] in the calling domain's current intern scope; equal
     terms get equal ids, distinct terms distinct ids. *)
+
+val scope_local : (unit -> 'a) -> unit -> 'a
+(** [scope_local init] declares a domain-local value with the intern
+    table's lifetime, for a memo keyed by intern ids: the returned
+    getter yields the calling domain's value in its current intern
+    scope, created by [init] on first use, dropped when the
+    {!with_fresh_ids} scope ends (the caller's comes back). Declare it
+    at module initialisation, once per value. *)
 
 (** Smart constructors. *)
 

@@ -9,6 +9,7 @@ type config = {
   timeout : float;
   max_solver_decisions : int;
   string_bound : int;
+  samples_per_path : int;
 }
 
 let default_config =
@@ -18,12 +19,13 @@ let default_config =
     timeout = 30.0;
     max_solver_decisions = 200_000;
     string_bound = 8;
+    samples_per_path = 1;
   }
 
 type path = {
   model : Solve.assignment;
   pc : Term.t list;
-  pc_vars : Term.var list list;
+  samples : Solve.assignment array;
   ret : Sv.t;
   error : string option;
 }
@@ -62,10 +64,33 @@ let stats_of_columns = function
           ticks_used }
   | _ -> None
 
+(* ----- the refutation table ----- *)
+
+(* Slices proved Unsat, keyed by the intern ids of their conjuncts in
+   slice order, with the decision count of the search that proved it
+   (the one stat the executor reads). The table lives as long as the
+   intern table (a {!Term.scope_local}): the synthesis pipeline keeps
+   one per pool worker for a whole run, so a slice that one draft
+   refuted answers the same probe in the drafts after it. Replaying the
+   stored answer is exact: an Unsat search's decisions and conflicts do
+   not depend on the rotation or the hint (see
+   {!Solve.solve_with_stats}), and the search is a function of the
+   constraints alone, which equal ids name. Only Unsat answers are
+   stored: a Sat model depends on the hint. [reused] counts the probes
+   the table answered, an environment figure (it depends on which
+   drafts shared a worker), never part of {!stats}. *)
+type refutations = { table : Packed_map.t; mutable reused : int }
+
+let refutations =
+  Term.scope_local (fun () -> { table = Packed_map.create 1024; reused = 0 })
+
+let refutations_reused () = (refutations ()).reused
+
 type ctx = {
   program : Ast.program;
   config : config;
   natives : (string * (Sv.t list -> Sv.t)) list;
+  refuted : refutations;
   mutable checks : int;
   mutable results : path list;
   mutable completed : int;
@@ -80,16 +105,17 @@ type ctx = {
 
 module Ids = Set.Make (Int)
 
-(* A path-condition conjunct with its free variables ({!Term.vars}),
-   listed once when the conjunct is consed onto a path, so slicing and
-   solving never walk a conjunct for its variables again. *)
-type conjunct = Term.t * Term.var list
+(* A path-condition conjunct as the solver takes it (its free variables
+   and strictness, {!Solve.conjunct}) with its {!Term.intern_id}, all
+   worked out once, when the conjunct is consed onto a path: slicing,
+   solving and the refutation table never walk a conjunct again. *)
+type conjunct = { c : Solve.conjunct; id : int }
 
-let conjunct c : conjunct = (c, Term.vars c)
+let conjunct t = { c = Solve.conjunct t; id = Term.intern_id t }
 
 type st = {
   pc : conjunct list;
-  ids : Ids.t;  (* {!Term.intern_id}s of the conjuncts of [pc] *)
+  ids : Ids.t;  (* the [id]s of the conjuncts of [pc] *)
   model : Solve.assignment option;
       (* a model of [pc], from the probe that proved it sat; [None]
          only at the root *)
@@ -123,9 +149,8 @@ let check_budget ctx =
   end;
   ctx.stop
 
-let charge_solver ctx (stats : Solve.stats) pc =
-  ctx.checks <-
-    ctx.checks + (stats.decisions * (1 + List.length pc) / work_per_tick)
+let charge_solver ctx ~decisions pc =
+  ctx.checks <- ctx.checks + (decisions * (1 + List.length pc) / work_per_tick)
 
 (* The slice of [head :: parent] that can decide its satisfiability
    when [parent] is already known sat: [head] plus every parent
@@ -136,11 +161,11 @@ let charge_solver ctx (stats : Solve.stats) pc =
    pure function of the pc list (fixpoint over it in list order), never
    of hash order; each conjunct carries its variables, so the walk
    never re-lists them. *)
-let slice_for ((_, head_vars) as head) parent =
+let slice_for head parent =
   let vs = Hashtbl.create 16 in
   let add_vars = List.iter (fun v -> Hashtbl.replace vs v.Term.vid ()) in
-  add_vars head_vars;
-  let touches (_, cvs) = List.exists (fun v -> Hashtbl.mem vs v.Term.vid) cvs in
+  add_vars head.c.vars;
+  let touches k = List.exists (fun v -> Hashtbl.mem vs v.Term.vid) k.c.vars in
   let picked = ref [] in
   let remaining = ref parent in
   let changed = ref true in
@@ -151,7 +176,7 @@ let slice_for ((_, head_vars) as head) parent =
         (fun c ->
           if touches c then begin
             picked := c :: !picked;
-            add_vars (snd c);
+            add_vars c.c.vars;
             changed := true;
             false
           end
@@ -179,6 +204,40 @@ let combine_models slice_model parent_model =
         slice_model;
       t
 
+(* The slice's conjunct ids, each as a little-endian base-128 varint:
+   prefix-free, so distinct id sequences give distinct keys. *)
+let slice_key slice =
+  let b = Buffer.create 16 in
+  let rec put n =
+    if n < 0x80 then Buffer.add_char b (Char.unsafe_chr n)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (n land 0x7f lor 0x80));
+      put (n lsr 7)
+    end
+  in
+  List.iter (fun k -> put k.id) slice;
+  Buffer.contents b
+
+(* The probe's search of [slice], or the table's answer for it: the
+   outcome and the search's decision count. A stored refutation within
+   this run's decision budget is the answer the search would give. *)
+let search_slice ctx ~known slice =
+  let max_decisions = ctx.config.max_solver_decisions in
+  let key = slice_key slice in
+  match Packed_map.find ctx.refuted.table key with
+  | Some decisions when decisions <= max_decisions ->
+      ctx.refuted.reused <- ctx.refuted.reused + 1;
+      (Solve.Unsat, decisions)
+  | Some _ | None ->
+      let outcome, { Solve.decisions; _ } =
+        Solve.search ?hint:known ~max_decisions
+          (Solve.prepare (List.map (fun k -> k.c) slice))
+      in
+      (match outcome with
+      | Solve.Unsat -> Packed_map.add ctx.refuted.table key decisions
+      | Solve.Sat _ | Solve.Unknown -> ());
+      (outcome, decisions)
+
 (* Branch-feasibility probe of [head :: parent]; [known] is the model
    the path carries for [parent]. Depth-first search extends a path
    only from a pc that a probe proved sat, so [parent] is sat whenever
@@ -198,24 +257,24 @@ let combine_models slice_model parent_model =
 
    Returns the new pc's model, or [None] when the probe is [Unsat] or
    [Unknown] (the latter counted in [unknown]). A reuse is charged one
-   tick-decision, a solve its actual decision count. *)
+   tick-decision, a solve its actual decision count — also when the
+   refutation table answers it, with the count of the search it
+   replays. *)
+
 let is_sat ctx ~known head parent =
   ctx.solver_calls <- ctx.solver_calls + 1;
   let pc = head :: parent in
   match known with
-  | Some m when Solve.check m [ fst head ] ->
+  | Some m when Solve.check m [ head.c.term ] ->
       ctx.model_reuses <- ctx.model_reuses + 1;
-      charge_solver ctx { Solve.decisions = 1; conflicts = 0 } pc;
+      charge_solver ctx ~decisions:1 pc;
       known
   | _ -> (
       let parent_sat = parent = [] || Option.is_some known in
       let target = if parent_sat then slice_for head parent else pc in
-      let outcome, stats =
-        Solve.search ?hint:known ~max_decisions:ctx.config.max_solver_decisions
-          (Solve.prepare target)
-      in
-      charge_solver ctx stats target;
-      ctx.solver_decisions <- ctx.solver_decisions + stats.Solve.decisions;
+      let outcome, decisions = search_slice ctx ~known target in
+      charge_solver ctx ~decisions target;
+      ctx.solver_decisions <- ctx.solver_decisions + decisions;
       match outcome with
       | Solve.Sat m -> Some (if parent_sat then combine_models m known else m)
       | Solve.Unsat -> None
@@ -262,21 +321,31 @@ let pop_scope st =
 (* The model-producing solve. Never starts from the path's probe
    model: the [~rotate:ctx.completed] value-order rotation is what
    diversifies the emitted tests, and reusing the probe model would
-   short-circuit it. *)
+   short-circuit it. The path's other samples search the same prepared
+   set at rotations 1, 2, ...; like the concretization they feed, they
+   are neither ticked nor counted in [stats], and one that finds no
+   model falls back to the path model. *)
 let complete ctx st ~ret ~error =
   if not (check_budget ctx) then begin
     ctx.solver_calls <- ctx.solver_calls + 1;
-    let outcome, stats =
-      Solve.search ~max_decisions:ctx.config.max_solver_decisions
-        ~rotate:ctx.completed (Solve.prepare st.pc)
+    let max_decisions = ctx.config.max_solver_decisions in
+    let prepared = Solve.prepare (List.map (fun k -> k.c) st.pc) in
+    let outcome, { Solve.decisions; _ } =
+      Solve.search ~max_decisions ~rotate:ctx.completed prepared
     in
-    ctx.solver_decisions <- ctx.solver_decisions + stats.Solve.decisions;
-    charge_solver ctx stats st.pc;
+    ctx.solver_decisions <- ctx.solver_decisions + decisions;
+    charge_solver ctx ~decisions st.pc;
     match outcome with
     | Solve.Sat model ->
         ctx.completed <- ctx.completed + 1;
-        let pc, pc_vars = List.split st.pc in
-        ctx.results <- { model; pc; pc_vars; ret; error } :: ctx.results
+        let samples =
+          Array.init (max 0 (ctx.config.samples_per_path - 1)) (fun s ->
+              match fst (Solve.search ~max_decisions ~rotate:(s + 1) prepared) with
+              | Solve.Sat m -> m
+              | Solve.Unsat | Solve.Unknown -> model)
+        in
+        let pc = List.map (fun k -> k.c.term) st.pc in
+        ctx.results <- { model; pc; samples; ret; error } :: ctx.results
     | Solve.Unsat -> ctx.pruned <- ctx.pruned + 1
     | Solve.Unknown -> ctx.unknown <- ctx.unknown + 1
   end
@@ -304,40 +373,45 @@ let protect ctx st f =
    a guard [Not d] is refuted by [d] directly. *)
 let holds st g = Ids.mem (Term.intern_id g) st.ids
 
-let refuted st g =
-  holds st (Term.not_ g) || match g with Term.Not d -> holds st d | _ -> false
-
-let child st ((g, _) as c) model =
-  { st with pc = c :: st.pc; ids = Ids.add (Term.intern_id g) st.ids; model }
+let child st k model = { st with pc = k :: st.pc; ids = Ids.add k.id st.ids; model }
 
 (* A path is extended only by a sat probe, which carries the new pc's
    model into the child state. With a sat parent, one of [c] and
    [not c] is always sat, so both probes fail only when the solver
    gave up ([Unknown]), which [is_sat] has already counted. [Term.not_]
    only adds or strips one [Not], so [not c] has the variables of [c],
-   in the same order. *)
+   in the same order, and the same strictness. *)
 let branch ctx st cond kt kf =
   if not (check_budget ctx) then begin
     match cond with
     | Term.Const n -> if n <> 0 then kt st else kf st
-    | c when holds st c -> kt st
-    | c when refuted st c -> kf st
     | c ->
-        let vs = Term.vars c in
-        let c = (c, vs) and not_c = (Term.not_ c, vs) in
-        let sat_t = is_sat ctx ~known:st.model c st.pc in
-        let sat_f = is_sat ctx ~known:st.model not_c st.pc in
-        match (sat_t, sat_f) with
-        | Some _, Some _ ->
-            let st_t = child st c sat_t in
-            protect ctx st_t (fun () -> kt st_t);
-            if not ctx.stop then begin
-              let st_f = child st not_c sat_f in
-              protect ctx st_f (fun () -> kf st_f)
-            end
-        | Some _, None -> kt (child st c sat_t)
-        | None, Some _ -> kf (child st not_c sat_f)
-        | None, None -> ()
+        let id = Term.intern_id c in
+        if Ids.mem id st.ids then kt st
+        else begin
+          let not_c = Term.not_ c in
+          let not_id = Term.intern_id not_c in
+          if Ids.mem not_id st.ids || match c with Term.Not d -> holds st d | _ -> false
+          then kf st
+          else begin
+            let sc = Solve.conjunct c in
+            let c = { c = sc; id } in
+            let not_c = { c = { sc with term = not_c }; id = not_id } in
+            let sat_t = is_sat ctx ~known:st.model c st.pc in
+            let sat_f = is_sat ctx ~known:st.model not_c st.pc in
+            match (sat_t, sat_f) with
+            | Some _, Some _ ->
+                let st_t = child st c sat_t in
+                protect ctx st_t (fun () -> kt st_t);
+                if not ctx.stop then begin
+                  let st_f = child st not_c sat_f in
+                  protect ctx st_f (fun () -> kf st_f)
+                end
+            | Some _, None -> kt (child st c sat_t)
+            | None, Some _ -> kf (child st not_c sat_f)
+            | None, None -> ()
+          end
+        end
   end
 
 (* Multi-way fork: explore every case whose guard is feasible. A guard
@@ -350,14 +424,17 @@ let fork_cases ctx st cases k =
         match guard with
         | Term.Const 0 -> ()
         | Term.Const _ -> protect ctx st (fun () -> k st payload)
-        | g when holds st g -> protect ctx st (fun () -> k st payload)
-        | g -> (
-            let g = conjunct g in
-            match is_sat ctx ~known:st.model g st.pc with
-            | Some _ as model ->
-                let st' = child st g model in
-                protect ctx st' (fun () -> k st' payload)
-            | None -> ())
+        | g ->
+            let id = Term.intern_id g in
+            if Ids.mem id st.ids then protect ctx st (fun () -> k st payload)
+            else begin
+              let g = { c = Solve.conjunct g; id } in
+              match is_sat ctx ~known:st.model g st.pc with
+              | Some _ as model ->
+                  let st' = child st g model in
+                  protect ctx st' (fun () -> k st' payload)
+              | None -> ()
+            end
       end)
     cases
 
@@ -774,6 +851,7 @@ let run ?(config = default_config) ?(natives = []) program ~entry ~args ~assumes
       program;
       config;
       natives;
+      refuted = refutations ();
       checks = 0;
       results = [];
       completed = 0;
@@ -796,7 +874,7 @@ let run ?(config = default_config) ?(natives = []) program ~entry ~args ~assumes
       in
       let assumes = List.map conjunct assumes in
       let start model =
-        let ids = Ids.of_list (List.map (fun (c, _) -> Term.intern_id c) assumes) in
+        let ids = Ids.of_list (List.map (fun k -> k.id) assumes) in
         let st = { pc = assumes; ids; model; scopes = [ init_scope ]; steps = 0 } in
         protect ctx st (fun () ->
             exec_block ctx st f.body

@@ -12,9 +12,30 @@
     corner-case tests (§2.2).
 
     Each completed path is solved into a concrete model, yielding one
-    test case. Paths that crash (out-of-bounds, division by zero,
+    test case, and into [samples_per_path - 1] more at other value
+    rotations. Paths that crash (out-of-bounds, division by zero,
     exhausted fuel) are reported too, with [error] set — crashes found
-    by the model are test cases in their own right. *)
+    by the model are test cases in their own right.
+
+    {b The refutation table.} A branch probe that the parent path's
+    model does not answer solves the slice of the path condition
+    connected to the new conjunct. Before it prepares anything, the
+    probe looks the slice up — by the {!Term.intern_id}s of its
+    conjuncts, in slice order — in a table of slices already proved
+    Unsat, and a hit answers Unsat with the stored search stats: ticks,
+    [solver_decisions] and [solver_calls] are charged exactly as the
+    search would have charged them. This is exact: a search that finds
+    no model visits every consistent prefix of its variable order,
+    whatever the value order, so its decisions and conflicts do not
+    depend on the rotation or the hint (see {!Solve.solve_with_stats});
+    and equal ids name equal constraints. Sat and [Unknown] answers are
+    never stored. The table is a {!Term.scope_local}: it lives as long
+    as the calling domain's intern table. The synthesis pipeline keeps
+    one intern scope per pool worker for a whole run and restarts only
+    the variable ids per exploration ({!Term.with_fresh_vids}), so the
+    [k] drafts of a model — mutations of one template that share most
+    of their branches — refute a shared slice once, not once each.
+    Nothing outlives the run. {!refutations_reused} counts the hits. *)
 
 module Term = Eywa_solver.Term
 module Solve = Eywa_solver.Solve
@@ -30,6 +51,9 @@ type config = {
           independent of machine speed or pool contention *)
   max_solver_decisions : int;
   string_bound : int;  (** buffer size for locally declared strings *)
+  samples_per_path : int;
+      (** models per completed path: its model plus this many minus
+          one [samples] (default 1, no samples) *)
 }
 
 val default_config : config
@@ -37,10 +61,12 @@ val default_config : config
 type path = {
   model : Solve.assignment;
   pc : Term.t list;  (** path condition, most recent first *)
-  pc_vars : Term.var list list;
-      (** [Term.vars] of each conjunct of [pc], in the same order —
-          listed once, when the conjunct joined the path, so a caller
-          can {!Solve.prepare} the path without walking it again *)
+  samples : Solve.assignment array;
+      (** [samples.(s - 1)] is the first model of [pc] at value rotation
+          [s], for [s = 1 .. samples_per_path - 1], or [model] where that
+          search finds none: further concrete witnesses of the path,
+          searched from the set the path model was solved from, prepared
+          once. They are not ticked or counted in {!stats}. *)
   ret : Sv.t;
   error : string option;
 }
@@ -83,6 +109,12 @@ val stats_columns : (string * (stats -> int)) list
 val stats_of_columns : int list -> stats option
 (** Inverse of {!stats_columns}: [None] unless the list has exactly one
     value per column. *)
+
+val refutations_reused : unit -> int
+(** Probes the calling domain's current refutation table has answered
+    (see above). An environment figure: which drafts share a table
+    depends on the pool's scheduling, so it varies with the pool size,
+    and it is never part of {!stats}. *)
 
 val run :
   ?config:config ->

@@ -347,6 +347,7 @@ let norm_event = function
           jobs = 0;
           per_worker = [];
           queue_wait_ticks = 0;
+          refutations_reused = 0;
         }
   | e -> e
 
@@ -693,6 +694,120 @@ let test_garbled_entry_is_a_miss () =
         (mask_wall_fields valid) (mask_wall_fields (read_file path)))
     [ 1; 4 ]
 
+(* ----- the refutation table is exact and run-scoped ----- *)
+
+module Term = Eywa_solver.Term
+
+let refutations_reused events =
+  List.fold_left
+    (fun n -> function
+      | Instrument.Pool_merged { label = "draw"; refutations_reused; _ } ->
+          n + refutations_reused
+      | _ -> n)
+    0 events
+
+let run_collected ~config ~jobs (m : Model_def.t) =
+  let c = Instrument.Collector.create () in
+  match
+    Pipeline.run ~sink:(Instrument.Collector.sink c) ~config ~jobs ~oracle m.graph
+      ~main:m.main
+  with
+  | Ok s -> (s, refutations_reused (Instrument.Collector.events c))
+  | Error e -> Alcotest.fail e
+
+(* The distinct programs of a synthesis, in order of first occurrence
+   (the order [run] explores them in). *)
+let distinct_programs (s : Pipeline.t) =
+  List.filter_map
+    (fun id -> List.assoc_opt id (List.combine s.program_ids s.programs))
+    (List.sort_uniq compare s.program_ids)
+
+let explore_program ~config (m : Model_def.t) program =
+  let inputs, paths, stats = Pipeline.symex ~config m.graph ~main:(main_of m) program in
+  (paths, stats, Pipeline.tests_of_paths ~config ~inputs paths)
+
+(* Every model at k=3: exploring the distinct programs one after
+   another in one intern scope, as a pool worker does, gives every
+   path, stat and test that exploring each under a fresh scope (a fresh
+   refutation table) gives, and [run] at jobs 1 and 4 — where different
+   drafts share a worker's table — gives each draw that program's tests
+   and stats. A 1 s tick budget keeps it quick and still cuts the
+   heaviest draws off mid-exploration; [make stats-identity] checks the
+   models' own budgets at jobs 1 and 4. *)
+let test_refutation_table_exact () =
+  let reused = ref 0 in
+  List.iter
+    (fun (m : Model_def.t) ->
+      let config = Model_def.pipeline_config ~k:3 ~timeout:1.0 m in
+      let s1, reused1 = run_collected ~config ~jobs:1 m in
+      let s4, _ = run_collected ~config ~jobs:4 m in
+      reused := !reused + reused1;
+      let programs = distinct_programs s1 in
+      let fresh =
+        List.map (fun p -> Term.with_fresh_ids (fun () -> explore_program ~config m p)) programs
+      in
+      let shared =
+        Term.with_fresh_ids (fun () ->
+            List.map (fun p -> Term.with_fresh_vids (fun () -> explore_program ~config m p)) programs)
+      in
+      List.iteri
+        (fun i ((paths, stats, tests), (paths', stats', tests')) ->
+          let what = Printf.sprintf "%s program %d, one scope = fresh scopes: " m.id i in
+          check (what ^ "paths") true (paths = paths');
+          check (what ^ "stats") true (stats = stats');
+          check (what ^ "tests") true (tests = tests'))
+        (List.combine fresh shared);
+      List.iter
+        (fun (jobs, (s : Pipeline.t)) ->
+          List.iter2
+            (fun id ((r : Pipeline.model_result), _) ->
+              let _, stats, tests = List.nth fresh id in
+              let what = Printf.sprintf "%s jobs=%d draw %d = fresh scope: " m.id jobs r.index in
+              check (what ^ "stats") true (r.stats = Some stats);
+              check (what ^ "tests") true (r.tests = tests))
+            s.program_ids
+            (List.filter (fun (_, p) -> p <> None) (draws_of s)))
+        [ (1, s1); (4, s4) ])
+    Eywa_models.All_models.all;
+  check "the drafts share refutations" true (!reused > 0)
+
+(* No table outlives its run: two runs of one model in a row answer the
+   same probes from it. *)
+let test_refutation_table_run_scoped () =
+  let m = Dns_models.auth in
+  let config = Model_def.pipeline_config ~k:3 m in
+  let _, first = run_collected ~config ~jobs:1 m in
+  let _, second = run_collected ~config ~jobs:1 m in
+  check "the first run reuses refutations" true (first > 0);
+  check_int "the second run reuses as many" first second
+
+(* ----- a cache directory is created with its parents ----- *)
+
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let test_cache_dir_parents () =
+  let root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "eywa-cache-parents-%d" (Unix.getpid ()))
+  in
+  remove_tree root;
+  let dir = Filename.concat root "cache" in
+  let cold = run ~cache:(Cache.create ~dir ()) ~jobs:1 model in
+  check "the run writes its draw files" true
+    (Sys.file_exists dir
+    && Array.exists (String.starts_with ~prefix:"draw-") (Sys.readdir dir));
+  let cache = Cache.create ~dir () in
+  let warm = run ~cache ~jobs:1 model in
+  check_int "a rerun hits every draw" 4 (Cache.hits cache);
+  check_string "and replays the run" (full_fingerprint cold) (full_fingerprint warm);
+  remove_tree root
+
 let suite =
   [
     Alcotest.test_case "warm cache = cold run (jobs 1 and 4)" `Slow
@@ -720,6 +835,12 @@ let suite =
       test_aggregate_equals_full_dedup;
     Alcotest.test_case "run's shared fronts = per-index front" `Slow
       test_shared_front_equals_front;
+    Alcotest.test_case "refutation table: one scope = fresh scopes, jobs 1 and 4" `Slow
+      test_refutation_table_exact;
+    Alcotest.test_case "refutation table: no table outlives its run" `Slow
+      test_refutation_table_run_scoped;
+    Alcotest.test_case "a cache directory is created with its parents" `Slow
+      test_cache_dir_parents;
     Alcotest.test_case "a cache entry that does not decode is a miss" `Slow
       test_garbled_entry_is_a_miss;
   ]

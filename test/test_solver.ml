@@ -283,7 +283,7 @@ let prop_prepared_equals_fresh =
       pair (list_size (int_range 1 5) (gen_term shared_vars)) (int_range 1 2))
     (fun (cs, budget_sel) ->
       let max_decisions = if budget_sel = 1 then 25 else 100_000 in
-      let prepared = Solve.prepare (List.map (fun c -> (c, Term.vars c)) cs) in
+      let prepared = Solve.prepare (List.map Solve.conjunct cs) in
       List.for_all
         (fun rotate ->
           let o1, s1 = Solve.search ~max_decisions ~rotate prepared in
@@ -317,6 +317,38 @@ let prop_hinted_solve_sound =
       | Solve.Sat m, Solve.Sat _ -> Solve.check m cs
       | Solve.Unsat, Solve.Unsat | Solve.Unknown, Solve.Unknown -> true
       | _ -> false)
+
+(* A search that finds no model visits every consistent prefix of the
+   variable order and tries every value under each, whatever the value
+   order: an Unsat answer's decisions and conflicts are the same at
+   every rotation, with or without a hint. The symbolic executor's
+   refutation table replays stored Unsat answers on this. *)
+let prop_unsat_stats_order_free =
+  QCheck2.Test.make ~count:500
+    ~name:"Unsat stats are equal at rotations 0-3, with and without a hint"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 5) (gen_term shared_vars))
+        (list_size (int_range 0 3) (int_range (-4) 12)))
+    (fun (cs, hint_vals) ->
+      let hint = Array.make (model_size shared_vars) Solve.unassigned in
+      List.iteri
+        (fun i value ->
+          let v = List.nth shared_vars (i mod List.length shared_vars) in
+          hint.(v.Term.vid) <- value)
+        hint_vals;
+      let prepared = Solve.prepare (List.map Solve.conjunct cs) in
+      match Solve.search ~max_decisions:100_000 prepared with
+      | Solve.Unsat, stats ->
+          List.for_all
+            (fun rotate ->
+              List.for_all
+                (fun hint ->
+                  Solve.search ~max_decisions:100_000 ~rotate ?hint prepared
+                  = (Solve.Unsat, stats))
+                [ None; Some hint ])
+            [ 0; 1; 2; 3 ]
+      | (Solve.Sat _ | Solve.Unknown), _ -> true)
 
 (* ----- the search's partial evaluator = Term.peval ----- *)
 
@@ -478,6 +510,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_watched_equals_naive;
     QCheck_alcotest.to_alcotest prop_hinted_solve_sound;
     QCheck_alcotest.to_alcotest prop_prepared_equals_fresh;
+    QCheck_alcotest.to_alcotest prop_unsat_stats_order_free;
     Alcotest.test_case "partial evaluator edge cases = Term.peval" `Quick
       test_peval_edge_cases;
     QCheck_alcotest.to_alcotest prop_peval_equals_reference;

@@ -417,14 +417,14 @@ let test_exec_implied_negation () =
   check "Not (Var _) guard takes the implied side" true (rets = [ 2; 4 ]);
   check_int "only the first test probes (bool)" 4 calls
 
-(* ----- carried conjunct variables ----- *)
+(* ----- carried samples ----- *)
 
-(* Every conjunct lists its free variables once, when it joins the
-   path, and slicing and solving read that list instead of
-   [Term.vars]. On real draws of models from three protocols, each
-   completed path's carried lists must be exactly [Term.vars] of its
-   conjuncts. *)
-let test_carried_vars_on_models () =
+(* A completed path carries its sample models, searched from the set
+   its model was solved from. On real draws of models from three
+   protocols, each must be what a fresh solve of the path condition
+   gives at that rotation — what concretization used to solve for
+   itself. *)
+let test_carried_samples_on_models () =
   let module Model_def = Eywa_models.Model_def in
   let module Pipeline = Eywa_core.Pipeline in
   let oracle = Eywa_llm.Gpt.oracle () in
@@ -447,8 +447,21 @@ let test_carried_vars_on_models () =
                   check (m.id ^ ": some path") true (paths <> []);
                   List.iter
                     (fun (p : Exec.path) ->
-                      check (m.id ^ ": carried vars = Term.vars") true
-                        (p.pc_vars = List.map Term.vars p.pc))
+                      check_int (m.id ^ ": samples per path")
+                        (config.samples_per_path - 1) (Array.length p.samples);
+                      Array.iteri
+                        (fun i sample ->
+                          let fresh =
+                            match
+                              Solve.solve ~max_decisions:config.max_solver_decisions
+                                ~rotate:(i + 1) p.pc
+                            with
+                            | Solve.Sat model -> model
+                            | Solve.Unsat | Solve.Unknown -> p.model
+                          in
+                          check (m.id ^ ": sample = fresh rotated solve") true
+                            (sample = fresh))
+                        p.samples)
                     paths))
             s.programs)
     Eywa_models.
@@ -525,6 +538,6 @@ let suite =
     Alcotest.test_case "exec: negated guards take the implied branch" `Quick
       test_exec_implied_negation;
     prop_implied_branch_is_solver_verdict;
-    Alcotest.test_case "exec: carried conjunct vars = Term.vars (4 models)" `Slow
-      test_carried_vars_on_models;
+    Alcotest.test_case "exec: carried samples = fresh rotated solves (4 models)" `Slow
+      test_carried_samples_on_models;
   ]
