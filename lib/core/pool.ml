@@ -57,9 +57,9 @@ let worker pool index () =
     match task with
     | None -> ()
     | Some f ->
-        (* tasks enqueued by [map] never raise; this is a backstop so a
-           misbehaving closure cannot kill the worker *)
-        (try f () with _ -> ());
+        (* the only tasks are [map_stats]'s, which turn whatever [f]
+           raises into the batch's [Error] *)
+        f ();
         loop ()
   in
   loop ()

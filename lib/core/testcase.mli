@@ -19,9 +19,13 @@ val input_string : t -> string -> string
 (** Convenience: the C-string contents of a string input. *)
 
 val key : t -> string
-(** Canonical rendering of the inputs; two tests with equal keys drive
-    implementations identically, so uniqueness (the paper's "unique
-    test cases") is uniqueness of keys. *)
+(** Canonical rendering of the inputs, and nothing else: uniqueness
+    (the paper's "unique test cases") is uniqueness of keys. Two tests
+    with equal keys give the implementations the same inputs, but they
+    need not both reach them: the adapters serve no test whose
+    [bad_input] or [error] is set, and those fields are not part of the
+    key. So {!dedup} keeping one copy of a key decides whether its
+    inputs are served. *)
 
 val dedup : t list -> t list
 (** Stable dedup by {!key}. *)

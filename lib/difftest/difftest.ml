@@ -112,12 +112,6 @@ let impl_runs memo impls =
 let observe ~impls ~render serve =
   observe_runs (impl_runs (memo_of ~render serve) impls)
 
-let observe_naive ~impls ~render serve =
-  List.map
-    (fun (impl, quirks) ->
-      { impl; fields = render (serve (Quirkset.of_list quirks)) })
-    impls
-
 type accum = {
   mutable total : int;
   mutable disagreeing : int;
@@ -287,35 +281,6 @@ let attribute ?jobs ~suspects ~impls ~render ~prepare tests =
                 match rest with [] -> List.rev known | _ -> go known [] 0 rest))
       in
       go [] [] 0 tests)
-
-let attribute_naive ~suspects ~impls ~render ~prepare tests =
-  let found = ref [] in
-  List.iter
-    (fun t ->
-      match prepare t with
-      | None -> ()
-      | Some serve -> (
-          let observations = observe_naive ~impls ~render serve in
-          let serve quirks = serve (Quirkset.of_list quirks) in
-          match compare_all observations with
-          | [] -> ()
-          | ds ->
-              List.iter
-                (fun impl ->
-                  let active =
-                    Option.value (List.assoc_opt impl impls) ~default:[]
-                  in
-                  let with_all = serve active in
-                  List.iter
-                    (fun q ->
-                      if
-                        serve (List.filter (fun x -> x <> q) active) <> with_all
-                        && not (List.mem (impl, q) !found)
-                      then found := (impl, q) :: !found)
-                    active)
-                (suspects ds)))
-    tests;
-  List.rev !found
 
 let dissenters ds =
   List.rev

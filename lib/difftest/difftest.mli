@@ -52,15 +52,8 @@ val observe :
     under the implementation's quirk set — with one engine run per quirk
     set whose outcome could differ (see above). [serve] must gate every
     quirk through {!Eywa_quirkset.Quirkset.has}, and may be called with
-    any quirk set. Equal to {!observe_naive}. *)
-
-val observe_naive :
-  impls:(string * 'q list) list ->
-  render:('r -> fields) ->
-  ('q Eywa_quirkset.Quirkset.t -> 'r) ->
-  observation list
-(** The reference {!observe}: every implementation served and rendered
-    on its own. Kept for tests. *)
+    any quirk set. Equal to serving and rendering every implementation
+    on its own. *)
 
 (** Accumulation across a whole test suite. *)
 
@@ -97,7 +90,7 @@ val run :
     parallel, keeping only the observation count and the disagreements
     of each test, then tallies them {e sequentially in input order} into
     one accumulator — so the report is identical at any [jobs], and
-    equal to {!record}ing every test's {!observe_naive} in order.
+    equal to {!record}ing every test's {!observe} in order.
     [prepare] and the serve functions must be safe to call from
     concurrent domains.
 
@@ -135,7 +128,8 @@ val attribute :
     is removed from the implementation's own quirk set, even where its
     run was shared with another implementation's set, and a quirk whose
     removal changes the outcome is confirmed for that implementation.
-    The result equals {!attribute_naive}, which tries every quirk.
+    The result equals trying every quirk of every suspect by a fresh
+    run.
 
     Returns the distinct confirmed (implementation, quirk) pairs in
     first-occurrence order: by test index, then suspect order, then
@@ -152,17 +146,6 @@ val attribute :
     renders every observation and votes. The result is the same at any
     [jobs]. [prepare] and the serve functions must be safe to call from
     concurrent domains. *)
-
-val attribute_naive :
-  suspects:(disagreement list -> string list) ->
-  impls:(string * 'q list) list ->
-  render:('r -> fields) ->
-  prepare:('a -> ('q Eywa_quirkset.Quirkset.t -> 'r) option) ->
-  'a list ->
-  (string * 'q) list
-(** The reference {!attribute}, kept for tests: sequential, every test
-    observed with {!observe_naive}, and every quirk of every suspect
-    tried by a fresh run. *)
 
 val impls_in_report : report -> string list
 val tuples_for : report -> string -> (disagreement * int) list

@@ -437,11 +437,39 @@ let store slot v : stmt_code =
   tick st;
   frame.(slot) <- v st frame
 
+(* A loop is cut at its head once the frame repeats a snapshot taken
+   at an earlier head of the same entry of the loop. Values are
+   immutable and the frame is all the state the loop can see (callees
+   get fresh frames, natives are pure, and nothing reads the fuel
+   left), so the loop would repeat that period until fuel ran out, and
+   the period's edges are already marked: ending the run now, as fuel
+   exhaustion would later, gives the same result and coverage. Snapshots
+   are taken from head [cycle_from] on, at every power of two (Brent),
+   so a loop that settles into a period p after m heads is cut within
+   [2 * max cycle_from (max m p) + p] heads, and a loop that ends
+   before head [cycle_from] pays only a counter. *)
+let cycle_from = 64
+
+(* [unset] is told apart from any string by [==], so only it matches
+   itself. *)
+let same_slot a b = a == b || (a != unset && b != unset && Value.equal a b)
+
+let rec same_frame frame snap i =
+  i < 0 || (same_slot frame.(i) snap.(i) && same_frame frame snap (i - 1))
+
 (* [while] and the loop part of [for]: one tick per test of [c]. *)
 let loop c id_t id_f body step : stmt_code =
  fun st frame ->
+  let heads = ref 0 and snap = ref [||] in
   try
     while
+      let n = !heads + 1 in
+      heads := n;
+      if n >= cycle_from then begin
+        if n > cycle_from && same_frame frame !snap (Array.length frame - 1) then
+          raise Fuel_exc;
+        if n land (n - 1) = 0 then snap := Array.copy frame
+      end;
       tick st;
       Value.truthy (c st frame)
     do

@@ -3,7 +3,13 @@
     Executes a function of a typechecked program on concrete argument
     values. Loops and recursion are bounded by [fuel] (decremented per
     statement), so any input terminates — the property differential
-    testing needs when replaying tests against the model.
+    testing needs when replaying tests against the model. A loop whose
+    frame repeats at its head, within one entry of the loop, would
+    repeat that period until fuel ran out; the run ends there at once,
+    with the [Out_of_fuel] result and the coverage that fuel exhaustion
+    gives. Values are immutable and a call's frame is all the state its
+    loops can see, so this is exact: only the fuel left differs, and
+    nothing reads it.
 
     A program is compiled once into OCaml closures before it runs:
     every variable is resolved to a slot of a per-call frame, calls are
@@ -77,7 +83,9 @@ val exec :
   Value.t list ->
   (Value.t, error) result
 (** One call of a prepared entry with [args]: the same result, fuel
-    use and coverage as {!run} with the same arguments.
+    use and coverage as {!run} with the same arguments. A loop whose
+    frame repeats at its head ends the call as [Error Out_of_fuel] at
+    once, with the coverage that running out of fuel gives.
     @raise Invalid_argument if [coverage] is bound to another
     program. *)
 
@@ -91,7 +99,8 @@ val run :
   Value.t list ->
   (Value.t, error) result
 (** [run program fname args] calls [fname] with [args]: {!prepare}
-    then one {!exec}. Default fuel is [100_000]; [string_bound] sizes
+    then one {!exec}. Default fuel is [100_000], and a loop whose frame
+    repeats at its head is cut as if it had run out; [string_bound] sizes
     locally declared string buffers (default [16]). [natives] supplies
     pure host-implemented functions (the harness's regex guards) looked
     up after the builtins and before program functions. Falling off the

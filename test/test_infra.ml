@@ -130,7 +130,7 @@ let test_attribute_removes_from_own_set () =
   let suspects _ = List.map fst impls in
   let render b = [ ("out", string_of_bool b) ] in
   let prepare () = Some serve in
-  let naive = Difftest.attribute_naive ~suspects ~impls ~render ~prepare [ () ] in
+  let naive = Difftest_naive.attribute ~suspects ~impls ~render ~prepare [ () ] in
   check "full serve confirms (B, q)" true (naive = [ ("B", "q") ]);
   check "memoized attribution equals the full serve" true
     (Difftest.attribute ~jobs:1 ~suspects ~impls ~render ~prepare [ () ] = naive)
@@ -164,7 +164,7 @@ let test_attribute_serves_only_open_suspects () =
   in
   let render v = [ ("out", string_of_int v) ] in
   let suspects = Difftest.dissenters in
-  let naive = Difftest.attribute_naive ~suspects ~impls ~render ~prepare tests in
+  let naive = Difftest_naive.attribute ~suspects ~impls ~render ~prepare tests in
   check "the first test confirms (A, a) and (B, c)" true
     (naive = [ ("A", "a"); ("B", "c") ]);
   Atomic.set later_serves 0;
@@ -253,10 +253,10 @@ let prop_attribute_on_decision_trees =
          List.for_all
            (fun tree ->
              Difftest.observe ~impls ~render (serve_tree tree)
-             = Difftest.observe_naive ~impls ~render (serve_tree tree))
+             = Difftest_naive.observe ~impls ~render (serve_tree tree))
            trees
          && Difftest.attribute ~jobs:1 ~suspects ~impls ~render ~prepare trees
-            = Difftest.attribute_naive ~suspects ~impls ~render ~prepare trees))
+            = Difftest_naive.attribute ~suspects ~impls ~render ~prepare trees))
 
 let test_accum_and_report () =
   let acc = Difftest.create () in

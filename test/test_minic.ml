@@ -359,6 +359,80 @@ let test_interp_fuel_exact () =
   check "out of fuel one below" true
     (Interp.run ~fuel:(t - 1) q "f" [ Value.Vint 4 ] = Error Interp.Out_of_fuel)
 
+(* ----- the loop cycle cut ----- *)
+
+(* A native that counts its calls: how many loop iterations a run made,
+   invisible to the program itself. *)
+let probe () =
+  let calls = ref 0 in
+  (calls, [ ("probe", fun _ -> incr calls; Value.Vbool true) ])
+
+let covered_run ?fuel ?natives p fn args =
+  let coverage = Interp.coverage_create () in
+  let r = Interp.run ?fuel ?natives ~coverage p fn args in
+  (r, Interp.covered coverage)
+
+let test_interp_cycle_stuck_step () =
+  (* a drafted loop whose step adds 0: the frame repeats at every head *)
+  let p = parse_ok
+    "bool probe(uint32_t x);\n\
+     int f(uint32_t suffix) { int n = 0;\n\
+    \  for (uint32_t i = 1; i <= suffix; i = i + 0) {\n\
+    \    if (probe(i)) { n = 1; } else { n = 2; } }\n\
+    \  return n; }"
+  in
+  let calls, natives = probe () in
+  let r, cut = covered_run ~natives p "f" [ Value.Vint 3 ] in
+  check "out of fuel" true (r = Error Interp.Out_of_fuel);
+  (* five ticks an iteration: 100,000 fuel alone would allow 20,000 *)
+  check "cut within a few hundred iterations" true (!calls < 500);
+  (* 50 fuel ends the run after a few iterations, long before the check
+     could fire: the cut run covers exactly what fuel exhaustion does *)
+  let r, exhausted = covered_run ~fuel:50 ~natives p "f" [ Value.Vint 3 ] in
+  check "small fuel: out of fuel" true (r = Error Interp.Out_of_fuel);
+  check "same coverage as fuel exhaustion" true (cut = exhausted);
+  check "the loop's edges are covered" true (List.length cut = 2)
+
+let test_interp_cycle_period_two () =
+  let p = parse_ok
+    "bool probe(int x);\n\
+     int f() { int x = 0; while (true) { x = 1 - x; probe(x); } return x; }"
+  in
+  let calls, natives = probe () in
+  check "out of fuel" true
+    (Interp.run ~fuel:1_000_000 ~natives p "f" [] = Error Interp.Out_of_fuel);
+  check "cut within a few hundred iterations" true (!calls < 500)
+
+let test_interp_cycle_progress () =
+  (* x alternates, but i never repeats: no head repeats a frame *)
+  let p = parse_ok
+    "int f(int n) { int i = 0; int x = 0;\n\
+    \  while (i < n) { x = 1 - x; i = i + 1; } return i + x; }"
+  in
+  check "50,000 iterations run to the end" true
+    (Interp.run ~fuel:1_000_000 p "f" [ Value.Vint 50_000 ] = Ok (Value.Vint 50_000))
+
+let test_interp_cycle_nested () =
+  (* the outer loop makes progress and calls a function with a loop of
+     its own; at i = 70 the inner loop stops making progress *)
+  let p = parse_ok
+    "bool probe(int x);\n\
+     int g(int v) { int k = 0; while (k < 3) { k = k + 1; } return v + k; }\n\
+     int f(int n) { int s = 0;\n\
+    \  for (int i = 0; i < n; i++) {\n\
+    \    s = g(s);\n\
+    \    int j = 0;\n\
+    \    while (j < i / 70) { j = j * 1; probe(j); } }\n\
+    \  return s; }"
+  in
+  check "70 outer iterations run to the end" true
+    (Interp.run ~fuel:1_000_000 ~natives:(snd (probe ())) p "f" [ Value.Vint 70 ]
+    = Ok (Value.Vint 210));
+  let calls, natives = probe () in
+  check "out of fuel" true
+    (Interp.run ~fuel:1_000_000 ~natives p "f" [ Value.Vint 100 ] = Error Interp.Out_of_fuel);
+  check "inner loop cut within a few hundred iterations" true (!calls < 500)
+
 (* property: pretty/parse round trip on random straight-line programs *)
 let gen_expr_src =
   let open QCheck2.Gen in
@@ -431,6 +505,10 @@ let suite =
     Alcotest.test_case "interp: use before declaration" `Quick test_interp_use_before_decl;
     Alcotest.test_case "interp: for-step declaration" `Quick test_interp_for_step_decl;
     Alcotest.test_case "interp: fuel is exact" `Quick test_interp_fuel_exact;
+    Alcotest.test_case "interp: a stuck loop step is cut" `Quick test_interp_cycle_stuck_step;
+    Alcotest.test_case "interp: a period-2 loop is cut" `Quick test_interp_cycle_period_two;
+    Alcotest.test_case "interp: a progressing loop is not cut" `Quick test_interp_cycle_progress;
+    Alcotest.test_case "interp: a stuck inner loop is cut" `Quick test_interp_cycle_nested;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_interp_deterministic;
   ]

@@ -90,7 +90,7 @@ let old = Eywa_dns.Impls.Old
    however it skips pairs it already confirmed or quirks a run did not
    consult. *)
 let dns_reference ~version models_and_tests =
-  Difftest.attribute_naive ~suspects:dissenters ~impls:(Dns_adapter.impls version)
+  Difftest_naive.attribute ~suspects:dissenters ~impls:(Dns_adapter.impls version)
     ~render:Dns_adapter.fields_of_outcome
     ~prepare:(fun (model_id, t) -> Dns_adapter.prepare ~model_id t)
     (tagged models_and_tests)
@@ -133,21 +133,21 @@ let test_quirks_jobs_invariant () =
   let dns_ref = dns_reference ~version:old dns in
   let bgp = Lazy.force bgp_suites in
   let bgp_ref =
-    Difftest.attribute_naive ~suspects:bgp_suspects ~impls:Bgp_adapter.impls
+    Difftest_naive.attribute ~suspects:bgp_suspects ~impls:Bgp_adapter.impls
       ~render:Fun.id
       ~prepare:(fun (model_id, t) -> Bgp_adapter.prepare ~model_id t)
       (tagged bgp)
   in
   let smtp_graph, smtp = Lazy.force smtp_suite in
   let smtp_ref =
-    Difftest.attribute_naive ~suspects:dissenters
+    Difftest_naive.attribute ~suspects:dissenters
       ~impls:Smtp_adapter.machine.impls ~render:Stateful_adapter.render
       ~prepare:(Smtp_adapter.prepare ~graph:smtp_graph)
       smtp
   in
   let tcp_graph, tcp = Lazy.force tcp_suite in
   let tcp_ref =
-    Difftest.attribute_naive ~suspects:tcp_suspects
+    Difftest_naive.attribute ~suspects:tcp_suspects
       ~impls:Tcp_adapter.machine.impls ~render:Stateful_adapter.render
       ~prepare:(Tcp_adapter.prepare ~graph:tcp_graph)
       tcp
@@ -206,7 +206,7 @@ let memo_is_full_serve ~jobs ~suspects ~impls ~render ~prepare tests =
         match prepare t with
         | None -> true
         | Some serve ->
-            let full = Difftest.observe_naive ~impls ~render serve in
+            let full = Difftest_naive.observe ~impls ~render serve in
             ignore (Difftest.record acc full);
             Difftest.observe ~impls ~render serve = full)
       tests
@@ -215,7 +215,7 @@ let memo_is_full_serve ~jobs ~suspects ~impls ~render ~prepare tests =
   && observations_agree
   && Difftest.run ~jobs ~impls ~render ~prepare tests = Difftest.report acc
   && Difftest.attribute ~jobs ~suspects ~impls ~render ~prepare tests
-     = Difftest.attribute_naive ~suspects ~impls ~render ~prepare tests
+     = Difftest_naive.attribute ~suspects ~impls ~render ~prepare tests
 
 let memo_equals_full_serve =
   QCheck_alcotest.to_alcotest
