@@ -34,11 +34,13 @@ fuzz-smoke:
 	@grep -q '"any_strict_increase": true' /tmp/eywa-fuzz-smoke.json \
 	  || { echo "fuzz-smoke: no model gained edge coverage"; exit 1; }
 
-# PR4 smoke: the wall-clock-stripped trace of a run is byte-identical
-# at jobs=1 on a cold cache vs jobs=4 on the warm cache (`eywa trace`
-# also checks well-formedness and the JSONL round-trip on the way),
-# and the stats/bench JSON artifacts round-trip the canonical printer;
-# the bench driver refuses a stage it does not know
+# the wall-clock-stripped trace of a run is byte-identical at jobs=1
+# on a cold cache vs jobs=4 on the warm cache (`eywa trace` also
+# checks well-formedness and the JSONL round-trip on the way), and so
+# is the env-stripped metrics exposition, which must also equal
+# test/golden/metrics-rr-k3.txt; the stats/bench JSON artifacts
+# round-trip the canonical printer; the bench driver refuses a stage
+# it does not know
 trace-smoke:
 	rm -rf /tmp/eywa-trace-smoke && mkdir -p /tmp/eywa-trace-smoke
 	dune exec bin/eywa_cli.exe -- run RR -k 3 --timeout 5 --jobs 1 \
@@ -54,6 +56,17 @@ trace-smoke:
 	@cmp /tmp/eywa-trace-smoke/s1.jsonl /tmp/eywa-trace-smoke/s2.jsonl \
 	  || { echo "trace-smoke: stripped traces differ across jobs/cache"; exit 1; }
 	@echo "trace-smoke: stripped traces byte-identical"
+	dune exec bin/eywa_cli.exe -- metrics RR -k 3 --strip-env --jobs 1 \
+	  --cache-dir /tmp/eywa-trace-smoke/metrics-cache \
+	  > /tmp/eywa-trace-smoke/m1.txt
+	dune exec bin/eywa_cli.exe -- metrics RR -k 3 --strip-env --jobs 4 \
+	  --cache-dir /tmp/eywa-trace-smoke/metrics-cache \
+	  > /tmp/eywa-trace-smoke/m4.txt
+	@for f in m1 m4; do \
+	  cmp /tmp/eywa-trace-smoke/$$f.txt test/golden/metrics-rr-k3.txt \
+	    || { echo "trace-smoke: $$f metrics differ from test/golden/metrics-rr-k3.txt"; exit 1; }; \
+	done
+	@echo "trace-smoke: stripped metrics match the golden at jobs 1 (cold) and 4 (warm)"
 	dune exec bin/eywa_cli.exe -- stats RR -k 3 --timeout 5 --json \
 	  > /tmp/eywa-trace-smoke/stats.json
 	dune exec bin/eywa_cli.exe -- trace --json /tmp/eywa-trace-smoke/stats.json

@@ -23,6 +23,7 @@ module Model_def = Eywa_models.Model_def
 module All = Eywa_models.All_models
 module Difftest = Eywa_difftest.Difftest
 module Protocol = Eywa_models.Protocol
+module Collector = Eywa_core.Instrument.Collector
 
 let oracle = Eywa_llm.Gpt.oracle ()
 
@@ -82,9 +83,21 @@ let cache_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
+(* A cache whose disk writes fail still serves this run from memory;
+   say so once, on exit, rather than leave later runs silently cold. *)
 let cache_of = function
   | None -> None
-  | Some dir -> Some (Eywa_core.Cache.create ~dir ())
+  | Some dir ->
+      let cache = Eywa_core.Cache.create ~dir () in
+      at_exit (fun () ->
+          match Eywa_core.Cache.write_failures cache with
+          | 0 -> ()
+          | n ->
+              Printf.eprintf
+                "eywa: warning: %d cache write(s) to %s failed; those entries \
+                 were not persisted\n"
+                n dir);
+      Some cache
 
 let limit_arg =
   let doc = "Print at most this many tests." in
@@ -102,32 +115,34 @@ let metrics_out_arg =
   let doc = "Write a Prometheus-style metrics exposition to this file." in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-(* one observability context per command invocation, created only when
-   an output was requested *)
-let obs_for ~label trace_out metrics_out =
+(* the run's event log, kept only when a trace or metrics file was
+   requested; both files render it once the run is over *)
+let collector_for trace_out metrics_out =
   match (trace_out, metrics_out) with
   | None, None -> None
-  | _ -> Some (Eywa_obs.Obs.create ~label ())
+  | _ -> Some (Collector.create ())
 
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
   close_out oc
 
-let finish_obs obs trace_out metrics_out =
-  match obs with
-  | None -> ()
-  | Some ctx ->
-      (match trace_out with
-      | Some path ->
-          write_file path (Eywa_obs.Export.to_jsonl (Eywa_obs.Obs.finish ctx));
-          Printf.printf "wrote trace to %s\n" path
-      | None -> ());
-      (match metrics_out with
-      | Some path ->
-          write_file path (Eywa_obs.Metrics.expose (Eywa_obs.Obs.metrics ctx));
-          Printf.printf "wrote metrics to %s\n" path
-      | None -> ())
+let finish_obs ~label collector trace_out metrics_out =
+  Option.iter
+    (fun c ->
+      let events = Collector.events c in
+      Option.iter
+        (fun path ->
+          write_file path
+            (Eywa_obs.Export.to_jsonl (Eywa_obs.Trace.of_events ~label events));
+          Printf.printf "wrote trace to %s\n" path)
+        trace_out;
+      Option.iter
+        (fun path ->
+          write_file path (Eywa_obs.Metrics.expose events);
+          Printf.printf "wrote metrics to %s\n" path)
+        metrics_out)
+    collector
 
 let fuzz_seed_arg =
   let doc = "Base fuzz seed; draw i fuzzes at SEED + i." in
@@ -208,10 +223,10 @@ let run_cmd =
     match find_model id with
     | Error e -> `Error (false, e)
     | Ok m -> (
-        let obs = obs_for ~label:m.id trace_out metrics_out in
+        let collector = collector_for trace_out metrics_out in
         match
           Model_def.synthesize ?cache:(cache_of cache_dir)
-            ?sink:(Option.map Eywa_obs.Obs.sink obs) ~k ~temperature ~seed
+            ?sink:(Option.map Collector.sink collector) ~k ~temperature ~seed
             ?timeout ?jobs ~oracle m
         with
         | Error e -> `Error (false, e)
@@ -235,7 +250,7 @@ let run_cmd =
                 Printf.printf "saved %d tests to %s\n"
                   (List.length s.unique_tests) path
             | None -> ());
-            finish_obs obs trace_out metrics_out;
+            finish_obs ~label:m.id collector trace_out metrics_out;
             `Ok ())
   in
   Cmd.v
@@ -251,8 +266,8 @@ let fuzz_cmd =
     | Error e -> `Error (false, e)
     | Ok m -> (
         let cache = cache_of cache_dir in
-        let obs = obs_for ~label:m.id trace_out metrics_out in
-        let sink = Option.map Eywa_obs.Obs.sink obs in
+        let collector = collector_for trace_out metrics_out in
+        let sink = Option.map Collector.sink collector in
         match
           Model_def.synthesize ?cache ?sink ~k ~temperature ~seed ?timeout ?jobs
             ~oracle m
@@ -302,7 +317,7 @@ let fuzz_cmd =
                       (List.length f.Eywa_fuzz.Fuzz.combined_tests)
                       path
                 | None -> ());
-                finish_obs obs trace_out metrics_out;
+                finish_obs ~label:m.id collector trace_out metrics_out;
                 `Ok ()))
   in
   Cmd.v
@@ -343,8 +358,8 @@ let difftest_cmd =
     match find_model id with
     | Error e -> `Error (false, e)
     | Ok m -> (
-        let obs = obs_for ~label:m.id trace_out metrics_out in
-        let osink = Option.map Eywa_obs.Obs.sink obs in
+        let collector = collector_for trace_out metrics_out in
+        let osink = Option.map Collector.sink collector in
         match
           Model_def.synthesize ?cache:(cache_of cache_dir) ?sink:osink ~k
             ~temperature ~seed ?timeout ?jobs ~oracle m
@@ -364,7 +379,7 @@ let difftest_cmd =
                 List.iter
                   (fun (impl, q) -> Printf.printf "  %-12s %s\n" impl q)
                   causes;
-                finish_obs obs trace_out metrics_out;
+                finish_obs ~label:m.id collector trace_out metrics_out;
                 `Ok ())
   in
   Cmd.v
@@ -408,58 +423,64 @@ let stats_json_arg =
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 
-let stats_cmd =
-  let run id k temperature seed timeout jobs version cache_dir as_json =
+(* [stats] and [metrics]: synthesize, then difftest, with every stage's
+   events in one collector; [render flag] prints what the command shows
+   of the run, [flag] being the command's one own option *)
+let observed_term render flag_arg =
+  let run id k temperature seed timeout jobs version cache_dir flag =
     match find_model id with
     | Error e -> `Error (false, e)
     | Ok m -> (
-        let collector = Eywa_core.Instrument.Collector.create () in
-        let sink = Eywa_core.Instrument.Collector.sink collector in
+        let collector = Collector.create () in
+        let sink = Collector.sink collector in
         match
           let* s =
             Model_def.synthesize ?cache:(cache_of cache_dir) ~sink ~k
               ~temperature ~seed ?timeout ?jobs ~oracle m
           in
-          (* drive the difftest stage too, so its events show up *)
           let* _ = Protocol.report ?jobs ~sink ~version m s in
           Ok s
         with
         | Error e -> `Error (false, e)
         | Ok s ->
-            let summary = Eywa_core.Instrument.Collector.summary collector in
-            let hit, total = suite_coverage s m s.unique_tests in
-            if as_json then
-              let module Json = Eywa_core.Serialize.Json in
-              print_string
-                (Json.to_string_pretty
-                   (Json.Obj
-                      [
-                        ("bench", Json.Str "eywa-stats");
-                        ("model", Json.Str m.id);
-                        ("k", Json.Int k);
-                        ("seed", Json.Int seed);
-                        ("temperature", Json.Float temperature);
-                        ("coverage_edges_hit", Json.Int hit);
-                        ("coverage_edges_total", Json.Int total);
-                        ("totals", Eywa_obs.Export.summary_totals summary);
-                      ]))
-            else begin
-              Printf.printf
-                "%s: pipeline statistics (k=%d, seed=%d, tau=%.2f)\n" m.id k
-                seed temperature;
-              print_endline
-                (Format.asprintf "%a" Eywa_core.Instrument.Collector.pp_summary
-                   summary);
-              Printf.printf
-                "coverage     %d / %d branch edges over %d models%s\n" hit
-                total
-                (List.length s.programs)
-                (if total > 0 then
-                   Printf.sprintf " (%.0f%%)"
-                     (100.0 *. float_of_int hit /. float_of_int total)
-                 else "")
-            end;
+            render flag ~k ~seed ~temperature m s collector;
             `Ok ())
+  in
+  Term.(ret (const run $ model_arg $ k_arg $ temperature_arg $ seed_arg
+             $ timeout_arg $ jobs_arg $ version_arg $ cache_dir_arg $ flag_arg))
+
+let stats_cmd =
+  let render as_json ~k ~seed ~temperature (m : Model_def.t)
+      (s : Eywa_core.Pipeline.t) collector =
+    let summary = Collector.summary collector in
+    let hit, total = suite_coverage s m s.unique_tests in
+    if as_json then
+      let module Json = Eywa_core.Serialize.Json in
+      print_string
+        (Json.to_string_pretty
+           (Json.Obj
+              [
+                ("bench", Json.Str "eywa-stats");
+                ("model", Json.Str m.id);
+                ("k", Json.Int k);
+                ("seed", Json.Int seed);
+                ("temperature", Json.Float temperature);
+                ("coverage_edges_hit", Json.Int hit);
+                ("coverage_edges_total", Json.Int total);
+                ("totals", Eywa_obs.Export.summary_totals summary);
+              ]))
+    else begin
+      Printf.printf "%s: pipeline statistics (k=%d, seed=%d, tau=%.2f)\n" m.id
+        k seed temperature;
+      print_endline (Format.asprintf "%a" Collector.pp_summary summary);
+      Printf.printf "coverage     %d / %d branch edges over %d models%s\n" hit
+        total
+        (List.length s.programs)
+        (if total > 0 then
+           Printf.sprintf " (%.0f%%)"
+             (100.0 *. float_of_int hit /. float_of_int total)
+         else "")
+    end
   in
   Cmd.v
     (Cmd.info "stats"
@@ -469,9 +490,7 @@ let stats_cmd =
           rejections, deterministic symex ticks, paths, solver calls, cache \
           hits/misses, difftest disagreements. With --json, print the \
           bench-compatible summary schema instead.")
-    Term.(ret (const run $ model_arg $ k_arg $ temperature_arg $ seed_arg
-               $ timeout_arg $ jobs_arg $ version_arg $ cache_dir_arg
-               $ stats_json_arg))
+    (observed_term render stats_json_arg)
 
 let trace_file_arg =
   let doc = "Trace JSONL file (from --trace-out), or any JSON file with --json." in
@@ -589,35 +608,17 @@ let strip_env_arg =
   Arg.(value & flag & info [ "strip-env" ] ~doc)
 
 let metrics_cmd =
-  let run id k temperature seed timeout jobs version cache_dir strip_env =
-    match find_model id with
-    | Error e -> `Error (false, e)
-    | Ok m -> (
-        let ctx = Eywa_obs.Obs.create ~label:m.id () in
-        let sink = Eywa_obs.Obs.sink ctx in
-        match
-          let* s =
-            Model_def.synthesize ?cache:(cache_of cache_dir) ~sink ~k
-              ~temperature ~seed ?timeout ?jobs ~oracle m
-          in
-          Protocol.report ?jobs ~sink ~version m s
-        with
-        | Error e -> `Error (false, e)
-        | Ok _ ->
-            print_string
-              (Eywa_obs.Metrics.expose ~strip_env (Eywa_obs.Obs.metrics ctx));
-            `Ok ())
+  let render strip_env ~k:_ ~seed:_ ~temperature:_ _ _ collector =
+    print_string (Eywa_obs.Metrics.expose ~strip_env (Collector.events collector))
   in
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
-         "Synthesize a model (and difftest it) through an observability \
-          context, then print the metrics registry in Prometheus text \
-          format. With --strip-env the output is deterministic across \
-          machines, pool sizes and cache states.")
-    Term.(ret (const run $ model_arg $ k_arg $ temperature_arg $ seed_arg
-               $ timeout_arg $ jobs_arg $ version_arg $ cache_dir_arg
-               $ strip_env_arg))
+         "Synthesize a model (and difftest it) with a collecting \
+          instrumentation sink, then print the run's event log as metrics \
+          in Prometheus text format. With --strip-env the output is \
+          deterministic across machines, pool sizes and cache states.")
+    (observed_term render strip_env_arg)
 
 let bugs_cmd =
   let run () =

@@ -46,11 +46,12 @@ type t = {
       (* stage-digest -> (canonical key, payload) *)
   mutable hits : int;
   mutable misses : int;
+  mutable write_failures : int;
 }
 
 let create ?dir () =
   { dir; mutex = Mutex.create (); table = Hashtbl.create 64; hits = 0;
-    misses = 0 }
+    misses = 0; write_failures = 0 }
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -87,20 +88,25 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
   end
 
+(* On failure the partial [.tmp] file is removed and the error returned:
+   the entry then lives in memory only. *)
 let disk_write t (key : Key.t) payload =
   match path_of t key with
-  | None -> ()
+  | None -> Ok ()
   | Some path -> (
+      (* write-then-rename so a concurrent reader never sees a torn
+         entry *)
+      let tmp = path ^ ".tmp" in
       try
         Option.iter mkdir_p t.dir;
-        (* write-then-rename so a concurrent reader never sees a torn
-           entry *)
-        let tmp = path ^ ".tmp" in
         Out_channel.with_open_bin tmp (fun oc ->
             output_string oc (Key.canonical key ^ "\n");
             output_string oc payload);
-        Sys.rename tmp path
-      with Sys_error _ -> ())
+        Sys.rename tmp path;
+        Ok ()
+      with Sys_error message ->
+        (try Sys.remove tmp with Sys_error _ -> ());
+        Error message)
 
 let lookup ?(sink = Instrument.null) t (key : Key.t) ~decode =
   let canonical = Key.canonical key in
@@ -127,13 +133,26 @@ let lookup ?(sink = Instrument.null) t (key : Key.t) ~decode =
     | None -> Instrument.Cache_miss { stage; key = digest });
   found
 
-let store t (key : Key.t) payload =
-  locked t (fun () ->
-      Hashtbl.replace t.table (slot key) (Key.canonical key, payload);
-      disk_write t key payload)
+let store ?(sink = Instrument.null) t (key : Key.t) payload =
+  let failed =
+    locked t (fun () ->
+        Hashtbl.replace t.table (slot key) (Key.canonical key, payload);
+        match disk_write t key payload with
+        | Ok () -> None
+        | Error message ->
+            t.write_failures <- t.write_failures + 1;
+            Some message)
+  in
+  Option.iter
+    (fun message ->
+      sink
+        (Instrument.Cache_write_failed
+           { stage = Key.stage key; key = Key.digest key; message }))
+    failed
 
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)
+let write_failures t = locked t (fun () -> t.write_failures)
 
 let to_list t =
   locked t (fun () ->

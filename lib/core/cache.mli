@@ -60,13 +60,18 @@ val lookup :
     [sink], emits the matching {!Instrument.Cache_hit}/[Cache_miss]
     event, so a hit always means replayed work. *)
 
-val store : t -> Key.t -> string -> unit
+val store : ?sink:Instrument.sink -> t -> Key.t -> string -> unit
 (** Insert (and persist, with a [dir]). Overwrites silently: equal
     keys must mean equal payloads, so an overwrite is a no-op in
-    content terms. Disk write failures degrade to memory-only. *)
+    content terms. A disk write that fails degrades to memory-only: it
+    leaves no [.tmp] file behind, counts in {!write_failures} and,
+    given [sink], emits {!Instrument.Cache_write_failed}. *)
 
 val hits : t -> int
 val misses : t -> int
+
+val write_failures : t -> int
+(** Stores whose disk write failed. *)
 
 val to_list : t -> (string * string) list
 (** [(stage ^ "-" ^ digest, payload)] pairs of the in-memory table,

@@ -10,6 +10,7 @@ type event =
   | Symex_done of { index : int; stats : Eywa_symex.Exec.stats }
   | Cache_hit of { stage : string; key : string }
   | Cache_miss of { stage : string; key : string }
+  | Cache_write_failed of { stage : string; key : string; message : string }
   | Suite_aggregated of { draws : int; unique_tests : int }
   | Fuzz_done of {
       index : int;
@@ -39,7 +40,6 @@ type event =
 type sink = event -> unit
 
 let null : sink = fun _ -> ()
-let tee a b : sink = fun e -> a e; b e
 
 let pool_merged ?(refutations_reused = 0) ~label ~tasks (st : Pool.map_stats) =
   Pool_merged

@@ -2,8 +2,10 @@
 
     Every stage of {!Pipeline} reports what it did through a [sink] —
     a plain event callback. The default sink drops everything at zero
-    cost; {!Collector} accumulates events for the bench's timing
-    stage, the CLI [stats] subcommand, and tests.
+    cost; {!Collector} keeps a run's events in emission order, and
+    every view of a run is a function of that one log: the {!Stat}
+    totals ([eywa stats], the bench's [--summary-json] and timing
+    stage), and the span trace and metrics exposition of [Eywa_obs].
 
     Determinism contract: parallel pipeline units stay pure, so stage
     events are {e replayed} at the deterministic merge point in input
@@ -14,9 +16,9 @@
     [refutations_reused]) — bit-for-bit
     independent of [jobs] and of the cache state; a cache hit replays
     even the wall-clock fields the stored run measured, so only the
-    [Cache_hit]/[Cache_miss] events themselves (and [Pool_merged]'s
-    environment fields) distinguish a warm run from the cold run that
-    filled the cache. *)
+    cache events themselves ([Cache_hit]/[Cache_miss]/
+    [Cache_write_failed]) and [Pool_merged]'s environment fields
+    distinguish a warm run from the cold run that filled the cache. *)
 
 type event =
   | Draw_started of { index : int }
@@ -36,6 +38,14 @@ type event =
           draw's inputs alone, and a cache hit replays it *)
   | Cache_hit of { stage : string; key : string  (** hex digest *) }
   | Cache_miss of { stage : string; key : string }
+  | Cache_write_failed of {
+      stage : string;
+      key : string;
+      message : string;  (** the [Sys_error] text *)
+    }
+      (** a {!Cache.store} whose disk write failed: the entry stays in
+          memory only. Environment data, like the probes; no stat row
+          counts it *)
   | Suite_aggregated of { draws : int; unique_tests : int }
   | Fuzz_done of {
       index : int;
@@ -91,8 +101,6 @@ type sink = event -> unit
 val null : sink
 (** Drops every event. The default everywhere. *)
 
-val tee : sink -> sink -> sink
-
 val pool_merged :
   ?refutations_reused:int -> label:string -> tasks:int -> Pool.map_stats -> event
 (** The [Pool_merged] event of a stage's pool batch: [tasks] logical
@@ -113,10 +121,10 @@ type cls = Det | Env
     A row names a total (its [key] in the summary JSON), the metric
     that exposes it, its {!cls}, and what each event contributes to it.
     Every summed view is derived from {!rows}: {!Collector.summary},
-    the [Eywa_obs] counters and gauges, the summary-totals JSON and the
-    bench's per-stage deltas. To add a stat, add one row here (and, if
-    it is a per-draw symex count, one {!Eywa_symex.Exec.stats} field
-    and column). *)
+    the [Eywa_obs.Metrics] counters and gauges, the summary-totals JSON
+    and the bench's per-stage deltas. To add a stat, add one row here
+    (and, if it is a per-draw symex count, one {!Eywa_symex.Exec.stats}
+    field and column). *)
 module Stat : sig
   type _ kind = Int : int kind | Float : float kind
 
@@ -203,9 +211,11 @@ module Stat : sig
 end
 
 (** Collecting sink: remembers events in emission order and folds them
-    into the {!Stat} totals. Safe to share across domains (the adapters
-    emit difftest events from the orchestrating domain, the pipeline
-    from its merge point; a mutex guards the buffer regardless). *)
+    into the {!Stat} totals. Its [events] are the run's one log, which
+    [Eywa_obs.Trace.of_events] and [Eywa_obs.Metrics.expose] render.
+    Safe to share across domains (the adapters emit difftest events
+    from the orchestrating domain, the pipeline from its merge point; a
+    mutex guards the buffer regardless). *)
 module Collector : sig
   type t
 

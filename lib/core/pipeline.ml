@@ -667,7 +667,8 @@ let run ?cache ?(sink = Instrument.null) ?(config = default_config) ?jobs
           Option.iter
             (fun c ->
               List.iter
-                (fun i -> Cache.store c (key_of i) (artifact_to_string draws.(i)))
+                (fun i ->
+                  Cache.store ~sink c (key_of i) (artifact_to_string draws.(i)))
                 missing)
             cache;
           Array.iter (fun (r, _) -> emit_draw_events sink r) draws;

@@ -14,7 +14,6 @@ type config = {
   fuzz_seed : int;
   budget : int;
   max_new_tests : int;
-  mutators : Mutate.kind list;
   fuel : int;
 }
 
@@ -23,7 +22,6 @@ let default_config =
     fuzz_seed = 42;
     budget = 500;
     max_new_tests = 64;
-    mutators = Mutate.all;
     fuel = 100_000;
   }
 
@@ -54,7 +52,7 @@ let fuzz_key ~oracle_name ~pipeline ~config ~prompts ~index =
         ("fuzz_budget", string_of_int config.budget);
         ("fuzz_max_new_tests", string_of_int config.max_new_tests);
         ( "fuzz_mutators",
-          String.concat "," (List.map Mutate.kind_to_string config.mutators) );
+          String.concat "," (List.map Mutate.kind_to_string Mutate.all) );
         ("fuzz_fuel", string_of_int config.fuel);
         (* the fuzz engine's version: bumped whenever a draw's artifact
            changes for the same inputs (2 = stop once every static edge
@@ -198,7 +196,6 @@ let private_copy sd =
 let mutation_loop ~config ~alphabet ~index program seeds sd =
   let { run; global; local; corpus; edges_seed; edges_static } = sd in
   let rng = Rng.create (config.fuzz_seed + index) in
-  let mutators = if config.mutators = [] then Mutate.all else config.mutators in
   let new_tests = ref [] in
   let n_new = ref 0 in
   let execs = ref 0 in
@@ -243,7 +240,7 @@ let mutation_loop ~config ~alphabet ~index program seeds sd =
           Hashtbl.add sites_of parent s;
           s
     in
-    let kind = Rng.pick rng mutators in
+    let kind = Rng.pick rng Mutate.all in
     let other =
       match kind with
       | Mutate.Splice -> Some corpus.inputs.(Rng.int rng corpus.size)
@@ -380,7 +377,9 @@ let fuzz_of_seeds ?cache ?(sink = Instrument.null) ?(config = default_config)
       let computed = List.concat computed in
       Option.iter
         (fun c ->
-          List.iter (fun (i, d) -> Cache.store c (key_of i) (artifact_to_string d)) computed)
+          List.iter
+            (fun (i, d) -> Cache.store ~sink c (key_of i) (artifact_to_string d))
+            computed)
         cache;
       let computed = Hashtbl.of_seq (List.to_seq computed) in
       let per_draw =

@@ -12,8 +12,8 @@
     [fuzz_seed + index]; the budget is a count of candidates (a
     deterministic tick budget, never wall clock); coverage maps are
     used for membership and counting only, so hash order is invisible.
-    Fixed (seed, budget, mutator set) gives byte-identical corpus and
-    tests at any [jobs] value and on warm or cold cache. *)
+    Fixed (seed, budget) gives byte-identical corpus and tests at any
+    [jobs] value and on warm or cold cache. *)
 
 module Pipeline = Eywa_core.Pipeline
 module Cache = Eywa_core.Cache
@@ -24,12 +24,12 @@ type config = {
   fuzz_seed : int;  (** base seed; draw [i] fuzzes at [fuzz_seed + i] *)
   budget : int;  (** candidates per draw (deterministic ticks) *)
   max_new_tests : int;  (** stop a draw early after this many keepers *)
-  mutators : Mutate.kind list;  (** enabled mutators, canonical order *)
   fuel : int;  (** interpreter fuel per candidate execution *)
 }
 
 val default_config : config
-(** seed 42, 500 executions, 64 keepers, every mutator, fuel 100k. *)
+(** seed 42, 500 executions, 64 keepers, fuel 100k. Every run picks
+    from all of {!Mutate.all}. *)
 
 type draw_fuzz = {
   f_index : int;  (** the model-draw index this fuzz run extends *)
@@ -68,7 +68,8 @@ val fuzz_key :
 (** Extends {!Pipeline.draw_key_parts} — which already covers every
     input the underlying draw (and hence the seed suite) depends on —
     with the fuzz stage's own inputs: effective fuzz seed
-    ([fuzz_seed + index]), execution budget, keeper cap, mutator set,
+    ([fuzz_seed + index]), execution budget, keeper cap, mutator set
+    ({!Mutate.all}, so a change to it misses older artifacts),
     interpreter fuel, and the fuzz engine version. Like the draw key
     it excludes [k], wall time, machine, and pool size. *)
 

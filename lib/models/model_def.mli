@@ -18,12 +18,12 @@ val pipeline_config :
   ?temperature:float ->
   ?seed:int ->
   ?timeout:float ->
-  ?max_paths:int ->
   t ->
   Eywa_core.Pipeline.config
 (** The exact config {!synthesize} runs with — exposed so stages
     layered on a synthesis result (the fuzz stage's cache key) can
-    reproduce it instead of guessing. *)
+    reproduce it instead of guessing, and so a caller that needs
+    another budget can start from it and run {!Eywa_core.Pipeline.run}. *)
 
 val synthesize :
   ?cache:Eywa_core.Cache.t ->
@@ -32,18 +32,17 @@ val synthesize :
   ?temperature:float ->
   ?seed:int ->
   ?timeout:float ->
-  ?max_paths:int ->
   ?jobs:int ->
   oracle:Eywa_core.Oracle.t ->
   t ->
   (Eywa_core.Pipeline.t, string) result
-(** Run the full pipeline with this model's alphabet; [timeout] and
-    [max_paths] override the model's defaults (tests and sweeps use
-    small budgets). [jobs] fans the [k] draws out over a domain pool
-    (see {!Eywa_core.Pipeline.run}); the result is identical at any
-    value. [cache] content-addresses the per-draw artifacts and
-    [sink] receives stage events — both default to off; pass
-    [Eywa_obs.Obs.sink ctx] to record a span tree and metrics. *)
+(** Run the full pipeline with this model's alphabet; [timeout]
+    overrides the model's default budget. [jobs] fans the [k] draws
+    out over a domain pool (see {!Eywa_core.Pipeline.run}); the result
+    is identical at any value. [cache] content-addresses the per-draw
+    artifacts and [sink] receives stage events — both default to off;
+    pass an {!Eywa_core.Instrument.Collector}'s sink to keep the event
+    log that [Eywa_obs] renders as a span trace and metrics. *)
 
 val fuzz :
   ?cache:Eywa_core.Cache.t ->
@@ -53,7 +52,6 @@ val fuzz :
   ?temperature:float ->
   ?seed:int ->
   ?timeout:float ->
-  ?max_paths:int ->
   ?jobs:int ->
   oracle:Eywa_core.Oracle.t ->
   t ->

@@ -1,145 +1,152 @@
+module Instrument = Eywa_core.Instrument
+module Stat = Instrument.Stat
 module Json = Eywa_core.Serialize.Json
 
-type cls = Eywa_core.Instrument.cls = Det | Env
+type sample =
+  | Counter of int
+  | Gauge of float
+  | Histogram of { bounds : float list; observations : float list }
+  | Counters of { label : string; cells : (string * int) list }
 
-type counter_state = { mutable count : int }
-
-type gauge_state = { mutable value : float }
-
-type histogram_state = {
-  bounds : float array;  (* strictly increasing upper bounds *)
-  counts : int array;  (* length = Array.length bounds + 1; last = +Inf *)
-  mutable sum : float;
-  mutable observations : int;
+(* One exposed metric: a fold of the whole event log into its sample. *)
+type metric = {
+  name : string;
+  help : string;
+  cls : Instrument.cls;
+  fold : Instrument.event list -> sample;
 }
 
-type vec_state = (string, int) Hashtbl.t
+let sum f events = List.fold_left (fun n ev -> n + f ev) 0 events
 
-type instrument =
-  | Counter of counter_state
-  | Gauge of gauge_state
-  | Histogram of histogram_state
-  | Vec of { label : string; cells : vec_state }
+let counter ?(help = "") name cls f =
+  { name; help; cls; fold = (fun events -> Counter (sum f events)) }
 
-type entry = { name : string; help : string; cls : cls; inst : instrument }
+(* An [Int] row is a counter; a [Float] row is a gauge holding its
+   total. *)
+let row (Stat.Row st) =
+  match st.kind with
+  | Int -> counter ~help:st.help st.metric st.cls st.of_event
+  | Float ->
+      let fold events =
+        Gauge (List.fold_left (fun x ev -> x +. st.of_event ev) 0.0 events)
+      in
+      { name = st.metric; help = st.help; cls = st.cls; fold }
 
-type t = {
-  mutex : Mutex.t;
-  mutable rev_entries : entry list;  (* newest first; exposed reversed *)
-  names : (string, unit) Hashtbl.t;
-}
-
-type counter = { c_reg : t; c_state : counter_state }
-type gauge = { g_reg : t; g_state : gauge_state }
-type histogram = { h_reg : t; h_state : histogram_state }
-type vec = { v_reg : t; v_cells : vec_state }
-
-let create () =
-  { mutex = Mutex.create (); rev_entries = []; names = Hashtbl.create 32 }
-
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let register t ~name ~help ~cls inst =
-  locked t (fun () ->
-      if Hashtbl.mem t.names name then
-        invalid_arg (Printf.sprintf "Metrics: %S already registered" name);
-      Hashtbl.replace t.names name ();
-      t.rev_entries <- { name; help; cls; inst } :: t.rev_entries)
-
-let counter t ?(cls = Det) ?(help = "") name =
-  let state = { count = 0 } in
-  register t ~name ~help ~cls (Counter state);
-  { c_reg = t; c_state = state }
-
-let inc c n = locked c.c_reg (fun () -> c.c_state.count <- c.c_state.count + n)
-
-let gauge t ?(cls = Det) ?(help = "") name =
-  let state = { value = 0.0 } in
-  register t ~name ~help ~cls (Gauge state);
-  { g_reg = t; g_state = state }
-
-let set_gauge g v = locked g.g_reg (fun () -> g.g_state.value <- v)
-
-let histogram t ?(cls = Det) ?(help = "") ~buckets name =
-  let bounds = Array.of_list buckets in
-  Array.iteri
-    (fun i b ->
-      if i > 0 && bounds.(i - 1) >= b then
-        invalid_arg
-          (Printf.sprintf "Metrics: %S bucket bounds must strictly increase"
-             name))
-    bounds;
-  let state =
-    {
-      bounds;
-      counts = Array.make (Array.length bounds + 1) 0;
-      sum = 0.0;
-      observations = 0;
-    }
+(* one observation per [on] event: the row's contribution from it.
+   Buckets are fixed here, never derived from observed data, so a
+   histogram is as jobs-invariant as the event order. *)
+let histogram name ~help ~buckets (st : int Stat.t) on =
+  let fold events =
+    Histogram
+      {
+        bounds = buckets;
+        observations =
+          List.filter_map
+            (fun ev -> if on ev then Some (float_of_int (st.of_event ev)) else None)
+            events;
+      }
   in
-  register t ~name ~help ~cls (Histogram state);
-  { h_reg = t; h_state = state }
+  { name; help; cls = Det; fold }
 
-let observe h v =
-  locked h.h_reg (fun () ->
-      let st = h.h_state in
-      let i = ref 0 in
-      while !i < Array.length st.bounds && v > st.bounds.(!i) do
-        incr i
-      done;
-      st.counts.(!i) <- st.counts.(!i) + 1;
-      st.sum <- st.sum +. v;
-      st.observations <- st.observations + 1)
-
-let counter_vec t ?(cls = Det) ?(help = "") ~label name =
+let worker_tasks events =
   let cells = Hashtbl.create 8 in
-  register t ~name ~help ~cls (Vec { label; cells });
-  { v_reg = t; v_cells = cells }
+  List.iter
+    (function
+      | Instrument.Pool_merged { per_worker; _ } ->
+          List.iteri
+            (fun w n ->
+              let w = string_of_int w in
+              Hashtbl.replace cells w
+                (n + Option.value ~default:0 (Hashtbl.find_opt cells w)))
+            per_worker
+      | _ -> ())
+    events;
+  Counters
+    {
+      label = "worker";
+      cells = List.sort compare (List.of_seq (Hashtbl.to_seq cells));
+    }
 
-let inc_vec v label_value n =
-  locked v.v_reg (fun () ->
-      let cur = try Hashtbl.find v.v_cells label_value with Not_found -> 0 in
-      Hashtbl.replace v.v_cells label_value (cur + n))
+let last_jobs events =
+  Gauge
+    (List.fold_left
+       (fun jobs -> function
+         | Instrument.Pool_merged { jobs; _ } -> float_of_int jobs | _ -> jobs)
+       0.0 events)
+
+(* Exposition order: the pool's environment instruments, then the Env
+   rows, the histograms and the Det rows, each group last-declared
+   first — the order earlier releases printed, so expositions diff
+   cleanly across versions. *)
+let table =
+  let rows cls =
+    List.rev (List.filter (fun (Stat.Row st) -> st.cls = cls) Stat.rows)
+    |> List.map row
+  in
+  [
+    { name = "eywa_pool_worker_tasks_total"; help = ""; cls = Env;
+      fold = worker_tasks };
+    { name = "eywa_pool_jobs"; help = "last batch's pool size"; cls = Env;
+      fold = last_jobs };
+    counter "eywa_pool_queue_wait_ticks_total" Env (function
+      | Pool_merged { queue_wait_ticks = n; _ } -> n | _ -> 0);
+    counter "eywa_pool_computed_total" Env
+      ~help:
+        "units executed this run (for the draw and fuzz batches, the \
+         distinct compiled programs explored or seeded)"
+      (function Pool_merged { computed = n; _ } -> n | _ -> 0);
+  ]
+  @ rows Env
+  @ [
+      histogram "eywa_difftest_execs" ~help:"implementation executions per suite"
+        ~buckets:[ 10.; 100.; 1_000.; 10_000.; 100_000. ]
+        Stat.difftest_execs
+        (function Difftest_done _ -> true | _ -> false);
+      histogram "eywa_fuzz_edges_gained" ~help:"edge gain per fuzz round"
+        ~buckets:[ 0.; 1.; 2.; 5.; 10.; 20.; 50. ]
+        Stat.fuzz_edges_gained
+        (function Fuzz_done _ -> true | _ -> false);
+      histogram "eywa_symex_ticks" ~help:"ticks per draw"
+        ~buckets:[ 100.; 1_000.; 10_000.; 100_000.; 1_000_000.; 10_000_000. ]
+        Stat.symex_ticks
+        (function Symex_done _ -> true | _ -> false);
+      histogram "eywa_draw_tests" ~help:"tests per draw"
+        ~buckets:[ 0.; 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200. ]
+        Stat.tests
+        (function Draw_finished _ -> true | _ -> false);
+    ]
+  @ rows Det
 
 let float_str f = Json.to_string (Json.Float f)
 
-let expose ?(strip_env = false) t =
-  locked t (fun () ->
-      let buf = Buffer.create 1024 in
-      let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-      List.iter
-        (fun e ->
-          if not (strip_env && e.cls = Env) then begin
-            if e.help <> "" then line "# HELP %s %s" e.name e.help;
-            match e.inst with
-            | Counter st ->
-                line "# TYPE %s counter" e.name;
-                line "%s %d" e.name st.count
-            | Gauge st ->
-                line "# TYPE %s gauge" e.name;
-                line "%s %s" e.name (float_str st.value)
-            | Histogram st ->
-                line "# TYPE %s histogram" e.name;
-                let cumulative = ref 0 in
-                Array.iteri
-                  (fun i n ->
-                    cumulative := !cumulative + n;
-                    let le =
-                      if i = Array.length st.bounds then "+Inf"
-                      else float_str st.bounds.(i)
-                    in
-                    line "%s_bucket{le=\"%s\"} %d" e.name le !cumulative)
-                  st.counts;
-                line "%s_sum %s" e.name (float_str st.sum);
-                line "%s_count %d" e.name st.observations
-            | Vec { label; cells } ->
-                line "# TYPE %s counter" e.name;
-                Hashtbl.fold (fun k v acc -> (k, v) :: acc) cells []
-                |> List.sort compare
-                |> List.iter (fun (k, v) ->
-                       line "%s{%s=\"%s\"} %d" e.name label k v)
-          end)
-        (List.rev t.rev_entries);
-      Buffer.contents buf)
+let expose ?(strip_env = false) events =
+  let buf = Buffer.create 1024 in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
+  List.iter
+    (fun { name; help; cls; fold } ->
+      if not (strip_env && cls = Env) then begin
+        if help <> "" then line "# HELP %s %s" name help;
+        match fold events with
+        | Counter n ->
+            line "# TYPE %s counter" name;
+            line "%s %d" name n
+        | Gauge v ->
+            line "# TYPE %s gauge" name;
+            line "%s %s" name (float_str v)
+        | Histogram { bounds; observations } ->
+            line "# TYPE %s histogram" name;
+            List.iter
+              (fun b ->
+                line "%s_bucket{le=\"%s\"} %d" name (float_str b)
+                  (List.length (List.filter (fun v -> v <= b) observations)))
+              bounds;
+            line "%s_bucket{le=\"+Inf\"} %d" name (List.length observations);
+            line "%s_sum %s" name
+              (float_str (List.fold_left ( +. ) 0.0 observations));
+            line "%s_count %d" name (List.length observations)
+        | Counters { label; cells } ->
+            line "# TYPE %s counter" name;
+            List.iter (fun (k, v) -> line "%s{%s=\"%s\"} %d" name label k v) cells
+      end)
+    table;
+  Buffer.contents buf

@@ -1,56 +1,23 @@
-(** Metrics registry: counters, gauges and fixed-bucket histograms with
-    a Prometheus-style text exposition.
+(** Prometheus-style text exposition of a run's event log.
 
-    Instruments register in creation order and expose in that order, so
-    the text form is deterministic. Histograms take their bucket bounds
-    at creation and never rebucket, and every observation happens at the
-    pipeline's deterministic merge point in input-index order — merged
-    output is therefore jobs-invariant for [Det]-classed instruments.
-    [Env]-classed instruments (wall-clock, cache hit/miss, pool
-    utilization) are machine-, cache- or pool-size-dependent;
-    {!expose} can leave them out so the remainder is comparable across
-    runs. *)
+    A pure function of the {!Eywa_core.Instrument} events a run emitted
+    (a {!Eywa_core.Instrument.Collector}'s [events]): each metric is a
+    fold of the whole log. The metrics are one counter per [Int] row of
+    {!Eywa_core.Instrument.Stat.rows} and one total gauge per [Float]
+    row, each classed as its row is; fixed-bucket histograms of tests
+    and symex ticks per draw, fuzz edge gain per round and difftest
+    executions per suite ([Det]); and the pool's computed units,
+    queue-wait ticks, last pool size and per-worker tasks ([Env]).
+    Histogram buckets are fixed, never derived from the data, and events
+    are emitted at the pipeline's deterministic merge point, so the
+    [Det] metrics are jobs-invariant. [Env] metrics (wall clock, cache
+    traffic, pool utilization) depend on the machine, the cache and the
+    pool size. *)
 
-type cls = Eywa_core.Instrument.cls = Det | Env
-
-type t
-(** A registry. Instrument updates and {!expose} are serialized by an
-    internal mutex. *)
-
-val create : unit -> t
-
-type counter
-
-val counter : t -> ?cls:cls -> ?help:string -> string -> counter
-(** Registers (or raises [Invalid_argument] on a name already taken).
-    [cls] defaults to [Det]. *)
-
-val inc : counter -> int -> unit
-
-type gauge
-
-val gauge : t -> ?cls:cls -> ?help:string -> string -> gauge
-val set_gauge : gauge -> float -> unit
-
-type histogram
-
-val histogram :
-  t -> ?cls:cls -> ?help:string -> buckets:float list -> string -> histogram
-(** [buckets] are the upper bounds, strictly increasing; an implicit
-    [+Inf] bucket is always appended. *)
-
-val observe : histogram -> float -> unit
-
-type vec
-
-val counter_vec : t -> ?cls:cls -> ?help:string -> label:string -> string -> vec
-(** A counter family keyed by one label (e.g. per-worker task counts).
-    Label values expose in sorted order. *)
-
-val inc_vec : vec -> string -> int -> unit
-
-val expose : ?strip_env:bool -> t -> string
-(** Prometheus text exposition ([# HELP]/[# TYPE] then samples), in
-    registration order. With [strip_env:true], [Env]-classed
-    instruments are omitted entirely — the remaining text is
-    deterministic across machines, pool sizes and cache states. *)
+val expose : ?strip_env:bool -> Eywa_core.Instrument.event list -> string
+(** [# HELP]/[# TYPE] lines, then samples, in a fixed order: the pool's
+    [Env] metrics, the [Env] rows, the histograms, the [Det] rows (each
+    row group last-declared first). For every [Det] row the sample
+    equals that row's {!Eywa_core.Instrument.Collector} total. With
+    [strip_env:true], [Env] metrics are left out: the rest is
+    byte-identical across machines, pool sizes and cache states. *)

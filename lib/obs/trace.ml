@@ -28,6 +28,7 @@ type item =
 
 type t = { label : string; items : item list }
 
+(* the state {!of_events} folds the event log through *)
 type builder = {
   label : string;
   mutable seq : int;  (* logical clock; root opens at 0 *)
@@ -36,7 +37,7 @@ type builder = {
   id_counts : (string, int) Hashtbl.t;  (* base id -> uses so far *)
 }
 
-let builder ~label =
+let create ~label =
   {
     label;
     seq = 0;
@@ -46,7 +47,7 @@ let builder ~label =
   }
 
 (* Ids are paths under the run label; a base that repeats (a second
-   synthesis fed into the same context, repeated cache probes) gets a
+   synthesis in the same event log, repeated cache probes) gets a
    deterministic #n suffix. Env-classed bases (cache probes) have their
    own counters, so their multiplicity never shifts a Det id. *)
 let fresh b base =
@@ -68,6 +69,20 @@ let draw_parent b index =
   match Hashtbl.find_opt b.open_draws index with
   | Some (_, id) -> id
   | None -> draw_base b index
+
+(* a cache probe or write: an Env event under the root *)
+let cache_event b ~at name ~stage ~key more =
+  push b
+    (Event
+       {
+         id = fresh b (Printf.sprintf "%s/cache/%s" b.label name);
+         parent = Some b.label;
+         name;
+         at;
+         cls = Env;
+         det = [ ("stage", Json.Str stage); ("key", Json.Str key) ] @ more;
+         env = [];
+       })
 
 let feed b (ev : Instrument.event) =
   let at = tick b in
@@ -124,20 +139,11 @@ let feed b (ev : Instrument.event) =
                  Eywa_symex.Exec.stats_columns;
              env = [];
            })
-  | Cache_hit { stage; key } | Cache_miss { stage; key } ->
-      let hit = match ev with Instrument.Cache_hit _ -> true | _ -> false in
-      let name = if hit then "cache_hit" else "cache_miss" in
-      push b
-        (Event
-           {
-             id = fresh b (Printf.sprintf "%s/cache/%s" b.label name);
-             parent = Some b.label;
-             name;
-             at;
-             cls = Env;
-             det = [ ("stage", Json.Str stage); ("key", Json.Str key) ];
-             env = [];
-           })
+  | Cache_hit { stage; key } -> cache_event b ~at "cache_hit" ~stage ~key []
+  | Cache_miss { stage; key } -> cache_event b ~at "cache_miss" ~stage ~key []
+  | Cache_write_failed { stage; key; message } ->
+      cache_event b ~at "cache_write_failed" ~stage ~key
+        [ ("message", Json.Str message) ]
   | Suite_aggregated { draws; unique_tests } ->
       push b
         (Event
@@ -232,7 +238,9 @@ let feed b (ev : Instrument.event) =
                ];
            })
 
-let finish b =
+let of_events ~label events =
+  let b = create ~label in
+  List.iter (feed b) events;
   let unclosed =
     Hashtbl.fold (fun index (start_at, id) acc -> (index, start_at, id) :: acc)
       b.open_draws []

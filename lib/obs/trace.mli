@@ -3,7 +3,9 @@
     A trace is the tree the flat event stream already implies: a root
     span for the run, one span per draw (opened at [Draw_started],
     closed at [Draw_finished]), child spans/events for symex, compile
-    rejections, fuzz rounds and difftest suites.
+    rejections, fuzz rounds and difftest suites, and [Env] point events
+    for cache probes and failed cache writes. A trace is a pure
+    rendering of the event log ({!of_events}).
 
     Determinism contract (the same one [Instrument] documents): span
     ids derive from the run label, stage name and model index — never
@@ -43,21 +45,12 @@ type item =
 
 type t = { label : string; items : item list  (** root span first *) }
 
-type builder
-
-val builder : label:string -> builder
-(** A fresh builder whose root span id is [label]. Feed it events from
-    the orchestrating domain only (the [Instrument] contract already
-    guarantees events fire at the merge point); the builder itself is
-    not thread-safe — {!Obs} serializes access. *)
-
-val feed : builder -> Eywa_core.Instrument.event -> unit
-
-val finish : builder -> t
-(** Close the root span and return the trace. Draws still open (a
-    [Draw_started] without its [Draw_finished]) become spans with
-    [end_at = -1], which {!well_formed} reports. The builder can keep
-    feeding afterwards; [finish] snapshots. *)
+val of_events : label:string -> Eywa_core.Instrument.event list -> t
+(** The trace of an event log, in emission order (a
+    {!Eywa_core.Instrument.Collector}'s [events]), whose root span id
+    is [label]. Each event ticks the logical clock once. Draws still
+    open at the end (a [Draw_started] without its [Draw_finished])
+    become spans with [end_at = -1], which {!well_formed} reports. *)
 
 val well_formed : t -> (unit, string) result
 (** Structural validity: exactly one root span; ids collision-free;

@@ -150,7 +150,6 @@ let test_key_sensitivity () =
   differs "budget" (key ~config:{ cfg with budget = cfg.budget + 1 } ());
   differs "keeper cap"
     (key ~config:{ cfg with max_new_tests = cfg.max_new_tests + 1 } ());
-  differs "mutator set" (key ~config:{ cfg with mutators = [ Mutate.Byte ] } ());
   differs "fuel" (key ~config:{ cfg with fuel = cfg.fuel + 1 } ());
   differs "draw index" (key ~index:1 ());
   let pipeline = Model_def.pipeline_config ~k model in
@@ -165,7 +164,8 @@ let test_key_sensitivity () =
   check_string "k does not change the key" base
     (key ~pipeline:{ pipeline with k = 12 } ());
   (* the engine version: an artifact stored by a fuzz loop that stopped
-     elsewhere must miss, not replay its exec count *)
+     elsewhere must miss, not replay its exec count; the mutator set is
+     the constant Mutate.all, so a change to it misses too *)
   let parts =
     Pipeline.draw_key_parts ~oracle_name:"gpt" ~config:pipeline
       ~prompts:base_prompts ~index:0
@@ -181,7 +181,7 @@ let test_key_sensitivity () =
                ("fuzz_budget", string_of_int cfg.budget);
                ("fuzz_max_new_tests", string_of_int cfg.max_new_tests);
                ( "fuzz_mutators",
-                 String.concat "," (List.map Mutate.kind_to_string cfg.mutators) );
+                 String.concat "," (List.map Mutate.kind_to_string Mutate.all) );
                ("fuzz_fuel", string_of_int cfg.fuel);
                ("fuzz", "2");
              ])))
@@ -1000,7 +1000,6 @@ let fuzz_draw_reference ?(repeats = ref 0) ~natives ~main ~(config : Fuzz.config
     seeds;
   let edges_seed = Coverage.count global in
   let edges_static = List.length (Interp.static_edges program) in
-  let mutators = if config.mutators = [] then Mutate.all else config.mutators in
   let new_tests = ref [] in
   let n_new = ref 0 in
   let execs = ref 0 in
@@ -1010,7 +1009,7 @@ let fuzz_draw_reference ?(repeats = ref 0) ~natives ~main ~(config : Fuzz.config
     && Coverage.count global < edges_static
   do
     let parent = ref_pick_parent rng corpus in
-    let kind = Rng.pick rng mutators in
+    let kind = Rng.pick rng Mutate.all in
     let other =
       match kind with
       | Mutate.Splice -> Some corpus.inputs.(Rng.int rng corpus.size)

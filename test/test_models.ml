@@ -18,7 +18,12 @@ let check_int = Alcotest.(check int)
 
 let oracle = Eywa_llm.Gpt.oracle ()
 
-let synth ?(k = 2) model = Model_def.synthesize ~k ~timeout:2.0 ~max_paths:600 ~oracle model
+(* small budgets: a 2 s tick budget and at most 600 paths per draw *)
+let synth ?(k = 2) (model : Model_def.t) =
+  let config =
+    { (Model_def.pipeline_config ~k ~timeout:2.0 model) with max_paths = 600 }
+  in
+  Pipeline.run ~config ~oracle model.graph ~main:model.main
 
 let test_roster () =
   check_int "thirteen models" 13 (List.length All.all);

@@ -1,7 +1,11 @@
-(* The PR-4 observability contract:
+(* The observability contract:
 
+   - Traces and metrics are renderings of one event log: on a fixed
+     event list holding every constructor, Trace.of_events (JSONL and
+     Chrome) and Metrics.expose (stripped and not) print the golden
+     texts under test/golden/render-gold*.
    - The wall-clock-stripped trace of a full run (synthesis + fuzz +
-     difftest through one Obs context) is byte-identical at jobs=1 vs
+     difftest into one Collector) is byte-identical at jobs=1 vs
      jobs=4 and warm vs cold cache, as is the env-stripped metrics
      exposition, whose sample for every Det stat equals that stat's
      summary total.
@@ -9,8 +13,7 @@
      open before children, ids collision-free — across all 13 models.
    - Serialize.Json and the JSONL trace format round-trip exactly;
      strip is idempotent; the Chrome export is valid JSON.
-   - Instrument.tee preserves sink order; the Collector survives
-     concurrent emission from pool workers.
+   - The Collector survives concurrent emission from pool workers.
    - Difftest_done.execs equals report.observations and the summary's
      fuzz_edges_gained matches the per-draw coverage gains. *)
 
@@ -21,7 +24,6 @@ module Json = Eywa_core.Serialize.Json
 module Trace = Eywa_obs.Trace
 module Metrics = Eywa_obs.Metrics
 module Export = Eywa_obs.Export
-module Obs = Eywa_obs.Obs
 module Model_def = Eywa_models.Model_def
 module Dns_models = Eywa_models.Dns_models
 module Dns_adapter = Eywa_models.Dns_adapter
@@ -36,11 +38,11 @@ let model = Dns_models.cname
 
 let fuzz_config = { Eywa_fuzz.Fuzz.default_config with budget = 120 }
 
-(* One full observed run: synthesis, fuzz, difftest, all through the
-   same context; [sink] sees the same events after the context. *)
-let observed_run ?(sink = Instrument.null) ~jobs ~cache () =
-  let ctx = Obs.create ~label:model.Model_def.id () in
-  let sink = Instrument.tee (Obs.sink ctx) sink in
+(* One full observed run: synthesis, fuzz, difftest, all into one
+   collector, whose event log every view below renders. *)
+let observed_run ~jobs ~cache () =
+  let c = Instrument.Collector.create () in
+  let sink = Instrument.Collector.sink c in
   let s =
     match
       Model_def.synthesize ~cache ~sink ~k:3 ~timeout:2.0 ~jobs ~oracle model
@@ -58,38 +60,38 @@ let observed_run ?(sink = Instrument.null) ~jobs ~cache () =
     (Dns_adapter.run ~jobs ~sink
        ~model_id:model.Model_def.id ~version:Eywa_dns.Impls.Old
        s.Eywa_core.Pipeline.unique_tests);
-  ctx
+  c
+
+let trace_of c =
+  Trace.of_events ~label:model.Model_def.id (Instrument.Collector.events c)
 
 let test_stripped_trace_identical () =
   (* run order matters: the second run must find the first one's cache
      warm, the third must start cold again *)
   let cache = Cache.create () in
-  let collector = Instrument.Collector.create () in
-  let ctx1 =
-    observed_run ~sink:(Instrument.Collector.sink collector) ~jobs:1 ~cache ()
-  in
-  let ctx2 = observed_run ~jobs:4 ~cache () in
-  let ctx3 = observed_run ~jobs:4 ~cache:(Cache.create ()) () in
-  let stripped ctx = Export.to_jsonl (Trace.strip (Obs.finish ctx)) in
-  let s1 = stripped ctx1 and s2 = stripped ctx2 and s3 = stripped ctx3 in
+  let c1 = observed_run ~jobs:1 ~cache () in
+  let c2 = observed_run ~jobs:4 ~cache () in
+  let c3 = observed_run ~jobs:4 ~cache:(Cache.create ()) () in
+  let stripped c = Export.to_jsonl (Trace.strip (trace_of c)) in
+  let s1 = stripped c1 and s2 = stripped c2 and s3 = stripped c3 in
   check_string "jobs=1 cold = jobs=4 warm" s1 s2;
   check_string "jobs=1 cold = jobs=4 cold" s1 s3;
-  let metrics ctx = Metrics.expose ~strip_env:true (Obs.metrics ctx) in
-  check_string "stripped metrics jobs=1 cold = jobs=4 warm" (metrics ctx1)
-    (metrics ctx2);
-  check_string "stripped metrics jobs=1 cold = jobs=4 cold" (metrics ctx1)
-    (metrics ctx3);
+  let metrics c =
+    Metrics.expose ~strip_env:true (Instrument.Collector.events c)
+  in
+  check_string "stripped metrics jobs=1 cold = jobs=4 warm" (metrics c1)
+    (metrics c2);
+  check_string "stripped metrics jobs=1 cold = jobs=4 cold" (metrics c1)
+    (metrics c3);
   (* the unstripped traces DO differ (cache events, pool env), so the
      strip is doing real work *)
   check "unstripped warm trace differs from cold" true
-    (Export.to_jsonl (Obs.finish ctx1) <> Export.to_jsonl (Obs.finish ctx2));
+    (Export.to_jsonl (trace_of c1) <> Export.to_jsonl (trace_of c2));
   (* the summary totals and the metrics are two views of one stats
      table: every Det row reads the same in both *)
-  let totals =
-    Export.summary_totals (Instrument.Collector.summary collector)
-  in
+  let totals = Export.summary_totals (Instrument.Collector.summary c1) in
   let samples =
-    String.split_on_char '\n' (metrics ctx1)
+    String.split_on_char '\n' (metrics c1)
     |> List.filter_map (fun l ->
            match String.split_on_char ' ' l with
            | [ name; v ] when l.[0] <> '#' -> Some (name, v)
@@ -118,14 +120,14 @@ let test_well_formed_all_models () =
   let traces =
     List.map
       (fun (m : Model_def.t) ->
-        let ctx = Obs.create ~label:m.id () in
+        let c = Instrument.Collector.create () in
         (match
-           Model_def.synthesize ~sink:(Obs.sink ctx) ~k:1 ~timeout:1.0 ~jobs:2
-             ~oracle m
+           Model_def.synthesize ~sink:(Instrument.Collector.sink c) ~k:1
+             ~timeout:1.0 ~jobs:2 ~oracle m
          with
         | Ok _ -> ()
         | Error e -> failwith (m.id ^ ": " ^ e));
-        Obs.finish ctx)
+        Trace.of_events ~label:m.id (Instrument.Collector.events c))
       Eywa_models.All_models.all
   in
   check_int "all 13 models traced" 13 (List.length traces);
@@ -143,7 +145,7 @@ let test_well_formed_all_models () =
     (List.length (List.sort_uniq compare all_ids))
 
 let test_trace_roundtrip_and_strip () =
-  let t = Obs.finish (observed_run ~jobs:2 ~cache:(Cache.create ()) ()) in
+  let t = trace_of (observed_run ~jobs:2 ~cache:(Cache.create ()) ()) in
   (match Export.of_jsonl (Export.to_jsonl t) with
   | Ok t' -> check "JSONL round-trips the trace" true (t' = t)
   | Error e -> Alcotest.failf "of_jsonl: %s" e);
@@ -158,6 +160,165 @@ let test_trace_roundtrip_and_strip () =
   match Trace.well_formed t with
   | Ok () -> ()
   | Error e -> Alcotest.failf "malformed trace: %s" e
+
+(* ----- rendering golden ----- *)
+
+let symex_stats ?(timed_out = false) ~ticks ~paths () =
+  {
+    Eywa_symex.Exec.ticks_used = ticks;
+    paths_completed = paths;
+    paths_pruned = 3;
+    paths_unknown = 1;
+    solver_calls = 17;
+    solver_decisions = 250;
+    model_reuses = 9;
+    timed_out;
+  }
+
+(* Every constructor the renderers knew when the golden texts were
+   written, with repeated ids, an unclosed draw, a draw finished without
+   a start, escapes in a message and wall-clock floats that do not
+   print round. *)
+let golden_events : Instrument.event list =
+  [
+    Cache_miss { stage = "draw"; key = "00000000deadbeef" };
+    Cache_hit { stage = "draw"; key = "0123456789abcdef" };
+    Cache_miss { stage = "draw"; key = "fedcba9876543210" };
+    Draw_started { index = 0 };
+    Draw_started { index = 1 };
+    Compile_rejected
+      {
+        index = 1;
+        stage = "typecheck";
+        message = "expected \";\" before \"}\"\n\tline 3";
+      };
+    Symex_done { index = 0; stats = symex_stats ~ticks:100 ~paths:4 () };
+    Draw_finished
+      { index = 0; tests = 7; gen_seconds = 0.1; symex_seconds = 0.2 };
+    Draw_finished
+      { index = 1; tests = 0; gen_seconds = 0.2; symex_seconds = 1e-7 };
+    Symex_done
+      {
+        index = 2;
+        stats = symex_stats ~timed_out:true ~ticks:20_000_000 ~paths:4096 ();
+      };
+    Draw_started { index = 2 };
+    Symex_done { index = 2; stats = symex_stats ~ticks:1000 ~paths:0 () };
+    Draw_finished
+      { index = 2; tests = 500; gen_seconds = 123.456; symex_seconds = 3.14159 };
+    Draw_finished
+      { index = 3; tests = 1; gen_seconds = 1. /. 3.; symex_seconds = 0.0 };
+    Pool_merged
+      {
+        label = "draw";
+        tasks = 4;
+        computed = 3;
+        jobs = 4;
+        per_worker = [ 1; 0; 2; 0; 0; 0; 0; 0; 0; 0; 5 ];
+        queue_wait_ticks = 12;
+        refutations_reused = 21572;
+      };
+    Suite_aggregated { draws = 4; unique_tests = 480 };
+    Draw_started { index = 0 };
+    Compile_rejected { index = 0; stage = "oracle"; message = "" };
+    Draw_finished
+      { index = 0; tests = 0; gen_seconds = 2.5e-3; symex_seconds = 0.0 };
+    Cache_hit { stage = "fuzz"; key = "0000000000000001" };
+    Cache_miss { stage = "fuzz"; key = "0000000000000002" };
+    Pool_merged
+      {
+        label = "fuzz";
+        tasks = 3;
+        computed = 2;
+        jobs = 2;
+        per_worker = [ 2; 0 ];
+        queue_wait_ticks = 0;
+        refutations_reused = 0;
+      };
+    Fuzz_done
+      { index = 0; execs = 500; edges_seed = 10; edges_after = 13; new_tests = 2 };
+    Fuzz_done
+      { index = 2; execs = 0; edges_seed = 40; edges_after = 40; new_tests = 0 };
+    Fuzz_done
+      { index = 0; execs = 7; edges_seed = 9; edges_after = 5; new_tests = 0 };
+    Fuzz_done
+      { index = 3; execs = 64; edges_seed = 1; edges_after = 101; new_tests = 64 };
+    Fuzz_aggregated { draws = 3; fuzz_tests = 2; combined_tests = 482 };
+    Pool_merged
+      {
+        label = "difftest:GOLD";
+        tasks = 482;
+        computed = 482;
+        jobs = 1;
+        per_worker = [ 482 ];
+        queue_wait_ticks = 0;
+        refutations_reused = 0;
+      };
+    Difftest_done
+      {
+        label = "GOLD";
+        total_tests = 482;
+        disagreeing_tests = 5;
+        tuples = 2;
+        execs = 10;
+      };
+    Difftest_done
+      {
+        label = "GOLD";
+        total_tests = 1;
+        disagreeing_tests = 0;
+        tuples = 0;
+        execs = 123456;
+      };
+    Draw_started { index = 9 };
+  ]
+
+let read_golden name =
+  In_channel.with_open_bin (Filename.concat "golden" name) In_channel.input_all
+
+let test_rendering_golden () =
+  let t = Trace.of_events ~label:"GOLD" golden_events in
+  check_string "trace JSONL" (read_golden "render-gold.jsonl")
+    (Export.to_jsonl t);
+  check_string "Chrome trace"
+    (read_golden "render-gold.chrome.json")
+    (Export.chrome_trace t);
+  let prom = read_golden "render-gold.prom" in
+  check_string "metrics" prom (Metrics.expose golden_events);
+  check_string "env-stripped metrics"
+    (read_golden "render-gold-stripped.prom")
+    (Metrics.expose ~strip_env:true golden_events);
+  (* a failed cache write is an Env event of the trace and no metric
+     counts it *)
+  let events =
+    golden_events
+    @ [
+        Cache_write_failed
+          {
+            stage = "fuzz";
+            key = "0000000000000003";
+            message = "F/cache: Not a directory";
+          };
+      ]
+  in
+  check_string "no metric counts a failed cache write" prom
+    (Metrics.expose events);
+  let failed (t : Trace.t) =
+    List.filter
+      (function
+        | Trace.Event { name = "cache_write_failed"; _ } -> true | _ -> false)
+      t.items
+  in
+  let t = Trace.of_events ~label:"GOLD" events in
+  (match failed t with
+  | [ Trace.Event { id; parent; cls; det; _ } ] ->
+      check_string "under the root" "GOLD/cache/cache_write_failed" id;
+      check "parent is the root" true (parent = Some "GOLD");
+      check "classed Env" true (cls = Env);
+      check "carries the error" true
+        (List.assoc_opt "message" det = Some (Json.Str "F/cache: Not a directory"))
+  | items -> Alcotest.failf "%d cache_write_failed events" (List.length items));
+  check_int "strip drops it" 0 (List.length (failed (Trace.strip t)))
 
 (* ----- Serialize.Json ----- *)
 
@@ -229,72 +390,7 @@ let test_json_units () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* ----- metrics registry ----- *)
-
-let test_metrics_registry () =
-  let r = Metrics.create () in
-  let c = Metrics.counter r ~help:"things" "things_total" in
-  Metrics.inc c 3;
-  let g = Metrics.gauge r ~cls:Metrics.Env ~help:"secs" "wall_seconds" in
-  Metrics.set_gauge g 1.5;
-  let h = Metrics.histogram r ~buckets:[ 1.0; 5.0 ] ~help:"sz" "sizes" in
-  Metrics.observe h 0.5;
-  Metrics.observe h 3.0;
-  Metrics.observe h 10.0;
-  let v =
-    Metrics.counter_vec r ~label:"worker" ~help:"per worker" "worker_total"
-  in
-  Metrics.inc_vec v "1" 2;
-  Metrics.inc_vec v "0" 1;
-  let text = Metrics.expose r in
-  let has needle =
-    let nl = String.length needle and tl = String.length text in
-    let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
-    go 0
-  in
-  check "counter sample" true (has "things_total 3");
-  check "gauge sample" true (has "wall_seconds 1.5");
-  check "histogram buckets are cumulative" true
-    (has {|sizes_bucket{le="1.0"} 1|}
-    && has {|sizes_bucket{le="5.0"} 2|}
-    && has {|sizes_bucket{le="+Inf"} 3|});
-  check "histogram sum and count" true
-    (has "sizes_sum 13.5" && has "sizes_count 3");
-  check "vec cells sorted by label value" true
-    (has {|worker_total{worker="0"} 1|} && has {|worker_total{worker="1"} 2|});
-  let stripped = Metrics.expose ~strip_env:true r in
-  check "strip_env drops the Env gauge" true
-    (not
-       (let nl = String.length "wall_seconds" in
-        let rec go i =
-          i + nl <= String.length stripped
-          && (String.sub stripped i nl = "wall_seconds" || go (i + 1))
-        in
-        go 0));
-  check "duplicate names are rejected" true
-    (match Metrics.counter r "things_total" with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  check "buckets must strictly increase" true
-    (match Metrics.histogram r ~buckets:[ 2.0; 2.0 ] "bad" with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 (* ----- instrument plumbing ----- *)
-
-let test_tee_ordering () =
-  let order = ref [] in
-  let sink =
-    Instrument.tee
-      (fun _ -> order := "first" :: !order)
-      (fun _ -> order := "second" :: !order)
-  in
-  sink (Instrument.Draw_started { index = 0 });
-  sink (Instrument.Draw_started { index = 1 });
-  Alcotest.(check (list string))
-    "left sink of tee fires before the right one, per event"
-    [ "first"; "second"; "first"; "second" ]
-    (List.rev !order)
 
 let qcheck_collector_cross_domain =
   QCheck_alcotest.to_alcotest
@@ -413,9 +509,8 @@ let suite =
     qcheck_json_roundtrip;
     Alcotest.test_case "Json canonical printing and parsing" `Quick
       test_json_units;
-    Alcotest.test_case "metrics registry exposition" `Quick
-      test_metrics_registry;
-    Alcotest.test_case "tee preserves sink order" `Quick test_tee_ordering;
+    Alcotest.test_case "rendering golden: traces and metrics" `Quick
+      test_rendering_golden;
     qcheck_collector_cross_domain;
     Alcotest.test_case "Difftest_done.execs = report.observations" `Slow
       test_difftest_execs;

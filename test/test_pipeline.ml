@@ -391,13 +391,7 @@ let test_collector_summary () =
     (get Instrument.Stat.unique_tests);
   Instrument.Collector.clear c;
   check_int "clear empties the buffer" 0
-    (List.length (Instrument.Collector.events c));
-  (* tee fans one event out to both sinks *)
-  let a = ref 0 and b = ref 0 in
-  Instrument.tee (fun _ -> incr a) (fun _ -> incr b)
-    (Instrument.Draw_started { index = 0 });
-  check_int "tee reaches the first sink" 1 !a;
-  check_int "tee reaches the second sink" 1 !b
+    (List.length (Instrument.Collector.events c))
 
 (* ----- each distinct program is explored once ----- *)
 
@@ -808,6 +802,50 @@ let test_cache_dir_parents () =
   check_string "and replays the run" (full_fingerprint cold) (full_fingerprint warm);
   remove_tree root
 
+(* A disk write that fails is counted and reported as an event, leaves
+   no [.tmp] file behind, and the entry is still served from memory. *)
+let test_cache_write_failures () =
+  let root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "eywa-cache-failures-%d" (Unix.getpid ()))
+  in
+  remove_tree root;
+  Sys.mkdir root 0o755;
+  let key = Cache.Key.v ~stage:"draw" [ ("input", "1") ] in
+  let c = Instrument.Collector.create () in
+  let sink = Instrument.Collector.sink c in
+  (* the directory cannot be made: its parent is a regular file *)
+  let file = Filename.concat root "file" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+  let under_file = Cache.create ~dir:(Filename.concat file "cache") () in
+  Cache.store ~sink under_file key "payload";
+  check_int "the failed write is counted" 1 (Cache.write_failures under_file);
+  check "the entry is served from memory" true
+    (Cache.lookup under_file key ~decode:Result.ok = Some "payload");
+  (* the entry's path is a directory: the .tmp is written, the rename
+     fails *)
+  let dir = Filename.concat root "cache" in
+  let entry = Filename.concat dir ("draw-" ^ Cache.Key.digest key ^ ".eywa") in
+  Sys.mkdir dir 0o755;
+  Sys.mkdir entry 0o755;
+  let blocked = Cache.create ~dir () in
+  Cache.store ~sink blocked key "payload";
+  check_int "a failed rename is counted" 1 (Cache.write_failures blocked);
+  check "its .tmp file is removed" false (Sys.file_exists (entry ^ ".tmp"));
+  check_int "one event per failed write" 2
+    (List.length
+       (List.filter
+          (function
+            | Instrument.Cache_write_failed { stage = "draw"; key = k; message } ->
+                k = Cache.Key.digest key && message <> ""
+            | _ -> false)
+          (Instrument.Collector.events c)));
+  let ok = Cache.create ~dir:(Filename.concat root "ok") () in
+  Cache.store ~sink ok key "payload";
+  check_int "a write that succeeds is not counted" 0 (Cache.write_failures ok);
+  check_int "and emits nothing" 2 (List.length (Instrument.Collector.events c));
+  remove_tree root
+
 let suite =
   [
     Alcotest.test_case "warm cache = cold run (jobs 1 and 4)" `Slow
@@ -841,6 +879,8 @@ let suite =
       test_refutation_table_run_scoped;
     Alcotest.test_case "a cache directory is created with its parents" `Slow
       test_cache_dir_parents;
+    Alcotest.test_case "a failed cache write is counted and reported" `Quick
+      test_cache_write_failures;
     Alcotest.test_case "a cache entry that does not decode is a miss" `Slow
       test_garbled_entry_is_a_miss;
   ]

@@ -430,13 +430,15 @@ let test_carried_samples_on_models () =
   let oracle = Eywa_llm.Gpt.oracle () in
   List.iter
     (fun (m : Model_def.t) ->
-      let config = Model_def.pipeline_config ~k:2 ~timeout:2.0 ~max_paths:600 m in
+      let config =
+        { (Model_def.pipeline_config ~k:2 ~timeout:2.0 m) with max_paths = 600 }
+      in
       let main =
         match m.main with
         | Eywa_core.Emodule.Func f -> f
         | _ -> Alcotest.fail "main not Func"
       in
-      match Model_def.synthesize ~k:2 ~timeout:2.0 ~max_paths:600 ~oracle m with
+      match Pipeline.run ~config ~oracle m.graph ~main:m.main with
       | Error e -> Alcotest.failf "%s: %s" m.id e
       | Ok s ->
           check (m.id ^ ": some compiled draw") true (s.programs <> []);
